@@ -5,13 +5,25 @@ The engine interleaves two kinds of events:
 * *timers* — callbacks scheduled at an absolute simulated time (process
   wake-ups, activity latency phases, timeouts);
 * *activity completions* — derived from the fluid model: whenever the set
-  of running activities changes, the max-min sharing solver recomputes
-  every activity's rate, and the next completion is the activity with the
-  smallest ``remaining / rate``.
+  of running activities changes, the max-min sharing solver recomputes the
+  rates of the activities the change can reach, and the next completion is
+  the activity with the smallest ``remaining / rate``.
 
 The main loop advances the clock to the earliest of those two, updates the
 remaining work of all running activities, fires whatever completed, and
 repeats until no work is left.
+
+Rates are recomputed incrementally.  Resources that share no running
+activity do not influence each other's max-min shares, so the running
+activities split into connected components of the resource/activity graph
+and a component's rates depend on its own capacities and members only.
+Whatever changes that input — an activity entering or leaving the fluid
+phase, a capacity change — marks the resources involved *dirty*; the next
+loop iteration walks from the dirty resources to their component(s),
+re-solves those, and leaves every other activity's rate as it is.  The
+solver performs the same arithmetic on a component whether it is handed
+that component alone or together with others, so the rates are bit for bit
+those a solve of all running activities would give.
 """
 
 from __future__ import annotations
@@ -19,17 +31,27 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections.abc import Callable, Generator
+from operator import attrgetter
 from time import perf_counter
-from collections.abc import Callable
+from typing import Any, Protocol
 
 from repro.simgrid.activity import Activity, ActivityState
 from repro.simgrid.errors import DeadlockError, InvalidStateError, SimulationError
 from repro.simgrid.process import Process
+from repro.simgrid.resources import Resource
 from repro.simgrid.sharing import solve_max_min
 
 __all__ = ["SimulationEngine"]
 
 _REL_EPSILON = 1e-9
+_BY_UID = attrgetter("uid")
+
+
+class _PhaseProfile(Protocol):
+    """What :attr:`SimulationEngine.profile` must offer."""
+
+    def add(self, name: str, seconds: float, count: int = 1) -> None: ...
 
 
 class SimulationEngine:
@@ -49,13 +71,14 @@ class SimulationEngine:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._timers: list[tuple] = []
+        self._timers: list[tuple[float, int, Callable[[], None]]] = []
         self._timer_seq = itertools.count()
         self._active: set[Activity] = set()
-        self._rates_dirty = True
+        #: resources whose component must be re-solved before time advances
+        self._dirty: set[Resource] = set()
         self._processes: list[Process] = []
         self._alive_processes = 0
-        self._failures: list[tuple] = []
+        self._failures: list[tuple[Process, BaseException]] = []
         self._completed_activities = 0
         self._sharing_updates = 0
         self._observers: list[object] = []
@@ -64,7 +87,7 @@ class SimulationEngine:
         #: before :meth:`run` to attribute wall-clock and event counts to
         #: the loop's phases.  ``None`` (the default) costs the loop one
         #: ``is None`` check per phase.
-        self.profile = None
+        self.profile: _PhaseProfile | None = None
 
     # ------------------------------------------------------------------ #
     # observers
@@ -104,7 +127,9 @@ class SimulationEngine:
 
     @property
     def sharing_update_count(self) -> int:
-        """Number of times the max-min solver ran (simulation cost proxy)."""
+        """Number of event-loop iterations that recomputed rates, i.e. that
+        began with a changed running set or capacity while activities were
+        running (simulation cost proxy)."""
         return self._sharing_updates
 
     # ------------------------------------------------------------------ #
@@ -125,7 +150,7 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     # processes
     # ------------------------------------------------------------------ #
-    def add_process(self, generator, name: str = "process") -> Process:
+    def add_process(self, generator: Generator[Any, Any, Any], name: str = "process") -> Process:
         """Register a simulated process and schedule its first step at the
         current simulated time."""
         process = Process(self, generator, name)
@@ -176,22 +201,39 @@ class SimulationEngine:
             return
         activity.state = ActivityState.RUNNING
         self._active.add(activity)
+        shared = False
         for resource, usage in activity.usages.items():
             resource._accumulate_usage(self._now)
             resource._register(activity, usage)
-        self._rates_dirty = True
+            if usage > 0:
+                self._dirty.add(resource)
+                shared = True
+        if not shared:
+            # Competes for nothing, so it belongs to no component and no
+            # solve will ever reach it: its rate is its cap, for good.
+            activity.rate = activity.rate_cap if activity.rate_cap is not None else math.inf
+
+    def _leave_fluid_phase(self, activity: Activity) -> None:
+        """Take a terminating activity off the running set and its resources."""
+        if activity in self._active:
+            self._active.discard(activity)
+            for resource, usage in activity.usages.items():
+                resource._accumulate_usage(self._now)
+                resource._unregister(activity)
+                if usage > 0:
+                    self._dirty.add(resource)
+
+    def _capacity_changed(self, resource: Resource) -> None:
+        """``resource`` got a new capacity while activities run on it."""
+        resource._accumulate_usage(self._now)
+        self._dirty.add(resource)
 
     def cancel_activity(self, activity: Activity) -> None:
         """Cancel a pending activity; waiters receive an
         :class:`~repro.simgrid.errors.ActivityCanceledError`."""
         if activity.is_terminated:
             return
-        if activity in self._active:
-            self._active.discard(activity)
-            for resource in activity.usages:
-                resource._accumulate_usage(self._now)
-                resource._unregister(activity)
-            self._rates_dirty = True
+        self._leave_fluid_phase(activity)
         activity.state = ActivityState.CANCELED
         activity.finish_time = self._now
         if self._observers:
@@ -199,12 +241,7 @@ class SimulationEngine:
         activity._notify_waiters()
 
     def _complete_activity(self, activity: Activity) -> None:
-        if activity in self._active:
-            self._active.discard(activity)
-            for resource in activity.usages:
-                resource._accumulate_usage(self._now)
-                resource._unregister(activity)
-            self._rates_dirty = True
+        self._leave_fluid_phase(activity)
         activity.state = ActivityState.DONE
         activity.finish_time = self._now
         activity.remaining = 0.0
@@ -218,22 +255,81 @@ class SimulationEngine:
     # fluid model
     # ------------------------------------------------------------------ #
     def _update_rates(self) -> None:
-        rates = solve_max_min(self._active)
-        for activity, rate in rates.items():
-            activity.rate = rate
-        self._rates_dirty = False
+        """Re-solve the component of every dirty resource.
+
+        A component is what the walk resource -> registered activities ->
+        their resources reaches over positive usages.  Its members go to the
+        solver in ``uid`` order: the order of the solver's float operations
+        is then a function of the simulation, not of set hashing.
+        """
+        reached: set[Resource] = set()
+        for origin in self._dirty:
+            if origin in reached:
+                continue
+            reached.add(origin)
+            frontier = [origin]
+            members: set[Activity] = set()
+            while frontier:
+                for activity, usage in frontier.pop()._activities.items():
+                    if usage > 0 and activity not in members:
+                        members.add(activity)
+                        for resource, weight in activity.usages.items():
+                            if weight > 0 and resource not in reached:
+                                reached.add(resource)
+                                frontier.append(resource)
+            if members:
+                for activity, rate in solve_max_min(sorted(members, key=_BY_UID)).items():
+                    activity.rate = rate
+        self._dirty.clear()
         self._sharing_updates += 1
 
     def _next_completion_delay(self) -> float:
-        """Smallest ``remaining / rate`` over running activities (inf if none)."""
+        """Smallest ``remaining / rate`` over running activities (inf if none).
+
+        Its own pass over the running set: it needs the rates of this
+        iteration, :meth:`_advance_to` charges work at them only afterwards.
+        """
         delay = math.inf
         for activity in self._active:
-            if activity.rate <= 0:
-                continue
-            candidate = activity.remaining / activity.rate
-            if candidate < delay:
-                delay = candidate
+            rate = activity.rate
+            if rate > 0:
+                candidate = activity.remaining / rate
+                if candidate < delay:
+                    delay = candidate
         return delay
+
+    def _advance_to(self, when: float) -> list[Activity]:
+        """Move the clock to ``when``, charge every running activity the work
+        it did on the way, and return the activities that are now complete.
+
+        Complete means: the remaining work is (numerically) zero, or the
+        remaining time at the current rate is below the clock's
+        floating-point resolution.  The second clause matters when activity
+        rates differ by many orders of magnitude late in a long simulation:
+        the next completion delay can then be smaller than one ULP of the
+        clock, and without it the loop would advance by zero time forever
+        (observed with extreme calibration candidates — e.g. a multi-GB/s
+        page cache next to a ~6 MB/s WAN).
+        """
+        dt = when - self._now
+        if dt < 0:
+            raise InvalidStateError("clock cannot go backwards")
+        if dt > 0:
+            self._now = when
+        clock_resolution = max(abs(self._now), 1.0) * 1e-12
+        completed: list[Activity] = []
+        for activity in self._active:
+            rate = activity.rate
+            remaining = activity.remaining
+            if rate > 0:
+                if dt > 0:
+                    remaining = activity.remaining = max(remaining - rate * dt, 0.0)
+                if remaining <= rate * clock_resolution:
+                    completed.append(activity)
+                    continue
+            if remaining <= _REL_EPSILON * max(activity.amount, 1.0):
+                completed.append(activity)
+        return completed
 
     # ------------------------------------------------------------------ #
     # main loop
@@ -255,22 +351,22 @@ class SimulationEngine:
                 process, exc = self._failures[0]
                 raise SimulationError(f"process {process.name!r} failed: {exc!r}") from exc
 
-            if self._rates_dirty and self._active:
-                if profile is None:
+            if self._dirty:
+                if not self._active:
+                    self._dirty.clear()
+                elif profile is None:
                     self._update_rates()
                 else:
                     t0 = perf_counter()
                     self._update_rates()
                     profile.add("sharing", perf_counter() - t0)
-            elif self._rates_dirty:
-                self._rates_dirty = False
 
             next_timer = self._timers[0][0] if self._timers else math.inf
             completion_delay = self._next_completion_delay()
             next_completion = self._now + completion_delay if completion_delay < math.inf else math.inf
             next_event = min(next_timer, next_completion)
 
-            if next_event is math.inf or next_event == math.inf:
+            if next_event == math.inf:
                 if self._alive_processes > 0:
                     raise DeadlockError(
                         f"{self._alive_processes} process(es) still alive but no pending event"
@@ -283,24 +379,9 @@ class SimulationEngine:
 
             if profile is not None:
                 t0 = perf_counter()
-            self._advance_to(next_event)
-
-            # Fire completions: anything whose remaining work is (numerically)
-            # zero, or whose remaining time at its current rate is below the
-            # clock's floating-point resolution.  The second clause matters
-            # when activity rates differ by many orders of magnitude late in a
-            # long simulation: the next completion delay can then be smaller
-            # than one ULP of the clock, and without it the loop would advance
-            # by zero time forever (observed with extreme calibration
-            # candidates — e.g. a multi-GB/s page cache next to a ~6 MB/s WAN).
-            clock_resolution = max(abs(self._now), 1.0) * 1e-12
-            completed = [
-                a
-                for a in self._active
-                if a.remaining <= _REL_EPSILON * max(a.amount, 1.0)
-                or (a.rate > 0.0 and a.remaining <= a.rate * clock_resolution)
-            ]
-            for activity in sorted(completed, key=lambda a: a.uid):
+            completed = self._advance_to(next_event)
+            completed.sort(key=_BY_UID)
+            for activity in completed:
                 self._complete_activity(activity)
             if profile is not None:
                 profile.add("advance", perf_counter() - t0, len(completed))
@@ -324,13 +405,3 @@ class SimulationEngine:
             process, exc = self._failures[0]
             raise SimulationError(f"process {process.name!r} failed: {exc!r}") from exc
         return self._now
-
-    def _advance_to(self, when: float) -> None:
-        dt = when - self._now
-        if dt < 0:
-            raise InvalidStateError("clock cannot go backwards")
-        if dt > 0:
-            for activity in self._active:
-                if activity.rate > 0:
-                    activity.remaining = max(activity.remaining - activity.rate * dt, 0.0)
-            self._now = when

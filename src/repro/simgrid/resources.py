@@ -50,12 +50,17 @@ class Resource:
 
     def set_capacity(self, capacity: float) -> None:
         """Change the capacity (used by calibration to re-parameterise a
-        platform in place).  Takes effect at the next sharing update."""
+        platform in place).  Takes effect at the next sharing update: the
+        engine of the activities running on the resource, if any, is told to
+        re-solve their rates before it advances the clock again."""
         if capacity <= 0:
             raise PlatformError(
                 f"resource {self.name!r} must have a positive capacity, got {capacity}"
             )
         self._capacity = float(capacity)
+        user = next(iter(self._activities), None)
+        if user is not None and user._engine is not None:
+            user._engine._capacity_changed(self)
 
     # ------------------------------------------------------------------ #
     # activity bookkeeping (engine-facing)

@@ -16,8 +16,22 @@ This is the same fluid model SimGrid uses for network flows ("LV08"-style
 sharing without the RTT cross-traffic factors) and for CPU sharing on
 multicore hosts.  The solver is written for small platforms (tens of
 resources, hundreds of concurrent activities), which is what the paper's
-case study requires; it is exact, deterministic and allocation-free in the
-common path.
+case study requires; it is exact and deterministic: every sum and
+subtraction runs in the order the activities were passed in, so the result
+is a function of that order and of nothing else (no set is ever iterated).
+
+Cost.  One pass over the activities builds, per resource, the list of its
+users and the total weight of those still unassigned.  A filling step then
+compares one cached weight per resource and one cap per capped activity;
+only the resources a freeze just touched have their user list pruned and
+their weight summed again.  The per-call dictionaries and lists are the
+only allocations; nothing is allocated per filling step except the pruned
+lists.
+
+Resources that share no activity do not interact: the shares of one
+connected component depend on its own capacities and members only, so the
+engine (:meth:`SimulationEngine._update_rates`) passes just the component
+an event touched and gets the rates a solve of everything would give.
 """
 
 from __future__ import annotations
@@ -30,6 +44,7 @@ from repro.simgrid.resources import Resource
 __all__ = ["solve_max_min"]
 
 _EPSILON = 1e-12
+_INFINITY = float("inf")
 
 
 def solve_max_min(activities: Iterable[Activity]) -> dict[Activity, float]:
@@ -40,76 +55,93 @@ def solve_max_min(activities: Iterable[Activity]) -> dict[Activity, float]:
     rate cap (infinite rate if they have none — callers normally give such
     activities an amount of zero).
     """
-    pending: list[Activity] = [a for a in activities]
     rates: dict[Activity, float] = {}
-
-    # Remaining capacity of every resource involved.
+    # Per resource involved: remaining capacity, users still unassigned (in
+    # the order given) and their total weight.  A resource leaves ``weights``
+    # when its last user is frozen.
     remaining: dict[Resource, float] = {}
-    users: dict[Resource, list[Activity]] = {}
-    for activity in pending:
+    users: dict[Resource, list[tuple[Activity, float]]] = {}
+    weights: dict[Resource, float] = {}
+    unassigned: set[Activity] = set()
+    capped: list[tuple[Activity, float]] = []
+
+    for activity in activities:
+        shared = False
         for resource, usage in activity.usages.items():
             if usage <= 0:
                 continue
-            if resource not in remaining:
+            shared = True
+            if resource in remaining:
+                users[resource].append((activity, usage))
+                weights[resource] += usage
+            else:
                 remaining[resource] = resource.capacity
-                users[resource] = []
-            users[resource].append(activity)
-
-    unassigned = set(pending)
-
-    # Activities that use no resource at all: rate is only bounded by cap.
-    for activity in pending:
-        if not any(usage > 0 for usage in activity.usages.values()):
-            rates[activity] = activity.rate_cap if activity.rate_cap is not None else float("inf")
-            unassigned.discard(activity)
+                users[resource] = [(activity, usage)]
+                weights[resource] = 0.0 + usage  # summed from 0.0, as when re-summed below
+        cap = activity.rate_cap
+        if not shared:
+            # Uses no resource at all: the rate is only bounded by the cap.
+            rates[activity] = cap if cap is not None else _INFINITY
+            continue
+        unassigned.add(activity)
+        if cap is not None:
+            capped.append((activity, cap))
 
     while unassigned:
         # Find the tightest bottleneck among resources...
-        bottleneck_share = float("inf")
+        bottleneck_share = _INFINITY
         bottleneck_resource = None
-        for resource, capacity_left in remaining.items():
-            weight = 0.0
-            for activity in users[resource]:
-                if activity in unassigned:
-                    weight += activity.usages[resource]
-            if weight <= 0:
-                continue
-            share = capacity_left / weight
+        for resource, weight in weights.items():
+            share = remaining[resource] / weight
             if share < bottleneck_share - _EPSILON:
                 bottleneck_share = share
                 bottleneck_resource = resource
 
         # ... and among the rate caps of unassigned activities.
         capped_activity = None
-        for activity in unassigned:
-            cap = activity.rate_cap
-            if cap is not None and cap < bottleneck_share - _EPSILON:
-                bottleneck_share = cap
+        for activity, limit in capped:
+            if limit < bottleneck_share - _EPSILON and activity in unassigned:
+                bottleneck_share = limit
                 capped_activity = activity
-                bottleneck_resource = None
 
         if capped_activity is not None:
             # A single activity saturates its own cap before any resource
             # saturates: freeze it and charge its consumption.
             frozen = [capped_activity]
         elif bottleneck_resource is not None:
-            frozen = [a for a in users[bottleneck_resource] if a in unassigned]
+            frozen = [activity for activity, _ in users[bottleneck_resource]]
         else:
-            # No constraint applies (can only happen with infinite caps and
-            # zero-usage activities, which were handled above).
+            # No constraint applies.  Every unassigned activity uses a
+            # resource of positive weight, so this takes a capacity that is
+            # infinite or not a number.
             for activity in unassigned:
-                rates[activity] = float("inf")
+                rates[activity] = _INFINITY
             break
 
+        touched: dict[Resource, None] = {}
         for activity in frozen:
             rate = bottleneck_share
-            if activity.rate_cap is not None:
-                rate = min(rate, activity.rate_cap)
-            rates[activity] = max(rate, 0.0)
+            cap = activity.rate_cap
+            if cap is not None and cap < rate:
+                rate = cap
+            rates[activity] = 0.0 if rate < 0.0 else rate
             unassigned.discard(activity)
             for resource, usage in activity.usages.items():
-                if usage <= 0 or resource not in remaining:
+                if usage <= 0:
                     continue
-                remaining[resource] = max(remaining[resource] - rate * usage, 0.0)
+                left = remaining[resource] - rate * usage
+                remaining[resource] = 0.0 if left < 0.0 else left
+                touched[resource] = None
+
+        for resource in touched:
+            live = [entry for entry in users[resource] if entry[0] in unassigned]
+            if live:
+                weight = 0.0
+                for _, usage in live:
+                    weight += usage
+                users[resource] = live
+                weights[resource] = weight
+            else:
+                del weights[resource]
 
     return rates

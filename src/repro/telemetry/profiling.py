@@ -1,10 +1,10 @@
 """Simulator hot-path profiling: wall-clock and event counts per phase.
 
 The discrete-event engine's main loop has three phases worth measuring
-before any vectorization work (ROADMAP item 3):
+before any vectorization work (ROADMAP item 2):
 
-* ``sharing`` — the max-min fluid-share solver (``_update_rates``),
-  historically the dominant cost as activity counts grow;
+* ``sharing`` — ``_update_rates``: the walk from the dirty resources to
+  their connected components plus the max-min solve of those components;
 * ``advance`` — clock advancement plus completion scanning/firing;
 * ``timers`` — timer-heap pops and process-callback execution.
 

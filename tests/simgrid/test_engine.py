@@ -112,6 +112,24 @@ def test_run_until_pauses_simulation():
     assert activity.is_done
 
 
+def test_capacity_change_between_runs_reaches_the_solver():
+    """A capacity set while activities run takes effect at the next sharing
+    update, not at the next unrelated event (there is none here)."""
+    p = Platform("throttled")
+    host = p.add_host("h", speed=4.0, cores=1)
+    work = host.exec_async("work", 16.0)
+
+    def proc():
+        yield work
+
+    p.engine.add_process(proc(), "p")
+    p.engine.run(until=2.0)
+    assert work.remaining == 8.0
+    host.set_speed(2.0)
+    assert p.engine.run() == 6.0
+    assert work.finish_time == 6.0
+
+
 def test_cancel_activity_raises_in_waiting_process():
     engine = SimulationEngine()
     r = Resource("cpu", 1.0)

@@ -12,13 +12,24 @@ engine, max-min sharing) and compare against them:
 * bandwidth sharing conserves work: however many flows share a link, the
   last completion time equals ``total bytes / bandwidth`` (plus latency),
   and a flow can never finish earlier than its fair share allows.
+
+Random multi-resource systems have no closed form; there the engine's
+incremental sharing is held, at every clock advance, to the rates one solve
+of all running activities assigns (the differential), and to the model's
+physics: no resource above capacity, every activity capped or crossing a
+saturated resource, work conserved, clock monotone.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simgrid import Platform
+from repro.simgrid import Platform, SimulationEngine
+from repro.simgrid.activity import Activity
+from repro.simgrid.resources import Resource
+from repro.simgrid.sharing import solve_max_min
 
 
 def run_engine(platform):
@@ -164,3 +175,125 @@ class TestDiskInvariants:
         platform.engine.add_process(process(), "p")
         elapsed = run_engine(platform)
         assert elapsed == pytest.approx(6e8 / 1e8, rel=1e-6)
+
+
+# --------------------------------------------------------------------------- #
+# multi-resource systems: incremental sharing against the full solve
+# --------------------------------------------------------------------------- #
+#
+# Magnitudes are the case study's (1e6..1e10): every fair share and cap is
+# then far above the solver's absolute tie tolerance (1e-12), so a solve of
+# one component and a solve of everything make the same comparisons.
+WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def activity_specs(draw, n_resources):
+    resources = draw(st.lists(st.integers(0, n_resources - 1), max_size=3, unique=True))
+    start = draw(st.sampled_from([0.0, 0.0, 1.0, 2.5, 7.0]))
+    return {
+        "amount": draw(st.sampled_from([0.0, 1e8, 3e8]) | st.floats(1e8, 1e10)),
+        "usages": {index: draw(WEIGHTS) for index in resources},
+        "rate_cap": draw(st.none() | st.floats(1e6, 1e9)),
+        "latency": draw(st.sampled_from([0.0, 0.0, 0.5])),
+        "start": start,
+        "cancel": draw(st.none() | st.floats(0.0, 50.0).map(lambda delay: start + delay)),
+    }
+
+
+@st.composite
+def sharing_systems(draw):
+    capacities = draw(st.lists(st.floats(1e7, 1e9), min_size=2, max_size=8))
+    specs = draw(st.lists(activity_specs(len(capacities)), min_size=1, max_size=30))
+    throttles = draw(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 60.0), st.integers(0, len(capacities) - 1), st.floats(1e7, 1e9)
+            ),
+            max_size=3,
+        )
+    )
+    return capacities, specs, throttles
+
+
+class CheckedEngine(SimulationEngine):
+    """Checks the fluid model's state each time the clock is about to move:
+    the rates in force are the ones the coming interval is simulated with."""
+
+    def __init__(self, resources):
+        super().__init__()
+        self.resources = resources
+        self.work_done = {}
+        self.clock = [0.0]
+
+    def _advance_to(self, when):
+        running = sorted(self._active, key=lambda a: a.uid)
+        # Differential: solving only what an event touched left every
+        # running activity at the rate a solve of all of them assigns.
+        reference = solve_max_min(running)
+        assert {a.name: a.rate for a in running} == {a.name: reference[a] for a in running}
+
+        load = {resource: 0.0 for resource in self.resources}
+        for activity in running:
+            for resource, usage in activity.usages.items():
+                if usage > 0:
+                    load[resource] += activity.rate * usage
+        for resource, used in load.items():
+            assert used <= resource.capacity * (1 + 1e-9), f"{resource.name} above capacity"
+        for activity in running:
+            crossed = [r for r, usage in activity.usages.items() if usage > 0]
+            if not crossed:
+                expected = math.inf if activity.rate_cap is None else activity.rate_cap
+                assert activity.rate == expected
+                continue
+            capped = activity.rate_cap is not None and activity.rate >= activity.rate_cap * (1 - 1e-9)
+            saturated = any(load[r] >= r.capacity * (1 - 1e-9) for r in crossed)
+            assert capped or saturated, f"{activity.name} could run faster"
+
+        assert when >= self.clock[-1]
+        self.clock.append(when)
+        dt = when - self.now
+        for activity in running:
+            if activity.rate < math.inf:
+                self.work_done[activity] = self.work_done.get(activity, 0.0) + activity.rate * dt
+        return super()._advance_to(when)
+
+
+class TestMultiResourceSharing:
+    @given(system=sharing_systems(), pause=st.none() | st.floats(0.0, 30.0))
+    @settings(max_examples=80, deadline=None)
+    def test_incremental_rates_equal_full_solve_and_obey_physics(self, system, pause):
+        capacities, specs, throttles = system
+        resources = [Resource(f"r{i}", capacity) for i, capacity in enumerate(capacities)]
+        engine = CheckedEngine(resources)
+        activities = []
+        for index, spec in enumerate(specs):
+            activity = Activity(
+                f"a{index}",
+                spec["amount"],
+                {resources[i]: weight for i, weight in spec["usages"].items()},
+                rate_cap=spec["rate_cap"],
+                latency=spec["latency"],
+            )
+            activities.append(activity)
+            engine.schedule(spec["start"], lambda a=activity: engine.start_activity(a))
+            if spec["cancel"] is not None:
+                engine.schedule(spec["cancel"], lambda a=activity: engine.cancel_activity(a))
+        for when, index, capacity in throttles:
+            engine.schedule(when, lambda i=index, c=capacity: resources[i].set_capacity(c))
+
+        if pause is not None:
+            engine.run(until=pause)
+        end = engine.run()
+
+        assert engine.clock == sorted(engine.clock)
+        assert end == engine.now >= engine.clock[-1]
+        for activity in activities:
+            assert activity.is_terminated, f"{activity.name} never finished"
+            assert activity.start_time <= activity.finish_time <= end
+            done = engine.work_done.get(activity, 0.0)
+            # Work conserved: what the rates delivered is the amount asked
+            # for (up to the engine's completion tolerances), never more.
+            assert done <= activity.amount * (1 + 1e-4) + 1e-3
+            if activity.is_done and activity in engine.work_done:
+                assert done == pytest.approx(activity.amount, rel=1e-4)
