@@ -43,7 +43,7 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.tables import ExperimentResult
 from repro.core.budget import EvaluationBudget, TimeBudget
-from repro.core.parallel import ParallelCalibrator
+from repro.core.parallel import BatchCalibrator
 from repro.hepsim.calibration import CaseStudyProblem
 from repro.hepsim.generalization import generalization_study
 from repro.hepsim.groundtruth import GroundTruthGenerator, ReferenceSystemConfig
@@ -220,6 +220,10 @@ def ablation_reference_noise(
 # ---------------------------------------------------------------------- #
 # parallel evaluation scaling (the paper's 40-core protocol)
 # ---------------------------------------------------------------------- #
+#: accepted ``sampler`` names -> the registered algorithm that draws them
+_SAMPLER_ALGORITHMS = {"uniform": "random", "lhs": "lhs", "sobol": "sobol"}
+
+
 def parallel_scaling_experiment(
     platform: str = "FCSN",
     worker_counts: Sequence[int] = (1, 2, 4),
@@ -238,7 +242,14 @@ def parallel_scaling_experiment(
     40-core node.  ``mode`` defaults to ``"process"`` (one simulator per
     worker process) and can be forced to ``"serial"`` via the
     ``REPRO_BENCH_SERIAL`` environment variable for constrained CI runs.
+    ``sampler`` names the space-filling design (``"uniform"``, ``"lhs"`` or
+    ``"sobol"``) the batch driver draws its candidates from.
     """
+    algorithm = _SAMPLER_ALGORITHMS.get(sampler.lower())
+    if algorithm is None:
+        raise ValueError(
+            f"unknown sampler {sampler!r}; valid choices: {sorted(_SAMPLER_ALGORITHMS)}"
+        )
     budget_seconds = budget_seconds or default_time_budget()
     generator = generator or GroundTruthGenerator()
     if mode is None:
@@ -248,10 +259,10 @@ def parallel_scaling_experiment(
     rows = []
     detail: dict[str, dict[str, float]] = {}
     for workers in worker_counts:
-        calibrator = ParallelCalibrator(
+        calibrator = BatchCalibrator(
             problem.space,
             problem.objective,
-            sampler=sampler,
+            algorithm=algorithm,
             workers=workers,
             mode=mode if workers > 1 else "serial",
             budget=TimeBudget(budget_seconds),

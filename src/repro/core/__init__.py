@@ -60,7 +60,6 @@ from repro.core.faults import (
     CircuitOpen,
     EvaluationFailed,
     EvaluationFailure,
-    EvaluationOutcome,
     EvaluationTimeout,
     FailurePolicy,
     RetryPolicy,
@@ -74,7 +73,7 @@ from repro.core.metrics import (
     root_mean_squared_error,
 )
 from repro.core.async_driver import AsyncCalibrator, OrderedTellAdapter
-from repro.core.parallel import BatchCalibrator, ParallelCalibrator, ParallelEvaluator
+from repro.core.parallel import BatchCalibrator, ParallelEvaluator
 from repro.core.parameters import Parameter, ParameterSpace
 from repro.core.reporting import calibration_report, convergence_sparkline
 from repro.core.result import CalibrationResult
@@ -122,7 +121,6 @@ __all__ = [
     "EvaluationBudget",
     "EvaluationFailed",
     "EvaluationFailure",
-    "EvaluationOutcome",
     "EvaluationTimeout",
     "FailurePolicy",
     "Fold",
@@ -134,7 +132,6 @@ __all__ = [
     "NoImprovementStopper",
     "Objective",
     "OrderedTellAdapter",
-    "ParallelCalibrator",
     "ParallelEvaluator",
     "Parameter",
     "ParameterSpace",

@@ -1,11 +1,15 @@
-"""Asynchronous, out-of-order calibration driving.
+"""The pooled evaluation loop: asynchronous, out-of-order calibration driving.
 
-:class:`~repro.core.parallel.BatchCalibrator` runs lock-step generations:
-every ``k``-wide batch waits for its slowest evaluation before the next
-batch is dispatched, so with heavy-tailed simulator latencies — the
-paper's own speed/accuracy measurements show minutes-scale, highly
-variable invocation times — most workers sit idle most of the time.
-:class:`AsyncCalibrator` removes that barrier:
+This module holds the one event loop both pooled drivers run — claim →
+dispatch → settle → record → tell, with lease polling, failure
+settlement and checkpoint/restore.  The two drivers differ only in *when*
+freed workers are refilled, a policy fixed per class:
+:class:`~repro.core.parallel.BatchCalibrator` (``_barrier = True``) runs
+lock-step generations — every ``k``-wide batch waits for its slowest
+evaluation before the next batch is asked — so with heavy-tailed
+simulator latencies (the paper's own speed/accuracy measurements show
+minutes-scale, highly variable invocation times) most workers sit idle
+most of the time.  :class:`AsyncCalibrator` removes that barrier:
 
 * it **asks speculatively** whenever a worker frees up, keeping up to
   ``max_pending`` candidates in flight at all times;
@@ -41,7 +45,7 @@ import dataclasses
 import time
 from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, Future, wait
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -66,12 +70,16 @@ from repro.core.faults import (
     RetryPolicy,
 )
 from repro.core.history import Evaluation
-from repro.core.parallel import ObjectiveFunction, Outcome, ParallelEvaluator
 from repro.core.parameters import ParameterSpace
 from repro.core.result import CalibrationResult
 from repro.core.serialization import evaluation_from_dict, evaluation_to_dict
 from repro.telemetry.metrics import registry as _metrics_registry
 from repro.telemetry.tracing import Span, current_tracer
+
+if TYPE_CHECKING:
+    # repro.core.parallel subclasses AsyncCalibrator, so it imports this
+    # module; the evaluator itself is imported where it is constructed.
+    from repro.core.parallel import ObjectiveFunction, Outcome, ParallelEvaluator
 
 _REGISTRY = _metrics_registry()
 
@@ -143,7 +151,9 @@ class AsyncCalibrator:
     Keeps a :class:`~repro.core.parallel.ParallelEvaluator` pool saturated
     by asking speculatively whenever capacity frees up and telling results
     out of order as futures complete (see the module docstring for the
-    native/adapted split).
+    native/adapted split).  This class is the pooled event loop;
+    :class:`~repro.core.parallel.BatchCalibrator` subclasses it only to
+    fix the lock-step refill policy (``_barrier``).
 
     Parameters
     ----------
@@ -168,9 +178,10 @@ class AsyncCalibrator:
     seed:
         Seed for the algorithm's random number generator.
     cache, record_cache_hits, count_cache_hits:
-        As for :class:`~repro.core.parallel.BatchCalibrator`, but through
-        the non-blocking claim/lease protocol: a candidate another driver
-        is currently computing is deferred — polled between completions,
+        As documented on :class:`~repro.core.parallel.BatchCalibrator`
+        (which runs this same code), through the non-blocking claim/lease
+        protocol: a candidate another driver is currently computing is
+        deferred — polled between completions,
         taken over if the lease expires — instead of blocking the pool or
         being recomputed.  Deferred candidates are charged one budget unit
         like a dispatch (some driver is paying for the work now).
@@ -194,6 +205,12 @@ class AsyncCalibrator:
     #: deferred-lease poll cadence while futures are also pending / not
     _POLL_WITH_FUTURES = 0.02
     _POLL_DEFERRED_ONLY = 0.005
+    #: label on this driver's spans and counters
+    _driver = "async"
+    #: refill policy: ``False`` asks one candidate whenever capacity frees
+    #: up; ``True`` waits until nothing is pending, then asks
+    #: ``max_pending`` candidates at once (lock-step batches)
+    _barrier = False
 
     def __init__(
         self,
@@ -234,8 +251,10 @@ class AsyncCalibrator:
         if evaluator is not None:
             self.evaluator = evaluator
         else:
+            from repro.core.parallel import ParallelEvaluator
+
             self.evaluator = ParallelEvaluator(
-                objective_function, space, workers=workers, mode=mode, persistent=True,
+                objective_function, space, workers=workers, mode=mode,
                 eval_timeout=eval_timeout, retry_policy=retry_policy,
                 guard_failures=failure_policy is not None,
             )
@@ -428,11 +447,11 @@ class AsyncCalibrator:
                 "Candidates currently dispatched or deferred.")
             self._m_dispatched = self._reg.counter(
                 "repro_driver_dispatches_total",
-                "Candidates dispatched to the worker pool.", driver="async")
+                "Candidates dispatched to the worker pool.", driver=self._driver)
             self._m_hits = self._reg.counter(
                 "repro_driver_cache_hits_total",
                 "Candidates answered from the cache instead of dispatched.",
-                driver="async")
+                driver=self._driver)
             self._m_deferred = self._reg.counter(
                 "repro_async_deferred_total",
                 "Candidates deferred behind a concurrent driver's lease.")
@@ -441,10 +460,18 @@ class AsyncCalibrator:
                 "In-run revisits served by riding on an in-flight point.")
 
         self._root = self._tracer.begin(
-            "calibration", driver="async", algorithm=self.algorithm.name, seed=self.seed
+            "calibration", driver=self._driver, algorithm=self.algorithm.name, seed=self.seed
         )
         try:
             self._drive(rng)
+        except BaseException:
+            # Whatever aborted the run — an objective exception out of a
+            # worker, a failure the policy raises, an open circuit, an
+            # interrupt — release every leadership still announced:
+            # concurrent drivers must not wait on points that will never
+            # be published.
+            self._abandon_claims()
+            raise
         finally:
             self._tracer.end(self._root)
             if self._reg is not None:
@@ -507,28 +534,38 @@ class AsyncCalibrator:
     def _refill(self, rng: np.random.Generator) -> int:
         """Ask and launch candidates until capacity or budget runs out.
 
-        Returns the number of candidates asked (cache hits resolve
-        instantly and never enter ``pending``, so progress is reported
-        even when nothing was dispatched).
+        Without the barrier one candidate is asked whenever fewer than
+        ``max_pending`` are in flight; with it nothing is asked until the
+        pool has drained, then ``max_pending`` candidates are asked at
+        once and launched in ask order.  Returns the number of candidates
+        asked (cache hits resolve instantly and never enter ``pending``,
+        so progress is reported even when nothing was dispatched).
         """
         asked = 0
+        width = self.max_pending if self._barrier else 1
         while (
-            len(self._pending) < self.max_pending
+            len(self._pending) + width <= self.max_pending
             and not self.algorithm.done()
             and not self.budget.exhausted(self._budget_units)
         ):
-            remaining = remaining_evaluations(self.budget, self._budget_units)
-            if remaining is not None and remaining <= 0:
-                break
-            candidates = self.algorithm.ask(rng, 1)
+            candidates = self.algorithm.ask(rng, width)
             if not candidates:
                 break  # ordered algorithm awaiting tells (or done)
-            candidate = candidates[0]
-            asked += 1
-            self._launch(candidate)
+            for candidate in candidates:
+                asked += 1
+                if not self._launch(candidate):
+                    # Truncated final batch: only the affordable prefix is
+                    # launched (and told); the run is over anyway.
+                    return asked
         return asked
 
-    def _launch(self, candidate: np.ndarray) -> None:
+    def _launch(self, candidate: np.ndarray) -> bool:
+        """Claim one asked candidate and resolve, defer or dispatch it.
+
+        Returns ``False`` — with the claim cancelled and nothing recorded
+        — when the evaluation cap cannot afford the candidate, which only
+        a batch asked wider than the remaining budget can produce.
+        """
         seq, self._seq = self._seq, self._seq + 1
         unit = self.space.clip_unit(candidate)
         mapping = self.space.from_unit_array(unit)
@@ -543,26 +580,40 @@ class AsyncCalibrator:
             self._inflight_keys[key].riders.append((seq, candidate))
             if self._reg is not None:
                 self._m_riders.inc()
-            return
+            return True
 
         if self._cache is not None:
             claim = self._cache.claim(key, mapping)
         else:
             claim = Claim(Claim.CLAIMED)
 
+        # A dispatch costs 1, so does a leased or quarantined point; a hit
+        # costs 1 only when it is first-seen and counting is on (serial
+        # Objective semantics), so a warm run stops at the cold run's total.
+        counted_hit = self.count_cache_hits and key not in self._seen
+        charge = 1 if claim.status != Claim.HIT or counted_hit else 0
+        remaining = remaining_evaluations(self.budget, self._budget_units)
+        if remaining is not None and charge > remaining:
+            if claim.status == Claim.CLAIMED and self._cache is not None:
+                # The claim announced this run's responsibility for a
+                # point it will never dispatch: release it.
+                self._cache.cancel(key, mapping)
+            self._seq = seq  # never asked of the adapter: the number is reused
+            return False
+
         if claim.status == Claim.HIT:
-            first_seen = key not in self._seen
-            if self.count_cache_hits and first_seen:
-                self._budget_units += 1
+            self._budget_units += charge
             self._seen.add(key)
             self.cache_hits += 1
             if self._reg is not None:
                 self._m_hits.inc()
-            span = self._tracer.begin("evaluation", parent=self._root, driver="async", seq=seq)
+            span = self._tracer.begin(
+                "evaluation", parent=self._root, driver=self._driver, seq=seq
+            )
             at = self.evaluator.elapsed
             self._resolve(seq, candidate, mapping, claim.value, at, at, cached=True)
             self._tracer.end(span, cached=True, value=claim.value)
-            return
+            return True
 
         if (
             claim.status == Claim.QUARANTINED
@@ -574,13 +625,13 @@ class AsyncCalibrator:
             # failure policy the claim falls through to a dispatch — the
             # run re-attempts the point, pre-quarantine behavior.)
             self._skip_quarantined(seq, candidate, mapping, key, claim.failure)
-            return
+            return True
 
         entry = _InFlight(
             seq=seq, candidate=candidate, unit=unit, mapping=mapping, key=key,
             started_at=self.evaluator.elapsed,
             span=self._tracer.begin(
-                "evaluation", parent=self._root, driver="async", seq=seq
+                "evaluation", parent=self._root, driver=self._driver, seq=seq
             ),
         )
         self._budget_units += 1  # dispatch (or deferred lease) charge
@@ -598,6 +649,7 @@ class AsyncCalibrator:
             self._m_inflight.set(len(self._pending))
         if self._cache is not None:
             self._inflight_keys[key] = entry
+        return True
 
     def _await_completions(self) -> None:
         """Block until at least one pending entry can be resolved."""
@@ -677,12 +729,6 @@ class AsyncCalibrator:
             # itself is healthy.  Quarantine and apply the failure policy.
             self._deliver_failure(entry, error.failure, duration=error.failure.elapsed)
             return
-        except BaseException:
-            # The objective raised in a worker: release every leadership
-            # this run announced (concurrent drivers must not wait on
-            # points that will never be published), then propagate.
-            self._abandon_claims()
-            raise
         finished_at = self.evaluator.elapsed
         # The worker timed its own call; anchor that interval to the
         # driver's clock at completion so the record carries the true
@@ -765,7 +811,6 @@ class AsyncCalibrator:
                 self._breaker.check()
             return
         self._tracer.end(entry.span, failed=True)
-        self._abandon_claims()
         raise EvaluationFailed(failure)
 
     def _skip_quarantined(
@@ -784,7 +829,7 @@ class AsyncCalibrator:
         if self.failure_policy is not None and self.failure_policy.penalize:
             penalty = self.failure_policy.penalty
             span = self._tracer.begin(
-                "evaluation", parent=self._root, driver="async", seq=seq
+                "evaluation", parent=self._root, driver=self._driver, seq=seq
             )
             at = self.evaluator.elapsed
             self._resolve(seq, candidate, mapping, penalty, at, at,
@@ -793,7 +838,6 @@ class AsyncCalibrator:
             if self._breaker is not None:
                 self._breaker.check()
             return
-        self._abandon_claims()
         raise EvaluationFailed(failure)
 
     def _poll_deferred(self, deferred: list[_InFlight]) -> None:
@@ -911,7 +955,7 @@ class AsyncCalibrator:
             if self._reg is not None:
                 self._m_hits.inc()
             span = self._tracer.begin(
-                "evaluation", parent=self._root, driver="async", seq=rider_seq
+                "evaluation", parent=self._root, driver=self._driver, seq=rider_seq
             )
             at = self.evaluator.elapsed
             self._resolve(rider_seq, rider_candidate, entry.mapping, value, at, at, cached=True)

@@ -4,9 +4,9 @@ The paper's calibration loop assumes every simulator invocation returns a
 value; an operated system cannot.  This module makes evaluation failure a
 first-class, *recorded* outcome instead of a job-killing exception:
 
-* :class:`EvaluationFailure` / :class:`EvaluationOutcome` — the data form
-  of "this point failed": error text, a transient/deterministic/timeout
-  classification, and how many attempts were burned.  Failures travel
+* :class:`EvaluationFailure` — the data form of "this point failed":
+  error text, a transient/deterministic/timeout classification, and how
+  many attempts were burned.  Failures travel
   through worker-pool futures as :class:`EvaluationFailed` (picklable),
   so one bad candidate never aborts its batch-mates.
 * :class:`RetryPolicy` — bounded attempts with exponential backoff whose
@@ -17,7 +17,7 @@ first-class, *recorded* outcome instead of a job-killing exception:
   ``SIGALRM``/``setitimer``.  It works exactly where evaluations run: the
   main thread of a process-pool worker (and of a serial driver) on
   POSIX; in worker *threads* it degrades to an unguarded call and the
-  async driver's hard-deadline backstop takes over.
+  pooled drivers' hard-deadline backstop takes over.
 * :class:`FailurePolicy` — what a driver does with a failure outcome:
   ``"raise"`` (today's behavior, the default when no policy is given) or
   ``"penalty"`` (tell the algorithm a large penalty value and keep
@@ -51,7 +51,6 @@ __all__ = [
     "CircuitOpen",
     "EvaluationFailed",
     "EvaluationFailure",
-    "EvaluationOutcome",
     "EvaluationTimeout",
     "FailurePolicy",
     "RetryPolicy",
@@ -151,36 +150,6 @@ class EvaluationFailed(Exception):
 
     def __reduce__(self) -> tuple[type[EvaluationFailed], tuple[EvaluationFailure]]:
         return (EvaluationFailed, (self.failure,))
-
-
-@dataclasses.dataclass(frozen=True)
-class EvaluationOutcome:
-    """One evaluation's result: a value *or* a failure, never both."""
-
-    value: float | None = None
-    failure: EvaluationFailure | None = None
-    duration: float = 0.0
-    retries: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
-
-    def unwrap(self) -> float:
-        """The value; raises :class:`EvaluationFailed` for a failure."""
-        if self.failure is not None:
-            raise EvaluationFailed(self.failure)
-        if self.value is None:
-            raise EvaluationFailed(EvaluationFailure("evaluation produced no value"))
-        return self.value
-
-    @staticmethod
-    def success(value: float, duration: float = 0.0, retries: int = 0) -> EvaluationOutcome:
-        return EvaluationOutcome(value=value, duration=duration, retries=retries)
-
-    @staticmethod
-    def failed(failure: EvaluationFailure) -> EvaluationOutcome:
-        return EvaluationOutcome(failure=failure, duration=failure.elapsed)
 
 
 def point_token(values: Mapping[str, float]) -> str:

@@ -130,7 +130,7 @@ class CaseStudyObjective:
     computed over the (node, ICD) average-job-time metrics — the paper's
     33-metric MRE when the scenario uses the full ICD grid.  Being a plain
     class (rather than a closure) it can be shipped to worker processes by
-    :class:`repro.core.parallel.ParallelCalibrator`, matching the paper's
+    :class:`repro.core.parallel.BatchCalibrator`, matching the paper's
     one-simulation-per-core protocol.
     """
 

@@ -74,3 +74,7 @@ class TestParallelScalingExperiment:
         assert len(result.rows) == 2
         for key, cell in result.extra.items():
             assert cell["evaluations"] >= 1
+
+    def test_sampler_without_an_algorithm_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match="lhs.*sobol.*uniform"):
+            parallel_scaling_experiment(sampler="halton")

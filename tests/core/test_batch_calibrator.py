@@ -16,7 +16,6 @@ from repro.core import (
     CombinedBudget,
     DictCache,
     EvaluationBudget,
-    ParallelCalibrator,
     Parameter,
     ParameterSpace,
     TimeBudget,
@@ -52,18 +51,6 @@ class TestRemainingEvaluations:
 
 
 class TestFinalBatchTrimming:
-    def test_parallel_calibrator_combined_budget_does_not_overshoot(self):
-        """The historical bug: a CombinedBudget wrapping an EvaluationBudget
-        escaped the isinstance trim and overshot by up to batch_size - 1."""
-        space = make_space(2)
-        budget = CombinedBudget([TimeBudget(3600.0), EvaluationBudget(10)])
-        calibrator = ParallelCalibrator(
-            space, quadratic(space), sampler="lhs", workers=1, mode="serial",
-            batch_size=4, budget=budget, seed=0,
-        )
-        result = calibrator.run()
-        assert result.evaluations == 10  # not 12
-
     def test_batch_calibrator_combined_budget_does_not_overshoot(self):
         space = make_space(2)
         budget = CombinedBudget([TimeBudget(3600.0), EvaluationBudget(10)])
@@ -240,6 +227,34 @@ class TestCacheConsultation:
             record_cache_hits=True, count_cache_hits=True,
         ).run()
         assert [e.unit for e in warm.history] == [e.unit for e in serial.history]
+
+    def test_half_warm_history_lands_in_ask_order_like_serial(self):
+        """Records land in ask order: on a cache holding every other
+        point, hits and dispatched evaluations interleave in the batched
+        history exactly as the serial driver records them."""
+        from repro.core.evaluation import Objective, unit_cache_key
+
+        space = make_space(2)
+        settings = dict(
+            algorithm="lhs", budget=EvaluationBudget(12), seed=5,
+            record_cache_hits=True, count_cache_hits=True,
+        )
+        cold = Calibrator(space, quadratic(space), **settings).run()
+
+        def half_warm():
+            cache = DictCache()
+            for evaluation in cold.history[::2]:
+                key = unit_cache_key(np.asarray(evaluation.unit), Objective.CACHE_DECIMALS)
+                cache.put(key, evaluation.values, evaluation.value)
+            return cache
+
+        serial = Calibrator(space, quadratic(space), cache=half_warm(), **settings).run()
+        batched = BatchCalibrator(
+            space, quadratic(space), workers=4, mode="thread", cache=half_warm(), **settings
+        ).run()
+        assert [e.cached for e in serial.history] == [True, False] * 6
+        assert [e.unit for e in batched.history] == [e.unit for e in serial.history]
+        assert [e.cached for e in batched.history] == [e.cached for e in serial.history]
 
     def test_integer_parameters_share_one_cache_entry_and_charge(self):
         """Keys are built from the round-tripped unit (Objective's

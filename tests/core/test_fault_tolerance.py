@@ -21,7 +21,6 @@ from repro.core import (
     EvaluationBudget,
     EvaluationFailed,
     EvaluationFailure,
-    EvaluationOutcome,
     EvaluationTimeout,
     FailurePolicy,
     Parameter,
@@ -180,14 +179,6 @@ class TestTimeouts:
 
 
 class TestOutcomeTypes:
-    def test_outcome_success_and_failure(self):
-        ok = EvaluationOutcome.success(2.5, duration=0.1, retries=1)
-        assert ok.ok and ok.unwrap() == 2.5
-        failed = EvaluationOutcome.failed(EvaluationFailure("boom", attempts=2))
-        assert not failed.ok
-        with pytest.raises(EvaluationFailed):
-            failed.unwrap()
-
     def test_evaluation_failed_pickles(self):
         error = EvaluationFailed(EvaluationFailure("boom", kind="transient", attempts=3))
         clone = pickle.loads(pickle.dumps(error))

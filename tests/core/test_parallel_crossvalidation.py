@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    EvaluationBudget,
     Fold,
-    ParallelCalibrator,
     ParallelEvaluator,
     Parameter,
     ParameterSpace,
-    TimeBudget,
     cross_validate,
     k_fold_splits,
     leave_one_out_splits,
@@ -35,28 +32,19 @@ class _QuadraticObjective:
 
 
 class TestParallelEvaluator:
-    def test_serial_batch_records_every_candidate(self):
-        space = make_space()
-        evaluator = ParallelEvaluator(_QuadraticObjective(space), space, workers=2, mode="serial")
-        batch = [space.from_unit_array([0.1, 0.1]), space.from_unit_array([0.9, 0.9])]
-        values = evaluator.evaluate_batch(batch)
-        assert len(values) == 2
-        assert len(evaluator.history) == 2
-        assert values[0] < values[1]  # closer to the optimum
-
     def test_thread_and_serial_agree(self):
         space = make_space()
         objective = _QuadraticObjective(space)
         batch = [space.from_unit_array([x, x]) for x in (0.0, 0.25, 0.5, 0.75, 1.0)]
-        serial = ParallelEvaluator(objective, space, workers=1, mode="serial").evaluate_batch(batch)
-        threaded = ParallelEvaluator(objective, space, workers=3, mode="thread").evaluate_batch(batch)
-        assert serial == pytest.approx(threaded)
 
-    def test_empty_batch_is_a_noop(self):
-        space = make_space()
-        evaluator = ParallelEvaluator(_QuadraticObjective(space), space, mode="serial")
-        assert evaluator.evaluate_batch([]) == []
-        assert len(evaluator.history) == 0
+        def values(workers, mode):
+            with ParallelEvaluator(objective, space, workers=workers, mode=mode) as evaluator:
+                futures = [evaluator.submit(candidate) for candidate in batch]
+                return [future.result(timeout=30)[0] for future in futures]
+
+        serial = values(1, "serial")
+        assert serial == pytest.approx([objective(candidate) for candidate in batch])
+        assert values(3, "thread") == pytest.approx(serial)
 
     def test_invalid_configuration(self):
         space = make_space()
@@ -64,55 +52,6 @@ class TestParallelEvaluator:
             ParallelEvaluator(_QuadraticObjective(space), space, workers=0)
         with pytest.raises(ValueError):
             ParallelEvaluator(_QuadraticObjective(space), space, mode="gpu")
-
-
-class TestParallelCalibrator:
-    def test_respects_evaluation_budget_exactly(self):
-        space = make_space()
-        calibrator = ParallelCalibrator(
-            space, _QuadraticObjective(space), sampler="lhs", workers=3,
-            mode="serial", batch_size=4, budget=EvaluationBudget(10), seed=1,
-        )
-        result = calibrator.run()
-        assert result.evaluations == 10
-        assert result.algorithm == "parallel-lhs"
-
-    def test_time_budget_stops_the_run(self):
-        space = make_space()
-        calibrator = ParallelCalibrator(
-            space, _QuadraticObjective(space), sampler="uniform", workers=2,
-            mode="serial", batch_size=8, budget=TimeBudget(0.2), seed=1,
-        )
-        result = calibrator.run()
-        assert result.evaluations >= 8  # at least one batch completed
-
-    def test_process_mode_with_picklable_objective(self):
-        space = make_space()
-        calibrator = ParallelCalibrator(
-            space, _QuadraticObjective(space), sampler="sobol", workers=2,
-            mode="process", batch_size=4, budget=EvaluationBudget(8), seed=2,
-        )
-        result = calibrator.run()
-        assert result.evaluations == 8
-        assert result.best_value < 50.0
-
-    def test_same_seed_reproduces_candidates(self):
-        space = make_space()
-
-        def run(seed):
-            calibrator = ParallelCalibrator(
-                space, _QuadraticObjective(space), sampler="lhs", workers=1,
-                mode="serial", batch_size=5, budget=EvaluationBudget(10), seed=seed,
-            )
-            return [round(e.value, 10) for e in calibrator.run().history]
-
-        assert run(5) == run(5)
-        assert run(5) != run(6)
-
-    def test_invalid_batch_size(self):
-        space = make_space()
-        with pytest.raises(ValueError):
-            ParallelCalibrator(space, _QuadraticObjective(space), batch_size=0, workers=1)
 
 
 class TestSplits:
