@@ -17,12 +17,14 @@ fast-forwards past the points already drawn.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
-from scipy.stats import qmc
 
 from repro.core.algorithms.base import CalibrationAlgorithm, register
+
+if TYPE_CHECKING:  # pragma: no cover - scipy.stats costs 0.8 s: imported on first use
+    from scipy.stats import qmc
 
 __all__ = ["SobolSearch"]
 
@@ -54,6 +56,8 @@ class SobolSearch(CalibrationAlgorithm):
 
     def _ensure_sampler(self, rng: np.random.Generator) -> qmc.Sobol:
         if self._sampler is None:
+            from scipy.stats import qmc
+
             if self._seed_seq is None:
                 # Fresh run: scramble from the driver's rng, exactly like
                 # the original blocking loop did.  scipy derives the

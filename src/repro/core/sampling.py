@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 
 import numpy as np
-from scipy.stats import qmc
 
 from repro.core.parameters import ParameterSpace
 
@@ -56,6 +55,8 @@ def sobol_design(dimension: int, n: int, rng: np.random.Generator) -> np.ndarray
     draws the next power-of-two block and returns its first ``n`` points
     (avoiding scipy's balance warning for odd sizes).
     """
+    from scipy.stats import qmc  # 0.8 s to import: only these two designs pay it
+
     _check(dimension, n)
     sampler = qmc.Sobol(d=dimension, scramble=True, seed=rng)
     block = 1 << (int(n - 1).bit_length() if n > 1 else 0)
@@ -64,6 +65,8 @@ def sobol_design(dimension: int, n: int, rng: np.random.Generator) -> np.ndarray
 
 def halton_design(dimension: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` points of a scrambled Halton sequence."""
+    from scipy.stats import qmc
+
     _check(dimension, n)
     sampler = qmc.Halton(d=dimension, scramble=True, seed=rng)
     return sampler.random(n)

@@ -244,8 +244,7 @@ class HEPSimulator:
                 if previous_compute is not None and not previous_compute.is_terminated:
                     yield previous_compute
                 flops = block * spec.flops_per_byte * compute_factor
-                previous_compute = host.exec_async(f"{label}:compute", flops)
-                engine.ensure_started(previous_compute)
+                previous_compute = engine.start_activity(host.exec_async(f"{label}:compute", flops))
 
         if previous_compute is not None and not previous_compute.is_terminated:
             yield previous_compute

@@ -34,6 +34,13 @@ class ActivityState(enum.Enum):
     CANCELED = "canceled"
 
 
+# The engine and the processes test states on every activity: module
+# constants spare them the enum class's attribute lookup.
+_NEW = ActivityState.NEW
+_CANCELED = ActivityState.CANCELED
+_TERMINATED = (ActivityState.DONE, ActivityState.CANCELED)
+
+
 class Activity:
     """A unit of simulated work.
 
@@ -70,6 +77,7 @@ class Activity:
         "uid",
         "_engine",
         "_waiters",
+        "_share_key",
     )
 
     def __init__(
@@ -99,6 +107,9 @@ class Activity:
         self.uid = next(_activity_counter)
         self._engine: SimulationEngine | None = None
         self._waiters: list = []
+        #: what the sharing solver reads of this activity; set by the engine
+        #: when the activity enters the fluid phase
+        self._share_key: tuple | None = None
 
     # ------------------------------------------------------------------ #
     # state queries
@@ -113,7 +124,7 @@ class Activity:
 
     @property
     def is_terminated(self) -> bool:
-        return self.state in (ActivityState.DONE, ActivityState.CANCELED)
+        return self.state in _TERMINATED
 
     @property
     def is_pending(self) -> bool:
@@ -135,11 +146,6 @@ class Activity:
     # ------------------------------------------------------------------ #
     # engine-facing hooks
     # ------------------------------------------------------------------ #
-    def _bind(self, engine: SimulationEngine) -> None:
-        if self._engine is not None and self._engine is not engine:
-            raise InvalidStateError(f"activity {self.name!r} is already bound to another engine")
-        self._engine = engine
-
     def add_waiter(self, waiter) -> None:
         """Register a callback ``waiter(activity)`` invoked on termination."""
         if self.is_terminated:
@@ -152,11 +158,9 @@ class Activity:
         for waiter in waiters:
             waiter(self)
 
-    def __hash__(self) -> int:
-        return self.uid
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
+    # No ``__hash__``/``__eq__``: activities hash and compare by identity, in
+    # C.  The engine's sets and dicts hold them on every event, and nothing
+    # result-affecting iterates those in hash order (see docs/architecture.md).
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -24,6 +24,10 @@ re-solves those, and leaves every other activity's rate as it is.  The
 solver performs the same arithmetic on a component whether it is handed
 that component alone or together with others, so the rates are bit for bit
 those a solve of all running activities would give.
+
+A run meets few distinct components, many times each (one more block read on
+the same disk), so the engine keeps what the solver returned for each and
+calls it only for a component it has not met (:meth:`_update_rates`).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from operator import attrgetter
 from time import perf_counter
 from typing import Any, Protocol
 
-from repro.simgrid.activity import Activity, ActivityState
+from repro.simgrid.activity import _CANCELED, _NEW, Activity, ActivityState
 from repro.simgrid.errors import DeadlockError, InvalidStateError, SimulationError
 from repro.simgrid.process import Process
 from repro.simgrid.resources import Resource
@@ -76,6 +80,9 @@ class SimulationEngine:
         self._active: set[Activity] = set()
         #: resources whose component must be re-solved before time advances
         self._dirty: set[Resource] = set()
+        #: solved components: members' share keys in uid order -> their rates
+        #: and, per resource, (resource, capacity solved under, allocation)
+        self._solved: dict[tuple, tuple[list[float], list[tuple[Resource, float, float]]]] = {}
         self._processes: list[Process] = []
         self._alive_processes = 0
         self._failures: list[tuple[Process, BaseException]] = []
@@ -171,9 +178,13 @@ class SimulationEngine:
     def start_activity(self, activity: Activity) -> Activity:
         """Start an activity.  If it has a latency, it first sits in the
         LATENCY state for that long, then joins the fluid model."""
-        if activity.state is not ActivityState.NEW:
+        if activity.state is not _NEW:
             raise InvalidStateError(f"activity {activity.name!r} already started")
-        activity._bind(self)
+        if activity._engine is not None and activity._engine is not self:
+            raise InvalidStateError(
+                f"activity {activity.name!r} is already bound to another engine"
+            )
+        activity._engine = self
         activity.start_time = self._now
         if self._observers:
             self._notify_observers("on_activity_start", activity)
@@ -184,27 +195,21 @@ class SimulationEngine:
             self._enter_fluid_phase(activity)
         return activity
 
-    def ensure_started(self, activity: Activity) -> Activity:
-        """Start the activity if it has not been started yet."""
-        if activity.state is ActivityState.NEW:
-            self.start_activity(activity)
-        return activity
-
     def _enter_fluid_phase(self, activity: Activity) -> None:
-        if activity.state is ActivityState.CANCELED:
+        if activity.state is _CANCELED:
             return
+        activity.state = ActivityState.RUNNING
         if activity.remaining <= 0:
             # Zero-work activity: complete right away (still asynchronously so
             # that waiters registered in the same step are notified).
-            activity.state = ActivityState.RUNNING
             self._complete_activity(activity)
             return
-        activity.state = ActivityState.RUNNING
         self._active.add(activity)
+        usages = activity.usages
+        activity._share_key = (tuple(usages.items()), activity.rate_cap)
         shared = False
-        for resource, usage in activity.usages.items():
-            resource._accumulate_usage(self._now)
-            resource._register(activity, usage)
+        for resource, usage in usages.items():
+            resource._activities[activity] = usage
             if usage > 0:
                 self._dirty.add(resource)
                 shared = True
@@ -216,16 +221,14 @@ class SimulationEngine:
     def _leave_fluid_phase(self, activity: Activity) -> None:
         """Take a terminating activity off the running set and its resources."""
         if activity in self._active:
-            self._active.discard(activity)
+            self._active.remove(activity)
             for resource, usage in activity.usages.items():
-                resource._accumulate_usage(self._now)
-                resource._unregister(activity)
+                resource._activities.pop(activity, None)
                 if usage > 0:
                     self._dirty.add(resource)
 
     def _capacity_changed(self, resource: Resource) -> None:
         """``resource`` got a new capacity while activities run on it."""
-        resource._accumulate_usage(self._now)
         self._dirty.add(resource)
 
     def cancel_activity(self, activity: Activity) -> None:
@@ -249,19 +252,32 @@ class SimulationEngine:
         self._completed_activities += 1
         if self._observers:
             self._notify_observers("on_activity_end", activity)
-        activity._notify_waiters()
+        waiters = activity._waiters
+        if waiters:
+            activity._waiters = []
+            for waiter in waiters:
+                waiter(activity)
 
     # ------------------------------------------------------------------ #
     # fluid model
     # ------------------------------------------------------------------ #
     def _update_rates(self) -> None:
-        """Re-solve the component of every dirty resource.
+        """Give the component of every dirty resource its max-min rates.
 
         A component is what the walk resource -> registered activities ->
         their resources reaches over positive usages.  Its members go to the
         solver in ``uid`` order: the order of the solver's float operations
-        is then a function of the simulation, not of set hashing.
+        is then a function of the simulation, not of set hashing.  That
+        makes a solve a pure function of the members' share keys in that
+        order and of the capacities, so a component met before (under the
+        same capacities) takes the rates stored then.
+
+        Every resource reached integrates the allocation it had up to now
+        before it takes the new one: this is the only place a running
+        activity's rate changes.
         """
+        now = self._now
+        solved = self._solved
         reached: set[Resource] = set()
         for origin in self._dirty:
             if origin in reached:
@@ -277,26 +293,33 @@ class SimulationEngine:
                             if weight > 0 and resource not in reached:
                                 reached.add(resource)
                                 frontier.append(resource)
-            if members:
-                for activity, rate in solve_max_min(sorted(members, key=_BY_UID)).items():
-                    activity.rate = rate
+            if not members:
+                origin._allocate(now, 0.0)
+                continue
+            ordered = sorted(members, key=_BY_UID)
+            key = tuple([activity._share_key for activity in ordered])
+            entry = solved.get(key)
+            if entry is None or any(r._capacity != capacity for r, capacity, _ in entry[1]):
+                entry = solved[key] = self._solve(ordered)
+            for activity, rate in zip(ordered, entry[0], strict=True):
+                activity.rate = rate
+            for resource, _, allocated in entry[1]:
+                resource._allocate(now, allocated)
         self._dirty.clear()
         self._sharing_updates += 1
 
-    def _next_completion_delay(self) -> float:
-        """Smallest ``remaining / rate`` over running activities (inf if none).
-
-        Its own pass over the running set: it needs the rates of this
-        iteration, :meth:`_advance_to` charges work at them only afterwards.
-        """
-        delay = math.inf
-        for activity in self._active:
-            rate = activity.rate
-            if rate > 0:
-                candidate = activity.remaining / rate
-                if candidate < delay:
-                    delay = candidate
-        return delay
+    @staticmethod
+    def _solve(ordered: list[Activity]) -> tuple[list[float], list[tuple[Resource, float, float]]]:
+        """Solve one component: its members' rates, in the order given, and
+        what they allocate on each of its resources at the current capacity."""
+        rates = solve_max_min(ordered)
+        allocated: dict[Resource, float] = {}
+        for activity in ordered:
+            for resource, usage in activity.usages.items():
+                if usage > 0:
+                    allocated[resource] = allocated.get(resource, 0.0) + rates[activity] * usage
+        shares = [(resource, resource._capacity, total) for resource, total in allocated.items()]
+        return [rates[activity] for activity in ordered], shares
 
     def _advance_to(self, when: float) -> list[Activity]:
         """Move the clock to ``when``, charge every running activity the work
@@ -323,11 +346,18 @@ class SimulationEngine:
             remaining = activity.remaining
             if rate > 0:
                 if dt > 0:
-                    remaining = activity.remaining = max(remaining - rate * dt, 0.0)
+                    # max(remaining - rate * dt, 0.0), without the call
+                    remaining -= rate * dt
+                    if 0.0 > remaining:
+                        remaining = 0.0
+                    activity.remaining = remaining
                 if remaining <= rate * clock_resolution:
                     completed.append(activity)
                     continue
-            if remaining <= _REL_EPSILON * max(activity.amount, 1.0):
+            scale = activity.amount  # max(amount, 1.0)
+            if 1.0 > scale:
+                scale = 1.0
+            if remaining <= _REL_EPSILON * scale:
                 completed.append(activity)
         return completed
 
@@ -346,13 +376,18 @@ class SimulationEngine:
             If processes remain alive but no event can ever wake them.
         """
         profile = self.profile
+        active = self._active
+        timers = self._timers
         while True:
             if self._failures:
                 process, exc = self._failures[0]
                 raise SimulationError(f"process {process.name!r} failed: {exc!r}") from exc
 
             if self._dirty:
-                if not self._active:
+                if not active:
+                    # nothing is registered anywhere: nothing is allocated
+                    for resource in self._dirty:
+                        resource._allocate(self._now, 0.0)
                     self._dirty.clear()
                 elif profile is None:
                     self._update_rates()
@@ -361,10 +396,21 @@ class SimulationEngine:
                     self._update_rates()
                     profile.add("sharing", perf_counter() - t0)
 
-            next_timer = self._timers[0][0] if self._timers else math.inf
-            completion_delay = self._next_completion_delay()
-            next_completion = self._now + completion_delay if completion_delay < math.inf else math.inf
-            next_event = min(next_timer, next_completion)
+            # The next event: the earliest timer or the smallest ``remaining /
+            # rate``.  A pass of its own: it needs this iteration's rates,
+            # ``_advance_to`` charges work at them only afterwards.
+            next_event = timers[0][0] if timers else math.inf
+            delay = math.inf
+            for activity in active:
+                rate = activity.rate
+                if rate > 0:
+                    candidate = activity.remaining / rate
+                    if candidate < delay:
+                        delay = candidate
+            if delay < math.inf:
+                next_completion = self._now + delay
+                if next_completion < next_event:
+                    next_event = next_completion
 
             if next_event == math.inf:
                 if self._alive_processes > 0:
@@ -388,15 +434,13 @@ class SimulationEngine:
 
             # Fire timers due at (or before) the new clock value.
             if profile is None:
-                while self._timers and self._timers[0][0] <= self._now + 1e-15:
-                    _, _, callback = heapq.heappop(self._timers)
-                    callback()
+                while timers and timers[0][0] <= self._now + 1e-15:
+                    heapq.heappop(timers)[2]()
             else:
                 t0 = perf_counter()
                 fired = 0
-                while self._timers and self._timers[0][0] <= self._now + 1e-15:
-                    _, _, callback = heapq.heappop(self._timers)
-                    callback()
+                while timers and timers[0][0] <= self._now + 1e-15:
+                    heapq.heappop(timers)[2]()
                     fired += 1
                 if fired:
                     profile.add("timers", perf_counter() - t0, fired)

@@ -21,7 +21,7 @@ import itertools
 from collections.abc import Generator, Iterable
 from typing import Any, TYPE_CHECKING
 
-from repro.simgrid.activity import Activity
+from repro.simgrid.activity import _CANCELED, _NEW, _TERMINATED, Activity
 from repro.simgrid.errors import ActivityCanceledError, InvalidStateError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -153,10 +153,14 @@ class Process:
         elif isinstance(target, Timeout):
             engine.schedule(target.duration, lambda: self._step(None))
         elif isinstance(target, Activity):
-            engine.ensure_started(target)
-            target.add_waiter(self._on_waitable_done)
+            if target.state is _NEW:
+                engine.start_activity(target)
+            if target.state in _TERMINATED:
+                self._on_activity_done(target)
+            else:
+                target._waiters.append(self._on_activity_done)
         elif isinstance(target, Process):
-            target.add_waiter(self._on_waitable_done)
+            target.add_waiter(self._step)
         elif isinstance(target, AllOf):
             self._wait_all(target)
         elif isinstance(target, AnyOf):
@@ -168,40 +172,47 @@ class Process:
                 )
             )
 
-    def _on_waitable_done(self, waitable: Any) -> None:
-        if isinstance(waitable, Activity) and waitable.is_canceled:
+    def _on_activity_done(self, activity: Activity) -> None:
+        if activity.state is _CANCELED:
             self._step(
-                exception=ActivityCanceledError(f"activity {waitable.name!r} was canceled")
+                exception=ActivityCanceledError(f"activity {activity.name!r} was canceled")
             )
         else:
-            self._step(waitable)
+            self._step(activity)
 
     def _wait_all(self, combinator: AllOf) -> None:
         items = combinator.items
+        engine = self.engine
         pending = 0
-        state = {"remaining": 0, "fired": False}
+        remaining = 0
+        fired = False
 
         def on_done(_item: Any) -> None:
-            state["remaining"] -= 1
-            if state["remaining"] <= 0 and not state["fired"]:
-                state["fired"] = True
+            nonlocal remaining, fired
+            remaining -= 1
+            if remaining <= 0 and not fired:
+                fired = True
                 self._step(items)
 
         for item in items:
-            if isinstance(item, Timeout):
-                pending += 1
-                self.engine.schedule(item.duration, lambda it=item: on_done(it))
-            elif isinstance(item, (Activity, Process)):
-                if isinstance(item, Activity):
-                    self.engine.ensure_started(item)
-                if not item.is_terminated:
+            if isinstance(item, Activity):
+                if item.state is _NEW:
+                    engine.start_activity(item)
+                if item.state not in _TERMINATED:
                     pending += 1
-                    item.add_waiter(on_done)
+                    item._waiters.append(on_done)
+            elif isinstance(item, Timeout):
+                pending += 1
+                engine.schedule(item.duration, lambda it=item: on_done(it))
+            elif isinstance(item, Process):
+                if not item.finished:
+                    pending += 1
+                    item._waiters.append(on_done)
             else:
                 raise InvalidStateError(f"AllOf cannot wait on {item!r}")
-        state["remaining"] = pending
+        remaining = pending
         if pending == 0:
-            self.engine.schedule(0.0, lambda: self._step(items))
+            engine.schedule(0.0, lambda: self._step(items))
 
     def _wait_any(self, combinator: AnyOf) -> None:
         items = combinator.items
@@ -226,8 +237,8 @@ class Process:
             if isinstance(item, Timeout):
                 self.engine.schedule(item.duration, lambda it=item: on_done(it))
             elif isinstance(item, (Activity, Process)):
-                if isinstance(item, Activity):
-                    self.engine.ensure_started(item)
+                if isinstance(item, Activity) and item.state is _NEW:
+                    self.engine.start_activity(item)
                 item.add_waiter(on_done)
             else:
                 raise InvalidStateError(f"AnyOf cannot wait on {item!r}")

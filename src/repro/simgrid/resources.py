@@ -29,7 +29,14 @@ class Resource:
         Total capacity in work units per second.  Must be strictly positive.
     """
 
-    __slots__ = ("name", "_capacity", "_activities", "_usage_integral", "_last_usage_update")
+    __slots__ = (
+        "name",
+        "_capacity",
+        "_activities",
+        "_allocated",
+        "_usage_integral",
+        "_last_usage_update",
+    )
 
     def __init__(self, name: str, capacity: float) -> None:
         if capacity <= 0:
@@ -37,6 +44,8 @@ class Resource:
         self.name = str(name)
         self._capacity = float(capacity)
         self._activities: dict[Activity, float] = {}
+        #: aggregate rate in force since ``_last_usage_update`` (see ``_allocate``)
+        self._allocated = 0.0
         self._usage_integral = 0.0
         self._last_usage_update = 0.0
 
@@ -65,12 +74,6 @@ class Resource:
     # ------------------------------------------------------------------ #
     # activity bookkeeping (engine-facing)
     # ------------------------------------------------------------------ #
-    def _register(self, activity: Activity, usage: float) -> None:
-        self._activities[activity] = usage
-
-    def _unregister(self, activity: Activity) -> None:
-        self._activities.pop(activity, None)
-
     @property
     def activities(self) -> Iterator[Activity]:
         """Iterate over the activities currently registered on the resource."""
@@ -96,12 +99,18 @@ class Resource:
     # utilisation accounting
     # ------------------------------------------------------------------ #
     def _accumulate_usage(self, now: float) -> None:
-        """Integrate ``rate * dt`` so that utilisation statistics can be
-        reported at the end of a simulation."""
+        """Integrate ``rate * dt`` up to ``now`` so that utilisation
+        statistics can be reported at the end of a simulation."""
         dt = now - self._last_usage_update
         if dt > 0:
-            self._usage_integral += self.current_rate() * dt
+            self._usage_integral += self._allocated * dt
             self._last_usage_update = now
+
+    def _allocate(self, now: float, allocated: float) -> None:
+        """From ``now`` on the resource's users consume ``allocated`` work
+        units per second in total (engine-facing: called where rates change)."""
+        self._accumulate_usage(now)
+        self._allocated = allocated
 
     def utilization(self, now: float) -> float:
         """Average utilisation in [0, 1] over the period [0, now]."""

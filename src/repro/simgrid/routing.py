@@ -20,9 +20,6 @@ gateways.
 
 from __future__ import annotations
 
-
-import networkx as nx
-
 from repro.simgrid.errors import PlatformError
 from repro.simgrid.host import Host
 from repro.simgrid.link import Link
@@ -38,6 +35,8 @@ class NetworkTopology:
     """A graph of hosts, routers and links used to auto-compute routes."""
 
     def __init__(self, platform: Platform) -> None:
+        import networkx as nx  # on first use: no case-study platform needs it
+
         self.platform = platform
         self.graph = nx.Graph()
         self._link_by_edge: dict[tuple[str, str], Link] = {}
@@ -80,6 +79,8 @@ class NetworkTopology:
         """The list of links on the shortest path between two nodes."""
         if weight not in _WEIGHTS:
             raise PlatformError(f"unknown weight policy {weight!r}; expected one of {_WEIGHTS}")
+        import networkx as nx
+
         try:
             path = nx.shortest_path(self.graph, src, dst, weight=weight)
         except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:

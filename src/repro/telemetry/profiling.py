@@ -4,7 +4,8 @@ The discrete-event engine's main loop has three phases worth measuring
 before any vectorization work (ROADMAP item 2):
 
 * ``sharing`` — ``_update_rates``: the walk from the dirty resources to
-  their connected components plus the max-min solve of those components;
+  their connected components, the look-up of each among the components the
+  run already solved, and the max-min solve of those it has not met;
 * ``advance`` — clock advancement plus completion scanning/firing;
 * ``timers`` — timer-heap pops and process-callback execution.
 

@@ -17,7 +17,10 @@ Random multi-resource systems have no closed form; there the engine's
 incremental sharing is held, at every clock advance, to the rates one solve
 of all running activities assigns (the differential), and to the model's
 physics: no resource above capacity, every activity capped or crossing a
-saturated resource, work conserved, clock monotone.
+saturated resource, work conserved, clock monotone.  The systems repeat
+themselves (the same activities again, later) with capacity changes in
+between, because the engine reuses the rates of a component it has solved
+before: a reused rate that is stale fails the differential.
 """
 
 import math
@@ -205,15 +208,21 @@ def activity_specs(draw, n_resources):
 def sharing_systems(draw):
     capacities = draw(st.lists(st.floats(1e7, 1e9), min_size=2, max_size=8))
     specs = draw(st.lists(activity_specs(len(capacities)), min_size=1, max_size=30))
+    # The whole list runs again at each offset: a wave that starts after the
+    # previous one drained meets the configurations it met, under whatever
+    # capacities the throttles (some between waves, on idle resources) left.
+    waves = draw(st.lists(st.sampled_from([0.0, 3.0, 40.0, 400.0, 4000.0]), max_size=2))
     throttles = draw(
         st.lists(
             st.tuples(
-                st.floats(0.0, 60.0), st.integers(0, len(capacities) - 1), st.floats(1e7, 1e9)
+                st.floats(0.0, 60.0) | st.sampled_from([39.0, 399.0, 3999.0]),
+                st.integers(0, len(capacities) - 1),
+                st.floats(1e7, 1e9),
             ),
             max_size=3,
         )
     )
-    return capacities, specs, throttles
+    return capacities, specs, [0.0, *waves], throttles
 
 
 class CheckedEngine(SimulationEngine):
@@ -263,22 +272,25 @@ class TestMultiResourceSharing:
     @given(system=sharing_systems(), pause=st.none() | st.floats(0.0, 30.0))
     @settings(max_examples=80, deadline=None)
     def test_incremental_rates_equal_full_solve_and_obey_physics(self, system, pause):
-        capacities, specs, throttles = system
+        capacities, specs, waves, throttles = system
         resources = [Resource(f"r{i}", capacity) for i, capacity in enumerate(capacities)]
         engine = CheckedEngine(resources)
         activities = []
-        for index, spec in enumerate(specs):
-            activity = Activity(
-                f"a{index}",
-                spec["amount"],
-                {resources[i]: weight for i, weight in spec["usages"].items()},
-                rate_cap=spec["rate_cap"],
-                latency=spec["latency"],
-            )
-            activities.append(activity)
-            engine.schedule(spec["start"], lambda a=activity: engine.start_activity(a))
-            if spec["cancel"] is not None:
-                engine.schedule(spec["cancel"], lambda a=activity: engine.cancel_activity(a))
+        for wave, offset in enumerate(waves):
+            for index, spec in enumerate(specs):
+                activity = Activity(
+                    f"a{index}.{wave}",
+                    spec["amount"],
+                    {resources[i]: weight for i, weight in spec["usages"].items()},
+                    rate_cap=spec["rate_cap"],
+                    latency=spec["latency"],
+                )
+                activities.append(activity)
+                start = offset + spec["start"]
+                engine.schedule(start, lambda a=activity: engine.start_activity(a))
+                if spec["cancel"] is not None:
+                    cancel = offset + spec["cancel"]
+                    engine.schedule(cancel, lambda a=activity: engine.cancel_activity(a))
         for when, index, capacity in throttles:
             engine.schedule(when, lambda i=index, c=capacity: resources[i].set_capacity(c))
 
@@ -297,3 +309,13 @@ class TestMultiResourceSharing:
             assert done <= activity.amount * (1 + 1e-4) + 1e-3
             if activity.is_done and activity in engine.work_done:
                 assert done == pytest.approx(activity.amount, rel=1e-4)
+        # ... and per resource: what its utilisation integrated is the work
+        # its users were delivered (the amounts asked for, less what a
+        # cancellation cut short), whichever event changed their rates.
+        for resource in resources:
+            delivered = sum(
+                done * activity.usages.get(resource, 0.0)
+                for activity, done in engine.work_done.items()
+            )
+            integrated = resource.utilization(end) * resource.capacity * end
+            assert integrated == pytest.approx(delivered, rel=1e-6, abs=1e-3)
