@@ -55,6 +55,7 @@ clears the quarantine (transient infrastructure faults heal).  See
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -63,7 +64,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from repro.telemetry.metrics import registry as _metrics_registry
 
@@ -260,6 +261,12 @@ class EvaluationStore:
     within a process; whether two *processes* can share a store depends on
     the backend (SQLite yes, JSONL only via :meth:`JsonlStore.reload`,
     in-memory no).
+
+    Hooks never commit; public methods own the transaction: every
+    mutating protocol step (:meth:`put`, :meth:`record_failure`,
+    :meth:`clear_failure`, :meth:`release`, the miss path of
+    :meth:`claim`) runs its hooks inside one :meth:`_transaction`, so a
+    step is published to other processes whole or not at all.
     """
 
     def __init__(self) -> None:
@@ -280,6 +287,15 @@ class EvaluationStore:
         self._failures: dict[str, StoredFailure] = {}
 
     # -- backend interface --------------------------------------------- #
+    def _transaction(self) -> contextlib.AbstractContextManager[object]:
+        """Context manager around one mutating protocol step.
+
+        The store lock and nothing else here; a backend shared between
+        *processes* (SQLite) also holds its write lock for the duration
+        and commits on exit, rolling back if the step raised.
+        """
+        return self._lock
+
     def _load_entry(self, key: str) -> StoredEvaluation | None:
         raise NotImplementedError  # pragma: no cover - interface
 
@@ -308,10 +324,8 @@ class EvaluationStore:
         """Atomically acquire (or renew) the lease on ``key`` for ``owner``.
 
         Returns ``None`` on success, or the blocking ``(owner,
-        expires_at)`` lease held by someone else.  The in-memory default
-        is atomic under the store lock; backends shared between
-        *processes* (SQLite) must override this with a genuinely atomic
-        acquire, because the store lock only serialises one process.
+        expires_at)`` lease held by someone else.  The read-then-write is
+        atomic because :meth:`claim` calls it inside :meth:`_transaction`.
         """
         lease = self._load_lease(key)
         if lease is not None and lease[0] != owner and lease[1] > now:
@@ -321,7 +335,7 @@ class EvaluationStore:
 
     def _release_lease(self, key: str, owner: str) -> None:
         """Drop ``owner``'s lease on ``key`` (a no-op if someone else holds
-        it).  Same atomicity contract as :meth:`_try_acquire_lease`."""
+        it); called inside :meth:`_transaction` like :meth:`_try_acquire_lease`."""
         lease = self._load_lease(key)
         if lease is not None and lease[0] == owner:
             self._drop_lease(key)
@@ -374,7 +388,7 @@ class EvaluationStore:
             value=float(value),
             created_at=time.time(),
         )
-        with self._lock:
+        with self._transaction():
             self._save_entry(entry)
             self._drop_lease(key)  # publishing a value finishes its claim
             self._drop_failure(key)  # a success un-quarantines the point
@@ -409,7 +423,7 @@ class EvaluationStore:
             attempts=int(attempts),
             created_at=time.time(),
         )
-        with self._lock:
+        with self._transaction():
             self._save_failure(failure)
             self._drop_lease(key)
             self.failures_recorded += 1
@@ -425,7 +439,7 @@ class EvaluationStore:
     def clear_failure(self, fingerprint: str, values: Mapping[str, float]) -> None:
         """Lift a point's quarantine (e.g. after the faulty dependency is
         fixed) so the next claim recomputes it."""
-        with self._lock:
+        with self._transaction():
             self._drop_failure(evaluation_key(fingerprint, values))
 
     def failure_count(self) -> int:
@@ -460,26 +474,39 @@ class EvaluationStore:
         * otherwise -> ``claimed``: a lease for ``owner`` is written
           (re-claiming one's own point renews the lease) and the caller
           must finish it with :meth:`put` or :meth:`release`.
+
+        A ``hit`` is answered from a plain read and takes no write lock.
         """
         key = evaluation_key(fingerprint, values)
         now = time.time()
         with self._lock:
             entry = self._load_entry(key)
-            if entry is not None:
-                self.hits += 1
-                self._count("repro_store_hits_total")
-                return StoreClaim(StoreClaim.HIT, value=entry.value)
-            known = self._load_failure(key)
-            if known is not None:
-                return StoreClaim(StoreClaim.QUARANTINED, failure=known)
-            blocker = self._try_acquire_lease(key, owner, now, now + float(ttl))
-            if blocker is not None:
-                self.lease_conflicts += 1
-                self._count("repro_store_lease_conflicts_total")
-                return StoreClaim(StoreClaim.LEASED, owner=blocker[0], expires_at=blocker[1])
-            self.misses += 1
-            self._count("repro_store_misses_total")
-            return StoreClaim(StoreClaim.CLAIMED)
+            if entry is None:
+                with self._transaction():
+                    # Re-read under the write lock: another process may
+                    # have published the point and dropped its lease
+                    # between the read above and this transaction, and a
+                    # stored point must never be claimed again.
+                    entry = self._load_entry(key)
+                    if entry is None:
+                        return self._claim_missing(key, owner, now, now + float(ttl))
+            self.hits += 1
+            self._count("repro_store_hits_total")
+            return StoreClaim(StoreClaim.HIT, value=entry.value)
+
+    def _claim_missing(self, key: str, owner: str, now: float, expires_at: float) -> StoreClaim:
+        """The miss path of :meth:`claim`; runs inside its transaction."""
+        known = self._load_failure(key)
+        if known is not None:
+            return StoreClaim(StoreClaim.QUARANTINED, failure=known)
+        blocker = self._try_acquire_lease(key, owner, now, expires_at)
+        if blocker is not None:
+            self.lease_conflicts += 1
+            self._count("repro_store_lease_conflicts_total")
+            return StoreClaim(StoreClaim.LEASED, owner=blocker[0], expires_at=blocker[1])
+        self.misses += 1
+        self._count("repro_store_misses_total")
+        return StoreClaim(StoreClaim.CLAIMED)
 
     def release(self, fingerprint: str, values: Mapping[str, float], owner: str) -> None:
         """Abandon a claim (the computation failed or will never run).
@@ -488,7 +515,7 @@ class EvaluationStore:
         owner whose lease already expired and was taken over is a no-op.
         """
         key = evaluation_key(fingerprint, values)
-        with self._lock:
+        with self._transaction():
             self._release_lease(key, owner)
 
     def lease_count(self) -> int:
@@ -686,6 +713,15 @@ class SqliteStore(EvaluationStore):
         # No lock here: nothing else can hold the connection during
         # construction, and SQLite's own busy timeout covers concurrent
         # *processes* creating the schema.
+        #
+        # Write-ahead log: a commit is one append and one fsync instead of
+        # a rollback journal's create/sync/write/sync/delete chain.
+        # ``synchronous`` stays at its default (FULL), so a commit that
+        # returned is on disk.  A filesystem that refuses WAL makes SQLite
+        # report the mode it kept; the store carries on in it.
+        (mode,) = self._conn.execute("PRAGMA journal_mode=WAL").fetchone()
+        if mode != "wal":
+            _log.warning("%s: no write-ahead log here, journal_mode=%s", self.path, mode)
         self._conn.execute(
             """
             CREATE TABLE IF NOT EXISTS evaluations (
@@ -729,6 +765,22 @@ class SqliteStore(EvaluationStore):
         )
         self._conn.commit()
 
+    @contextlib.contextmanager
+    def _transaction(self) -> Iterator[None]:
+        # BEGIN IMMEDIATE takes the database write lock up front, so what
+        # the step reads is what it then writes over (a deferred BEGIN
+        # would read a snapshot another process may already have replaced
+        # and fail at its first write), and the one commit publishes the
+        # step's rows to other processes together.
+        with super()._transaction():
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield
+                self._conn.commit()
+            except BaseException:
+                self._conn.rollback()
+                raise
+
     @staticmethod
     def _row_to_entry(row: tuple[str, str, str, float, float]) -> StoredEvaluation:
         key, fingerprint, params, value, created_at = row
@@ -760,7 +812,6 @@ class SqliteStore(EvaluationStore):
                 entry.created_at,
             ),
         )
-        self._conn.commit()
 
     def _iter_entries(self) -> Iterable[StoredEvaluation]:
         rows = self._conn.execute(
@@ -810,11 +861,9 @@ class SqliteStore(EvaluationStore):
                 failure.created_at,
             ),
         )
-        self._conn.commit()
 
     def _drop_failure(self, key: str) -> None:
         self._conn.execute("DELETE FROM failures WHERE key = ?", (key,))
-        self._conn.commit()
 
     def _iter_failures(self) -> Iterable[StoredFailure]:
         rows = self._conn.execute(
@@ -832,25 +881,14 @@ class SqliteStore(EvaluationStore):
         ).fetchone()
         return None if row is None else (str(row[0]), float(row[1]))
 
-    def _save_lease(self, key: str, owner: str, expires_at: float) -> None:
-        self._conn.execute(
-            "INSERT OR REPLACE INTO leases (key, owner, expires_at) VALUES (?, ?, ?)",
-            (key, owner, expires_at),
-        )
-        self._conn.commit()
-
     def _drop_lease(self, key: str) -> None:
         self._conn.execute("DELETE FROM leases WHERE key = ?", (key,))
-        self._conn.commit()
 
     def _try_acquire_lease(
         self, key: str, owner: str, now: float, expires_at: float
     ) -> tuple[str, float] | None:
-        # One atomic upsert instead of the base class's read-then-write:
-        # the store lock only serialises threads of *this* process, while
-        # concurrent server processes race on the same database file — the
-        # conditional ON CONFLICT update makes SQLite itself arbitrate who
-        # gets the lease (rowcount 0 = somebody else holds it, unexpired).
+        # One conditional upsert instead of the base class's read-then-write
+        # (rowcount 0 = somebody else holds it, unexpired).
         cursor = self._conn.execute(
             "INSERT INTO leases (key, owner, expires_at) VALUES (?, ?, ?) "
             "ON CONFLICT(key) DO UPDATE SET "
@@ -858,17 +896,14 @@ class SqliteStore(EvaluationStore):
             "WHERE leases.owner = excluded.owner OR leases.expires_at <= ?",
             (key, owner, expires_at, now),
         )
-        self._conn.commit()
         if cursor.rowcount:
             return None
         return self._load_lease(key)
 
     def _release_lease(self, key: str, owner: str) -> None:
-        # Atomic owner-guarded delete (see _try_acquire_lease).
         self._conn.execute(
             "DELETE FROM leases WHERE key = ? AND owner = ?", (key, owner)
         )
-        self._conn.commit()
 
     def _count_leases(self) -> int:
         (count,) = self._conn.execute("SELECT COUNT(*) FROM leases").fetchone()
