@@ -42,6 +42,9 @@ from repro.hepsim.units import GBps, MBps, gbps, gflops
 
 __all__ = ["ReferenceSystemConfig", "ReferenceRealism", "GroundTruthGenerator"]
 
+#: Ground truth shipped with the package: read, never written.
+COMMITTED_GROUND_TRUTH = Path(__file__).parent / "data"
+
 
 @dataclasses.dataclass(frozen=True)
 class ReferenceSystemConfig:
@@ -151,10 +154,13 @@ class GroundTruthGenerator:
 
     Traces are cached in memory and, optionally, as JSON files so that the
     test suite and benchmark harness do not re-run the reference system for
-    every experiment.  The cache directory defaults to the package's
-    ``data/`` directory and can be overridden with the ``REPRO_GT_CACHE``
-    environment variable; pass ``cache_dir=None`` and
-    ``use_disk_cache=False`` to disable persistence entirely.
+    every experiment.  By default a trace is read from the ground truth
+    committed with the package (:data:`COMMITTED_GROUND_TRUTH`) if it is
+    there, and otherwise generated and cached in the directory named by the
+    ``REPRO_GT_CACHE`` environment variable (no caching if it is empty), or
+    else in ``~/.cache/repro/ground-truth``: the source tree is never
+    written.  An explicit ``cache_dir`` is the only directory read and
+    written; ``use_disk_cache=False`` reads and writes no file at all.
     """
 
     def __init__(
@@ -164,12 +170,13 @@ class GroundTruthGenerator:
         use_disk_cache: bool = True,
     ) -> None:
         self.config = config if config is not None else ReferenceSystemConfig()
+        self._search_committed = cache_dir is None
         if cache_dir is None:
             cache_dir = os.environ.get(
-                "REPRO_GT_CACHE", str(Path(__file__).parent / "data")
+                "REPRO_GT_CACHE", str(Path.home() / ".cache" / "repro" / "ground-truth")
             )
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.use_disk_cache = use_disk_cache and self.cache_dir is not None
+        self.use_disk_cache = use_disk_cache
         self._memory_cache: dict[str, ExecutionTrace] = {}
 
     # ------------------------------------------------------------------ #
@@ -216,12 +223,18 @@ class GroundTruthGenerator:
         if key in self._memory_cache:
             return self._subset(self._memory_cache[key], scenario)
 
-        path = self._cache_path(scenario)
-        if self.use_disk_cache and path is not None and path.exists():
-            trace = ExecutionTrace.from_json(path.read_text())
-            self._memory_cache[key] = trace
-            return self._subset(trace, scenario)
+        if self.use_disk_cache:
+            directories = [COMMITTED_GROUND_TRUTH] if self._search_committed else []
+            if self.cache_dir is not None:
+                directories.append(self.cache_dir)
+            for directory in directories:
+                cached = directory / f"{key}.json"
+                if cached.exists():
+                    trace = ExecutionTrace.from_json(cached.read_text())
+                    self._memory_cache[key] = trace
+                    return self._subset(trace, scenario)
 
+        path = self._cache_path(scenario)
         trace = self.generate(scenario)
         self._memory_cache[key] = trace
         if self.use_disk_cache and path is not None:

@@ -33,6 +33,7 @@ contention degradation, per-job noise).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections.abc import Sequence
@@ -202,25 +203,33 @@ class HEPSimulator:
     # job execution model
     # ------------------------------------------------------------------ #
     def _make_job_body(self, job: Job, context: _RunContext):
-        """Return the job-body callable executed by the compute service."""
-
-        def body(job_obj: Job, host):
-            yield from self._execute_job(job_obj, host, context)
-
-        return body
+        """Return the job-body callable executed by the compute service: it
+        is :meth:`_execute_job` itself, so a resumed process passes through
+        no generator frame of its own on the way to the job's."""
+        return functools.partial(self._execute_job, context=context)
 
     def _execute_job(self, job: Job, host, context: _RunContext):
+        """The job's process: read or fetch every block of every input file,
+        compute on it (overlapping the next block's I/O), write the output.
+
+        Activity names are ``str.format`` parts (see
+        :data:`repro.simgrid.activity.ActivityName`), formatted only if read.
+        """
         built = context.built
         realism = context.realism
         engine = built.platform.engine
         disk = built.node_disks[host.name]
         memory = built.node_memories[host.name]
         remote_disk = built.remote_disk
+        wan_route = context.wan_route
+        page_cache_enabled = context.page_cache_enabled
         spec = job.spec
+        name = job.name
         block_size = context.block_size
         buffer_size = context.buffer_size
         cached = cached_file_count(len(spec.input_files), context.icd)
-        compute_factor = realism.compute_factor(job.name) if realism else 1.0
+        compute_factor = realism.compute_factor(name) if realism else 1.0
+        flops_per_byte = spec.flops_per_byte
 
         previous_compute = None
         for file_index, data_file in enumerate(spec.input_files):
@@ -230,21 +239,55 @@ class HEPSimulator:
                 block = min(block_size, data_file.size - block_index * block_size)
                 if block <= 0:
                     continue
-                label = f"{job.name}:f{file_index}:b{block_index}"
                 if from_cache:
-                    yield from self._read_cached_block(label, block, disk, memory, context)
+                    # The block is initially in the node-local cache.
+                    if page_cache_enabled:
+                        yield memory.read_async(
+                            ("{}:f{}:b{}:pc-read", name, file_index, block_index), block
+                        )
+                    else:
+                        amount = block
+                        if realism is not None:
+                            amount *= realism.disk_read_inflation(disk.resource.load)
+                        yield disk.read_async(
+                            ("{}:f{}:b{}:hdd-read", name, file_index, block_index), amount
+                        )
                     job.bytes_from_cache += block
                 else:
-                    yield from self._fetch_remote_block(
-                        label, block, disk, memory, remote_disk, context
-                    )
+                    # Fetch it from the remote storage site, streamed through
+                    # the storage-service buffer and ingested into the cache.
+                    remaining = block
+                    chunk_index = 0
+                    while remaining > 1e-6:
+                        chunk = min(buffer_size, remaining)
+                        at = (name, file_index, block_index, chunk_index)
+                        stages = [
+                            remote_disk.read_async(("{}:f{}:b{}:c{}:remote-read", *at), chunk),
+                            communicate(("{}:f{}:b{}:c{}:wan", *at), chunk, wan_route),
+                        ]
+                        if page_cache_enabled:
+                            stages.append(
+                                memory.write_async(("{}:f{}:b{}:c{}:pc-ingest", *at), chunk)
+                            )
+                        else:
+                            amount = chunk
+                            if realism is not None:
+                                amount *= realism.disk_write_inflation(disk.resource.load)
+                            stages.append(
+                                disk.write_async(("{}:f{}:b{}:c{}:hdd-ingest", *at), amount)
+                            )
+                        yield AllOf(stages)
+                        remaining -= chunk
+                        chunk_index += 1
                     job.bytes_from_remote += block
                 # Two-stage pipeline: wait for the previous block's compute
                 # (if still running) before computing on this block.
                 if previous_compute is not None and not previous_compute.is_terminated:
                     yield previous_compute
-                flops = block * spec.flops_per_byte * compute_factor
-                previous_compute = engine.start_activity(host.exec_async(f"{label}:compute", flops))
+                flops = block * flops_per_byte * compute_factor
+                previous_compute = engine.start_activity(
+                    host.exec_async(("{}:f{}:b{}:compute", name, file_index, block_index), flops)
+                )
 
         if previous_compute is not None and not previous_compute.is_terminated:
             yield previous_compute
@@ -254,45 +297,7 @@ class HEPSimulator:
         if output is not None and output.size > 0:
             yield AllOf(
                 [
-                    communicate(f"{job.name}:output", output.size, context.wan_route),
-                    remote_disk.write_async(f"{job.name}:output:write", output.size),
+                    communicate(f"{name}:output", output.size, wan_route),
+                    remote_disk.write_async(f"{name}:output:write", output.size),
                 ]
             )
-
-    def _read_cached_block(self, label: str, block: float, disk, memory, context: _RunContext):
-        """Read a block that is initially present in the node-local cache."""
-        realism = context.realism
-        if context.page_cache_enabled:
-            yield memory.read_async(f"{label}:pc-read", block)
-        else:
-            amount = block
-            if realism is not None:
-                amount *= realism.disk_read_inflation(disk.resource.load)
-            yield disk.read_async(f"{label}:hdd-read", amount)
-
-    def _fetch_remote_block(
-        self, label: str, block: float, disk, memory, remote_disk, context: _RunContext
-    ):
-        """Fetch a block from the remote storage site, streamed through the
-        storage-service buffer and ingested into the node's cache."""
-        realism = context.realism
-        buffer_size = context.buffer_size
-        remaining = block
-        chunk_index = 0
-        while remaining > 1e-6:
-            chunk = min(buffer_size, remaining)
-            chunk_label = f"{label}:c{chunk_index}"
-            stages = [
-                remote_disk.read_async(f"{chunk_label}:remote-read", chunk),
-                communicate(f"{chunk_label}:wan", chunk, context.wan_route),
-            ]
-            if context.page_cache_enabled:
-                stages.append(memory.write_async(f"{chunk_label}:pc-ingest", chunk))
-            else:
-                amount = chunk
-                if realism is not None:
-                    amount *= realism.disk_write_inflation(disk.resource.load)
-                stages.append(disk.write_async(f"{chunk_label}:hdd-ingest", amount))
-            yield AllOf(stages)
-            remaining -= chunk
-            chunk_index += 1

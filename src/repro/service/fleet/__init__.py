@@ -1,8 +1,9 @@
 """The distributed worker fleet: dispatch over HTTP, evaluate anywhere.
 
 Every in-process driver owns its worker pool; the fleet splits dispatch
-from evaluation so N hosts can share one evaluation store (ROADMAP item
-1).  The pieces, bottom up:
+from evaluation so N hosts can share one evaluation store (endpoints,
+worker life-cycle and failure modes: ``docs/distributed.md``).  The pieces,
+bottom up:
 
 * :class:`~repro.service.fleet.board.TaskBoard` — the thread-safe registry
   of open evaluation tasks a fleet server wants computed;

@@ -23,6 +23,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _activity_counter = itertools.count()
 
+#: What an activity is named by: the name itself, or a ``str.format``
+#: template followed by its fields, formatted on the first read of
+#: :attr:`Activity.name`.  A simulator creates thousands of activities per
+#: run and only tracers and error messages ever read a name.
+ActivityName = str | tuple
+
 
 class ActivityState(enum.Enum):
     """Lifecycle states of an :class:`Activity`."""
@@ -37,6 +43,9 @@ class ActivityState(enum.Enum):
 # The engine and the processes test states on every activity: module
 # constants spare them the enum class's attribute lookup.
 _NEW = ActivityState.NEW
+_LATENCY = ActivityState.LATENCY
+_RUNNING = ActivityState.RUNNING
+_DONE = ActivityState.DONE
 _CANCELED = ActivityState.CANCELED
 _TERMINATED = (ActivityState.DONE, ActivityState.CANCELED)
 
@@ -47,7 +56,8 @@ class Activity:
     Parameters
     ----------
     name:
-        Label used in traces and debugging output.
+        Label used in traces and debugging output, or the parts it is
+        formatted from (see :data:`ActivityName`).
     amount:
         Total amount of work (>= 0).  A zero-amount activity completes as
         soon as its latency phase (if any) has elapsed.
@@ -64,7 +74,7 @@ class Activity:
     """
 
     __slots__ = (
-        "name",
+        "_name",
         "amount",
         "remaining",
         "usages",
@@ -82,25 +92,26 @@ class Activity:
 
     def __init__(
         self,
-        name: str,
+        name: ActivityName,
         amount: float,
         usages: dict[Resource, float],
         rate_cap: float | None = None,
         latency: float = 0.0,
     ) -> None:
+        self._name = name
         if amount < 0:
-            raise InvalidStateError(f"activity {name!r} has negative amount {amount}")
+            raise InvalidStateError(f"activity {self.name!r} has negative amount {amount}")
         if latency < 0:
-            raise InvalidStateError(f"activity {name!r} has negative latency {latency}")
+            raise InvalidStateError(f"activity {self.name!r} has negative latency {latency}")
         if rate_cap is not None and rate_cap <= 0:
-            raise InvalidStateError(f"activity {name!r} has non-positive rate cap {rate_cap}")
-        self.name = name
-        self.amount = float(amount)
-        self.remaining = float(amount)
+            raise InvalidStateError(
+                f"activity {self.name!r} has non-positive rate cap {rate_cap}"
+            )
+        self.amount = self.remaining = float(amount)
         self.usages = dict(usages)
         self.rate_cap = rate_cap
         self.latency = float(latency)
-        self.state = ActivityState.NEW
+        self.state = _NEW
         self.rate = 0.0
         self.start_time: float | None = None
         self.finish_time: float | None = None
@@ -114,6 +125,14 @@ class Activity:
     # ------------------------------------------------------------------ #
     # state queries
     # ------------------------------------------------------------------ #
+    @property
+    def name(self) -> str:
+        """The activity's label, formatted from its parts on first read."""
+        name = self._name
+        if isinstance(name, tuple):
+            name = self._name = name[0].format(*name[1:])
+        return name
+
     @property
     def is_done(self) -> bool:
         return self.state is ActivityState.DONE

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.simgrid.activity import Activity
+from repro.simgrid.activity import Activity, ActivityName
 from repro.simgrid.errors import PlatformError
 from repro.simgrid.resources import Resource
 
@@ -75,7 +75,7 @@ class Disk:
     # ------------------------------------------------------------------ #
     # activities
     # ------------------------------------------------------------------ #
-    def read_async(self, name: str, size: float) -> Activity:
+    def read_async(self, name: ActivityName, size: float) -> Activity:
         """Create (without starting) a read of ``size`` bytes."""
         return Activity(
             name,
@@ -85,7 +85,7 @@ class Disk:
             latency=self.read_latency,
         )
 
-    def write_async(self, name: str, size: float) -> Activity:
+    def write_async(self, name: ActivityName, size: float) -> Activity:
         """Create (without starting) a write of ``size`` bytes."""
         return Activity(
             name,

@@ -40,7 +40,7 @@ from operator import attrgetter
 from time import perf_counter
 from typing import Any, Protocol
 
-from repro.simgrid.activity import _CANCELED, _NEW, Activity, ActivityState
+from repro.simgrid.activity import _CANCELED, _DONE, _LATENCY, _NEW, _RUNNING, Activity
 from repro.simgrid.errors import DeadlockError, InvalidStateError, SimulationError
 from repro.simgrid.process import Process
 from repro.simgrid.resources import Resource
@@ -189,7 +189,7 @@ class SimulationEngine:
         if self._observers:
             self._notify_observers("on_activity_start", activity)
         if activity.latency > 0:
-            activity.state = ActivityState.LATENCY
+            activity.state = _LATENCY
             self.schedule(activity.latency, lambda: self._enter_fluid_phase(activity))
         else:
             self._enter_fluid_phase(activity)
@@ -198,7 +198,7 @@ class SimulationEngine:
     def _enter_fluid_phase(self, activity: Activity) -> None:
         if activity.state is _CANCELED:
             return
-        activity.state = ActivityState.RUNNING
+        activity.state = _RUNNING
         if activity.remaining <= 0:
             # Zero-work activity: complete right away (still asynchronously so
             # that waiters registered in the same step are notified).
@@ -237,7 +237,7 @@ class SimulationEngine:
         if activity.is_terminated:
             return
         self._leave_fluid_phase(activity)
-        activity.state = ActivityState.CANCELED
+        activity.state = _CANCELED
         activity.finish_time = self._now
         if self._observers:
             self._notify_observers("on_activity_end", activity)
@@ -245,7 +245,7 @@ class SimulationEngine:
 
     def _complete_activity(self, activity: Activity) -> None:
         self._leave_fluid_phase(activity)
-        activity.state = ActivityState.DONE
+        activity.state = _DONE
         activity.finish_time = self._now
         activity.remaining = 0.0
         activity.rate = 0.0
@@ -273,14 +273,34 @@ class SimulationEngine:
         same capacities) takes the rates stored then.
 
         Every resource reached integrates the allocation it had up to now
-        before it takes the new one: this is the only place a running
-        activity's rate changes.
+        before it takes the new one (``Resource._allocate``, inlined): this
+        is the only place a running activity's rate changes.
+
+        Most look-ups need no walk: when every user of the dirty resource
+        uses that resource alone (with a positive weight), the component is
+        exactly its user list.
         """
         now = self._now
-        solved = self._solved
-        reached: set[Resource] = set()
+        reached: set[Resource] | None = None
         for origin in self._dirty:
-            if origin in reached:
+            users = origin._activities
+            if not users:
+                origin._allocate(now, 0.0)
+                continue
+            for activity, usage in users.items():
+                if usage <= 0 or len(activity.usages) != 1:
+                    break
+            else:
+                ordered = list(users)
+                if len(ordered) > 1:
+                    ordered.sort(key=_BY_UID)
+                self._apply(ordered)
+                continue
+            # Some user also uses another resource: walk to the whole
+            # component (``reached`` keeps a component from being walked twice).
+            if reached is None:
+                reached = set()
+            elif origin in reached:
                 continue
             reached.add(origin)
             frontier = [origin]
@@ -293,20 +313,35 @@ class SimulationEngine:
                             if weight > 0 and resource not in reached:
                                 reached.add(resource)
                                 frontier.append(resource)
-            if not members:
+            if members:
+                self._apply(sorted(members, key=_BY_UID))
+            else:
                 origin._allocate(now, 0.0)
-                continue
-            ordered = sorted(members, key=_BY_UID)
-            key = tuple([activity._share_key for activity in ordered])
-            entry = solved.get(key)
-            if entry is None or any(r._capacity != capacity for r, capacity, _ in entry[1]):
-                entry = solved[key] = self._solve(ordered)
-            for activity, rate in zip(ordered, entry[0], strict=True):
-                activity.rate = rate
-            for resource, _, allocated in entry[1]:
-                resource._allocate(now, allocated)
         self._dirty.clear()
         self._sharing_updates += 1
+
+    def _apply(self, ordered: list[Activity]) -> None:
+        """Give a component's members (in ``uid`` order) their rates and its
+        resources their allocations, from the store or from a solve."""
+        now = self._now
+        solved = self._solved
+        key = tuple([activity._share_key for activity in ordered])
+        entry = solved.get(key)
+        if entry is not None:
+            for resource, capacity, _ in entry[1]:
+                if resource._capacity != capacity:
+                    entry = None
+                    break
+        if entry is None:
+            entry = solved[key] = self._solve(ordered)
+        for activity, rate in zip(ordered, entry[0], strict=True):
+            activity.rate = rate
+        for resource, _, allocated in entry[1]:
+            dt = now - resource._last_usage_update
+            if dt > 0:
+                resource._usage_integral += resource._allocated * dt
+                resource._last_usage_update = now
+            resource._allocated = allocated
 
     @staticmethod
     def _solve(ordered: list[Activity]) -> tuple[list[float], list[tuple[Resource, float, float]]]:

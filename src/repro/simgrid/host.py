@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.simgrid.activity import Activity
+from repro.simgrid.activity import Activity, ActivityName
 from repro.simgrid.errors import PlatformError
 from repro.simgrid.resources import Resource
 
@@ -79,7 +79,7 @@ class Host:
     # ------------------------------------------------------------------ #
     def exec_async(
         self,
-        name: str,
+        name: ActivityName,
         flops: float,
         parallelism: int = 1,
         priority: float = 1.0,

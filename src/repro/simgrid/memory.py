@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.simgrid.activity import Activity
+from repro.simgrid.activity import Activity, ActivityName
 from repro.simgrid.errors import PlatformError
 from repro.simgrid.resources import Resource
 
@@ -47,11 +47,11 @@ class Memory:
         """Re-parameterise the bandwidth (used by calibration)."""
         self.resource.set_capacity(bandwidth)
 
-    def read_async(self, name: str, size: float) -> Activity:
+    def read_async(self, name: ActivityName, size: float) -> Activity:
         """Create (without starting) a read of ``size`` bytes from memory."""
         return Activity(name, size, {self.resource: 1.0}, latency=self.latency)
 
-    def write_async(self, name: str, size: float) -> Activity:
+    def write_async(self, name: ActivityName, size: float) -> Activity:
         """Create (without starting) a write of ``size`` bytes to memory."""
         return Activity(name, size, {self.resource: 1.0}, latency=self.latency)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.simgrid.activity import Activity
+from repro.simgrid.activity import Activity, ActivityName
 from repro.simgrid.errors import PlatformError
 from repro.simgrid.link import Link
 
@@ -12,7 +12,7 @@ __all__ = ["communicate"]
 
 
 def communicate(
-    name: str,
+    name: ActivityName,
     size: float,
     links: Iterable[Link],
     rate_cap: float | None = None,

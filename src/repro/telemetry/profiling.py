@@ -1,13 +1,19 @@
 """Simulator hot-path profiling: wall-clock and event counts per phase.
 
-The discrete-event engine's main loop has three phases worth measuring
-before any vectorization work (ROADMAP item 2):
+The discrete-event engine's main loop has three phases, and a change to
+the simulator's hot path names the one it moves (ROADMAP item 2; the
+measured split is in ``docs/architecture.md``, "the measured shape of the
+loop"):
 
-* ``sharing`` — ``_update_rates``: the walk from the dirty resources to
-  their connected components, the look-up of each among the components the
+* ``sharing`` — ``_update_rates``: from each dirty resource to its
+  connected component (its user list when every user uses that resource
+  alone, a walk otherwise), the look-up of the component among those the
   run already solved, and the max-min solve of those it has not met;
-* ``advance`` — clock advancement plus completion scanning/firing;
-* ``timers`` — timer-heap pops and process-callback execution.
+* ``advance`` — clock advancement plus completion scanning and firing,
+  which runs the waiters of each completed activity: the resumed job
+  processes, their next activities' creation and start;
+* ``timers`` — timer-heap pops and their callbacks: process start-ups and
+  activities leaving their latency phase.
 
 A :class:`SimulationProfile` is attached to a
 :class:`~repro.simgrid.engine.SimulationEngine` via its ``profile``
