@@ -166,8 +166,11 @@ class HEPSimulator:
             BareMetalComputeService(f"cs_{host.name}", host) for host in built.compute_hosts
         ]
         scheduler = FCFSScheduler(compute_services)
+        # Every job's body is ``_execute_job`` itself: a resumed job process
+        # passes through no generator frame of ours on the way to it.
+        body = functools.partial(self._execute_job, context=context)
         for spec in self._jobs:
-            scheduler.submit(spec, lambda job: self._make_job_body(job, context))
+            scheduler.submit(spec, lambda job: body)
 
         profile = SimulationProfile() if simulation_profiling_enabled() else None
         built.platform.engine.profile = profile
@@ -202,12 +205,6 @@ class HEPSimulator:
     # ------------------------------------------------------------------ #
     # job execution model
     # ------------------------------------------------------------------ #
-    def _make_job_body(self, job: Job, context: _RunContext):
-        """Return the job-body callable executed by the compute service: it
-        is :meth:`_execute_job` itself, so a resumed process passes through
-        no generator frame of its own on the way to the job's."""
-        return functools.partial(self._execute_job, context=context)
-
     def _execute_job(self, job: Job, host, context: _RunContext):
         """The job's process: read or fetch every block of every input file,
         compute on it (overlapping the next block's I/O), write the output.
