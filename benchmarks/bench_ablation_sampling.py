@@ -1,4 +1,7 @@
-"""Ablation — log2 vs linear parameter representation (DESIGN.md §4).
+"""Ablation — log2 vs linear parameter representation.
+
+A design-choice study the paper does not run (see
+docs/architecture.md, "Reproduction deviations").
 
 The paper argues for the log2 representation of parameter ranges
 (Section III.A); this ablation quantifies the benefit for RANDOM search on

@@ -7,7 +7,7 @@ calibration gets the same wall-clock budget — using *fewer* ICD values can
 beat using all of them, since each objective evaluation is cheaper and the
 parameter space is explored more thoroughly.
 
-Reproduction caveat (recorded in EXPERIMENTS.md): the paper's most dramatic
+Reproduction caveat (see docs/architecture.md, "Reproduction deviations"): the paper's most dramatic
 data point — a 7000% MRE when calibrating from a single extreme ICD value —
 is muted here, because in our simulator even an all-cached (ICD = 1.0) run
 still exercises the WAN through the output-file upload, which keeps the WAN

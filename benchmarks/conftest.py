@@ -7,8 +7,8 @@ single round — the experiments are minutes-scale, statistical repetition
 is neither needed nor affordable), print the reproduced table and persist
 it under ``benchmarks/results/`` so the output survives pytest's capture.
 
-Budgets are intentionally small (see EXPERIMENTS.md for the scaling
-discussion); set ``REPRO_BENCH_EVALS`` / ``REPRO_BENCH_SECONDS`` to larger
+Budgets are intentionally small (see docs/architecture.md, "Reproduction
+deviations"); set ``REPRO_BENCH_EVALS`` / ``REPRO_BENCH_SECONDS`` to larger
 values to sharpen the results.
 """
 

@@ -38,7 +38,7 @@ def main() -> None:
     parser.add_argument("--evals", type=int, default=300,
                         help="simulator invocations per automated calibration")
     parser.add_argument("--scale", default="calib", choices=("calib", "bench"),
-                        help="scenario scale (see DESIGN.md)")
+                        help="scenario scale (see docs/architecture.md)")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
@@ -52,7 +52,7 @@ def main() -> None:
     print(result.to_text())
 
     print("\nPaper's Table III (for comparison — absolute numbers differ because the")
-    print("ground truth here is a synthetic reference system, see DESIGN.md §3):")
+    print("ground truth here is a synthetic reference system, see docs/architecture.md):")
     headers = ["Method", "SCFN", "FCFN", "SCSN", "FCSN"]
     rows = [
         [method] + [f"{PAPER_TABLE3[method][p]:.2f}%" for p in ("SCFN", "FCFN", "SCSN", "FCSN")]

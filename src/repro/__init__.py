@@ -8,8 +8,7 @@ The package is organised in four layers:
 
 * :mod:`repro.simgrid` — a fluid-model discrete-event simulation substrate
   (hosts, links, disks, memories, max-min sharing, simulated processes);
-* :mod:`repro.wrench` — a service layer on top of it (files, storage
-  services with pipelined transfers, node-local and page caches, a
+* :mod:`repro.wrench` — a service layer on top of it (files, jobs, a
   bare-metal compute service and an FCFS scheduler);
 * :mod:`repro.hepsim` — the High-Energy-Physics case-study simulator
   (workload, the four platform configurations, ground-truth generation,

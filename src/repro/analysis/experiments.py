@@ -9,8 +9,8 @@ the benchmark harness can run them at CI-friendly sizes while the examples
 can run them at larger sizes; the defaults can be overridden with the
 ``REPRO_BENCH_EVALS`` and ``REPRO_BENCH_SECONDS`` environment variables.
 The budgets are necessarily much smaller than the paper's 6 hours on 40
-cores — EXPERIMENTS.md documents the scaling and which qualitative
-conclusions survive it.
+cores; docs/architecture.md ("Reproduction deviations") documents the
+scaling and which qualitative conclusions survive it.
 """
 
 from __future__ import annotations
@@ -451,7 +451,7 @@ def figure2_convergence(
 
 
 # ---------------------------------------------------------------------- #
-# Ablations (not in the paper; design-choice studies called out in DESIGN.md)
+# Ablations (not in the paper; see docs/architecture.md, "Reproduction deviations")
 # ---------------------------------------------------------------------- #
 def ablation_sampling_scale(
     platform: str = "FCSN",

@@ -81,7 +81,8 @@ def render_report(
         "",
         f"Generated {generated_at} from the benchmark harness outputs "
         "(`pytest benchmarks/ --benchmark-only`).  Absolute values depend on the "
-        "scaled-down budgets; see EXPERIMENTS.md for the paper-vs-measured discussion.",
+        "scaled-down budgets; see docs/architecture.md (\"Reproduction deviations\") "
+        "for the paper-vs-measured discussion.",
         "",
     ]
     if not results:

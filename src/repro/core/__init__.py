@@ -11,6 +11,11 @@ algorithms of Section III.B — Grid search, Random search, Gradient descent
 future work (Latin hypercube sampling, simulated annealing, coordinate
 descent, Bayesian optimization) and returns the best calibration found
 along with the full evaluation history.
+
+Around that loop sit the pooled drivers
+(:class:`~repro.core.parallel.BatchCalibrator`,
+:class:`~repro.core.async_driver.AsyncCalibrator`), failure policies,
+stopping criteria, checkpoint/result serialisation and text reports.
 """
 
 from repro.core.algorithms import (
@@ -39,15 +44,6 @@ from repro.core.budget import (
     remaining_evaluations,
 )
 from repro.core.calibrator import Calibrator
-from repro.core.crossvalidation import (
-    CrossValidationResult,
-    Fold,
-    FoldResult,
-    cross_validate,
-    k_fold_splits,
-    leave_one_out_splits,
-    subset_splits,
-)
 from repro.core.evaluation import (
     BudgetExhausted,
     CacheBackend,
@@ -83,19 +79,12 @@ from repro.core.serialization import (
     save_history_jsonl,
     save_result,
 )
-from repro.core.sensitivity import (
-    SensitivityResult,
-    morris_elementary_effects,
-    one_at_a_time,
-    rank_parameters,
-)
 from repro.core.stopping import (
     NoImprovementStopper,
     RelativePlateauStopper,
     StoppingCriterion,
     TargetValueStopper,
 )
-from repro.core.tradeoff import TradeoffPoint, dominated_fraction, knee_point, pareto_front
 
 __all__ = [
     "ALGORITHMS",
@@ -114,7 +103,6 @@ __all__ = [
     "CircuitOpen",
     "CombinedBudget",
     "CoordinateDescent",
-    "CrossValidationResult",
     "DictCache",
     "DifferentialEvolution",
     "Evaluation",
@@ -123,8 +111,6 @@ __all__ = [
     "EvaluationFailure",
     "EvaluationTimeout",
     "FailurePolicy",
-    "Fold",
-    "FoldResult",
     "GradientDescent",
     "GridSearch",
     "LatinHypercubeSearch",
@@ -139,35 +125,23 @@ __all__ = [
     "RandomSearch",
     "RelativePlateauStopper",
     "RetryPolicy",
-    "SensitivityResult",
     "SimulatedAnnealing",
     "SobolSearch",
     "StoppingCriterion",
     "TPESearch",
     "TargetValueStopper",
     "TimeBudget",
-    "TradeoffPoint",
     "TransientEvaluationError",
     "calibration_report",
     "convergence_sparkline",
-    "cross_validate",
-    "dominated_fraction",
     "get_algorithm",
-    "k_fold_splits",
-    "knee_point",
-    "leave_one_out_splits",
     "load_history_jsonl",
     "load_result",
     "max_relative_error",
     "mean_absolute_error",
     "mean_relative_error",
-    "morris_elementary_effects",
-    "one_at_a_time",
-    "pareto_front",
-    "rank_parameters",
     "remaining_evaluations",
     "root_mean_squared_error",
     "save_history_jsonl",
     "save_result",
-    "subset_splits",
 ]

@@ -132,7 +132,6 @@ class _InFlight:
 
     seq: int
     candidate: np.ndarray  # as asked (told back verbatim)
-    unit: np.ndarray       # clipped unit point actually evaluated
     mapping: dict[str, float]
     key: CacheKey
     started_at: float
@@ -628,7 +627,7 @@ class AsyncCalibrator:
             return True
 
         entry = _InFlight(
-            seq=seq, candidate=candidate, unit=unit, mapping=mapping, key=key,
+            seq=seq, candidate=candidate, mapping=mapping, key=key,
             started_at=self.evaluator.elapsed,
             span=self._tracer.begin(
                 "evaluation", parent=self._root, driver=self._driver, seq=seq

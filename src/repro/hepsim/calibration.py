@@ -204,7 +204,8 @@ class CaseStudyProblem:
         else:
             # The paper calibrates four parameters; the page-cache bandwidth
             # only needs to be part of the search on the platforms where the
-            # page cache is enabled (see DESIGN.md §3).
+            # page cache is enabled (see docs/architecture.md, "Reproduction
+            # deviations").
             space = build_parameter_space(
                 include_page_cache=scenario.config.page_cache_enabled
             )

@@ -3,7 +3,8 @@
 The paper calibrates its simulator against traces of *real* executions of
 the 48-job workload on a WLCG compute site, for 11 ICD values and the four
 Table II platform configurations.  Those traces are not available, so —
-per the reproduction's substitution rule (DESIGN.md §3) — we generate
+per the reproduction's substitution rule (docs/architecture.md,
+"Reproduction deviations") — we generate
 ground truth with a *reference system*: the same workload executed by the
 same simulation substrate but
 

@@ -18,7 +18,8 @@ This module implements that procedure as code so that its characteristic
 behaviour is reproduced mechanistically rather than hard-coded: each step
 looks only at ground-truth averages (never at the hidden true parameter
 values) and applies the same back-of-the-envelope reasoning the paper
-describes.  The only deviation, documented in DESIGN.md §3, is that the
+describes.  The only deviation, documented in docs/architecture.md
+("Reproduction deviations"), is that the
 WAN bandwidth is estimated from the FCSN ground truth at ICD 0 (the
 configuration in which the WAN is unambiguously the bottleneck of our
 reference system) rather than from SCSN.

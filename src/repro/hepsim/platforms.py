@@ -20,7 +20,8 @@ FCSN       enabled            1 Gbps
 
 The *calibration parameters* (Figure 1) are the compute-node core speed,
 the disk (HDD cache) bandwidth, the LAN bandwidth, the WAN bandwidth and —
-see DESIGN.md §3 — the page-cache bandwidth.
+see docs/architecture.md, "Reproduction deviations" — the page-cache
+bandwidth.
 """
 
 from __future__ import annotations

@@ -58,7 +58,8 @@ class WorkloadSpec:
     """Description of the workload to execute.
 
     The defaults are a scaled-down version of the paper's ground-truth
-    workload (see DESIGN.md §3); :func:`paper_scale` gives the full-size
+    workload (see docs/architecture.md, "Reproduction deviations");
+    :func:`paper_scale` gives the full-size
     one (48 jobs x 20 files of 427 MB).
 
     Attributes

@@ -19,11 +19,13 @@ The public surface is intentionally small:
   ``disk.write_async``, ``memory.read_async``.
 * Process helpers: :class:`~repro.simgrid.process.Timeout`,
   :class:`~repro.simgrid.process.AllOf`, :class:`~repro.simgrid.process.AnyOf`.
+* :class:`~repro.simgrid.tracing.ActivityTracer` — per-activity trace records.
+
+Routes are explicit link lists given to the platform.
 """
 
 from repro.simgrid.activity import Activity, ActivityState
 from repro.simgrid.disk import Disk
-from repro.simgrid.energy import EnergyMeter, PowerProfile
 from repro.simgrid.engine import SimulationEngine
 from repro.simgrid.errors import (
     ActivityCanceledError,
@@ -37,7 +39,6 @@ from repro.simgrid.network import communicate
 from repro.simgrid.platform import Platform
 from repro.simgrid.process import AllOf, AnyOf, Process, Timeout
 from repro.simgrid.resources import Resource
-from repro.simgrid.routing import NetworkTopology
 from repro.simgrid.tracing import ActivityTracer, TraceRecord
 
 __all__ = [
@@ -48,14 +49,11 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Disk",
-    "EnergyMeter",
     "Host",
     "Link",
     "Memory",
-    "NetworkTopology",
     "Platform",
     "PlatformError",
-    "PowerProfile",
     "Process",
     "Resource",
     "SimulationEngine",

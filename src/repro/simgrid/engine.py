@@ -81,8 +81,8 @@ class SimulationEngine:
         #: resources whose component must be re-solved before time advances
         self._dirty: set[Resource] = set()
         #: solved components: members' share keys in uid order -> their rates
-        #: and, per resource, (resource, capacity solved under, allocation)
-        self._solved: dict[tuple, tuple[list[float], list[tuple[Resource, float, float]]]] = {}
+        #: and, per resource, (resource, capacity solved under)
+        self._solved: dict[tuple, tuple[list[float], list[tuple[Resource, float]]]] = {}
         self._processes: list[Process] = []
         self._alive_processes = 0
         self._failures: list[tuple[Process, BaseException]] = []
@@ -270,22 +270,17 @@ class SimulationEngine:
         is then a function of the simulation, not of set hashing.  That
         makes a solve a pure function of the members' share keys in that
         order and of the capacities, so a component met before (under the
-        same capacities) takes the rates stored then.
-
-        Every resource reached integrates the allocation it had up to now
-        before it takes the new one (``Resource._allocate``, inlined): this
-        is the only place a running activity's rate changes.
+        same capacities) takes the rates stored then.  This is the only
+        place a running activity's rate changes.
 
         Most look-ups need no walk: when every user of the dirty resource
         uses that resource alone (with a positive weight), the component is
         exactly its user list.
         """
-        now = self._now
         reached: set[Resource] | None = None
         for origin in self._dirty:
             users = origin._activities
             if not users:
-                origin._allocate(now, 0.0)
                 continue
             for activity, usage in users.items():
                 if usage <= 0 or len(activity.usages) != 1:
@@ -315,20 +310,17 @@ class SimulationEngine:
                                 frontier.append(resource)
             if members:
                 self._apply(sorted(members, key=_BY_UID))
-            else:
-                origin._allocate(now, 0.0)
         self._dirty.clear()
         self._sharing_updates += 1
 
     def _apply(self, ordered: list[Activity]) -> None:
-        """Give a component's members (in ``uid`` order) their rates and its
-        resources their allocations, from the store or from a solve."""
-        now = self._now
+        """Give a component's members (in ``uid`` order) their rates, from
+        the store or from a solve."""
         solved = self._solved
         key = tuple([activity._share_key for activity in ordered])
         entry = solved.get(key)
         if entry is not None:
-            for resource, capacity, _ in entry[1]:
+            for resource, capacity in entry[1]:
                 if resource._capacity != capacity:
                     entry = None
                     break
@@ -336,25 +328,20 @@ class SimulationEngine:
             entry = solved[key] = self._solve(ordered)
         for activity, rate in zip(ordered, entry[0], strict=True):
             activity.rate = rate
-        for resource, _, allocated in entry[1]:
-            dt = now - resource._last_usage_update
-            if dt > 0:
-                resource._usage_integral += resource._allocated * dt
-                resource._last_usage_update = now
-            resource._allocated = allocated
 
     @staticmethod
-    def _solve(ordered: list[Activity]) -> tuple[list[float], list[tuple[Resource, float, float]]]:
+    def _solve(ordered: list[Activity]) -> tuple[list[float], list[tuple[Resource, float]]]:
         """Solve one component: its members' rates, in the order given, and
-        what they allocate on each of its resources at the current capacity."""
+        the capacity each of its resources had when they were solved."""
         rates = solve_max_min(ordered)
-        allocated: dict[Resource, float] = {}
-        for activity in ordered:
-            for resource, usage in activity.usages.items():
-                if usage > 0:
-                    allocated[resource] = allocated.get(resource, 0.0) + rates[activity] * usage
-        shares = [(resource, resource._capacity, total) for resource, total in allocated.items()]
-        return [rates[activity] for activity in ordered], shares
+        resources = dict.fromkeys(
+            resource
+            for activity in ordered
+            for resource, usage in activity.usages.items()
+            if usage > 0
+        )
+        capacities = [(resource, resource._capacity) for resource in resources]
+        return [rates[activity] for activity in ordered], capacities
 
     def _advance_to(self, when: float) -> list[Activity]:
         """Move the clock to ``when``, charge every running activity the work
@@ -420,9 +407,7 @@ class SimulationEngine:
 
             if self._dirty:
                 if not active:
-                    # nothing is registered anywhere: nothing is allocated
-                    for resource in self._dirty:
-                        resource._allocate(self._now, 0.0)
+                    # nothing is registered anywhere: no rate to give
                     self._dirty.clear()
                 elif profile is None:
                     self._update_rates()

@@ -29,14 +29,7 @@ class Resource:
         Total capacity in work units per second.  Must be strictly positive.
     """
 
-    __slots__ = (
-        "name",
-        "_capacity",
-        "_activities",
-        "_allocated",
-        "_usage_integral",
-        "_last_usage_update",
-    )
+    __slots__ = ("name", "_capacity", "_activities")
 
     def __init__(self, name: str, capacity: float) -> None:
         if capacity <= 0:
@@ -44,10 +37,6 @@ class Resource:
         self.name = str(name)
         self._capacity = float(capacity)
         self._activities: dict[Activity, float] = {}
-        #: aggregate rate in force since ``_last_usage_update`` (see ``_allocate``)
-        self._allocated = 0.0
-        self._usage_integral = 0.0
-        self._last_usage_update = 0.0
 
     # ------------------------------------------------------------------ #
     # capacity management
@@ -94,30 +83,6 @@ class Resource:
         for activity, usage in self._activities.items():
             total += activity.rate * usage
         return total
-
-    # ------------------------------------------------------------------ #
-    # utilisation accounting
-    # ------------------------------------------------------------------ #
-    def _accumulate_usage(self, now: float) -> None:
-        """Integrate ``rate * dt`` up to ``now`` so that utilisation
-        statistics can be reported at the end of a simulation."""
-        dt = now - self._last_usage_update
-        if dt > 0:
-            self._usage_integral += self._allocated * dt
-            self._last_usage_update = now
-
-    def _allocate(self, now: float, allocated: float) -> None:
-        """From ``now`` on the resource's users consume ``allocated`` work
-        units per second in total (engine-facing: called where rates change)."""
-        self._accumulate_usage(now)
-        self._allocated = allocated
-
-    def utilization(self, now: float) -> float:
-        """Average utilisation in [0, 1] over the period [0, now]."""
-        if now <= 0:
-            return 0.0
-        self._accumulate_usage(now)
-        return self._usage_integral / (self._capacity * now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<{type(self).__name__} {self.name!r} capacity={self._capacity:g}>"

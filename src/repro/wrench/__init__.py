@@ -1,36 +1,22 @@
 """Service layer on top of the fluid simulation substrate.
 
-This subpackage mirrors the abstractions the paper's case-study simulator
-obtains from WRENCH: data files and a file registry, storage services with
-buffered/pipelined transfers, node-local disk caches and an in-RAM page
-cache, a bare-metal compute service, and a simple FCFS batch scheduler
-(standing in for HTCondor).
+This subpackage mirrors the WRENCH abstractions the case-study simulator
+uses: data files, jobs, a bare-metal compute service handing out core
+slots, and a simple FCFS batch scheduler (standing in for HTCondor).  The
+I/O path itself (remote reads, node-local and page caches) is the
+simulator's job body, in :mod:`repro.hepsim.simulator`.
 """
 
 from repro.wrench.compute import BareMetalComputeService
-from repro.wrench.files import DataFile, FileRegistry
+from repro.wrench.files import DataFile
 from repro.wrench.jobs import Job, JobResult, JobSpec
-from repro.wrench.monitoring import MonitorEvent, ServiceMonitor
-from repro.wrench.proxy_cache import ProxyCacheService
 from repro.wrench.scheduler import FCFSScheduler
-from repro.wrench.simulation import Simulation
-from repro.wrench.storage import PageCache, SimpleStorageService, StorageService
-from repro.wrench.xrootd import Redirector
 
 __all__ = [
     "BareMetalComputeService",
     "DataFile",
     "FCFSScheduler",
-    "FileRegistry",
     "Job",
     "JobResult",
     "JobSpec",
-    "MonitorEvent",
-    "PageCache",
-    "ProxyCacheService",
-    "Redirector",
-    "ServiceMonitor",
-    "Simulation",
-    "SimpleStorageService",
-    "StorageService",
 ]

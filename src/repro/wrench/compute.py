@@ -12,7 +12,6 @@ reference system.
 from __future__ import annotations
 
 from collections import deque
-from collections import deque
 from collections.abc import Callable, Generator
 from typing import TYPE_CHECKING
 

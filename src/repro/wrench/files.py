@@ -1,20 +1,12 @@
-"""Data files and the file registry service.
+"""Data files.
 
 The case-study workload manipulates immutable input files (~427 MB each)
-and small per-job output files.  The :class:`FileRegistry` tracks which
-storage services hold a copy of which file — the role WRENCH's file
-registry service plays for its simulators.
+and small per-job output files.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from typing import TYPE_CHECKING
-
 from repro.simgrid.errors import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.wrench.storage import StorageService
 
 
 class DataFile:
@@ -36,33 +28,3 @@ class DataFile:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"DataFile({self.name!r}, {self.size:g})"
-
-
-class FileRegistry:
-    """Tracks which storage services hold which files."""
-
-    def __init__(self) -> None:
-        self._locations: dict[DataFile, set[StorageService]] = {}
-
-    def add_entry(self, file: DataFile, storage: StorageService) -> None:
-        self._locations.setdefault(file, set()).add(storage)
-
-    def remove_entry(self, file: DataFile, storage: StorageService) -> None:
-        holders = self._locations.get(file)
-        if holders is not None:
-            holders.discard(storage)
-            if not holders:
-                del self._locations[file]
-
-    def lookup(self, file: DataFile) -> list[StorageService]:
-        """All storage services currently holding a copy of ``file``."""
-        return sorted(self._locations.get(file, ()), key=lambda s: s.name)
-
-    def holds(self, file: DataFile, storage: StorageService) -> bool:
-        return storage in self._locations.get(file, ())
-
-    def files(self) -> Iterable[DataFile]:
-        return self._locations.keys()
-
-    def __len__(self) -> int:
-        return len(self._locations)

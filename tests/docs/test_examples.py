@@ -17,7 +17,7 @@ EXAMPLES = sorted((Path(__file__).resolve().parent.parent.parent / "examples").g
 
 
 def test_examples_are_found():
-    assert len(EXAMPLES) >= 12
+    assert len(EXAMPLES) >= 10
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)

@@ -201,34 +201,6 @@ def test_event_and_sharing_counters_increase():
     assert engine.sharing_update_count >= 2
 
 
-def test_resource_utilization_accounting():
-    engine = SimulationEngine()
-    r = Resource("cpu", 10.0)
-
-    def proc():
-        yield Activity("half", 50.0, {r: 1.0})
-
-    engine.add_process(proc(), "p")
-    engine.run()
-    # The resource was fully used for 5 s; utilisation over 10 s is 50%.
-    assert r.utilization(10.0) == pytest.approx(0.5, rel=1e-6)
-
-
-def test_utilization_follows_rate_changes_caused_on_another_resource():
-    """``X`` speeds up when ``A`` leaves ``r1``; nothing registers or
-    unregisters on ``r2`` then, yet ``r2`` carries ``X`` too and must
-    integrate 5/s for the first 2 s and 10/s for the 9 s after."""
-    engine = SimulationEngine()
-    r1, r2 = Resource("r1", 10.0), Resource("r2", 100.0)
-    engine.start_activity(Activity("A", 10.0, {r1: 1.0}))
-    engine.start_activity(Activity("X", 100.0, {r1: 1.0, r2: 1.0}))
-    assert engine.run() == pytest.approx(11.0)
-    assert r2.utilization(11.0) == pytest.approx(100.0 / (100.0 * 11.0))
-    assert r1.utilization(11.0) == pytest.approx(1.0)
-    # idle afterwards: the integral stops growing
-    assert r2.utilization(22.0) == pytest.approx(100.0 / (100.0 * 22.0))
-
-
 def test_negative_amount_rejected():
     r = Resource("cpu", 1.0)
     with pytest.raises(InvalidStateError):

@@ -309,13 +309,3 @@ class TestMultiResourceSharing:
             assert done <= activity.amount * (1 + 1e-4) + 1e-3
             if activity.is_done and activity in engine.work_done:
                 assert done == pytest.approx(activity.amount, rel=1e-4)
-        # ... and per resource: what its utilisation integrated is the work
-        # its users were delivered (the amounts asked for, less what a
-        # cancellation cut short), whichever event changed their rates.
-        for resource in resources:
-            delivered = sum(
-                done * activity.usages.get(resource, 0.0)
-                for activity, done in engine.work_done.items()
-            )
-            integrated = resource.utilization(end) * resource.capacity * end
-            assert integrated == pytest.approx(delivered, rel=1e-6, abs=1e-3)

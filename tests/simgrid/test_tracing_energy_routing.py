@@ -1,17 +1,10 @@
-"""Engine observers (tracing), the host energy model and topology routing."""
+"""Engine observers: the activity tracer."""
 
 import json
 
 import pytest
 
-from repro.simgrid import (
-    ActivityTracer,
-    EnergyMeter,
-    NetworkTopology,
-    Platform,
-    PlatformError,
-    PowerProfile,
-)
+from repro.simgrid import ActivityTracer, Platform
 
 
 def build_two_host_platform():
@@ -97,125 +90,3 @@ class TestActivityTracer:
         platform.engine.run()
         assert len(tracer) == 1
         assert tracer.records[0].canceled is True
-
-
-class TestEnergyMeter:
-    def test_idle_host_draws_idle_power(self):
-        platform, a, b, _ = build_two_host_platform()
-        meter = EnergyMeter()
-        meter.register(a, PowerProfile(idle_watts=100, loaded_watts=200))
-
-        def process():
-            yield b.exec_async("other-host-work", 1e9)
-
-        platform.engine.add_process(process(), "main")
-        platform.engine.run()
-        # Host a never computed: it pays exactly the idle wattage.
-        assert meter.energy(a, platform.engine.now) == pytest.approx(100 * platform.engine.now)
-
-    def test_busy_host_draws_interpolated_power(self):
-        platform, a, _, _ = build_two_host_platform()
-        meter = EnergyMeter()
-        meter.register(a, PowerProfile(idle_watts=100, loaded_watts=300))
-
-        def process():
-            yield a.exec_async("work", 2e9)  # one of the two cores busy for 2 s
-
-        platform.engine.add_process(process(), "main")
-        platform.engine.run()
-        now = platform.engine.now
-        assert now == pytest.approx(2.0, rel=1e-6)
-        # Average utilisation is 50% (one of two cores): power = 200 W.
-        assert meter.energy(a, now) == pytest.approx(200 * 2.0, rel=1e-3)
-
-    def test_report_totals_all_hosts(self):
-        platform, a, b, _ = build_two_host_platform()
-        meter = EnergyMeter()
-        meter.register_all([a, b], PowerProfile(idle_watts=50, loaded_watts=100))
-        platform.engine.run()
-        report = meter.report(0.0)
-        assert report["total"] == pytest.approx(report["alpha"] + report["beta"])
-
-    def test_unregistered_host_raises(self):
-        platform, a, _, _ = build_two_host_platform()
-        with pytest.raises(PlatformError):
-            EnergyMeter().energy(a, 1.0)
-
-    def test_power_profile_validation(self):
-        with pytest.raises(PlatformError):
-            PowerProfile(idle_watts=-1, loaded_watts=10)
-        with pytest.raises(PlatformError):
-            PowerProfile(idle_watts=100, loaded_watts=50)
-        profile = PowerProfile(idle_watts=100, loaded_watts=200)
-        assert profile.power_at(-0.5) == 100
-        assert profile.power_at(2.0) == 200
-
-
-class TestNetworkTopology:
-    def build_star(self):
-        """Two leaf hosts behind a router, plus a directly attached storage host."""
-        platform = Platform("topo")
-        h1 = platform.add_host("h1", 1e9)
-        h2 = platform.add_host("h2", 1e9)
-        storage = platform.add_host("storage", 1e9)
-        lan1 = platform.add_link("lan1", 1e9, latency=0.001)
-        lan2 = platform.add_link("lan2", 1e9, latency=0.001)
-        wan = platform.add_link("wan", 1e8, latency=0.05)
-        topo = NetworkTopology(platform)
-        for host in (h1, h2, storage):
-            topo.add_host(host)
-        topo.add_router("site-gw")
-        topo.connect("h1", "site-gw", lan1)
-        topo.connect("h2", "site-gw", lan2)
-        topo.connect("site-gw", "storage", wan)
-        return platform, topo
-
-    def test_apply_registers_all_host_pairs(self):
-        platform, topo = self.build_star()
-        count = topo.apply(weight="latency")
-        assert count == 3  # (h1,h2), (h1,storage), (h2,storage)
-        h1, storage = platform.host_by_name("h1"), platform.host_by_name("storage")
-        route = platform.route(h1, storage)
-        assert [link.name for link in route] == ["lan1", "wan"]
-
-    def test_bottleneck_link(self):
-        _, topo = self.build_star()
-        assert topo.bottleneck_link("h1", "storage").name == "wan"
-
-    def test_shortest_route_weight_policies(self):
-        platform = Platform("multi-path")
-        a = platform.add_host("a", 1e9)
-        b = platform.add_host("b", 1e9)
-        slow_direct = platform.add_link("direct", 1e6, latency=0.001)
-        fast1 = platform.add_link("fast1", 1e9, latency=0.001)
-        fast2 = platform.add_link("fast2", 1e9, latency=0.001)
-        topo = NetworkTopology(platform)
-        topo.add_host(a)
-        topo.add_host(b)
-        topo.add_router("mid")
-        topo.connect("a", "b", slow_direct)
-        topo.connect("a", "mid", fast1)
-        topo.connect("mid", "b", fast2)
-        by_hops = topo.shortest_route("a", "b", weight="hops")
-        by_cost = topo.shortest_route("a", "b", weight="transfer_cost")
-        assert [l.name for l in by_hops] == ["direct"]
-        assert [l.name for l in by_cost] == ["fast1", "fast2"]
-
-    def test_errors(self):
-        platform, topo = self.build_star()
-        with pytest.raises(PlatformError):
-            topo.connect("h1", "unknown-node", platform.links["lan1"])
-        with pytest.raises(PlatformError):
-            topo.connect("h1", "h1", platform.links["lan1"])
-        with pytest.raises(PlatformError):
-            topo.shortest_route("h1", "storage", weight="carbon")
-        with pytest.raises(PlatformError):
-            topo.add_router("h1")
-        with pytest.raises(PlatformError):
-            NetworkTopology(platform).shortest_route("nowhere", "h1")
-
-    def test_describe_mentions_every_edge(self):
-        _, topo = self.build_star()
-        text = topo.describe()
-        for name in ("lan1", "lan2", "wan"):
-            assert name in text

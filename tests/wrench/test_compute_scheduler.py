@@ -1,14 +1,12 @@
-"""Bare-metal compute service, FCFS scheduler and the simulation facade."""
+"""Bare-metal compute service and FCFS scheduler."""
 
 import pytest
 
 from repro.simgrid import Platform, Timeout
 from repro.simgrid.errors import SimulationError
 from repro.wrench.compute import BareMetalComputeService
-from repro.wrench.files import DataFile
 from repro.wrench.jobs import Job, JobSpec
 from repro.wrench.scheduler import FCFSScheduler
-from repro.wrench.simulation import Simulation
 
 
 def make_host(cores=2, speed=1e9):
@@ -91,49 +89,3 @@ class TestScheduler:
         p.engine.run()
         # Every job had its own core.
         assert all(j.wait_time == pytest.approx(0.0) for j in scheduler.jobs)
-
-
-class TestSimulationFacade:
-    def test_end_to_end_with_facade(self):
-        platform = Platform("facade")
-        node = platform.add_host("node", 1e9, 2)
-        remote = platform.add_host("remote", 1e9, 1)
-        link = platform.add_link("wan", 1e8, 0.0)
-        platform.add_route(node, remote, [link])
-        disk = platform.add_disk(node, "hdd", 1e8)
-        remote_disk = platform.add_disk(remote, "rdisk", 1e9)
-
-        sim = Simulation(platform)
-        local = sim.add_storage_service("local", node, disk, buffer_size=1e7)
-        origin = sim.add_storage_service("origin", remote, remote_disk, buffer_size=1e7)
-        sim.add_compute_service("cs", node)
-        sim.create_scheduler()
-
-        f = DataFile("input", 1e8)
-        sim.stage_file(f, "origin")
-        assert origin.has_file(f)
-
-        def body_factory(job):
-            def body(job_obj, host):
-                yield from origin.stream_file_to(local, f, platform, register=False)
-                yield host.exec_async("work", 1e9)
-
-            return body
-
-        specs = [JobSpec(f"j{i}", (f,), 1.0) for i in range(2)]
-        sim.submit_workload(specs, body_factory)
-        final_time = sim.run()
-        results = sim.job_results()
-        assert len(results) == 2
-        assert final_time > 0
-        assert sim.event_count > 0
-        assert {r.node_name for r in results} == {"node"}
-
-    def test_page_cache_creation(self):
-        platform = Platform("pc")
-        node = platform.add_host("node", 1e9, 1)
-        memory = platform.add_memory(node, "ram", 1e10)
-        sim = Simulation(platform)
-        cache = sim.add_page_cache("pc", node, memory, enabled=True)
-        assert cache.enabled
-        assert sim.page_caches["pc"] is cache

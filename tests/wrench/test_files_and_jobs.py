@@ -1,12 +1,11 @@
-"""Data files, the file registry, and job bookkeeping."""
+"""Data files and job bookkeeping."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simgrid import Platform
 from repro.simgrid.errors import SimulationError
-from repro.wrench.files import DataFile, FileRegistry
+from repro.wrench.files import DataFile
 from repro.wrench.jobs import (
     Job,
     JobResult,
@@ -15,14 +14,6 @@ from repro.wrench.jobs import (
     group_by_node,
     makespan,
 )
-from repro.wrench.storage import SimpleStorageService
-
-
-def make_storage(name="ss"):
-    p = Platform("p")
-    h = p.add_host("h", 1e9)
-    d = p.add_disk(h, f"{name}_disk", 1e8)
-    return SimpleStorageService(name, h, d, registry=FileRegistry())
 
 
 class TestDataFile:
@@ -37,35 +28,6 @@ class TestDataFile:
     def test_usable_in_sets(self):
         files = {DataFile("a", 1), DataFile("a", 2), DataFile("b", 1)}
         assert len(files) == 2
-
-
-class TestFileRegistry:
-    def test_add_lookup_remove(self):
-        registry = FileRegistry()
-        storage = make_storage()
-        f = DataFile("f", 100)
-        registry.add_entry(f, storage)
-        assert registry.lookup(f) == [storage]
-        assert registry.holds(f, storage)
-        registry.remove_entry(f, storage)
-        assert registry.lookup(f) == []
-        assert len(registry) == 0
-
-    def test_multiple_holders_sorted_by_name(self):
-        registry = FileRegistry()
-        s1, s2 = make_storage("a"), make_storage("b")
-        f = DataFile("f", 100)
-        registry.add_entry(f, s2)
-        registry.add_entry(f, s1)
-        assert [s.name for s in registry.lookup(f)] == ["a", "b"]
-
-    def test_storage_service_updates_registry(self):
-        storage = make_storage()
-        f = DataFile("f", 100)
-        storage.add_file(f)
-        assert storage.registry.holds(f, storage)
-        storage.delete_file(f)
-        assert not storage.registry.holds(f, storage)
 
 
 class TestJobSpec:
