@@ -37,7 +37,7 @@ def make_problem():
 
 
 def evaluate(space, objective, candidate):
-    """Unit-cube candidate -> objective value (what evaluate_unit does)."""
+    """Unit-cube candidate -> objective value (what a driver does per candidate)."""
     return objective(space.from_unit_array(space.clip_unit(candidate)))
 
 

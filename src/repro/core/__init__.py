@@ -44,13 +44,7 @@ from repro.core.budget import (
     remaining_evaluations,
 )
 from repro.core.calibrator import Calibrator
-from repro.core.evaluation import (
-    BudgetExhausted,
-    CacheBackend,
-    DictCache,
-    Evaluation,
-    Objective,
-)
+from repro.core.evaluation import CacheBackend, DictCache, Evaluation
 from repro.core.faults import (
     CircuitBreaker,
     CircuitOpen,
@@ -92,7 +86,6 @@ __all__ = [
     "BatchCalibrator",
     "BayesianOptimization",
     "Budget",
-    "BudgetExhausted",
     "CMAES",
     "CacheBackend",
     "CalibrationAlgorithm",
@@ -116,7 +109,6 @@ __all__ = [
     "LatinHypercubeSearch",
     "NelderMead",
     "NoImprovementStopper",
-    "Objective",
     "OrderedTellAdapter",
     "ParallelEvaluator",
     "Parameter",

@@ -47,12 +47,12 @@ Ordered algorithms still work under the asynchronous driver: the driver
 wraps them in :class:`~repro.core.async_driver.OrderedTellAdapter`, which
 buffers out-of-order completions and releases them in ask order.
 
-The paper's original blocking loop lives on as :meth:`run`, implemented
-once here as the *serial driver* (``ask(rng, 1)`` → evaluate → ``tell``
-until the objective raises
-:class:`~repro.core.evaluation.BudgetExhausted`), so seeded trajectories
-are byte-identical to the pre-ask/tell implementations — the parity test
-pins this against fixtures captured from the seed code.
+The paper's original blocking loop is the serial
+:class:`~repro.core.calibrator.Calibrator`: the one evaluation loop asking
+``ask(rng, 1)`` → evaluate → ``tell`` with one candidate in flight, so
+seeded trajectories are byte-identical to the pre-ask/tell
+implementations — the parity test pins this against fixtures captured
+from the seed code.
 
 Subclasses implement the protected hooks rather than ask/tell directly:
 
@@ -76,10 +76,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.evaluation import Objective
 from repro.core.parameters import ParameterSpace
 from repro.telemetry.metrics import registry as _metrics_registry
-from repro.telemetry.tracing import current_tracer
 
 _REGISTRY = _metrics_registry()
 
@@ -157,13 +155,6 @@ class CalibrationAlgorithm:
         if self._space is None:
             raise RuntimeError(f"{self.name}: call setup(space) before ask/tell")
         return self._space
-
-    @property
-    def is_ask_tell(self) -> bool:
-        """Whether this algorithm implements the native ask/tell hooks
-        (legacy subclasses that only override :meth:`run` do not, and can
-        neither be batched nor checkpointed)."""
-        return type(self)._generate is not CalibrationAlgorithm._generate
 
     def setup(self, space: ParameterSpace) -> None:
         """Bind the parameter space and reset all run state."""
@@ -379,49 +370,6 @@ class CalibrationAlgorithm:
             self._values = [float(v) for v in base["values"]]
         self._finished = bool(base["finished"])
         self._load_state_dict(state["state"])
-
-    # ------------------------------------------------------------------ #
-    # the serial driver (the paper's blocking loop, implemented once)
-    # ------------------------------------------------------------------ #
-    def run(
-        self, objective: Objective, space: ParameterSpace, rng: np.random.Generator
-    ) -> None:
-        """Explore the parameter space until the budget is exhausted.
-
-        Equivalent to the paper's per-algorithm blocking loops: candidates
-        are asked one at a time and evaluated immediately, so the seeded
-        trajectory is identical to the historical ``run()``
-        implementations.  Legacy subclasses may still override this
-        directly (losing batching and checkpointing).
-        """
-        self.setup(space)
-        self.serial_drive(objective, rng)
-
-    def serial_drive(
-        self,
-        objective: Objective,
-        rng: np.random.Generator,
-        on_step: Callable[[], None] | None = None,
-    ) -> None:
-        """Drive an already set-up (possibly restored) algorithm serially.
-
-        ``on_step`` runs after every completed evaluate+tell — the
-        checkpoint hook of :class:`~repro.core.calibrator.Calibrator`.
-        """
-        tracer = current_tracer()
-        while not self.done():
-            candidates = self.ask(rng, 1)
-            if not candidates:
-                break
-            for candidate in candidates:
-                with tracer.span("evaluation", driver="serial", algorithm=self.name) as span:
-                    value = objective.evaluate_unit(candidate)
-                    if span is not None:
-                        span.set(value=value)
-                    with tracer.span("tell"):
-                        self.tell([candidate], [value])
-                if on_step is not None:
-                    on_step()
 
     # ------------------------------------------------------------------ #
     # subclass hooks

@@ -1,9 +1,11 @@
-"""The pooled evaluation loop: asynchronous, out-of-order calibration driving.
+"""The evaluation loop: asynchronous, out-of-order calibration driving.
 
-This module holds the one event loop both pooled drivers run — claim →
-dispatch → settle → record → tell, with lease polling, failure
-settlement and checkpoint/restore.  The two drivers differ only in *when*
-freed workers are refilled, a policy fixed per class:
+This module holds the one event loop every driver runs — claim →
+dispatch → settle → record → tell, with lease re-claims, failure
+settlement and checkpoint/restore.  The three drivers differ only in a
+refill policy fixed per class:
+:class:`~repro.core.calibrator.Calibrator` keeps one candidate in flight
+and evaluates it inline (the paper's blocking loop);
 :class:`~repro.core.parallel.BatchCalibrator` (``_barrier = True``) runs
 lock-step generations — every ``k``-wide batch waits for its slowest
 evaluation before the next batch is asked — so with heavy-tailed
@@ -17,7 +19,7 @@ most of the time.  :class:`AsyncCalibrator` removes that barrier:
   future completes instead of waiting for batch-mates;
 * cache consultation uses the **non-blocking claim/lease protocol** of
   :class:`~repro.core.evaluation.CacheBackend`, so a point being computed
-  by a concurrent driver is simply *deferred* (polled between
+  by a concurrent driver is simply *deferred* (re-claimed between
   completions) while the pool keeps churning through fresh work.
 
 Algorithms participate at one of two levels:
@@ -51,14 +53,12 @@ import numpy as np
 
 from repro.core.algorithms import CalibrationAlgorithm, get_algorithm
 from repro.core.budget import Budget, EvaluationBudget, remaining_evaluations
-from repro.core.calibrator import CHECKPOINT_VERSION
 from repro.core.evaluation import (
+    CACHE_DECIMALS,
     CacheBackend,
     CacheKey,
     Claim,
     DictCache,
-    Objective,
-    lease_deadline,
     unit_cache_key,
 )
 from repro.core.faults import (
@@ -83,7 +83,10 @@ if TYPE_CHECKING:
 
 _REGISTRY = _metrics_registry()
 
-__all__ = ["AsyncCalibrator", "OrderedTellAdapter"]
+__all__ = ["AsyncCalibrator", "CHECKPOINT_VERSION", "OrderedTellAdapter"]
+
+#: checkpoint layout version (bumped on incompatible changes)
+CHECKPOINT_VERSION = 1
 
 
 class OrderedTellAdapter:
@@ -133,10 +136,10 @@ class _InFlight:
     seq: int
     candidate: np.ndarray  # as asked (told back verbatim)
     mapping: dict[str, float]
+    unit: np.ndarray  # round-tripped unit point (cache key and record)
     key: CacheKey
     started_at: float
     future: Future[Outcome] | None = None  # None: deferred (leased elsewhere)
-    lease_expires_at: float | None = None
     riders: list[tuple[int, np.ndarray]] = dataclasses.field(default_factory=list)
     span: Span | None = None  # open "evaluation" span (tracing enabled only)
     #: wall-clock at dispatch, for the driver-side hard deadline (None
@@ -150,15 +153,19 @@ class AsyncCalibrator:
     Keeps a :class:`~repro.core.parallel.ParallelEvaluator` pool saturated
     by asking speculatively whenever capacity frees up and telling results
     out of order as futures complete (see the module docstring for the
-    native/adapted split).  This class is the pooled event loop;
+    native/adapted split).  This class is the event loop;
     :class:`~repro.core.parallel.BatchCalibrator` subclasses it only to
-    fix the lock-step refill policy (``_barrier``).
+    fix the lock-step refill policy (``_barrier``), and
+    :class:`~repro.core.calibrator.Calibrator` to fix one inline
+    candidate in flight.
 
     Parameters
     ----------
     space, objective_function:
-        As for :class:`~repro.core.calibrator.Calibrator`; process-based
-        execution needs a picklable objective.
+        The parameter space, and the callable mapping a parameter-value
+        dictionary to the accuracy value to minimise (the case study uses
+        the MRE in percent); process-based execution needs a picklable
+        objective.
     algorithm, algorithm_options:
         Registry name (with constructor options) or a configured instance;
         must implement the native ask/tell hooks.
@@ -169,7 +176,7 @@ class AsyncCalibrator:
         deferred leases); defaults to ``workers``.  Raising it above
         ``workers`` queues extra work inside the executor so a completing
         worker never waits for the driver thread; lowering it to 1
-        degenerates to the serial driver.
+        gives the serial driver's trajectory.
     budget:
         Evaluation- or time-based budget (or a combination).  Evaluation
         budgets are charged at *dispatch* time, so the run performs
@@ -180,8 +187,8 @@ class AsyncCalibrator:
         As documented on :class:`~repro.core.parallel.BatchCalibrator`
         (which runs this same code), through the non-blocking claim/lease
         protocol: a candidate another driver is currently computing is
-        deferred — polled between completions,
-        taken over if the lease expires — instead of blocking the pool or
+        deferred — re-claimed between completions, taken over once the
+        lease is released or expires — instead of blocking the pool or
         being recomputed.  Deferred candidates are charged one budget unit
         like a dispatch (some driver is paying for the work now).
     ordered_tells:
@@ -233,11 +240,6 @@ class AsyncCalibrator:
     ) -> None:
         self.space = space
         self.algorithm = get_algorithm(algorithm, **(algorithm_options or {}))
-        if not self.algorithm.is_ask_tell:
-            raise ValueError(
-                f"algorithm {self.algorithm.name!r} does not implement the ask/tell "
-                "protocol (legacy run()-only algorithms cannot be driven asynchronously)"
-            )
         if ordered_tells is None:
             self.ordered_tells = not self.algorithm.supports_async_tell
         else:
@@ -261,7 +263,11 @@ class AsyncCalibrator:
         self.failure_policy = failure_policy
         self.eval_timeout = eval_timeout
         self.failures = 0
+        self.quarantine_skips = 0
         self._breaker: CircuitBreaker | None = None
+        #: an inline evaluator runs the objective inside ``submit``, so the
+        #: driver can time it as a ``simulate`` span
+        self._inline = getattr(self.evaluator, "mode", None) == "serial"
         self.max_pending = int(workers) if max_pending is None else int(max_pending)
         if self.max_pending < 1:
             raise ValueError("max_pending must be at least 1")
@@ -277,7 +283,11 @@ class AsyncCalibrator:
             per_point = eval_timeout * attempts + backoff
             rounds = -(-self.max_pending // max(int(workers), 1))
             self._hard_timeout = per_point * rounds + max(5.0, per_point)
+        #: the caller's budget (reported in the result) and the one the
+        #: loop enforces — the same object unless a subclass adds a
+        #: stopping criterion to it
         self.budget = budget if budget is not None else EvaluationBudget(100)
+        self._budget: Budget = self.budget
         self.seed = seed
         if isinstance(cache, CacheBackend):
             self._cache: CacheBackend | None = cache
@@ -291,19 +301,29 @@ class AsyncCalibrator:
         self.deferred_hits = 0  # points resolved from a concurrent driver's lease
         self._rng: np.random.Generator | None = None
         self._resume_elapsed = 0.0
-        #: serialized history records, memoized across checkpoints exactly
-        #: like the serial calibrator's (records are append-only)
+        #: serialized history records, memoized across checkpoints
+        #: (records are append-only)
         self._serialized_history: list[dict[str, Any]] = []
 
     # ------------------------------------------------------------------ #
     # checkpointing
     # ------------------------------------------------------------------ #
     def checkpoint(self) -> dict[str, Any]:
-        """A JSON-compatible snapshot of the run, in the exact format of
-        :meth:`repro.core.calibrator.Calibrator.checkpoint` (same
-        ``CHECKPOINT_VERSION``, same keys), so the job spool persists both
-        interchangeably and an async snapshot can even be finished by the
-        serial driver.
+        """A JSON-compatible snapshot of the run, in one format for every
+        driver, so the job spool persists them interchangeably and an
+        async snapshot can even be finished by the serial driver::
+
+            {"version": 1,                        # CHECKPOINT_VERSION
+             "algorithm": <registry name>,        # checked on restore
+             "seed": <int>,
+             "elapsed": <wall-clock seconds spent so far>,
+             "rng_state": <numpy bit-generator state>,
+             "algorithm_state": <CalibrationAlgorithm.state_dict()>,
+             "history": [<evaluation dict>, ...]} # serialization module format
+
+        History serialization is memoized: records are immutable and
+        append-only, so each periodic checkpoint only serializes the
+        evaluations since the last one.
 
         The in-flight ledger is snapshotted through the algorithm's own
         ``state_dict()``: candidates asked but not yet told — dispatched
@@ -339,8 +359,8 @@ class AsyncCalibrator:
         }
 
     def _restore(self, checkpoint: dict[str, Any], rng: np.random.Generator) -> None:
-        """Rebuild driver state from a snapshot (the async counterpart of
-        :meth:`Calibrator._restore` plus :meth:`Objective.preload`)."""
+        """Rebuild driver state from a snapshot: algorithm, rng, history,
+        cache and budget accounting continue where the snapshot stopped."""
         version = checkpoint.get("version")
         if version != CHECKPOINT_VERSION:
             raise ValueError(
@@ -359,7 +379,7 @@ class AsyncCalibrator:
         for entry in checkpoint.get("history", []):
             evaluation = evaluation_from_dict(entry)
             unit = np.asarray(evaluation.unit, dtype=float)
-            key = unit_cache_key(unit, Objective.CACHE_DECIMALS)
+            key = unit_cache_key(unit, CACHE_DECIMALS)
             if evaluation.cached:
                 self.cache_hits += 1
                 if self.count_cache_hits and key not in self._seen:
@@ -412,6 +432,7 @@ class AsyncCalibrator:
         self.cache_hits = 0
         self.deferred_hits = 0
         self.failures = 0
+        self.quarantine_skips = 0
         self._breaker = (
             self.failure_policy.breaker() if self.failure_policy is not None else None
         )
@@ -430,12 +451,14 @@ class AsyncCalibrator:
         self._checkpoint_every = int(checkpoint_every)
         self._on_checkpoint = on_checkpoint
         self._last_checkpoint_len = len(self.evaluator.history)
-        self.budget.start(self._resume_elapsed)
+        self._budget.start(self._resume_elapsed)
         self.evaluator.reset_clock(self._resume_elapsed)
-        #: per-seq record metadata (mapping, started_at, finished_at,
-        #: cached, failed), parked alongside the adapter's buffer until
-        #: the seq is released
-        self._meta: dict[int, tuple[dict[str, float], float, float, bool, bool]] = {}
+        #: per-seq record metadata (mapping, unit, started_at,
+        #: finished_at, cached, failed), parked alongside the adapter's
+        #: buffer until the seq is released
+        self._meta: dict[
+            int, tuple[dict[str, float], np.ndarray, float, float, bool, bool]
+        ] = {}
         self._tracer = current_tracer()
         # Instruments are looked up once per run, only when telemetry is
         # on: the disabled hot path costs one attribute check per use.
@@ -457,6 +480,15 @@ class AsyncCalibrator:
             self._m_riders = self._reg.counter(
                 "repro_async_riders_total",
                 "In-run revisits served by riding on an in-flight point.")
+            self._m_obj_hits = self._reg.counter(
+                "repro_objective_cache_hits_total",
+                "Evaluations answered from the cache.")
+            self._m_evals = self._reg.counter(
+                "repro_objective_evaluations_total",
+                "Actual simulator invocations (cache misses).")
+            self._m_eval_seconds = self._reg.histogram(
+                "repro_objective_evaluation_seconds",
+                "Wall-clock per simulator invocation.")
 
         self._root = self._tracer.begin(
             "calibration", driver=self._driver, algorithm=self.algorithm.name, seed=self.seed
@@ -545,7 +577,7 @@ class AsyncCalibrator:
         while (
             len(self._pending) + width <= self.max_pending
             and not self.algorithm.done()
-            and not self.budget.exhausted(self._budget_units)
+            and not self._budget.exhausted(self._budget_units)
         ):
             candidates = self.algorithm.ask(rng, width)
             if not candidates:
@@ -566,11 +598,11 @@ class AsyncCalibrator:
         a batch asked wider than the remaining budget can produce.
         """
         seq, self._seq = self._seq, self._seq + 1
-        unit = self.space.clip_unit(candidate)
-        mapping = self.space.from_unit_array(unit)
-        # Round-tripped key, exactly like Objective._cache_key, so that
+        mapping = self.space.from_unit_array(self.space.clip_unit(candidate))
+        # Round-tripped unit (the key and the history record), so that
         # non-injective parameters (integers) collapse onto one entry.
-        key = unit_cache_key(self.space.to_unit_array(mapping), Objective.CACHE_DECIMALS)
+        unit = self.space.to_unit_array(mapping)
+        key = unit_cache_key(unit, CACHE_DECIMALS)
 
         # An identical point already in flight *within this run*: ride on
         # it instead of claiming or dispatching again (the in-run revisit
@@ -587,11 +619,11 @@ class AsyncCalibrator:
             claim = Claim(Claim.CLAIMED)
 
         # A dispatch costs 1, so does a leased or quarantined point; a hit
-        # costs 1 only when it is first-seen and counting is on (serial
-        # Objective semantics), so a warm run stops at the cold run's total.
+        # costs 1 only when it is first-seen and counting is on, so a warm
+        # run stops at the cold run's total.
         counted_hit = self.count_cache_hits and key not in self._seen
         charge = 1 if claim.status != Claim.HIT or counted_hit else 0
-        remaining = remaining_evaluations(self.budget, self._budget_units)
+        remaining = remaining_evaluations(self._budget, self._budget_units)
         if remaining is not None and charge > remaining:
             if claim.status == Claim.CLAIMED and self._cache is not None:
                 # The claim announced this run's responsibility for a
@@ -603,14 +635,12 @@ class AsyncCalibrator:
         if claim.status == Claim.HIT:
             self._budget_units += charge
             self._seen.add(key)
-            self.cache_hits += 1
-            if self._reg is not None:
-                self._m_hits.inc()
+            self._count_hit()
             span = self._tracer.begin(
                 "evaluation", parent=self._root, driver=self._driver, seq=seq
             )
             at = self.evaluator.elapsed
-            self._resolve(seq, candidate, mapping, claim.value, at, at, cached=True)
+            self._resolve(seq, candidate, mapping, unit, claim.value, at, at, cached=True)
             self._tracer.end(span, cached=True, value=claim.value)
             return True
 
@@ -623,11 +653,11 @@ class AsyncCalibrator:
             # budget charge, no dispatch and no lease wait.  (Without a
             # failure policy the claim falls through to a dispatch — the
             # run re-attempts the point, pre-quarantine behavior.)
-            self._skip_quarantined(seq, candidate, mapping, key, claim.failure)
+            self._skip_quarantined(seq, candidate, mapping, unit, key, claim.failure)
             return True
 
         entry = _InFlight(
-            seq=seq, candidate=candidate, mapping=mapping, key=key,
+            seq=seq, candidate=candidate, mapping=mapping, unit=unit, key=key,
             started_at=self.evaluator.elapsed,
             span=self._tracer.begin(
                 "evaluation", parent=self._root, driver=self._driver, seq=seq
@@ -635,12 +665,10 @@ class AsyncCalibrator:
         )
         self._budget_units += 1  # dispatch (or deferred lease) charge
         if claim.status == Claim.LEASED:
-            entry.lease_expires_at = lease_deadline(claim.expires_at)
             if self._reg is not None:
                 self._m_deferred.inc()
         else:
-            entry.future = self.evaluator.submit(mapping)
-            entry.dispatched_wall = time.time()
+            self._dispatch(entry)
             if self._reg is not None:
                 self._m_dispatched.inc()
         self._pending.append(entry)
@@ -650,23 +678,35 @@ class AsyncCalibrator:
             self._inflight_keys[key] = entry
         return True
 
+    def _dispatch(self, entry: _InFlight) -> None:
+        """Submit one entry to the evaluator; an inline evaluator runs the
+        objective right here, inside a ``simulate`` span."""
+        span = self._tracer.begin("simulate", parent=entry.span) if self._inline else None
+        entry.future = self.evaluator.submit(entry.mapping)
+        self._tracer.end(span)
+        entry.dispatched_wall = time.time()
+
     def _await_completions(self) -> None:
         """Block until at least one pending entry can be resolved."""
         futures = {e.future: e for e in self._pending if e.future is not None}
         deferred = [e for e in self._pending if e.future is None]
         if futures:
-            timeout = self._POLL_WITH_FUTURES if deferred else None
-            if self._hard_timeout is not None:
-                # Bound the wait by the earliest hard deadline so a wedged
-                # worker is noticed even with nothing else to poll.
-                deadline = min(
-                    e.dispatched_wall + self._hard_timeout
-                    for e in futures.values()
-                    if e.dispatched_wall is not None
-                )
-                slack = max(deadline - time.time(), 0.01)
-                timeout = slack if timeout is None else min(timeout, slack)
-            done, _ = wait(futures, timeout=timeout, return_when=FIRST_COMPLETED)
+            # Futures already done (always so for an inline evaluator) are
+            # taken without a wait() call.
+            done = [future for future in futures if future.done()]
+            if not done:
+                timeout = self._POLL_WITH_FUTURES if deferred else None
+                if self._hard_timeout is not None:
+                    # Bound the wait by the earliest hard deadline so a
+                    # wedged worker is noticed even with nothing else to poll.
+                    deadline = min(
+                        e.dispatched_wall + self._hard_timeout
+                        for e in futures.values()
+                        if e.dispatched_wall is not None
+                    )
+                    slack = max(deadline - time.time(), 0.01)
+                    timeout = slack if timeout is None else min(timeout, slack)
+                done, _ = wait(futures, timeout=timeout, return_when=FIRST_COMPLETED)
             for future in done:
                 self._complete(futures[future])
             if not done:
@@ -702,8 +742,7 @@ class AsyncCalibrator:
         for entry in innocent:
             # Their futures died with the killed pool through no fault of
             # their own evaluation: dispatch them again, deadline reset.
-            entry.future = self.evaluator.submit(entry.mapping)
-            entry.dispatched_wall = time.time()
+            self._dispatch(entry)
         for entry in stalled:
             elapsed = now - (entry.dispatched_wall or now)
             self._deliver_failure(
@@ -738,10 +777,13 @@ class AsyncCalibrator:
             self._cache.put(entry.key, entry.mapping, value)
         if self._breaker is not None:
             self._breaker.record(None)
+        if self._reg is not None:
+            self._m_evals.inc()
+            self._m_eval_seconds.observe(duration)
         self._seen.add(entry.key)
         self._remove(entry)
         self._resolve(
-            entry.seq, entry.candidate, entry.mapping, value,
+            entry.seq, entry.candidate, entry.mapping, entry.unit, value,
             started_at, finished_at, cached=False,
         )
         self._tracer.end(entry.span, cached=False, value=value, duration_in_worker=duration)
@@ -757,9 +799,12 @@ class AsyncCalibrator:
         failure: EvaluationFailure,
         quarantined: bool,
     ) -> None:
-        """Shared failure bookkeeping: metrics, quarantine persistence
-        (for fresh failures), circuit-breaker accounting."""
-        self.failures += 1
+        """Shared failure bookkeeping: counters and metrics, quarantine
+        persistence (for fresh failures), circuit-breaker accounting."""
+        if quarantined:
+            self.quarantine_skips += 1
+        else:
+            self.failures += 1
         if self._reg is not None:
             if quarantined:
                 self._reg.counter(
@@ -771,6 +816,11 @@ class AsyncCalibrator:
                     "repro_eval_failures_total",
                     EVAL_METRIC_HELP["repro_eval_failures_total"],
                 ).inc()
+                if failure.attempts > 1:
+                    self._reg.counter(
+                        "repro_eval_retries_total",
+                        EVAL_METRIC_HELP["repro_eval_retries_total"],
+                    ).inc(failure.attempts - 1)
                 if failure.kind == "timeout":
                     self._reg.counter(
                         "repro_eval_timeouts_total",
@@ -801,7 +851,7 @@ class AsyncCalibrator:
             finished_at = self.evaluator.elapsed
             started_at = max(finished_at - duration, entry.started_at)
             self._resolve(
-                entry.seq, entry.candidate, entry.mapping, penalty,
+                entry.seq, entry.candidate, entry.mapping, entry.unit, penalty,
                 started_at, finished_at, cached=False, failed=True,
             )
             self._tracer.end(entry.span, failed=True, value=penalty)
@@ -817,6 +867,7 @@ class AsyncCalibrator:
         seq: int,
         candidate: np.ndarray,
         mapping: dict[str, float],
+        unit: np.ndarray,
         key: CacheKey,
         failure: EvaluationFailure,
     ) -> None:
@@ -831,7 +882,7 @@ class AsyncCalibrator:
                 "evaluation", parent=self._root, driver=self._driver, seq=seq
             )
             at = self.evaluator.elapsed
-            self._resolve(seq, candidate, mapping, penalty, at, at,
+            self._resolve(seq, candidate, mapping, unit, penalty, at, at,
                           cached=False, failed=True)
             self._tracer.end(span, failed=True, quarantined=True, value=penalty)
             if self._breaker is not None:
@@ -840,61 +891,43 @@ class AsyncCalibrator:
         raise EvaluationFailed(failure)
 
     def _poll_deferred(self, deferred: list[_InFlight]) -> None:
-        """Resolve leased points that were published, take over expired ones."""
+        """Re-claim each deferred point: one claim answers whether it was
+        published (hit), quarantined, released or expired (claimed: take
+        the computation over) or is still leased (keep waiting)."""
         for entry in deferred:
-            value = self._cache.poll(entry.key, entry.mapping)
-            if value is not None:
+            claim = self._cache.claim(entry.key, entry.mapping)
+            if claim.status == Claim.LEASED:
+                continue
+            if claim.status == Claim.HIT:
                 self._seen.add(entry.key)
-                self.cache_hits += 1
+                self._count_hit()
                 self.deferred_hits += 1
-                if self._reg is not None:
-                    self._m_hits.inc()
                 self._remove(entry)
                 at = self.evaluator.elapsed
-                self._resolve(entry.seq, entry.candidate, entry.mapping, value,
-                              at, at, cached=True)
-                self._tracer.end(entry.span, cached=True, leased=True, value=value)
-                self._resolve_riders(entry, value)
-                continue
-            if self.failure_policy is not None:
-                # The leader may have quarantined the point instead of
-                # publishing: its lease was *released* on failure, so the
-                # failure record — not lease expiry — is the signal.
-                known = self._cache.get_failure(entry.key, entry.mapping)
-                if known is not None:
-                    self._deliver_failure(entry, known, quarantined=True)
-                    continue
-            if entry.lease_expires_at is not None and time.time() >= entry.lease_expires_at:
-                claim = self._cache.claim(entry.key, entry.mapping)
-                if claim.status == Claim.HIT:
-                    continue  # published between poll and claim: next poll gets it
-                if claim.status == Claim.QUARANTINED and claim.failure is not None:
-                    if self.failure_policy is not None:
-                        self._deliver_failure(entry, claim.failure, quarantined=True)
-                        continue
-                    # No policy: re-attempt the point ourselves (pre-
-                    # quarantine behavior) by taking the claim over below.
-                    entry.future = self.evaluator.submit(entry.mapping)
-                    entry.dispatched_wall = time.time()
-                    entry.started_at = self.evaluator.elapsed
-                    entry.lease_expires_at = None
-                elif claim.status == Claim.CLAIMED:
-                    # Lease takeover: the original owner died; compute it
-                    # ourselves (the defer already paid the budget charge).
-                    entry.future = self.evaluator.submit(entry.mapping)
-                    entry.dispatched_wall = time.time()
-                    entry.started_at = self.evaluator.elapsed
-                    entry.lease_expires_at = None
-                else:
-                    # A backend that reports no expiry must still allow a
-                    # takeover retry, or a dead leader would hang the drain.
-                    entry.lease_expires_at = lease_deadline(claim.expires_at)
+                self._resolve(entry.seq, entry.candidate, entry.mapping, entry.unit,
+                              claim.value, at, at, cached=True)
+                self._tracer.end(entry.span, cached=True, leased=True, value=claim.value)
+                self._resolve_riders(entry, claim.value)
+            elif (
+                claim.status == Claim.QUARANTINED
+                and claim.failure is not None
+                and self.failure_policy is not None
+            ):
+                # The leader quarantined the point instead of publishing.
+                self._deliver_failure(entry, claim.failure, quarantined=True)
+            else:
+                # The lease was released or expired (or, without a failure
+                # policy, the point is quarantined and is re-attempted):
+                # compute it ourselves — the defer paid the budget charge.
+                entry.started_at = self.evaluator.elapsed
+                self._dispatch(entry)
 
     def _resolve(
         self,
         seq: int,
         candidate: np.ndarray,
         mapping: dict[str, float],
+        unit: np.ndarray,
         value: float,
         started_at: float,
         finished_at: float,
@@ -908,7 +941,7 @@ class AsyncCalibrator:
         lands in ask order — byte-for-byte the serial sequence; native
         tells and their records land immediately, in completion order.
         """
-        self._meta[seq] = (mapping, started_at, finished_at, cached, failed)
+        self._meta[seq] = (mapping, unit, started_at, finished_at, cached, failed)
         if self._adapter is None:
             self.algorithm.tell([candidate], [value])
             self._record(seq, value)
@@ -919,7 +952,7 @@ class AsyncCalibrator:
                 self._record(released_seq, released_value)
 
     def _record(self, seq: int, value: float) -> None:
-        mapping, started_at, finished_at, cached, failed = self._meta.pop(seq)
+        mapping, unit, started_at, finished_at, cached, failed = self._meta.pop(seq)
         if cached and not self.record_cache_hits:
             return
         history = self.evaluator.history
@@ -927,7 +960,7 @@ class AsyncCalibrator:
             Evaluation(
                 index=len(history),
                 values=dict(mapping),
-                unit=tuple(float(u) for u in self.space.to_unit_array(mapping)),
+                unit=tuple(float(u) for u in unit),
                 value=value,
                 started_at=started_at,
                 finished_at=finished_at,
@@ -946,18 +979,23 @@ class AsyncCalibrator:
         if self._cache is not None:
             self._inflight_keys.pop(entry.key, None)
 
+    def _count_hit(self) -> None:
+        self.cache_hits += 1
+        if self._reg is not None:
+            self._m_hits.inc()
+            self._m_obj_hits.inc()
+
     def _resolve_riders(self, entry: _InFlight, value: float) -> None:
         """In-run revisits of a just-resolved point are served from its
-        result (free cache hits, as in the serial driver)."""
+        result (free cache hits, as a one-at-a-time run would have them)."""
         for rider_seq, rider_candidate in entry.riders:
-            self.cache_hits += 1
-            if self._reg is not None:
-                self._m_hits.inc()
+            self._count_hit()
             span = self._tracer.begin(
                 "evaluation", parent=self._root, driver=self._driver, seq=rider_seq
             )
             at = self.evaluator.elapsed
-            self._resolve(rider_seq, rider_candidate, entry.mapping, value, at, at, cached=True)
+            self._resolve(rider_seq, rider_candidate, entry.mapping, entry.unit, value,
+                          at, at, cached=True)
             self._tracer.end(span, cached=True, rider=True, value=value)
         entry.riders = []
 

@@ -311,8 +311,7 @@ class BatchCalibrator(AsyncCalibrator):
         blocking hold-and-wait backend would risk.  Leased points are
         charged one budget unit like a dispatch.
     record_cache_hits, count_cache_hits:
-        Same semantics as on :class:`~repro.core.evaluation.Objective`:
-        when recording, hits enter the history as zero-duration
+        When recording, hits enter the history as zero-duration
         ``cached=True`` records; when counting, *first-seen* hits — points
         served from pre-existing shared-store work — charge the budget
         while in-run revisits stay free.  Records land in ask order, hits

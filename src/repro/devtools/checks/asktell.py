@@ -2,7 +2,7 @@
 
 PR 2 redesigned every algorithm around one batched protocol: the public
 surface (``setup``/``ask``/``tell``/``done``/``state_dict``/
-``load_state_dict``/``run``) lives on ``CalibrationAlgorithm`` and is
+``load_state_dict``) lives on ``CalibrationAlgorithm`` and is
 *final* — drivers, the checkpoint machinery, and the async ledger all
 assume its exact semantics — while subclasses customize through the
 underscore hooks (``_setup``/``_generate``/``_observe``/``_state_dict``/
@@ -40,8 +40,6 @@ FINAL_METHODS = {
     "done",
     "state_dict",
     "load_state_dict",
-    "run",
-    "serial_drive",
 }
 #: hooks every algorithm must define (RPL401)
 REQUIRED_HOOKS = ("_setup", "_generate", "_state_dict", "_load_state_dict")

@@ -1,7 +1,7 @@
 """The calibration service: jobs, a shared evaluation store, a server.
 
 The paper's protocol runs one calibration at a time and every
-:class:`~repro.core.evaluation.Objective` cache dies with its calibrator;
+evaluation cache dies with its calibrator;
 this subpackage turns the library into a long-lived service that absorbs
 calibration traffic:
 
@@ -11,9 +11,8 @@ calibration traffic:
 * :mod:`repro.service.cache` — :class:`StoreBackedCache`, the adapter
   that plugs the store into any calibrator, with single-flight
   deduplication of identical in-flight evaluations through the store's
-  non-blocking claim/lease protocol (serial drivers wait for the
-  leader's result; batch/async drivers defer the point and keep their
-  workers busy);
+  non-blocking claim/lease protocol (a driver defers a leased point
+  and re-claims it until the leader publishes, fails or expires);
 * :mod:`repro.service.jobs` / :mod:`repro.service.server` — submitted
   :class:`CalibrationRequest` objects scheduled over a bounded worker
   pool, streaming progress events;

@@ -1,5 +1,5 @@
-"""Bridging :class:`~repro.service.store.EvaluationStore` into
-:class:`~repro.core.evaluation.Objective`.
+"""Bridging :class:`~repro.service.store.EvaluationStore` into the
+calibration drivers' evaluation cache.
 
 :class:`StoreBackedCache` implements the
 :class:`~repro.core.evaluation.CacheBackend` interface on top of a shared
@@ -14,25 +14,21 @@ store's non-blocking claim/lease protocol
 (:meth:`~repro.service.store.EvaluationStore.claim`): when several
 concurrent jobs — threads of one server, or separate processes over a
 SQLite store — reach the same not-yet-stored point, exactly one claims it
-and computes; the others see a *lease* and either wait for the published
-result (the serial :meth:`get` path) or keep dispatching other work and
-poll the point later (the batch/async :meth:`claim`/:meth:`poll` path).
-Leases expire, so a leader that dies without publishing or cancelling can
-only stall its points for the lease TTL before another driver takes the
-computation over — there is no hold-and-wait and therefore no deadlock,
-which is what allows batch drivers holding many candidates in flight to
-share a deduplicating cache (the previous design had to forbid that
-combination outright).
+and computes; the others see a *lease*, keep dispatching other work and
+re-:meth:`~StoreBackedCache.claim` the point later.  A leader that fails
+releases its lease, so the next re-claim takes the computation over at
+once; leases also expire, so a leader that dies without publishing or
+cancelling can only stall its points for the lease TTL.  Nothing ever
+blocks inside the cache — there is no hold-and-wait and therefore no
+deadlock, even for drivers holding many candidates in flight.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 import uuid
 from collections.abc import Mapping
 
-from repro.core.evaluation import CacheBackend, Claim, lease_deadline
+from repro.core.evaluation import CacheBackend, Claim
 from repro.core.faults import EvaluationFailure
 from repro.service.store import DEFAULT_LEASE_TTL, EvaluationStore, StoreClaim, StoredFailure
 
@@ -62,18 +58,17 @@ class StoreBackedCache(JobCache):
     dedupe_in_flight:
         When true (default), misses go through the store's claim/lease
         single-flight protocol: one owner computes each point, the others
-        reuse its result.  The serial :meth:`get` path waits (bounded by
-        the lease TTL) for a leased point; the :meth:`claim` path used by
-        batch/async drivers never waits — it reports the lease and lets
-        the driver keep its workers busy elsewhere.  When false the cache
+        reuse its result.  :meth:`claim` never waits — it reports the
+        lease and lets the driver keep its workers busy elsewhere.  When
+        false the cache
         degrades to plain store memoisation (no leases, concurrent
         identical points may be computed twice).
     lease_ttl:
         Seconds before an unpublished claim can be taken over by another
         owner.  Make it comfortably longer than one simulator invocation.
 
-    Thread/process-safety: every method is a single atomic store call (or
-    a bounded wait around them), and independent instances over the same
+    Thread/process-safety: every method is a single atomic store call, and
+    independent instances over the same
     SQLite store file deduplicate across processes.  The single-flight
     *owner* identity is per-instance and re-entrant (re-claiming renews
     the lease), so bind **one instance per driver/job** — the server does
@@ -81,8 +76,6 @@ class StoreBackedCache(JobCache):
     instance would both be treated as the leader renewing its own lease
     and both would compute.
     """
-
-    _WAITERS_ATTR = "_inflight_waiters"
 
     def __init__(
         self,
@@ -98,72 +91,25 @@ class StoreBackedCache(JobCache):
         self.owner = uuid.uuid4().hex
         self.hits = 0
         self.misses = 0
-        self.waited = 0
-        # A condition shared by every cache over the same store instance:
-        # in-process waiters are woken by put()/cancel() immediately instead
-        # of sleeping out their poll interval (cross-process waiters rely on
-        # the timeout and re-poll the store).
-        cond = getattr(store, self._WAITERS_ATTR, None)
-        if cond is None:
-            cond = threading.Condition()
-            setattr(store, self._WAITERS_ATTR, cond)
-        self._cond: threading.Condition = cond
 
     # ------------------------------------------------------------------ #
-    # CacheBackend interface: serial path
+    # CacheBackend interface
     # ------------------------------------------------------------------ #
     def get(self, key, values: Mapping[str, float]) -> float | None:
-        """Store lookup; on a leased point, wait (bounded) for its value.
-
-        Returning ``None`` means the caller owns the computation and must
-        finish it with :meth:`put` or :meth:`cancel` — with
-        ``dedupe_in_flight`` a lease was written under this cache's owner
-        id, without it nothing was announced.
-        """
-        if not self.dedupe_in_flight:
-            stored = self.store.get(self.fingerprint, values)
-            if stored is not None:
-                self.hits += 1
-                return stored
-            self.misses += 1
-            return None
-        while True:
-            claim = self.store.claim(
-                self.fingerprint, values, self.owner, ttl=self.lease_ttl
-            )
-            if claim.status == StoreClaim.HIT:
-                self.hits += 1
-                return claim.value
-            if claim.status == StoreClaim.CLAIMED:
-                self.misses += 1
-                return None
-            if claim.status == StoreClaim.QUARANTINED:
-                # Known-bad point: report a miss so a fault-aware objective
-                # finds the diagnosis via get_failure() next; a fault-unaware
-                # caller recomputes it, which is the pre-quarantine behavior.
-                self.misses += 1
-                return None
-            # Leased to another owner: wait for its publish (or for the
-            # lease to expire, upon which the next claim() takes over).
-            # The wait is bounded — never hold-and-wait — and in-process
-            # publishers notify the condition so the common case wakes
-            # immediately.
-            self.waited += 1
-            remaining = lease_deadline(claim.expires_at, ttl=0.0) - time.time()
-            with self._cond:
-                self._cond.wait(timeout=min(max(remaining, 0.001), 0.05))
+        """Plain store lookup: never waits, never announces a computation."""
+        stored = self.store.get(self.fingerprint, values)
+        if stored is not None:
+            self.hits += 1
+            return stored
+        self.misses += 1
+        return None
 
     def put(self, key, values: Mapping[str, float], value: float) -> None:
         self.store.put(self.fingerprint, values, value)  # also drops the lease
-        self._notify()
 
     def cancel(self, key, values: Mapping[str, float]) -> None:
         self.store.release(self.fingerprint, values, self.owner)
-        self._notify()
 
-    # ------------------------------------------------------------------ #
-    # CacheBackend interface: non-blocking batch/async path
-    # ------------------------------------------------------------------ #
     def claim(self, key, values: Mapping[str, float]) -> Claim:
         """Non-blocking single-flight claim (see :class:`Claim`)."""
         if not self.dedupe_in_flight:
@@ -179,17 +125,13 @@ class StoreBackedCache(JobCache):
             return Claim(Claim.QUARANTINED, failure=_to_core_failure(outcome.failure))
         return Claim(Claim.LEASED, expires_at=outcome.expires_at)
 
-    def poll(self, key, values: Mapping[str, float]) -> float | None:
-        """Has a point leased to another owner been published yet?"""
-        return self.store.peek(self.fingerprint, values)
-
     # ------------------------------------------------------------------ #
     # CacheBackend interface: failure quarantine
     # ------------------------------------------------------------------ #
     def mark_failed(self, key, values: Mapping[str, float], failure: EvaluationFailure) -> None:
         """Quarantine the point in the shared store (releases its lease, so
         concurrent drivers deferring behind it learn the failure at their
-        next poll instead of waiting out the TTL)."""
+        next re-claim instead of waiting out the TTL)."""
         self.store.record_failure(
             self.fingerprint,
             values,
@@ -197,15 +139,10 @@ class StoreBackedCache(JobCache):
             kind=failure.kind,
             attempts=failure.attempts,
         )
-        self._notify()
 
     def get_failure(self, key, values: Mapping[str, float]) -> EvaluationFailure | None:
         stored = self.store.get_failure(self.fingerprint, values)
         return None if stored is None else _to_core_failure(stored)
-
-    def _notify(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
 
 
 def _to_core_failure(stored: StoredFailure) -> EvaluationFailure:

@@ -70,9 +70,6 @@ class StoreReadCache(JobCache):
             return Claim(Claim.QUARANTINED, failure=known)
         return Claim(Claim.CLAIMED)
 
-    def poll(self, key: CacheKey, values: Mapping[str, float]) -> float | None:
-        return self.store.peek(self.fingerprint, values)
-
     def get_failure(
         self, key: CacheKey, values: Mapping[str, float]
     ) -> EvaluationFailure | None:

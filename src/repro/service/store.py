@@ -468,9 +468,10 @@ class EvaluationStore:
         * stored already -> ``hit`` with the value;
         * quarantined -> ``quarantined`` with the recorded failure (the
           caller should treat the point as failed, not recompute it);
-        * unexpired lease held by a *different* owner -> ``leased`` (poll
-          :meth:`get` for the published value, or re-``claim`` after
-          ``expires_at`` to take the computation over);
+        * unexpired lease held by a *different* owner -> ``leased``
+          (re-``claim`` later: that answers with the published value, the
+          failure record, or the computation once the lease is released
+          or past ``expires_at``);
         * otherwise -> ``claimed``: a lease for ``owner`` is written
           (re-claiming one's own point renews the lease) and the caller
           must finish it with :meth:`put` or :meth:`release`.

@@ -80,7 +80,8 @@ class TestSerialParityWithSeedImplementations:
 class TestProtocol:
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_all_builtin_algorithms_are_native_ask_tell(self, name):
-        assert get_algorithm(name).is_ask_tell
+        algorithm = get_algorithm(name)
+        assert type(algorithm)._generate is not CalibrationAlgorithm._generate
 
     def test_ask_before_setup_raises(self):
         algorithm = get_algorithm("random")
@@ -182,23 +183,3 @@ class TestRegistryKwargs:
         )
         assert calibrator.algorithm.population_size == 6
         assert calibrator.run().evaluations == 12
-
-
-class TestLegacyRunOverride:
-    def test_legacy_algorithm_still_works_through_calibrator(self):
-        class Legacy(CalibrationAlgorithm):
-            name = "legacy-fixed-point"
-
-            def run(self, objective, space, rng):
-                while True:
-                    objective.evaluate_unit(np.full(space.dimension, 0.5))
-                    objective.evaluate_unit(space.sample_unit(rng))
-
-        legacy = Legacy()
-        assert not legacy.is_ask_tell
-        space = make_space(2)
-        result = Calibrator(
-            space, quadratic_objective(space), algorithm=legacy,
-            budget=EvaluationBudget(9), seed=0,
-        ).run()
-        assert result.evaluations == 9

@@ -162,15 +162,6 @@ class TestBatchedDriving:
         assert calls["n"] == 6
         assert result.evaluations == 6
         assert len(told) == 9
-        class Legacy(CalibrationAlgorithm):
-            name = "legacy"
-
-            def run(self, objective, space, rng):  # pragma: no cover - stub
-                pass
-
-        space = make_space(2)
-        with pytest.raises(ValueError):
-            BatchCalibrator(space, quadratic(space), algorithm=Legacy())
 
 
 class TestCacheConsultation:
@@ -232,7 +223,7 @@ class TestCacheConsultation:
         """Records land in ask order: on a cache holding every other
         point, hits and dispatched evaluations interleave in the batched
         history exactly as the serial driver records them."""
-        from repro.core.evaluation import Objective, unit_cache_key
+        from repro.core.evaluation import CACHE_DECIMALS, unit_cache_key
 
         space = make_space(2)
         settings = dict(
@@ -244,7 +235,7 @@ class TestCacheConsultation:
         def half_warm():
             cache = DictCache()
             for evaluation in cold.history[::2]:
-                key = unit_cache_key(np.asarray(evaluation.unit), Objective.CACHE_DECIMALS)
+                key = unit_cache_key(np.asarray(evaluation.unit), CACHE_DECIMALS)
                 cache.put(key, evaluation.values, evaluation.value)
             return cache
 
@@ -257,7 +248,7 @@ class TestCacheConsultation:
         assert [e.cached for e in batched.history] == [e.cached for e in serial.history]
 
     def test_integer_parameters_share_one_cache_entry_and_charge(self):
-        """Keys are built from the round-tripped unit (Objective's
+        """Keys are built from the round-tripped unit (the one cache-key
         canonicalization): two asked units collapsing onto one integer
         point cost one dispatch and one budget unit, as in serial."""
 

@@ -1,11 +1,12 @@
-"""Budgets, evaluation history and the budget-aware objective wrapper."""
+"""Budgets, evaluation history and budget-aware objective evaluation."""
 
 import time
 
 import pytest
 
 from repro.core.budget import CombinedBudget, EvaluationBudget, TimeBudget
-from repro.core.evaluation import BudgetExhausted, Objective
+from repro.core.calibrator import Calibrator
+from repro.core.evaluation import CACHE_DECIMALS, DictCache, unit_cache_key
 from repro.core.history import CalibrationHistory, Evaluation
 from repro.core.parameters import Parameter, ParameterSpace
 
@@ -91,17 +92,18 @@ class TestHistory:
 
 
 class TestObjective:
-    def test_records_history_and_best(self):
-        space = make_space()
-        objective = Objective(lambda v: v["x"] + v["y"], space)
-        objective.start()
-        objective.evaluate({"x": 4.0, "y": 8.0})
-        objective.evaluate({"x": 2.0, "y": 2.0})
-        assert objective.evaluation_count == 2
-        assert objective.best.value == pytest.approx(4.0)
-        assert objective.best_values() == {"x": 2.0, "y": 2.0}
+    """The objective as the serial driver evaluates it: history, best
+    point, cache and budget."""
 
-    def test_cache_hits_do_not_consume_budget(self):
+    def test_records_history_and_best(self, scripted):
+        space = make_space()
+        algorithm = scripted(space, [{"x": 4.0, "y": 8.0}, {"x": 2.0, "y": 2.0}])
+        result = Calibrator(space, lambda v: v["x"] + v["y"], algorithm=algorithm).run()
+        assert result.evaluations == 2
+        assert result.best_value == pytest.approx(4.0)
+        assert result.best_values == {"x": 2.0, "y": 2.0}
+
+    def test_cache_hits_do_not_consume_budget(self, scripted):
         space = make_space()
         calls = []
 
@@ -109,27 +111,27 @@ class TestObjective:
             calls.append(values)
             return values["x"]
 
-        objective = Objective(fn, space, budget=EvaluationBudget(2))
-        objective.start()
-        objective.evaluate({"x": 4.0, "y": 8.0})
-        objective.evaluate({"x": 4.0, "y": 8.0})  # cache hit
-        assert len(calls) == 1
-        objective.evaluate({"x": 2.0, "y": 2.0})
-        with pytest.raises(BudgetExhausted):
-            objective.evaluate({"x": 8.0, "y": 8.0})
+        a, b, c = {"x": 4.0, "y": 8.0}, {"x": 2.0, "y": 2.0}, {"x": 8.0, "y": 8.0}
+        algorithm = scripted(space, [a, a, b, c])  # the second `a` is a cache hit
+        cache = DictCache()
+        result = Calibrator(space, fn, algorithm=algorithm,
+                            budget=EvaluationBudget(2), cache=cache).run()
+        assert calls == [a, b]  # `c` is past the budget
+        assert result.evaluations == 2
+        assert algorithm.told == pytest.approx([4.0, 4.0, 2.0])
         # Cached points can still be queried after exhaustion.
-        assert objective.evaluate({"x": 4.0, "y": 8.0}) == pytest.approx(4.0)
+        key = unit_cache_key(space.to_unit_array(a), CACHE_DECIMALS)
+        assert cache.get(key, a) == pytest.approx(4.0)
 
-    def test_cache_can_be_disabled(self):
+    def test_cache_can_be_disabled(self, scripted):
         space = make_space()
         calls = []
-        objective = Objective(lambda v: calls.append(1) or 0.0, space, cache=False)
-        objective.start()
-        objective.evaluate({"x": 4.0, "y": 8.0})
-        objective.evaluate({"x": 4.0, "y": 8.0})
+        point = {"x": 4.0, "y": 8.0}
+        Calibrator(space, lambda v: calls.append(1) or 0.0,
+                   algorithm=scripted(space, [point, point]), cache=False).run()
         assert len(calls) == 2
 
-    def test_evaluate_unit_clips_and_converts(self):
+    def test_evaluate_unit_clips_and_converts(self, scripted):
         space = make_space()
         seen = {}
 
@@ -137,16 +139,14 @@ class TestObjective:
             seen.update(values)
             return 0.0
 
-        objective = Objective(fn, space)
-        objective.start()
-        objective.evaluate_unit([2.0, -1.0])
+        Calibrator(space, fn, algorithm=scripted(space, [[2.0, -1.0]])).run()
         assert seen["x"] == pytest.approx(2.0**10)
         assert seen["y"] == pytest.approx(1.0)
 
-    def test_best_values_before_any_evaluation_raises(self):
-        objective = Objective(lambda v: 0.0, make_space())
-        with pytest.raises(ValueError):
-            objective.best_values()
+    def test_best_values_before_any_evaluation_raises(self, scripted):
+        space = make_space()
+        with pytest.raises(RuntimeError, match="before a single evaluation"):
+            Calibrator(space, lambda v: 0.0, algorithm=scripted(space, [])).run()
 
     def test_evaluation_dataclass_duration(self):
         e = Evaluation(0, {"x": 1.0}, (0.1,), 5.0, 1.0, 3.5)

@@ -1,14 +1,12 @@
-"""Pluggable Objective cache backends and cache-hit accounting."""
+"""Pluggable evaluation-cache backends and cache-hit accounting."""
 
 import pytest
 
 from repro.core import (
-    BudgetExhausted,
     CacheBackend,
     Calibrator,
     DictCache,
     EvaluationBudget,
-    Objective,
     Parameter,
     ParameterSpace,
 )
@@ -39,106 +37,113 @@ class RecordingBackend(CacheBackend):
         self.calls.append(("cancel", key))
 
 
-class TestPluggableBackend:
-    def test_custom_backend_receives_gets_and_puts(self):
-        backend = RecordingBackend()
-        objective = Objective(lambda v: v["x"], make_space(), cache=backend)
-        objective.evaluate({"x": 4.0, "y": 8.0})
-        objective.evaluate({"x": 4.0, "y": 8.0})
-        kinds = [kind for kind, _ in backend.calls]
-        assert kinds == ["get", "put", "get"]
-        assert objective.cache_hits == 1
-        assert objective.evaluation_count == 1
+A = {"x": 4.0, "y": 8.0}
+B = {"x": 2.0, "y": 2.0}
 
-    def test_prewarmed_backend_avoids_the_simulator(self):
+
+class TestPluggableBackend:
+    def test_custom_backend_receives_gets_and_puts(self, scripted):
         space = make_space()
         backend = RecordingBackend()
-        probe = Objective(lambda v: v["x"] * 10.0, space, cache=backend)
-        probe.evaluate({"x": 4.0, "y": 8.0})
+        calibrator = Calibrator(space, lambda v: v["x"],
+                                algorithm=scripted(space, [A, A]), cache=backend)
+        result = calibrator.run()
+        kinds = [kind for kind, _ in backend.calls]
+        assert kinds == ["get", "put", "get"]
+        assert calibrator.cache_hits == 1
+        assert result.evaluations == 1
+
+    def test_prewarmed_backend_avoids_the_simulator(self, scripted):
+        space = make_space()
+        backend = RecordingBackend()
+        Calibrator(space, lambda v: v["x"] * 10.0,
+                   algorithm=scripted(space, [A]), cache=backend).run()
 
         calls = []
-        warm = Objective(lambda v: calls.append(v) or 0.0, space, cache=backend)
-        assert warm.evaluate({"x": 4.0, "y": 8.0}) == 40.0
+        algorithm = scripted(space, [A])
+        warm = Calibrator(space, lambda v: calls.append(v) or 0.0, algorithm=algorithm,
+                          cache=backend, record_cache_hits=True)
+        warm.run()
+        assert algorithm.told == [40.0]
         assert calls == []
         assert warm.cache_hits == 1
 
-    def test_cache_true_builds_a_dict_cache(self):
-        objective = Objective(lambda v: v["x"], make_space(), cache=True)
-        objective.evaluate({"x": 4.0, "y": 8.0})
-        objective.evaluate({"x": 4.0, "y": 8.0})
-        assert objective.cache_hits == 1
+    def test_cache_true_builds_a_dict_cache(self, scripted):
+        space = make_space()
+        calibrator = Calibrator(space, lambda v: v["x"],
+                                algorithm=scripted(space, [A, A]), cache=True)
+        calibrator.run()
+        assert calibrator.cache_hits == 1
 
-    def test_failing_function_cancels_the_announced_computation(self):
+    def test_failing_function_cancels_the_announced_computation(self, scripted):
+        space = make_space()
         backend = RecordingBackend()
 
         def broken(values):
             raise RuntimeError("boom")
 
-        objective = Objective(broken, make_space(), cache=backend)
+        calibrator = Calibrator(space, broken, algorithm=scripted(space, [A]), cache=backend)
         with pytest.raises(RuntimeError):
-            objective.evaluate({"x": 4.0, "y": 8.0})
+            calibrator.run()
         assert ("cancel", backend.calls[0][1]) in backend.calls
 
-    def test_budget_exhaustion_cancels_too(self):
+    def test_budget_exhaustion_announces_nothing(self, scripted):
+        space = make_space()
         backend = RecordingBackend()
-        objective = Objective(lambda v: v["x"], make_space(),
-                              budget=EvaluationBudget(1), cache=backend)
-        objective.start()
-        objective.evaluate({"x": 4.0, "y": 8.0})
-        with pytest.raises(BudgetExhausted):
-            objective.evaluate({"x": 2.0, "y": 2.0})
-        assert [kind for kind, _ in backend.calls] == ["get", "put", "get", "cancel"]
+        calibrator = Calibrator(space, lambda v: v["x"], algorithm=scripted(space, [A, B]),
+                                budget=EvaluationBudget(1), cache=backend)
+        calibrator.run()
+        # The loop stops asking once the budget is spent, so the point
+        # past it is never claimed and there is no claim to cancel.
+        assert [kind for kind, _ in backend.calls] == ["get", "put"]
 
 
 class TestCacheHitRecording:
-    def test_hits_recorded_when_asked(self):
-        objective = Objective(lambda v: v["x"], make_space(), record_cache_hits=True)
-        objective.evaluate({"x": 4.0, "y": 8.0})
-        objective.evaluate({"x": 4.0, "y": 8.0})
-        assert len(objective.history) == 2
-        assert [e.cached for e in objective.history] == [False, True]
-        assert objective.evaluation_count == 1
-        assert objective.steps == 2
+    def test_hits_recorded_when_asked(self, scripted):
+        space = make_space()
+        algorithm = scripted(space, [A, A])
+        result = Calibrator(space, lambda v: v["x"], algorithm=algorithm,
+                            record_cache_hits=True).run()
+        assert len(result.history) == 2
+        assert [e.cached for e in result.history] == [False, True]
+        assert result.evaluations == 1
+        assert len(algorithm.told) == 2
 
-    def test_hits_not_recorded_by_default(self):
-        objective = Objective(lambda v: v["x"], make_space())
-        objective.evaluate({"x": 4.0, "y": 8.0})
-        objective.evaluate({"x": 4.0, "y": 8.0})
-        assert len(objective.history) == 1
+    def test_hits_not_recorded_by_default(self, scripted):
+        space = make_space()
+        result = Calibrator(space, lambda v: v["x"], algorithm=scripted(space, [A, A])).run()
+        assert len(result.history) == 1
 
-    def test_counted_first_seen_hits_exhaust_the_budget(self):
+    def test_counted_first_seen_hits_exhaust_the_budget(self, scripted):
         # A backend prewarmed by earlier work: every hit replays a paid-for
         # invocation, so each distinct point charges the budget once.
         space = make_space()
         backend = RecordingBackend()
-        probe = Objective(lambda v: v["x"], space, cache=backend)
-        for x in (2.0, 4.0, 8.0, 16.0):
-            probe.evaluate({"x": x, "y": 2.0})
+        points = [{"x": x, "y": 2.0} for x in (2.0, 4.0, 8.0, 16.0)]
+        Calibrator(space, lambda v: v["x"], algorithm=scripted(space, points),
+                   cache=backend).run()
 
-        warm = Objective(lambda v: v["x"], space, budget=EvaluationBudget(3),
-                         cache=backend, record_cache_hits=True, count_cache_hits=True)
-        warm.start()
-        warm.evaluate({"x": 2.0, "y": 2.0})
-        warm.evaluate({"x": 4.0, "y": 2.0})
-        warm.evaluate({"x": 8.0, "y": 2.0})
-        with pytest.raises(BudgetExhausted):
-            warm.evaluate({"x": 16.0, "y": 2.0})
+        algorithm = scripted(space, points)
+        calls = []
+        warm = Calibrator(space, lambda v: calls.append(v) or v["x"], algorithm=algorithm,
+                          budget=EvaluationBudget(3), cache=backend,
+                          record_cache_hits=True, count_cache_hits=True).run()
+        assert algorithm.told == [2.0, 4.0, 8.0]  # the fourth is past the budget
+        assert calls == []
+        assert [e.cached for e in warm.history] == [True, True, True]
 
-    def test_in_run_revisits_stay_free_when_counting(self):
+    def test_in_run_revisits_stay_free_when_counting(self, scripted):
         # Revisits of a point the run itself evaluated do not consume
         # budget — identical to the paper's default cache semantics, so a
         # cold service run matches a plain calibrator even for algorithms
         # that revisit points (grid corners, coordinate/pattern stalls).
-        objective = Objective(lambda v: v["x"], make_space(),
-                              budget=EvaluationBudget(2),
-                              record_cache_hits=True, count_cache_hits=True)
-        objective.start()
-        objective.evaluate({"x": 4.0, "y": 8.0})
-        for _ in range(5):
-            objective.evaluate({"x": 4.0, "y": 8.0})  # free revisits
-        objective.evaluate({"x": 2.0, "y": 2.0})
-        with pytest.raises(BudgetExhausted):
-            objective.evaluate({"x": 8.0, "y": 8.0})
+        space = make_space()
+        algorithm = scripted(space, [A] * 6 + [B, {"x": 8.0, "y": 8.0}])
+        result = Calibrator(space, lambda v: v["x"], algorithm=algorithm,
+                            budget=EvaluationBudget(2),
+                            record_cache_hits=True, count_cache_hits=True).run()
+        assert algorithm.told == [4.0] * 6 + [2.0]  # five free revisits, then B
+        assert result.evaluations == 2
 
     def test_cold_service_semantics_match_plain_for_revisiting_algorithms(self):
         # The reviewer's scenario: 'coordinate' revisits points in-run; a

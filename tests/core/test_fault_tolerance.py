@@ -28,7 +28,6 @@ from repro.core import (
     RetryPolicy,
     TransientEvaluationError,
 )
-from repro.core.evaluation import Objective
 from repro.core.faults import (
     KIND_DETERMINISTIC,
     KIND_TIMEOUT,
@@ -189,24 +188,23 @@ class TestOutcomeTypes:
         failure = EvaluationFailure("boom", kind="timeout", attempts=2, elapsed=1.5)
         assert EvaluationFailure.from_dict(failure.to_dict()) == failure
 
-    def test_failed_history_record_roundtrip(self):
+    def test_failed_history_record_roundtrip(self, scripted):
         space = make_space(1)
-        objective = Objective(
-            lambda v: (_ for _ in ()).throw(ValueError("poison")),
+        result = Calibrator(
             space,
+            lambda v: (_ for _ in ()).throw(ValueError("poison")),
+            algorithm=scripted(space, [[0.5]]),
             failure_policy=FailurePolicy(penalty=123.0),
-        )
-        objective.evaluate(space.from_unit_array(np.asarray([0.5])))
-        record = objective.history[0]
+        ).run()
+        record = result.history[0]
         assert record.failed and record.value == 123.0
         clone = evaluation_from_dict(evaluation_to_dict(record))
         assert clone.failed and clone == record
 
-    def test_clean_record_dict_has_no_failed_key(self):
+    def test_clean_record_dict_has_no_failed_key(self, scripted):
         space = make_space(1)
-        objective = Objective(lambda v: 1.0, space)
-        objective.evaluate(space.from_unit_array(np.asarray([0.5])))
-        assert "failed" not in evaluation_to_dict(objective.history[0])
+        result = Calibrator(space, lambda v: 1.0, algorithm=scripted(space, [[0.5]])).run()
+        assert "failed" not in evaluation_to_dict(result.history[0])
 
     def test_failure_policy_validates_on_failure(self):
         with pytest.raises(ValueError):
@@ -239,7 +237,9 @@ class TestCircuitBreaker:
 
 
 class TestObjectiveFailurePaths:
-    def test_penalty_policy_keeps_going(self):
+    """Failure outcomes of single evaluations under the serial driver."""
+
+    def test_penalty_policy_keeps_going(self, scripted):
         space = make_space(2)
         base = quadratic(space)
 
@@ -248,32 +248,33 @@ class TestObjectiveFailurePaths:
                 raise ValueError("poison region")
             return base(values)
 
-        objective = Objective(
-            sometimes_broken, space, budget=EvaluationBudget(10),
+        algorithm = scripted(space, [[0.1, 0.5], [0.9999, 0.5]])  # good, then bad
+        calibrator = Calibrator(
+            space, sometimes_broken, algorithm=algorithm, budget=EvaluationBudget(10),
             failure_policy=FailurePolicy(penalty=1e6),
         )
-        good = space.from_unit_array(np.asarray([0.1, 0.5]))
-        bad = space.from_unit_array(np.asarray([0.9999, 0.5]))
-        assert objective.evaluate(good) < 1e6
-        assert objective.evaluate(bad) == 1e6
-        assert objective.failures == 1
-        assert objective.history[1].failed
+        result = calibrator.run()
+        assert algorithm.told[0] < 1e6
+        assert algorithm.told[1] == 1e6
+        assert calibrator.failures == 1
+        assert result.history[1].failed
 
-    def test_raise_policy_records_then_raises(self):
+    def test_raise_policy_records_then_raises(self, scripted):
         space = make_space(1)
-        objective = Objective(
-            lambda v: (_ for _ in ()).throw(ValueError("poison")),
+        calibrator = Calibrator(
             space,
+            lambda v: (_ for _ in ()).throw(ValueError("poison")),
+            algorithm=scripted(space, [[0.5]]),
             failure_policy=FailurePolicy(on_failure="raise"),
         )
         with pytest.raises(EvaluationFailed):
-            objective.evaluate(space.from_unit_array(np.asarray([0.5])))
-        assert objective.failures == 1
+            calibrator.run()
+        assert calibrator.failures == 1
         # Raise-policy failures are not history records (the run aborts),
         # but the point is quarantined for the next run sharing the cache.
-        assert len(objective.history) == 0
+        assert len(calibrator.evaluator.history) == 0
 
-    def test_quarantined_point_is_not_reevaluated(self):
+    def test_quarantined_point_is_not_reevaluated(self, scripted):
         space = make_space(1)
         calls = []
 
@@ -281,30 +282,61 @@ class TestObjectiveFailurePaths:
             calls.append(1)
             raise ValueError("poison")
 
-        cache = DictCache()
-        objective = Objective(
-            poison, space, cache=cache, failure_policy=FailurePolicy(penalty=50.0),
+        algorithm = scripted(space, [[0.5], [0.5]])
+        calibrator = Calibrator(
+            space, poison, algorithm=algorithm, cache=DictCache(),
+            failure_policy=FailurePolicy(penalty=50.0),
         )
-        point = space.from_unit_array(np.asarray([0.5]))
-        assert objective.evaluate(point) == 50.0
-        assert objective.evaluate(point) == 50.0
+        calibrator.run()
+        assert algorithm.told == [50.0, 50.0]
         assert len(calls) == 1  # the second serve came from quarantine
-        assert objective.failures == 1
-        assert objective.quarantine_skips == 1
+        assert calibrator.failures == 1
+        assert calibrator.quarantine_skips == 1
 
-    def test_quarantine_skips_charge_the_budget(self):
+    def test_quarantine_skips_charge_the_budget(self, scripted):
         space = make_space(1)
         cache = DictCache()
         cache.mark_failed(
             (0.5,), {}, EvaluationFailure("poisoned elsewhere"),
         )
-        objective = Objective(
-            lambda v: 1.0, space, budget=EvaluationBudget(2), cache=cache,
-            failure_policy=FailurePolicy(penalty=9.0),
+        algorithm = scripted(space, [[0.5]] * 3)
+        calibrator = Calibrator(
+            space, lambda v: 1.0, algorithm=algorithm, budget=EvaluationBudget(2),
+            cache=cache, failure_policy=FailurePolicy(penalty=9.0),
         )
-        point = space.from_unit_array(np.asarray([0.5]))
-        assert objective.evaluate(point) == 9.0
-        assert objective.steps == 1  # the skip consumed a step
+        calibrator.run()
+        # Each skip consumed a budget unit: the third ask is past the budget.
+        assert algorithm.told == [9.0, 9.0]
+        assert calibrator.quarantine_skips == 2
+
+    def test_evaluations_count_penalized_quarantine_skips(self, scripted):
+        # Every penalized record is a non-cached history entry, and the
+        # result counts those — the skip included — as evaluations.
+        space = make_space(1)
+        result = Calibrator(
+            space, lambda v: (_ for _ in ()).throw(ValueError("poison")),
+            algorithm=scripted(space, [[0.5], [0.5]]), cache=DictCache(),
+            failure_policy=FailurePolicy(penalty=50.0),
+        ).run()
+        assert [e.failed for e in result.history] == [True, True]
+        assert result.evaluations == 2
+
+    def test_quarantined_point_is_reattempted_without_a_failure_policy(self, scripted):
+        # A retry policy alone settles no failures, so a quarantined point
+        # is evaluated again, and its success heals the quarantine.
+        space = make_space(1)
+        cache = DictCache()
+        cache.mark_failed((0.5,), {}, EvaluationFailure("poisoned elsewhere"))
+        calls = []
+        algorithm = scripted(space, [[0.5]])
+        result = Calibrator(
+            space, lambda v: calls.append(v) or 4.0, algorithm=algorithm, cache=cache,
+            retry_policy=RetryPolicy(max_attempts=2, backoff=0.001, backoff_max=0.002),
+        ).run()
+        assert len(calls) == 1
+        assert algorithm.told == [4.0]
+        assert not result.history[0].failed
+        assert cache.get_failure((0.5,), {}) is None
 
     def test_success_heals_quarantine_in_dict_cache(self):
         cache = DictCache()
@@ -313,7 +345,7 @@ class TestObjectiveFailurePaths:
         cache.put((0.5,), {}, 3.0)
         assert cache.get_failure((0.5,), {}) is None
 
-    def test_retry_policy_recovers_transients_invisibly(self):
+    def test_retry_policy_recovers_transients_invisibly(self, scripted):
         space = make_space(1)
         attempts = []
 
@@ -323,28 +355,30 @@ class TestObjectiveFailurePaths:
                 raise TransientEvaluationError("first attempt fails")
             return 5.0
 
-        objective = Objective(
-            flaky, space,
+        algorithm = scripted(space, [[0.5]])
+        calibrator = Calibrator(
+            space, flaky, algorithm=algorithm,
             retry_policy=RetryPolicy(max_attempts=2, backoff=0.001, backoff_max=0.002),
         )
-        assert objective.evaluate(space.from_unit_array(np.asarray([0.5]))) == 5.0
-        assert objective.failures == 0
-        assert len(objective.history) == 1
-        assert not objective.history[0].failed
+        result = calibrator.run()
+        assert algorithm.told == [5.0]
+        assert calibrator.failures == 0
+        assert len(result.history) == 1
+        assert not result.history[0].failed
 
-    def test_circuit_breaker_aborts_a_broken_objective(self):
+    def test_circuit_breaker_aborts_a_broken_objective(self, scripted):
         space = make_space(1)
-        objective = Objective(
-            lambda v: (_ for _ in ()).throw(ValueError("always broken")),
+        calibrator = Calibrator(
             space,
+            lambda v: (_ for _ in ()).throw(ValueError("always broken")),
+            algorithm=scripted(space, [[index / 10.0] for index in range(10)]),
             failure_policy=FailurePolicy(
                 penalty=1e6, failure_rate_threshold=0.5, min_samples=4,
             ),
         )
         with pytest.raises(CircuitOpen):
-            for index in range(10):
-                objective.evaluate(space.from_unit_array(np.asarray([index / 10.0])))
-        assert objective.failures >= 4
+            calibrator.run()
+        assert calibrator.failures >= 4
 
 
 class TestDriverFailurePaths:

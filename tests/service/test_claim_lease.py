@@ -179,34 +179,3 @@ class TestStoreBackedCacheClaims:
         b = StoreBackedCache(store, "fp", dedupe_in_flight=False)
         assert a.claim((), POINT).status == Claim.CLAIMED
         assert b.claim((), POINT).status == Claim.CLAIMED
-
-    def test_serial_get_waits_for_the_leader(self):
-        """The serial Objective path still shares in-flight work: a get()
-        on a leased point returns the leader's published value."""
-        import threading
-
-        store = InMemoryStore()
-        leader = StoreBackedCache(store, "fp")
-        follower = StoreBackedCache(store, "fp")
-        assert leader.get((), POINT) is None  # leader claims
-        seen = {}
-
-        def wait_for_value():
-            seen["value"] = follower.get((), POINT)
-
-        thread = threading.Thread(target=wait_for_value)
-        thread.start()
-        time.sleep(0.01)
-        leader.put((), POINT, 4.5)
-        thread.join(timeout=5.0)
-        assert seen["value"] == 4.5
-        assert follower.waited >= 1
-
-    def test_get_takes_over_an_expired_lease(self):
-        store = InMemoryStore()
-        dead = StoreBackedCache(store, "fp", lease_ttl=0.02)
-        live = StoreBackedCache(store, "fp", lease_ttl=0.02)
-        assert dead.get((), POINT) is None  # claims, never publishes
-        assert live.get((), POINT) is None  # waits out the TTL, takes over
-        live.put((), POINT, 2.0)
-        assert live.get((), POINT) == 2.0

@@ -16,7 +16,7 @@ from repro.core import (
     Parameter,
     ParameterSpace,
 )
-from repro.core.evaluation import Claim, Objective
+from repro.core.evaluation import Claim
 from repro.service import (
     InMemoryStore,
     JobSpool,
@@ -205,7 +205,7 @@ class TestSecondJobSkipsQuarantine:
     def _space(self):
         return ParameterSpace([Parameter("p0", 2.0**10, 2.0**30)])
 
-    def test_objective_skips_a_peer_quarantined_point(self):
+    def test_objective_skips_a_peer_quarantined_point(self, scripted):
         space = self._space()
         store = InMemoryStore()
         point = space.from_unit_array(np.asarray([0.5]))
@@ -213,11 +213,12 @@ class TestSecondJobSkipsQuarantine:
         def poison(values):
             raise ValueError("segfault at this parameter vector")
 
-        job1 = Objective(
-            poison, space, cache=StoreBackedCache(store, FP),
+        first = scripted(space, [point])
+        Calibrator(
+            space, poison, algorithm=first, cache=StoreBackedCache(store, FP),
             failure_policy=FailurePolicy(penalty=1e6),
-        )
-        assert job1.evaluate(point) == 1e6
+        ).run()
+        assert first.told == [1e6]
         assert store.failure_count() == 1
 
         calls = []
@@ -226,11 +227,13 @@ class TestSecondJobSkipsQuarantine:
             calls.append(dict(values))
             return 1.0
 
-        job2 = Objective(
-            counting, space, cache=StoreBackedCache(store, FP),
+        second = scripted(space, [point])
+        job2 = Calibrator(
+            space, counting, algorithm=second, cache=StoreBackedCache(store, FP),
             failure_policy=FailurePolicy(penalty=1e6),
         )
-        assert job2.evaluate(point) == 1e6
+        job2.run()
+        assert second.told == [1e6]
         assert calls == []  # never re-evaluated
         assert job2.quarantine_skips == 1
 
