@@ -14,7 +14,16 @@ import time
 from pathlib import Path
 from collections.abc import Callable, Sequence
 
-from repro.core import ALGORITHMS, EvaluationBudget, TimeBudget
+from repro.core import (
+    ALGORITHMS,
+    CacheBackend,
+    EvaluationBudget,
+    FailurePolicy,
+    RetryPolicy,
+    RunConfig,
+    TimeBudget,
+)
+from repro.core.faults import DEFAULT_PENALTY
 from repro.core.metrics import METRICS
 from repro.hepsim import CaseStudyProblem, GroundTruthGenerator, Scenario
 from repro.hepsim.scenario import PAPER_ICD_VALUES, REDUCED_ICD_VALUES
@@ -71,21 +80,31 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fault_policies(args: argparse.Namespace):
-    """Translate the calibrate parser's fault-tolerance flags into core
-    policies (``None``/``None`` when no flag was given, which keeps every
-    trajectory byte-identical to a fault-tolerance-unaware run)."""
-    from repro.core.faults import FailurePolicy, RetryPolicy
-
-    retry_policy = RetryPolicy(max_attempts=args.retries + 1) if args.retries > 0 else None
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """Build the calibrate command's run configuration from its flags,
+    rejecting (``ValueError``) a flag the configuration would silently
+    ignore.  No fault flag gives ``RunConfig()``, which keeps every
+    trajectory byte-identical to a fault-tolerance-unaware run; ``--store``
+    turns on cache-hit replay."""
+    if args.max_pending is not None and not args.use_async:
+        raise ValueError("--max-pending needs --async")
+    if args.retries < 0:
+        raise ValueError(f"--retries must be at least 0, not {args.retries}")
     failure_policy = None
     if args.on_failure is not None or args.max_failure_rate is not None:
         failure_policy = FailurePolicy(
             on_failure=args.on_failure or "penalty",
-            penalty=args.penalty,
+            penalty=DEFAULT_PENALTY if args.penalty is None else args.penalty,
             failure_rate_threshold=args.max_failure_rate,
         )
-    return retry_policy, failure_policy
+    if args.penalty is not None and (failure_policy is None or not failure_policy.penalize):
+        raise ValueError("--penalty needs a penalty policy (--on-failure penalty)")
+    return RunConfig(
+        retry_policy=RetryPolicy(max_attempts=args.retries + 1) if args.retries > 0 else None,
+        failure_policy=failure_policy,
+        eval_timeout=args.eval_timeout,
+        replay_cache_hits=args.store is not None,
+    )
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -112,20 +131,18 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if args.trace:
         tracer = Tracer(JsonlTraceSink(args.trace))
         previous_tracer = set_tracer(tracer)
-    cache = store = None
+    cache: bool | CacheBackend = True
+    store = None
     if args.store:
         from repro.service import StoreBackedCache, open_store
 
         store = open_store(args.store)
         cache = StoreBackedCache(store, problem.fingerprint())
-    retry_policy, failure_policy = _fault_policies(args)
     try:
         result = problem.calibrate(
             algorithm=args.algorithm, budget=_budget(args), seed=args.seed,
             workers=args.workers, asynchronous=args.use_async,
-            max_pending=args.max_pending, cache=cache,
-            retry_policy=retry_policy, failure_policy=failure_policy,
-            eval_timeout=args.eval_timeout,
+            max_pending=args.max_pending, cache=cache, config=args.run_config,
         )
     finally:
         if tracer is not None:
@@ -776,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "records a large penalty value and continues, "
                             "'raise' quarantines the point and aborts "
                             "(default: no failure policy — errors propagate)")
-    p_cal.add_argument("--penalty", type=float, default=1.0e6, metavar="X",
+    p_cal.add_argument("--penalty", type=float, default=None, metavar="X",
                        help="objective value recorded for failed evaluations "
                             "under --on-failure penalty (default: 1e6)")
     p_cal.add_argument("--max-failure-rate", type=float, default=None, metavar="R",
@@ -952,6 +969,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func is cmd_calibrate:
+        try:
+            args.run_config = _run_config(args)
+        except ValueError as exc:
+            parser.error(f"calibrate: {exc}")
     configure_logging(getattr(args, "verbose", 0) - getattr(args, "quiet", 0))
     return args.func(args)
 

@@ -14,8 +14,9 @@ along with the full evaluation history.
 
 Around that loop sit the pooled drivers
 (:class:`~repro.core.parallel.BatchCalibrator`,
-:class:`~repro.core.async_driver.AsyncCalibrator`), failure policies,
-stopping criteria, checkpoint/result serialisation and text reports.
+:class:`~repro.core.async_driver.AsyncCalibrator`), the
+:class:`~repro.core.async_driver.RunConfig` every driver takes (failure
+policies and cache-hit replay), stopping criteria, checkpoint/result serialisation and text reports.
 """
 
 from repro.core.algorithms import (
@@ -62,7 +63,7 @@ from repro.core.metrics import (
     mean_relative_error,
     root_mean_squared_error,
 )
-from repro.core.async_driver import AsyncCalibrator, OrderedTellAdapter
+from repro.core.async_driver import AsyncCalibrator, OrderedTellAdapter, RunConfig
 from repro.core.parallel import BatchCalibrator, ParallelEvaluator
 from repro.core.parameters import Parameter, ParameterSpace
 from repro.core.reporting import calibration_report, convergence_sparkline
@@ -117,6 +118,7 @@ __all__ = [
     "RandomSearch",
     "RelativePlateauStopper",
     "RetryPolicy",
+    "RunConfig",
     "SimulatedAnnealing",
     "SobolSearch",
     "StoppingCriterion",

@@ -83,10 +83,75 @@ if TYPE_CHECKING:
 
 _REGISTRY = _metrics_registry()
 
-__all__ = ["AsyncCalibrator", "CHECKPOINT_VERSION", "OrderedTellAdapter"]
+__all__ = ["AsyncCalibrator", "CHECKPOINT_VERSION", "OrderedTellAdapter", "RunConfig"]
 
 #: checkpoint layout version (bumped on incompatible changes)
 CHECKPOINT_VERSION = 1
+
+
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """How one run settles failures and charges cache hits.
+
+    The same value configures every driver (serial, batch, async, fleet)
+    and the local evaluator pool, so two drivers given one
+    ``RunConfig`` apply one evaluation contract.  The default leaves
+    every code path byte-identical to a fault-tolerance-unaware run.
+
+    Attributes
+    ----------
+    retry_policy:
+        Bounded, deterministic retries of transient failures; they run
+        inside the worker, so a recovered point looks like a clean one.
+    failure_policy:
+        What a point that still fails becomes: a penalty tell or a raise,
+        with the point quarantined through the cache backend and an
+        optional circuit breaker.  ``None`` lets an objective exception
+        propagate as itself.
+    eval_timeout:
+        Per-attempt wall-clock bound in seconds (``None``: unbounded).
+        In a process pool a driver-side hard deadline backs it up.
+    replay_cache_hits:
+        Record cache hits in the history (zero-duration ``cached=True``
+        records) and charge *first-seen* hits — points served from work
+        that predates the run — one budget unit each, while in-run
+        revisits stay free.  A warm evaluation-budget run over a shared
+        store then stops where the cold run stopped and replays its
+        trajectory; its checkpoints carry every charged hit.
+    """
+
+    retry_policy: RetryPolicy | None = None
+    failure_policy: FailurePolicy | None = None
+    eval_timeout: float | None = None
+    replay_cache_hits: bool = False
+
+    def __post_init__(self) -> None:
+        if self.eval_timeout is not None and not self.eval_timeout > 0:
+            raise ValueError(f"eval_timeout must be positive, not {self.eval_timeout!r}")
+
+    @property
+    def guarded(self) -> bool:
+        """Whether dispatch runs the fault-tolerant worker wrapper, which
+        turns an exhausted point into a structured
+        :class:`~repro.core.faults.EvaluationFailed` outcome."""
+        return (
+            self.retry_policy is not None
+            or self.failure_policy is not None
+            or self.eval_timeout is not None
+        )
+
+    def hard_deadline(self, rounds: int) -> float | None:
+        """Driver-side deadline for one dispatched point queued ``rounds``
+        deep: long enough for every in-worker attempt plus backoff at
+        each queue position, so it only fires for hangs the in-worker
+        alarm could not interrupt.  ``None`` without an ``eval_timeout``."""
+        if self.eval_timeout is None:
+            return None
+        retry = self.retry_policy
+        attempts = retry.max_attempts if retry is not None else 1
+        backoff = retry.max_total_backoff() if retry is not None else 0.0
+        per_point = self.eval_timeout * attempts + backoff
+        return per_point * rounds + max(5.0, per_point)
 
 
 class OrderedTellAdapter:
@@ -183,14 +248,21 @@ class AsyncCalibrator:
         exactly its cap even though results arrive out of order.
     seed:
         Seed for the algorithm's random number generator.
-    cache, record_cache_hits, count_cache_hits:
-        As documented on :class:`~repro.core.parallel.BatchCalibrator`
-        (which runs this same code), through the non-blocking claim/lease
-        protocol: a candidate another driver is currently computing is
-        deferred — re-claimed between completions, taken over once the
-        lease is released or expires — instead of blocking the pool or
-        being recomputed.  Deferred candidates are charged one budget unit
-        like a dispatch (some driver is paying for the work now).
+    cache:
+        ``True`` (memoise in a fresh in-memory
+        :class:`~repro.core.evaluation.DictCache`), ``False`` (always
+        dispatch), or a shared :class:`~repro.core.evaluation.CacheBackend`
+        such as the service's store-backed cache.  A candidate the cache
+        answers is not dispatched and, unless ``config`` replays hits,
+        costs no budget (the paper's "cache hits are free").  Consultation
+        uses the backend's non-blocking
+        :meth:`~repro.core.evaluation.CacheBackend.claim`: a candidate
+        another driver is computing is deferred — re-claimed between
+        completions, taken over once the lease is released or expires —
+        and charged one budget unit like a dispatch, never recomputed.
+    config:
+        The run's failure and cache-charging rules (:class:`RunConfig`;
+        default ``RunConfig()``).
     ordered_tells:
         Force the :class:`OrderedTellAdapter` (``True``), force native
         out-of-order tells (``False`` — rejected if the algorithm cannot),
@@ -230,13 +302,9 @@ class AsyncCalibrator:
         seed: int = 0,
         cache: bool | CacheBackend = True,
         algorithm_options: dict[str, object] | None = None,
-        record_cache_hits: bool = False,
-        count_cache_hits: bool = False,
         ordered_tells: bool | None = None,
         evaluator: ParallelEvaluator | None = None,
-        retry_policy: RetryPolicy | None = None,
-        failure_policy: FailurePolicy | None = None,
-        eval_timeout: float | None = None,
+        config: RunConfig | None = None,
     ) -> None:
         self.space = space
         self.algorithm = get_algorithm(algorithm, **(algorithm_options or {}))
@@ -249,19 +317,15 @@ class AsyncCalibrator:
                     f"algorithm {self.algorithm.name!r} does not support out-of-order "
                     "tells; leave ordered_tells unset (or True) to use the buffering adapter"
                 )
+        self.config = config if config is not None else RunConfig()
         if evaluator is not None:
             self.evaluator = evaluator
         else:
             from repro.core.parallel import ParallelEvaluator
 
             self.evaluator = ParallelEvaluator(
-                objective_function, space, workers=workers, mode=mode,
-                eval_timeout=eval_timeout, retry_policy=retry_policy,
-                guard_failures=failure_policy is not None,
+                objective_function, space, workers=workers, mode=mode, config=self.config
             )
-        self.retry_policy = retry_policy
-        self.failure_policy = failure_policy
-        self.eval_timeout = eval_timeout
         self.failures = 0
         self.quarantine_skips = 0
         self._breaker: CircuitBreaker | None = None
@@ -271,18 +335,13 @@ class AsyncCalibrator:
         self.max_pending = int(workers) if max_pending is None else int(max_pending)
         if self.max_pending < 1:
             raise ValueError("max_pending must be at least 1")
-        # Driver-side hard deadline: long enough for every in-worker
-        # attempt (plus backoff) and for queueing behind pool-mates, so it
-        # only fires for hangs the in-worker SIGALRM could not interrupt.
-        # Killing a wedged worker needs a killable pool, hence process
-        # mode on the local evaluator only.
+        # Driver-side hard deadline, for a point queued behind every
+        # pool-mate.  Killing a wedged worker needs a killable pool, hence
+        # process mode on the local evaluator only.
         self._hard_timeout: float | None = None
-        if eval_timeout is not None and getattr(self.evaluator, "mode", "") == "process":
-            attempts = retry_policy.max_attempts if retry_policy is not None else 1
-            backoff = retry_policy.max_total_backoff() if retry_policy is not None else 0.0
-            per_point = eval_timeout * attempts + backoff
+        if getattr(self.evaluator, "mode", "") == "process":
             rounds = -(-self.max_pending // max(int(workers), 1))
-            self._hard_timeout = per_point * rounds + max(5.0, per_point)
+            self._hard_timeout = self.config.hard_deadline(rounds)
         #: the caller's budget (reported in the result) and the one the
         #: loop enforces — the same object unless a subclass adds a
         #: stopping criterion to it
@@ -295,8 +354,6 @@ class AsyncCalibrator:
             self._cache = DictCache()
         else:
             self._cache = None
-        self.record_cache_hits = bool(record_cache_hits)
-        self.count_cache_hits = bool(count_cache_hits)
         self.cache_hits = 0
         self.deferred_hits = 0  # points resolved from a concurrent driver's lease
         self._rng: np.random.Generator | None = None
@@ -338,10 +395,6 @@ class AsyncCalibrator:
         Only call between events on the driver thread (``on_checkpoint``)
         or after :meth:`run` returns — the driver takes its own snapshots
         at consistent points only.
-
-        With ``count_cache_hits`` on, pair it with ``record_cache_hits``
-        (the service does): counted first-seen hits must be visible in the
-        snapshot's history or the resumed budget loses their charges.
         """
         if self._rng is None:
             raise RuntimeError("checkpoint() is only meaningful once run() has started")
@@ -381,8 +434,13 @@ class AsyncCalibrator:
             unit = np.asarray(evaluation.unit, dtype=float)
             key = unit_cache_key(unit, CACHE_DECIMALS)
             if evaluation.cached:
-                self.cache_hits += 1
-                if self.count_cache_hits and key not in self._seen:
+                # Only a replaying run records hits, and it charged the
+                # first-seen ones; a failed hit rode on a failed point.
+                if evaluation.failed:
+                    self.quarantine_skips += 1
+                else:
+                    self.cache_hits += 1
+                if key not in self._seen:
                     self._budget_units += 1
             else:
                 self._budget_units += 1
@@ -433,9 +491,8 @@ class AsyncCalibrator:
         self.deferred_hits = 0
         self.failures = 0
         self.quarantine_skips = 0
-        self._breaker = (
-            self.failure_policy.breaker() if self.failure_policy is not None else None
-        )
+        policy = self.config.failure_policy
+        self._breaker = policy.breaker() if policy is not None else None
         self._seq = 0
         self._budget_units = 0
         self._resume_elapsed = 0.0
@@ -619,10 +676,10 @@ class AsyncCalibrator:
             claim = Claim(Claim.CLAIMED)
 
         # A dispatch costs 1, so does a leased or quarantined point; a hit
-        # costs 1 only when it is first-seen and counting is on, so a warm
-        # run stops at the cold run's total.
-        counted_hit = self.count_cache_hits and key not in self._seen
-        charge = 1 if claim.status != Claim.HIT or counted_hit else 0
+        # costs 1 only when it is first-seen and replayed, so a warm run
+        # stops at the cold run's total.
+        replayed = self.config.replay_cache_hits and key not in self._seen
+        charge = 1 if claim.status != Claim.HIT or replayed else 0
         remaining = remaining_evaluations(self._budget, self._budget_units)
         if remaining is not None and charge > remaining:
             if claim.status == Claim.CLAIMED and self._cache is not None:
@@ -647,7 +704,7 @@ class AsyncCalibrator:
         if (
             claim.status == Claim.QUARANTINED
             and claim.failure is not None
-            and self.failure_policy is not None
+            and self.config.failure_policy is not None
         ):
             # Known poison point: resolve from the recorded failure, one
             # budget charge, no dispatch and no lease wait.  (Without a
@@ -827,7 +884,8 @@ class AsyncCalibrator:
                         EVAL_METRIC_HELP["repro_eval_timeouts_total"],
                     ).inc()
         if not quarantined and self._cache is not None:
-            if self.failure_policy is not None and self.failure_policy.quarantine:
+            policy = self.config.failure_policy
+            if policy is not None and policy.quarantine:
                 self._cache.mark_failed(key, mapping, failure)
             else:
                 self._cache.cancel(key, mapping)
@@ -846,8 +904,9 @@ class AsyncCalibrator:
         self._account_failure(entry.key, entry.mapping, failure, quarantined)
         self._seen.add(entry.key)
         self._remove(entry)
-        if self.failure_policy is not None and self.failure_policy.penalize:
-            penalty = self.failure_policy.penalty
+        policy = self.config.failure_policy
+        if policy is not None and policy.penalize:
+            penalty = policy.penalty
             finished_at = self.evaluator.elapsed
             started_at = max(finished_at - duration, entry.started_at)
             self._resolve(
@@ -855,7 +914,7 @@ class AsyncCalibrator:
                 started_at, finished_at, cached=False, failed=True,
             )
             self._tracer.end(entry.span, failed=True, value=penalty)
-            self._resolve_riders(entry, penalty)
+            self._resolve_riders(entry, penalty, failure)
             if self._breaker is not None:
                 self._breaker.check()
             return
@@ -876,8 +935,9 @@ class AsyncCalibrator:
         self._budget_units += 1
         self._account_failure(key, mapping, failure, quarantined=True)
         self._seen.add(key)
-        if self.failure_policy is not None and self.failure_policy.penalize:
-            penalty = self.failure_policy.penalty
+        policy = self.config.failure_policy
+        if policy is not None and policy.penalize:
+            penalty = policy.penalty
             span = self._tracer.begin(
                 "evaluation", parent=self._root, driver=self._driver, seq=seq
             )
@@ -911,7 +971,7 @@ class AsyncCalibrator:
             elif (
                 claim.status == Claim.QUARANTINED
                 and claim.failure is not None
-                and self.failure_policy is not None
+                and self.config.failure_policy is not None
             ):
                 # The leader quarantined the point instead of publishing.
                 self._deliver_failure(entry, claim.failure, quarantined=True)
@@ -953,7 +1013,7 @@ class AsyncCalibrator:
 
     def _record(self, seq: int, value: float) -> None:
         mapping, unit, started_at, finished_at, cached, failed = self._meta.pop(seq)
-        if cached and not self.record_cache_hits:
+        if cached and not self.config.replay_cache_hits:
             return
         history = self.evaluator.history
         history.record(
@@ -985,18 +1045,26 @@ class AsyncCalibrator:
             self._m_hits.inc()
             self._m_obj_hits.inc()
 
-    def _resolve_riders(self, entry: _InFlight, value: float) -> None:
+    def _resolve_riders(
+        self, entry: _InFlight, value: float, failure: EvaluationFailure | None = None
+    ) -> None:
         """In-run revisits of a just-resolved point are served from its
-        result (free cache hits, as a one-at-a-time run would have them)."""
+        result, free of charge.  A success serves them as cache hits; a
+        failure outcome (``failure`` given, ``value`` its penalty) as
+        quarantine skips, flagged ``failed`` like the serial revisit."""
+        failed = failure is not None
         for rider_seq, rider_candidate in entry.riders:
-            self._count_hit()
+            if failure is not None:
+                self._account_failure(entry.key, entry.mapping, failure, quarantined=True)
+            else:
+                self._count_hit()
             span = self._tracer.begin(
                 "evaluation", parent=self._root, driver=self._driver, seq=rider_seq
             )
             at = self.evaluator.elapsed
             self._resolve(rider_seq, rider_candidate, entry.mapping, entry.unit, value,
-                          at, at, cached=True)
-            self._tracer.end(span, cached=True, rider=True, value=value)
+                          at, at, cached=True, failed=failed)
+            self._tracer.end(span, cached=True, rider=True, failed=failed, value=value)
         entry.riders = []
 
     def _abandon_claims(self) -> None:

@@ -52,10 +52,9 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.core.algorithms import CalibrationAlgorithm
-from repro.core.async_driver import CHECKPOINT_VERSION, AsyncCalibrator
+from repro.core.async_driver import CHECKPOINT_VERSION, AsyncCalibrator, RunConfig
 from repro.core.budget import Budget, CombinedBudget
 from repro.core.evaluation import CacheBackend
-from repro.core.faults import FailurePolicy, RetryPolicy
 from repro.core.parameters import ParameterSpace
 from repro.core.stopping import StoppingBudget, StoppingCriterion
 
@@ -73,9 +72,9 @@ class Calibrator(AsyncCalibrator):
     ``algorithm_options`` are forwarded to the algorithm's constructor, so
     ``Calibrator(..., algorithm="cmaes", algorithm_options={"population_size":
     8})`` needs no manual import.  The remaining parameters are those of
-    :class:`~repro.core.async_driver.AsyncCalibrator`; ``retry_policy``,
-    ``failure_policy`` and ``eval_timeout`` all default to ``None``, which
-    keeps every code path byte-identical to a fault-tolerance-unaware run.
+    :class:`~repro.core.async_driver.AsyncCalibrator`; the default
+    ``config`` (``RunConfig()``) keeps every code path byte-identical to a
+    fault-tolerance-unaware run.
     """
 
     _driver = "serial"
@@ -89,19 +88,13 @@ class Calibrator(AsyncCalibrator):
         seed: int = 0,
         cache: bool | CacheBackend = True,
         stopping: StoppingCriterion | None = None,
-        record_cache_hits: bool = False,
-        count_cache_hits: bool = False,
         algorithm_options: dict[str, Any] | None = None,
-        retry_policy: RetryPolicy | None = None,
-        failure_policy: FailurePolicy | None = None,
-        eval_timeout: float | None = None,
+        config: RunConfig | None = None,
     ) -> None:
         super().__init__(
             space, objective_function, algorithm=algorithm, workers=1, mode="serial",
             max_pending=1, budget=budget, seed=seed, cache=cache,
-            algorithm_options=algorithm_options, record_cache_hits=record_cache_hits,
-            count_cache_hits=count_cache_hits, retry_policy=retry_policy,
-            failure_policy=failure_policy, eval_timeout=eval_timeout,
+            algorithm_options=algorithm_options, config=config,
         )
         if stopping is not None:
             stopper = StoppingBudget(stopping)

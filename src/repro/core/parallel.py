@@ -33,10 +33,10 @@ from collections.abc import Callable
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 
 from repro.core.algorithms import CalibrationAlgorithm
-from repro.core.async_driver import AsyncCalibrator
+from repro.core.async_driver import AsyncCalibrator, RunConfig
 from repro.core.budget import Budget
 from repro.core.evaluation import CacheBackend
-from repro.core.faults import EVAL_METRIC_HELP, FailurePolicy, RetryPolicy, run_guarded
+from repro.core.faults import EVAL_METRIC_HELP, RetryPolicy, run_guarded
 from repro.core.history import CalibrationHistory
 from repro.core.parameters import ParameterSpace
 from repro.telemetry.metrics import registry as _metrics_registry
@@ -88,7 +88,15 @@ def _guarded_timed_call(
 
 
 class ParallelEvaluator:
-    """Evaluates candidate calibrations concurrently, one future each."""
+    """Evaluates candidate calibrations concurrently, one future each.
+
+    ``mode`` is ``"process"``, ``"thread"`` or ``"serial"`` (inline).
+    ``config`` supplies the per-attempt timeout and retry policy, which
+    run inside the worker (see :func:`_guarded_timed_call`); a config
+    that is not :attr:`~repro.core.async_driver.RunConfig.guarded` keeps
+    the plain dispatch, so an objective exception reaches the driver as
+    itself instead of as :class:`~repro.core.faults.EvaluationFailed`.
+    """
 
     def __init__(
         self,
@@ -96,9 +104,7 @@ class ParallelEvaluator:
         space: ParameterSpace,
         workers: int = 4,
         mode: str = "process",
-        eval_timeout: float | None = None,
-        retry_policy: RetryPolicy | None = None,
-        guard_failures: bool = False,
+        config: RunConfig | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError("the number of workers must be at least 1")
@@ -108,18 +114,7 @@ class ParallelEvaluator:
         self.space = space
         self.workers = int(workers)
         self.mode = mode
-        #: per-attempt wall-clock timeout and retry policy, applied inside
-        #: the worker (see :func:`_guarded_timed_call`); when both are
-        #: ``None`` the dispatch is the original unguarded one —
-        #: unless ``guard_failures`` asks for guarding anyway, so a driver
-        #: holding a :class:`~repro.core.faults.FailurePolicy` (but no
-        #: retries/timeout) still receives structured
-        #: :class:`~repro.core.faults.EvaluationFailed` outcomes
-        self.eval_timeout = eval_timeout
-        self.retry_policy = retry_policy
-        self._guarded = (
-            eval_timeout is not None or retry_policy is not None or bool(guard_failures)
-        )
+        self.config = config if config is not None else RunConfig()
         #: retries burned across all dispatches (transient failures that
         #: were re-attempted in a worker and eventually succeeded or not)
         self.retries_total = 0
@@ -203,9 +198,10 @@ class ParallelEvaluator:
         if self._executor is None:  # serial mode
             future: Future[Outcome] = Future()
             try:
-                if self._guarded:
+                if self.config.guarded:
                     value, duration, retries = _guarded_timed_call(
-                        self.function, dict(candidate), self.eval_timeout, self.retry_policy
+                        self.function, dict(candidate), self.config.eval_timeout,
+                        self.config.retry_policy,
                     )
                     self._note_retries(retries)
                     future.set_result((value, duration))
@@ -214,7 +210,7 @@ class ParallelEvaluator:
             except BaseException as exc:  # delivered through future.result()
                 future.set_exception(exc)
             return future
-        if not self._guarded:
+        if not self.config.guarded:
             return self._executor.submit(_timed_call, self.function, dict(candidate))
         # The guarded worker call reports (value, duration, retries); the
         # contract of submit() is a (value, duration) future, so relay the
@@ -224,8 +220,8 @@ class ParallelEvaluator:
             _guarded_timed_call,
             self.function,
             dict(candidate),
-            self.eval_timeout,
-            self.retry_policy,
+            self.config.eval_timeout,
+            self.config.retry_policy,
         )
         outer: Future[Outcome] = Future()
 
@@ -270,66 +266,12 @@ class BatchCalibrator(AsyncCalibrator):
     lease-wait, record, failure and checkpoint/resume handling are the
     loop's own; this class only fixes the refill policy.
 
-    Parameters
-    ----------
-    space, objective_function:
-        As for :class:`~repro.core.calibrator.Calibrator`; process-based
-        execution needs a picklable objective.
-    algorithm:
-        Registry name, or a configured instance; must implement the
-        native ask/tell hooks (all built-in algorithms do).
-    algorithm_options:
-        Constructor keyword arguments forwarded to
-        :func:`~repro.core.algorithms.get_algorithm` when ``algorithm``
-        is a name.
-    workers, mode:
-        Concurrency settings, see :class:`ParallelEvaluator`.
-    batch_size:
-        Candidates asked per round; defaults to ``workers``.
-    budget:
-        Evaluation- or time-based budget (or a combination); evaluation
-        caps trim the final batch so the run never overshoots: only the
-        prefix the cap affords is launched and told, and the claim of the
-        first candidate it cannot afford is cancelled.
-    seed:
-        Seed for the algorithm's random number generator.
-    cache:
-        ``True`` (memoise in a fresh in-memory
-        :class:`~repro.core.evaluation.DictCache`), ``False`` (always
-        dispatch), or a shared :class:`~repro.core.evaluation.CacheBackend`
-        such as the service's store-backed cache.  Candidates answered by
-        the cache are *not* dispatched to the pool and, by default, do not
-        consume budget — the paper's "cache hits are free" semantics — so
-        a warm shared store lets each ask cost only its genuinely new
-        points.  Consultation goes through the backend's *non-blocking*
-        :meth:`~repro.core.evaluation.CacheBackend.claim` protocol: a
-        point a concurrent driver is already computing (``"leased"``) is
-        never recomputed — it is deferred and polled while the rest of
-        the batch runs (bounded by the lease TTL, after which the
-        computation is taken over), so in-flight work is deduplicated
-        across drivers and across processes without the deadlock a
-        blocking hold-and-wait backend would risk.  Leased points are
-        charged one budget unit like a dispatch.
-    record_cache_hits, count_cache_hits:
-        When recording, hits enter the history as zero-duration
-        ``cached=True`` records; when counting, *first-seen* hits — points
-        served from pre-existing shared-store work — charge the budget
-        while in-run revisits stay free.  Records land in ask order, hits
-        and dispatched evaluations interleaved exactly as the serial
-        driver records them.  Supply ``count_cache_hits=True`` whenever an
-        evaluation-budget run uses a warm shared cache, otherwise a
-        fully-warm run would never exhaust its budget.
-    retry_policy, failure_policy, eval_timeout:
-        The fault-tolerance knobs, with the same semantics as on
-        :class:`~repro.core.async_driver.AsyncCalibrator`: retries and
-        per-attempt timeouts run inside the pool workers; once a point is
-        a failure outcome, ``failure_policy`` decides between a penalty
-        tell (the batch-mates and the rest of the run are unaffected) and
-        a raise — and quarantines the point through the cache backend so
-        this run, resumed runs and concurrent drivers skip it.  All
-        ``None`` (the default) leaves every code path byte-identical to
-        the non-fault-tolerant driver: an objective exception propagates
-        as itself, with every announced claim cancelled.
+    ``batch_size`` is the number of candidates asked per round (default
+    ``workers``).  An evaluation cap trims the final batch so the run never
+    overshoots: only the prefix the cap affords is launched and told, and
+    the claim of the first candidate it cannot afford is cancelled.  The
+    other parameters, ``config`` included, are those of
+    :class:`~repro.core.async_driver.AsyncCalibrator`.
     """
 
     _driver = "batch"
@@ -347,20 +289,13 @@ class BatchCalibrator(AsyncCalibrator):
         seed: int = 0,
         cache: bool | CacheBackend = True,
         algorithm_options: dict[str, object] | None = None,
-        record_cache_hits: bool = False,
-        count_cache_hits: bool = False,
-        retry_policy: RetryPolicy | None = None,
-        failure_policy: FailurePolicy | None = None,
-        eval_timeout: float | None = None,
+        config: RunConfig | None = None,
     ) -> None:
         if batch_size is not None and batch_size < 1:
             raise ValueError("the batch size must be at least 1")
         super().__init__(
             space, objective_function, algorithm=algorithm, workers=workers, mode=mode,
             max_pending=batch_size, budget=budget, seed=seed, cache=cache,
-            algorithm_options=algorithm_options, record_cache_hits=record_cache_hits,
-            count_cache_hits=count_cache_hits, ordered_tells=True,
-            retry_policy=retry_policy, failure_policy=failure_policy,
-            eval_timeout=eval_timeout,
+            algorithm_options=algorithm_options, ordered_tells=True, config=config,
         )
         self.batch_size = self.max_pending

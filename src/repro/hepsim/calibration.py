@@ -20,10 +20,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from collections.abc import Callable, Mapping, Sequence
+from typing import Any
 
+from repro.core.async_driver import AsyncCalibrator, RunConfig
 from repro.core.budget import Budget, EvaluationBudget
 from repro.core.calibrator import Calibrator
-from repro.core.faults import FailurePolicy, RetryPolicy
+from repro.core.evaluation import CacheBackend
 from repro.core.parallel import BatchCalibrator
 from repro.core.metrics import MetricFunction, get_metric
 from repro.core.parameters import Parameter, ParameterSpace
@@ -245,99 +247,55 @@ class CaseStudyProblem:
         budget: Budget | None = None,
         seed: int = 0,
         workers: int = 1,
-        mode: str = "process",
         algorithm_options: dict[str, object] | None = None,
         asynchronous: bool = False,
         max_pending: int | None = None,
-        cache: object | None = None,
-        retry_policy: RetryPolicy | None = None,
-        failure_policy: FailurePolicy | None = None,
-        eval_timeout: float | None = None,
+        cache: bool | CacheBackend = True,
+        config: RunConfig | None = None,
     ) -> CalibrationResult:
         """Run one automated calibration and return its result.
 
         With ``workers > 1`` the run goes through
         :class:`~repro.core.parallel.BatchCalibrator`: the algorithm's
-        ask batches are evaluated concurrently (one simulation per core,
-        as in the paper's protocol — the objective is picklable, so the
-        default process pool works).  With ``asynchronous=True`` it goes
-        through :class:`~repro.core.async_driver.AsyncCalibrator`
-        instead: results are told out of order as simulations complete,
-        so the pool never waits for a batch's slowest member
-        (``max_pending`` bounds the in-flight work; default ``workers``).
-        ``algorithm_options`` are forwarded to the algorithm's
-        constructor.
+        ask batches are evaluated concurrently over a process pool (one
+        simulation per core, as in the paper's protocol).  With
+        ``asynchronous=True`` it goes through
+        :class:`~repro.core.async_driver.AsyncCalibrator` instead: results
+        are told out of order as simulations complete, so the pool never
+        waits for a batch's slowest member (``max_pending`` bounds the
+        in-flight work; default ``workers``).  ``algorithm_options`` are
+        forwarded to the algorithm's constructor.
 
         ``cache`` accepts an external
         :class:`~repro.core.evaluation.CacheBackend` — typically a
         :class:`~repro.service.cache.StoreBackedCache` over a persistent
         store keyed by :meth:`fingerprint`, which is how ``repro
-        calibrate --store`` reuses simulations across runs.  External
-        caches record first-seen hits in the history and charge them
-        against the budget (as the service does), so a warm
-        evaluation-budget run replays the cold run's trajectory.
+        calibrate --store`` reuses simulations across runs.  Pair a warm
+        one with ``RunConfig(replay_cache_hits=True)`` (as the CLI and the
+        service do), so a warm evaluation-budget run replays the cold
+        run's trajectory.
 
-        ``retry_policy``, ``failure_policy`` and ``eval_timeout`` forward
-        to whichever driver runs the calibration (see
-        :mod:`repro.core.faults` and ``docs/robustness.md``); all three
-        default to ``None``, leaving every trajectory byte-identical to a
-        fault-tolerance-unaware run.
+        ``config`` (:class:`~repro.core.async_driver.RunConfig`) reaches
+        whichever driver runs the calibration unchanged; the default
+        leaves every trajectory byte-identical to a fault-tolerance-unaware
+        run (see ``docs/robustness.md``).
         """
-        budget = budget if budget is not None else EvaluationBudget(100)
-        cache_kwargs: dict[str, object] = {}
-        if cache is not None:
-            cache_kwargs = {
-                "cache": cache,
-                "record_cache_hits": True,
-                "count_cache_hits": True,
-            }
-        fault_kwargs: dict[str, object] = {}
-        if retry_policy is not None:
-            fault_kwargs["retry_policy"] = retry_policy
-        if failure_policy is not None:
-            fault_kwargs["failure_policy"] = failure_policy
-        if eval_timeout is not None:
-            fault_kwargs["eval_timeout"] = eval_timeout
+        settings: dict[str, Any] = {
+            "algorithm": algorithm,
+            "budget": budget if budget is not None else EvaluationBudget(100),
+            "seed": seed,
+            "cache": cache,
+            "algorithm_options": algorithm_options,
+            "config": config,
+        }
         if asynchronous:
-            from repro.core.async_driver import AsyncCalibrator
-
             return AsyncCalibrator(
-                self.space,
-                self.objective,
-                algorithm=algorithm,
-                budget=budget,
-                seed=seed,
-                workers=workers,
-                mode=mode,
-                max_pending=max_pending,
-                algorithm_options=algorithm_options,
-                **cache_kwargs,
-                **fault_kwargs,
+                self.space, self.objective, workers=workers, max_pending=max_pending,
+                **settings,
             ).run()
         if workers > 1:
-            return BatchCalibrator(
-                self.space,
-                self.objective,
-                algorithm=algorithm,
-                budget=budget,
-                seed=seed,
-                workers=workers,
-                mode=mode,
-                algorithm_options=algorithm_options,
-                **cache_kwargs,
-                **fault_kwargs,
-            ).run()
-        calibrator = Calibrator(
-            self.space,
-            self.objective,
-            algorithm=algorithm,
-            budget=budget,
-            seed=seed,
-            algorithm_options=algorithm_options,
-            **cache_kwargs,
-            **fault_kwargs,
-        )
-        return calibrator.run()
+            return BatchCalibrator(self.space, self.objective, workers=workers, **settings).run()
+        return Calibrator(self.space, self.objective, **settings).run()
 
     def calibrated_values(self, result: CalibrationResult) -> CalibrationValues:
         """Convert a calibration result into :class:`CalibrationValues`."""

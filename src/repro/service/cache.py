@@ -55,14 +55,6 @@ class StoreBackedCache(JobCache):
     fingerprint:
         Scenario fingerprint identifying the objective; see
         :func:`repro.hepsim.calibration.scenario_fingerprint`.
-    dedupe_in_flight:
-        When true (default), misses go through the store's claim/lease
-        single-flight protocol: one owner computes each point, the others
-        reuse its result.  :meth:`claim` never waits — it reports the
-        lease and lets the driver keep its workers busy elsewhere.  When
-        false the cache
-        degrades to plain store memoisation (no leases, concurrent
-        identical points may be computed twice).
     lease_ttl:
         Seconds before an unpublished claim can be taken over by another
         owner.  Make it comfortably longer than one simulator invocation.
@@ -81,12 +73,10 @@ class StoreBackedCache(JobCache):
         self,
         store: EvaluationStore,
         fingerprint: str,
-        dedupe_in_flight: bool = True,
         lease_ttl: float = DEFAULT_LEASE_TTL,
     ) -> None:
         self.store = store
         self.fingerprint = fingerprint
-        self.dedupe_in_flight = bool(dedupe_in_flight)
         self.lease_ttl = float(lease_ttl)
         self.owner = uuid.uuid4().hex
         self.hits = 0
@@ -111,9 +101,10 @@ class StoreBackedCache(JobCache):
         self.store.release(self.fingerprint, values, self.owner)
 
     def claim(self, key, values: Mapping[str, float]) -> Claim:
-        """Non-blocking single-flight claim (see :class:`Claim`)."""
-        if not self.dedupe_in_flight:
-            return super().claim(key, values)
+        """Non-blocking single-flight claim (see :class:`Claim`): one owner
+        computes each missing point and the others see its lease, so
+        :meth:`claim` never waits and the driver keeps its workers busy
+        elsewhere."""
         outcome = self.store.claim(self.fingerprint, values, self.owner, ttl=self.lease_ttl)
         if outcome.status == StoreClaim.HIT:
             self.hits += 1

@@ -25,7 +25,7 @@ import threading
 from collections.abc import Callable
 from typing import Any
 
-from repro.core.async_driver import AsyncCalibrator
+from repro.core.async_driver import AsyncCalibrator, RunConfig
 from repro.core.budget import EvaluationBudget
 from repro.core.result import CalibrationResult
 from repro.service.cache import JobCache
@@ -106,8 +106,7 @@ class FleetServer(CalibrationServer):
             algorithm_options=request.algorithm_options,
             # Same replay semantics as the serial server path: first-seen
             # store hits are recorded and charged, in-run revisits free.
-            record_cache_hits=True,
-            count_cache_hits=True,
+            config=RunConfig(replay_cache_hits=True),
             # Ordered tells buy the acceptance guarantee: the fleet run's
             # trajectory and best point are byte-identical to the
             # single-process serial run, whatever order workers finish in.

@@ -44,6 +44,7 @@ import traceback
 from collections.abc import Callable
 from typing import Any
 
+from repro.core.async_driver import RunConfig
 from repro.core.budget import EvaluationBudget
 from repro.core.calibrator import Calibrator
 from repro.core.result import CalibrationResult
@@ -75,8 +76,6 @@ class CalibrationServer:
     progress_every:
         Emit a ``progress`` event every this many objective evaluations of
         a job (0 disables progress events).
-    dedupe_in_flight:
-        Forwarded to :class:`~repro.service.cache.StoreBackedCache`.
     """
 
     def __init__(
@@ -85,14 +84,12 @@ class CalibrationServer:
         workers: int = 2,
         on_event: EventCallback | None = None,
         progress_every: int = 25,
-        dedupe_in_flight: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError("the server needs at least one worker")
         self.store = store if store is not None else InMemoryStore()
         self.on_event = on_event
         self.progress_every = int(progress_every)
-        self.dedupe_in_flight = bool(dedupe_in_flight)
         self.queue = JobQueue()
         self.jobs: dict[str, CalibrationJob] = {}
         self._jobs_lock = threading.Lock()
@@ -229,9 +226,7 @@ class CalibrationServer:
     # ------------------------------------------------------------------ #
     def _make_cache(self, request: CalibrationRequest) -> JobCache:
         """Build the evaluation cache one job runs against."""
-        return StoreBackedCache(
-            self.store, request.fingerprint, dedupe_in_flight=self.dedupe_in_flight
-        )
+        return StoreBackedCache(self.store, request.fingerprint)
 
     def _execute(
         self,
@@ -249,14 +244,13 @@ class CalibrationServer:
             budget=request.budget if request.budget is not None else EvaluationBudget(100),
             seed=request.seed,
             cache=cache,
+            algorithm_options=request.algorithm_options,
             # First-seen cache hits stay visible in the history and
             # charge the budget: a fully warm job performs zero
             # simulator invocations yet replays the cold run's
             # trajectory and terminates at the same point (in-run
             # revisits stay free, as in a plain calibrator).
-            record_cache_hits=True,
-            count_cache_hits=True,
-            algorithm_options=request.algorithm_options,
+            config=RunConfig(replay_cache_hits=True),
         )
         return calibrator.run(
             resume=request.checkpoint,

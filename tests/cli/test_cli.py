@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import AsyncCalibrator, FailurePolicy, RetryPolicy, RunConfig
 
 
 class TestParser:
@@ -51,6 +52,75 @@ class TestCalibrateCommand:
     def test_invalid_icds_rejected(self):
         with pytest.raises(SystemExit):
             main(["calibrate", "--icds", "zero,one", "--scale", "tiny"])
+
+
+class TestCalibrateRunOptions:
+    """The calibrate flags reach whichever driver runs as one RunConfig."""
+
+    TINY = ["calibrate", "--scale", "tiny", "--icds", "0.0,1.0",
+            "--evaluations", "6", "--seed", "2"]
+    FAULT_FLAGS = ["--retries", "2", "--on-failure", "penalty", "--penalty", "77",
+                   "--eval-timeout", "30", "--max-failure-rate", "0.9"]
+
+    @staticmethod
+    def received(monkeypatch):
+        """Record (driver class, config, max_pending) of every driver run."""
+        seen = []
+        run = AsyncCalibrator.run
+
+        def spy(self, *args, **kwargs):
+            seen.append((type(self).__name__, self.config, self.max_pending))
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(AsyncCalibrator, "run", spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        ("driver_flags", "driver", "max_pending"),
+        [
+            ([], "Calibrator", 1),
+            (["--workers", "2"], "BatchCalibrator", 2),
+            (["--workers", "2", "--async", "--max-pending", "3"], "AsyncCalibrator", 3),
+        ],
+        ids=["serial", "batch", "async"],
+    )
+    def test_flags_reach_the_driver(
+        self, monkeypatch, tmp_path, capsys, driver_flags, driver, max_pending
+    ):
+        seen = self.received(monkeypatch)
+        store = ["--store", str(tmp_path / "store.jsonl")]
+        assert main(self.TINY + driver_flags + self.FAULT_FLAGS + store) == 0
+        assert seen == [(driver, RunConfig(
+            retry_policy=RetryPolicy(max_attempts=3),
+            failure_policy=FailurePolicy(
+                on_failure="penalty", penalty=77.0, failure_rate_threshold=0.9,
+            ),
+            eval_timeout=30.0,
+            replay_cache_hits=True,
+        ), max_pending)]
+
+    def test_no_flags_give_the_default_config(self, monkeypatch, capsys):
+        seen = self.received(monkeypatch)
+        assert main(self.TINY) == 0
+        assert seen == [("Calibrator", RunConfig(), 1)]
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--max-pending", "3"], "--max-pending needs --async"),
+            (["--penalty", "5"], "--penalty needs a penalty policy"),
+            (["--on-failure", "raise", "--penalty", "5"], "--penalty needs a penalty policy"),
+            (["--retries", "-1"], "--retries must be at least 0"),
+            (["--eval-timeout", "0"], "eval_timeout must be positive"),
+        ],
+        ids=["max-pending-without-async", "penalty-without-policy",
+             "penalty-under-raise", "negative-retries", "zero-eval-timeout"],
+    )
+    def test_ignored_flags_are_rejected(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as info:
+            main(self.TINY + flags)
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestSimulateCommand:

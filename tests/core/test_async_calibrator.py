@@ -20,6 +20,7 @@ from repro.core import (
     OrderedTellAdapter,
     Parameter,
     ParameterSpace,
+    RunConfig,
     TimeBudget,
     get_algorithm,
 )
@@ -299,7 +300,7 @@ class TestDriverMechanics:
         warm_driver = AsyncCalibrator(
             space, counting, algorithm="lhs", workers=2, mode="thread",
             budget=EvaluationBudget(20), seed=5, cache=shared,
-            record_cache_hits=True, count_cache_hits=True,
+            config=RunConfig(replay_cache_hits=True),
         )
         warm = warm_driver.run()
         assert calls["n"] == 20  # nothing new was simulated
@@ -360,11 +361,11 @@ class TestClaimLeaseAcrossDrivers:
             return float(np.sum((space.to_unit_array(values) - 0.37) ** 2))
 
         def run(seed):
-            cache = StoreBackedCache(store, "fp", dedupe_in_flight=True, lease_ttl=30.0)
+            cache = StoreBackedCache(store, "fp", lease_ttl=30.0)
             return AsyncCalibrator(
                 space, slow, algorithm="grid", workers=2, mode="thread",
                 budget=EvaluationBudget(27), seed=seed, cache=cache,
-                record_cache_hits=True, count_cache_hits=True,
+                config=RunConfig(replay_cache_hits=True),
             ).run()
 
         results = [None, None]

@@ -18,6 +18,7 @@ from repro.core import (
     EvaluationBudget,
     Parameter,
     ParameterSpace,
+    RunConfig,
     TimeBudget,
     remaining_evaluations,
 )
@@ -167,7 +168,7 @@ class TestBatchedDriving:
 class TestCacheConsultation:
     def test_warm_cache_answers_without_dispatching(self):
         """A shared cache warmed by one run answers the identical rerun
-        without a single new dispatch (count_cache_hits keeps the budget
+        without a single new dispatch (replay_cache_hits keeps the budget
         accounting of the replayed run)."""
         space = make_space(2)
         calls = {"n": 0}
@@ -186,7 +187,7 @@ class TestCacheConsultation:
         warm_driver = BatchCalibrator(
             space, counting, algorithm="lhs", workers=2, mode="thread",
             budget=EvaluationBudget(20), seed=5, cache=shared,
-            record_cache_hits=True, count_cache_hits=True,
+            config=RunConfig(replay_cache_hits=True),
         )
         warm = warm_driver.run()
         assert calls["n"] == 20  # nothing new was simulated
@@ -209,13 +210,13 @@ class TestCacheConsultation:
         warm = BatchCalibrator(
             space, quadratic(space), algorithm="lhs", workers=1, mode="serial",
             batch_size=4, budget=EvaluationBudget(10), seed=9, cache=shared,
-            record_cache_hits=True, count_cache_hits=True,
+            config=RunConfig(replay_cache_hits=True),
         ).run()
         assert len(warm.history) == 10  # not 12
         serial = Calibrator(
             space, quadratic(space), algorithm="lhs",
             budget=EvaluationBudget(10), seed=9, cache=shared,
-            record_cache_hits=True, count_cache_hits=True,
+            config=RunConfig(replay_cache_hits=True),
         ).run()
         assert [e.unit for e in warm.history] == [e.unit for e in serial.history]
 
@@ -228,7 +229,7 @@ class TestCacheConsultation:
         space = make_space(2)
         settings = dict(
             algorithm="lhs", budget=EvaluationBudget(12), seed=5,
-            record_cache_hits=True, count_cache_hits=True,
+            config=RunConfig(replay_cache_hits=True),
         )
         cold = Calibrator(space, quadratic(space), **settings).run()
 
@@ -306,8 +307,8 @@ class TestCacheConsultation:
             return BatchCalibrator(
                 space, slow, algorithm="grid", workers=2, mode="thread",
                 budget=EvaluationBudget(27), seed=seed,
-                cache=StoreBackedCache(store, "fp", dedupe_in_flight=True, lease_ttl=30.0),
-                record_cache_hits=True, count_cache_hits=True,
+                cache=StoreBackedCache(store, "fp", lease_ttl=30.0),
+                config=RunConfig(replay_cache_hits=True),
             ).run()
 
         results = [None, None]
@@ -324,8 +325,8 @@ class TestCacheConsultation:
         assert store.lease_count() == 0  # every claim was finished
 
     def test_store_backed_cache_without_dedupe_shares_work(self):
-        """The supported store binding (dedupe_in_flight=False) shares
-        evaluations between a batched run and later runs on the store."""
+        """A store-backed cache shares evaluations between a batched run
+        and later runs on the store."""
         from repro.service import InMemoryStore, StoreBackedCache
 
         space = make_space(2)
@@ -341,8 +342,8 @@ class TestCacheConsultation:
             return BatchCalibrator(
                 space, counting, algorithm="lhs", workers=1, mode="serial",
                 budget=EvaluationBudget(12), seed=6,
-                cache=StoreBackedCache(store, "fp-shared", dedupe_in_flight=False),
-                record_cache_hits=True, count_cache_hits=True,
+                cache=StoreBackedCache(store, "fp-shared"),
+                config=RunConfig(replay_cache_hits=True),
             ).run()
 
         cold, warm = run_once(), run_once()

@@ -9,6 +9,7 @@ from repro.core import (
     EvaluationBudget,
     Parameter,
     ParameterSpace,
+    RunConfig,
 )
 
 
@@ -62,7 +63,7 @@ class TestPluggableBackend:
         calls = []
         algorithm = scripted(space, [A])
         warm = Calibrator(space, lambda v: calls.append(v) or 0.0, algorithm=algorithm,
-                          cache=backend, record_cache_hits=True)
+                          cache=backend, config=RunConfig(replay_cache_hits=True))
         warm.run()
         assert algorithm.told == [40.0]
         assert calls == []
@@ -103,7 +104,7 @@ class TestCacheHitRecording:
         space = make_space()
         algorithm = scripted(space, [A, A])
         result = Calibrator(space, lambda v: v["x"], algorithm=algorithm,
-                            record_cache_hits=True).run()
+                            config=RunConfig(replay_cache_hits=True)).run()
         assert len(result.history) == 2
         assert [e.cached for e in result.history] == [False, True]
         assert result.evaluations == 1
@@ -127,7 +128,7 @@ class TestCacheHitRecording:
         calls = []
         warm = Calibrator(space, lambda v: calls.append(v) or v["x"], algorithm=algorithm,
                           budget=EvaluationBudget(3), cache=backend,
-                          record_cache_hits=True, count_cache_hits=True).run()
+                          config=RunConfig(replay_cache_hits=True)).run()
         assert algorithm.told == [2.0, 4.0, 8.0]  # the fourth is past the budget
         assert calls == []
         assert [e.cached for e in warm.history] == [True, True, True]
@@ -141,7 +142,7 @@ class TestCacheHitRecording:
         algorithm = scripted(space, [A] * 6 + [B, {"x": 8.0, "y": 8.0}])
         result = Calibrator(space, lambda v: v["x"], algorithm=algorithm,
                             budget=EvaluationBudget(2),
-                            record_cache_hits=True, count_cache_hits=True).run()
+                            config=RunConfig(replay_cache_hits=True)).run()
         assert algorithm.told == [4.0] * 6 + [2.0]  # five free revisits, then B
         assert result.evaluations == 2
 
@@ -154,7 +155,7 @@ class TestCacheHitRecording:
                            budget=EvaluationBudget(30), seed=1).run()
         cold = Calibrator(space, fn, algorithm="coordinate",
                           budget=EvaluationBudget(30), seed=1, cache=DictCache(),
-                          record_cache_hits=True, count_cache_hits=True).run()
+                          config=RunConfig(replay_cache_hits=True)).run()
         assert cold.evaluations == plain.evaluations
         assert cold.best_values == plain.best_values
         assert cold.best_value == plain.best_value
@@ -165,11 +166,11 @@ class TestCacheHitRecording:
         shared = DictCache()
         cold = Calibrator(space, fn, algorithm="random", budget=EvaluationBudget(20),
                           seed=5, cache=shared,
-                          record_cache_hits=True, count_cache_hits=True).run()
+                          config=RunConfig(replay_cache_hits=True)).run()
         calls = []
         warm = Calibrator(space, lambda v: calls.append(v) or fn(v), algorithm="random",
                           budget=EvaluationBudget(20), seed=5, cache=shared,
-                          record_cache_hits=True, count_cache_hits=True).run()
+                          config=RunConfig(replay_cache_hits=True)).run()
         assert calls == []  # never touched the simulator
         assert warm.evaluations == 0
         assert warm.best_values == cold.best_values

@@ -26,6 +26,7 @@ from repro.core import (
     Parameter,
     ParameterSpace,
     RetryPolicy,
+    RunConfig,
     TransientEvaluationError,
 )
 from repro.core.faults import (
@@ -194,7 +195,7 @@ class TestOutcomeTypes:
             space,
             lambda v: (_ for _ in ()).throw(ValueError("poison")),
             algorithm=scripted(space, [[0.5]]),
-            failure_policy=FailurePolicy(penalty=123.0),
+            config=RunConfig(failure_policy=FailurePolicy(penalty=123.0)),
         ).run()
         record = result.history[0]
         assert record.failed and record.value == 123.0
@@ -251,7 +252,7 @@ class TestObjectiveFailurePaths:
         algorithm = scripted(space, [[0.1, 0.5], [0.9999, 0.5]])  # good, then bad
         calibrator = Calibrator(
             space, sometimes_broken, algorithm=algorithm, budget=EvaluationBudget(10),
-            failure_policy=FailurePolicy(penalty=1e6),
+            config=RunConfig(failure_policy=FailurePolicy(penalty=1e6)),
         )
         result = calibrator.run()
         assert algorithm.told[0] < 1e6
@@ -265,7 +266,7 @@ class TestObjectiveFailurePaths:
             space,
             lambda v: (_ for _ in ()).throw(ValueError("poison")),
             algorithm=scripted(space, [[0.5]]),
-            failure_policy=FailurePolicy(on_failure="raise"),
+            config=RunConfig(failure_policy=FailurePolicy(on_failure="raise")),
         )
         with pytest.raises(EvaluationFailed):
             calibrator.run()
@@ -285,7 +286,7 @@ class TestObjectiveFailurePaths:
         algorithm = scripted(space, [[0.5], [0.5]])
         calibrator = Calibrator(
             space, poison, algorithm=algorithm, cache=DictCache(),
-            failure_policy=FailurePolicy(penalty=50.0),
+            config=RunConfig(failure_policy=FailurePolicy(penalty=50.0)),
         )
         calibrator.run()
         assert algorithm.told == [50.0, 50.0]
@@ -302,7 +303,7 @@ class TestObjectiveFailurePaths:
         algorithm = scripted(space, [[0.5]] * 3)
         calibrator = Calibrator(
             space, lambda v: 1.0, algorithm=algorithm, budget=EvaluationBudget(2),
-            cache=cache, failure_policy=FailurePolicy(penalty=9.0),
+            cache=cache, config=RunConfig(failure_policy=FailurePolicy(penalty=9.0)),
         )
         calibrator.run()
         # Each skip consumed a budget unit: the third ask is past the budget.
@@ -316,7 +317,7 @@ class TestObjectiveFailurePaths:
         result = Calibrator(
             space, lambda v: (_ for _ in ()).throw(ValueError("poison")),
             algorithm=scripted(space, [[0.5], [0.5]]), cache=DictCache(),
-            failure_policy=FailurePolicy(penalty=50.0),
+            config=RunConfig(failure_policy=FailurePolicy(penalty=50.0)),
         ).run()
         assert [e.failed for e in result.history] == [True, True]
         assert result.evaluations == 2
@@ -331,7 +332,7 @@ class TestObjectiveFailurePaths:
         algorithm = scripted(space, [[0.5]])
         result = Calibrator(
             space, lambda v: calls.append(v) or 4.0, algorithm=algorithm, cache=cache,
-            retry_policy=RetryPolicy(max_attempts=2, backoff=0.001, backoff_max=0.002),
+            config=RunConfig(retry_policy=RetryPolicy(max_attempts=2, backoff=0.001, backoff_max=0.002)),
         ).run()
         assert len(calls) == 1
         assert algorithm.told == [4.0]
@@ -358,7 +359,7 @@ class TestObjectiveFailurePaths:
         algorithm = scripted(space, [[0.5]])
         calibrator = Calibrator(
             space, flaky, algorithm=algorithm,
-            retry_policy=RetryPolicy(max_attempts=2, backoff=0.001, backoff_max=0.002),
+            config=RunConfig(retry_policy=RetryPolicy(max_attempts=2, backoff=0.001, backoff_max=0.002)),
         )
         result = calibrator.run()
         assert algorithm.told == [5.0]
@@ -372,9 +373,9 @@ class TestObjectiveFailurePaths:
             space,
             lambda v: (_ for _ in ()).throw(ValueError("always broken")),
             algorithm=scripted(space, [[index / 10.0] for index in range(10)]),
-            failure_policy=FailurePolicy(
+            config=RunConfig(failure_policy=FailurePolicy(
                 penalty=1e6, failure_rate_threshold=0.5, min_samples=4,
-            ),
+            )),
         )
         with pytest.raises(CircuitOpen):
             calibrator.run()
@@ -394,7 +395,7 @@ class TestDriverFailurePaths:
         result = Calibrator(
             space, sometimes_broken, algorithm="random",
             budget=EvaluationBudget(30), seed=3,
-            failure_policy=FailurePolicy(penalty=1e6),
+            config=RunConfig(failure_policy=FailurePolicy(penalty=1e6)),
         ).run()
         assert result.evaluations == 30
         failed = [e for e in result.history if e.failed]
@@ -414,7 +415,7 @@ class TestDriverFailurePaths:
         result = BatchCalibrator(
             space, sometimes_broken, algorithm="random", workers=4, mode="thread",
             budget=EvaluationBudget(30), seed=3,
-            failure_policy=FailurePolicy(penalty=1e6),
+            config=RunConfig(failure_policy=FailurePolicy(penalty=1e6)),
         ).run()
         assert result.evaluations == 30
         assert any(e.failed for e in result.history)
@@ -432,11 +433,50 @@ class TestDriverFailurePaths:
         result = AsyncCalibrator(
             space, sometimes_broken, algorithm="random", workers=4, mode="thread",
             budget=EvaluationBudget(30), seed=3,
-            failure_policy=FailurePolicy(penalty=1e6),
+            config=RunConfig(failure_policy=FailurePolicy(penalty=1e6)),
         ).run()
         assert result.evaluations == 30
         assert any(e.failed for e in result.history)
         assert result.best_value < 1e6
+
+    def test_pooled_rider_of_a_failed_point_is_a_flagged_quarantine_skip(self, scripted):
+        """A repeat ask of a point still in flight rides on it.  When that
+        point fails, the rider is served its penalty as a failed record
+        and counted as a quarantine skip, as the serial revisit is, never
+        as a successful cache hit; a resumed run counts it the same way.
+        The rider attaches on the driver thread before any completion is
+        handled, so no timing is involved."""
+        space = make_space(1)
+        poison, other = [0.5], [0.25]
+
+        def objective(values):
+            if values["p0"] > 2.0**18:
+                raise ValueError("poison")
+            return 1.0
+
+        def driver(algorithm):
+            algorithm.supports_async_tell = True
+            return AsyncCalibrator(
+                space, objective, algorithm=algorithm, workers=2, mode="thread",
+                config=RunConfig(
+                    failure_policy=FailurePolicy(penalty=9.0), replay_cache_hits=True,
+                ),
+            )
+
+        algorithm = scripted(space, [poison, poison, other])
+        calibrator = driver(algorithm)
+        result = calibrator.run()
+        assert sorted(algorithm.told) == [1.0, 9.0, 9.0]
+        riders = [e for e in result.history if e.cached]
+        assert len(riders) == 1
+        assert riders[0].failed and riders[0].value == 9.0
+        assert (calibrator.failures, calibrator.quarantine_skips, calibrator.cache_hits) == (
+            1, 1, 0,
+        )
+
+        resumed = driver(scripted(space, [poison, poison, other]))
+        resumed.run(resume=calibrator.checkpoint())
+        assert (resumed.quarantine_skips, resumed.cache_hits) == (1, 0)
 
     def test_transient_retries_match_the_clean_trajectory(self):
         """A run whose transient failures all recover on retry visits the
@@ -458,7 +498,7 @@ class TestDriverFailurePaths:
 
         chaotic = Calibrator(
             space, flaky, algorithm="random", budget=EvaluationBudget(20), seed=5,
-            retry_policy=RetryPolicy(max_attempts=2, backoff=0.001, backoff_max=0.002),
+            config=RunConfig(retry_policy=RetryPolicy(max_attempts=2, backoff=0.001, backoff_max=0.002)),
         ).run()
         assert [e.unit for e in chaotic.history] == [e.unit for e in clean.history]
         assert [e.value for e in chaotic.history] == [e.value for e in clean.history]
@@ -478,8 +518,9 @@ class TestZeroFailureByteIdentity:
         armed = Calibrator(
             space, quadratic(space), algorithm=name,
             budget=EvaluationBudget(30), seed=11,
-            retry_policy=RetryPolicy(), failure_policy=FailurePolicy(),
-            eval_timeout=60.0,
+            config=RunConfig(
+                retry_policy=RetryPolicy(), failure_policy=FailurePolicy(), eval_timeout=60.0,
+            ),
         ).run()
         assert [e.unit for e in armed.history] == [e.unit for e in plain.history]
         assert [e.value for e in armed.history] == [e.value for e in plain.history]
@@ -495,7 +536,7 @@ class TestZeroFailureByteIdentity:
         armed = AsyncCalibrator(
             space, quadratic(space), algorithm="random", workers=4, mode="thread",
             budget=EvaluationBudget(24), seed=11,
-            retry_policy=RetryPolicy(), failure_policy=FailurePolicy(),
+            config=RunConfig(retry_policy=RetryPolicy(), failure_policy=FailurePolicy()),
         ).run()
         assert sorted(e.unit for e in armed.history) == sorted(
             e.unit for e in plain.history

@@ -26,6 +26,7 @@ from repro.core import (
     Parameter,
     ParameterSpace,
     RetryPolicy,
+    RunConfig,
 )
 from repro.service import InMemoryStore, StoreBackedCache
 from repro.service.fleet.faults import FaultyObjective
@@ -100,7 +101,7 @@ class TestBatchChaos:
             SPACE, faulty, algorithm="random", workers=4, mode="process",
             budget=EvaluationBudget(BUDGET), seed=SEED,
             cache=StoreBackedCache(store, "chaos"),
-            retry_policy=RETRY, failure_policy=PENALTY, eval_timeout=EVAL_TIMEOUT,
+            config=RunConfig(retry_policy=RETRY, failure_policy=PENALTY, eval_timeout=EVAL_TIMEOUT),
         )
         result = run_without_wedging(calibrator)
 
@@ -130,7 +131,7 @@ class TestBatchChaos:
             SPACE, faulty, algorithm="random", workers=4, mode="process",
             budget=EvaluationBudget(BUDGET), seed=SEED,
             cache=StoreBackedCache(store, "chaos"),
-            retry_policy=RETRY, failure_policy=PENALTY, eval_timeout=EVAL_TIMEOUT,
+            config=RunConfig(retry_policy=RETRY, failure_policy=PENALTY, eval_timeout=EVAL_TIMEOUT),
         )
         result = run_without_wedging(calibrator)
         assert result.evaluations == BUDGET
@@ -147,7 +148,7 @@ class TestAsyncChaos:
             SPACE, chaos_objective(), algorithm="random", workers=4, mode="process",
             budget=EvaluationBudget(BUDGET), seed=SEED,
             cache=StoreBackedCache(store, "chaos"),
-            retry_policy=RETRY, failure_policy=PENALTY, eval_timeout=EVAL_TIMEOUT,
+            config=RunConfig(retry_policy=RETRY, failure_policy=PENALTY, eval_timeout=EVAL_TIMEOUT),
         )
         result = run_without_wedging(calibrator)
         assert result.evaluations == BUDGET
@@ -170,7 +171,7 @@ class TestQuarantineAcrossJobs:
             SPACE, chaos_objective(), algorithm="random", workers=4, mode="process",
             budget=EvaluationBudget(BUDGET), seed=SEED,
             cache=StoreBackedCache(store, "chaos"),
-            retry_policy=RETRY, failure_policy=PENALTY, eval_timeout=EVAL_TIMEOUT,
+            config=RunConfig(retry_policy=RETRY, failure_policy=PENALTY, eval_timeout=EVAL_TIMEOUT),
         )
         result = run_without_wedging(first)
         assert store.failure_count() == 1
@@ -183,8 +184,7 @@ class TestQuarantineAcrossJobs:
             SPACE, chaos_objective(), algorithm="random",
             budget=EvaluationBudget(BUDGET), seed=SEED,
             cache=StoreBackedCache(store, "chaos"),
-            count_cache_hits=True, record_cache_hits=True,
-            failure_policy=PENALTY,
+            config=RunConfig(replay_cache_hits=True, failure_policy=PENALTY),
         )
         replay = run_without_wedging(second, timeout=60.0)
         assert replay.best_value == result.best_value

@@ -173,9 +173,3 @@ class TestStoreBackedCacheClaims:
         leader.cancel((), POINT)
         assert follower.claim((), POINT).status == Claim.CLAIMED
 
-    def test_non_deduping_cache_never_leases(self):
-        store = InMemoryStore()
-        a = StoreBackedCache(store, "fp", dedupe_in_flight=False)
-        b = StoreBackedCache(store, "fp", dedupe_in_flight=False)
-        assert a.claim((), POINT).status == Claim.CLAIMED
-        assert b.claim((), POINT).status == Claim.CLAIMED

@@ -7,7 +7,13 @@ takeover, at once — not after the lease TTL) or is still computing it.
 
 import threading
 
-from repro.core import AsyncCalibrator, EvaluationBudget, Parameter, ParameterSpace
+from repro.core import (
+    AsyncCalibrator,
+    EvaluationBudget,
+    Parameter,
+    ParameterSpace,
+    RunConfig,
+)
 from repro.core.evaluation import Claim
 from repro.service import InMemoryStore, StoreBackedCache
 
@@ -102,7 +108,7 @@ class TestDeferredLeases:
         waiter = AsyncCalibrator(
             make_space(), lambda v: 0.0, workers=1, mode="thread",
             budget=EvaluationBudget(1), seed=3, cache=waiter_cache,
-            record_cache_hits=True,
+            config=RunConfig(replay_cache_hits=True),
         )
         waiter_thread, outcome = run_in_thread(waiter)
         leader_thread.join(JOIN_TIMEOUT)

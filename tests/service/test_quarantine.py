@@ -15,6 +15,7 @@ from repro.core import (
     FailurePolicy,
     Parameter,
     ParameterSpace,
+    RunConfig,
 )
 from repro.core.evaluation import Claim
 from repro.service import (
@@ -216,7 +217,7 @@ class TestSecondJobSkipsQuarantine:
         first = scripted(space, [point])
         Calibrator(
             space, poison, algorithm=first, cache=StoreBackedCache(store, FP),
-            failure_policy=FailurePolicy(penalty=1e6),
+            config=RunConfig(failure_policy=FailurePolicy(penalty=1e6)),
         ).run()
         assert first.told == [1e6]
         assert store.failure_count() == 1
@@ -230,7 +231,7 @@ class TestSecondJobSkipsQuarantine:
         second = scripted(space, [point])
         job2 = Calibrator(
             space, counting, algorithm=second, cache=StoreBackedCache(store, FP),
-            failure_policy=FailurePolicy(penalty=1e6),
+            config=RunConfig(failure_policy=FailurePolicy(penalty=1e6)),
         )
         job2.run()
         assert second.told == [1e6]
@@ -251,7 +252,7 @@ class TestSecondJobSkipsQuarantine:
         first = Calibrator(
             space, poison_region, algorithm="random", budget=EvaluationBudget(15),
             seed=4, cache=StoreBackedCache(store, FP),
-            failure_policy=FailurePolicy(penalty=1e6),
+            config=RunConfig(failure_policy=FailurePolicy(penalty=1e6)),
         ).run()
         poisoned = store.failure_count()
         assert poisoned > 0  # seed 4 visits the poison region
@@ -259,9 +260,8 @@ class TestSecondJobSkipsQuarantine:
 
         second = Calibrator(
             space, poison_region, algorithm="random", budget=EvaluationBudget(15),
-            seed=4, cache=StoreBackedCache(store, FP), count_cache_hits=True,
-            record_cache_hits=True,
-            failure_policy=FailurePolicy(penalty=1e6),
+            seed=4, cache=StoreBackedCache(store, FP),
+            config=RunConfig(replay_cache_hits=True, failure_policy=FailurePolicy(penalty=1e6)),
         ).run()
         # The replay re-evaluated nothing: hits from the store, quarantine
         # skips for the poison points.

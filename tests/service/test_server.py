@@ -133,7 +133,7 @@ class TestConcurrentJobs:
                 active.pop()
             return quadratic(values)
 
-        with CalibrationServer(store=InMemoryStore(), workers=2, dedupe_in_flight=False,
+        with CalibrationServer(store=InMemoryStore(), workers=2,
                                progress_every=0) as server:
             jobs = [
                 server.submit(make_request(space, tracking, evaluations=10, seed=s,

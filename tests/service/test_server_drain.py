@@ -86,7 +86,7 @@ class TestWorkerDeath:
                 time.sleep(0.01)
             return quadratic(values)
 
-        server = CalibrationServer(store=InMemoryStore(), workers=1, dedupe_in_flight=False)
+        server = CalibrationServer(store=InMemoryStore(), workers=1)
         jobs = [
             server.submit(make_request(slow, f"fp-slow-{i}", evaluations=2))
             for i in range(4)
