@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.algorithms.base import CalibrationAlgorithm, register
 
-if TYPE_CHECKING:  # pragma: no cover - scipy.stats costs 0.8 s: imported on first use
+if TYPE_CHECKING:  # pragma: no cover - scipy.stats costs ~1 s: imported on first use
     from scipy.stats import qmc
 
 __all__ = ["SobolSearch"]

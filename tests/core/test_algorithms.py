@@ -19,6 +19,7 @@ from repro.core import (
     TimeBudget,
     get_algorithm,
 )
+from repro.core.algorithms.bayesian import BayesianOptimization, _ndtr
 from repro.core.algorithms.grid import GridSearch
 
 
@@ -173,3 +174,41 @@ class TestBudgetsAndResults:
                                 budget=EvaluationBudget(200), seed=4)
         result = calibrator.run()
         assert result.best_value < 2.0
+
+
+class TestBayesianNormalCdf:
+    """The numpy port of Cephes ``ndtr`` against scipy, which runs the same
+    C code: every bit must agree, so Expected Improvement does too."""
+
+    def test_ndtr_matches_scipy_bitwise(self):
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        rng = np.random.default_rng(20)
+        for points in (rng.normal(0.0, 3.0, 600_000), rng.uniform(-45.0, 45.0, 600_000)):
+            assert np.array_equal(_ndtr(points), ndtr(points), equal_nan=True)
+
+    def test_ndtr_edges_match_scipy(self):
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        root2 = math.sqrt(2.0)
+        underflow = math.sqrt(2.0 * 7.09782712893383996843e2)  # -z*z = -MAXLOG
+        # branch edges |a| = 1 (z = 1/sqrt(2)), sqrt(2) (z = 1), 8 sqrt(2) (z = 8)
+        edges = np.array([0.0, 1.0, root2, 8 * root2, 37.5, underflow, 37.7, 38.0, 1e300])
+        edges = np.concatenate([edges, -edges])
+        points = np.concatenate(
+            [edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+             [np.inf, -np.inf, np.nan]]
+        )
+        assert np.array_equal(_ndtr(points), ndtr(points), equal_nan=True)
+        assert _ndtr(np.array([np.inf, -np.inf])).tolist() == [1.0, 0.0]
+        assert np.isnan(_ndtr(np.array([np.nan]))[0])
+
+    def test_expected_improvement_matches_scipy_form(self):
+        norm = pytest.importorskip("scipy.stats").norm
+        rng = np.random.default_rng(21)
+        mu = rng.normal(0.0, 2.0, 50_000)
+        sigma = rng.uniform(1e-6, 3.0, 50_000)
+        best, xi = 0.4, 0.01
+        improvement = best - mu - xi
+        z = improvement / sigma
+        expected = improvement * norm.cdf(z) + sigma * norm.pdf(z)
+        ei = BayesianOptimization._expected_improvement(mu, sigma, best, xi)
+        assert np.array_equal(ei, expected)

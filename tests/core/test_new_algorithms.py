@@ -17,6 +17,7 @@ from repro.core import (
     ParameterSpace,
     get_algorithm,
 )
+from repro.core.algorithms.bayesian import BayesianOptimization
 from repro.core.algorithms.cmaes import CMAES
 from repro.core.algorithms.differential_evolution import DifferentialEvolution
 from repro.core.algorithms.nelder_mead import NelderMead
@@ -87,6 +88,20 @@ class TestConstructorValidation:
     def test_sobol_rejects_bad_batch(self):
         with pytest.raises(ValueError):
             SobolSearch(batch_size=0)
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("candidates_per_iteration", 0),
+            ("max_conditioning_points", 1),
+            ("length_scale", 0.0),
+            ("length_scale", float("inf")),
+            ("noise", -1.0),
+        ],
+    )
+    def test_bayesian_rejects_bad_settings(self, option, value):
+        with pytest.raises(ValueError, match=option):
+            BayesianOptimization(**{option: value})
 
 
 class TestBudgetCompliance:
