@@ -254,7 +254,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     spool = JobSpool(args.serve_dir)
     store_path = args.store if args.store is not None else str(spool.default_store_path)
-    store = open_store(None if store_path == ":memory:" else store_path)
+    store = open_store(store_path)
     factory = CaseStudyRequestFactory()
 
     def on_event(job, event):
@@ -340,7 +340,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     # The fleet needs cross-process leases, which only the SQLite backend
     # provides — default to DIR/store.db rather than serve's store.jsonl.
     store_path = args.store if args.store is not None else str(Path(args.serve_dir) / "store.db")
-    store = open_store(None if store_path == ":memory:" else store_path)
+    store = open_store(store_path)
     factory = CaseStudyRequestFactory()
 
     def on_event(job, event):
@@ -549,7 +549,7 @@ def _print_store_summary(spool, store_arg: str | None) -> None:
     if store_arg is None and spool is None:
         return
     store_path = store_arg if store_arg is not None else str(spool.default_store_path)
-    if store_path == ":memory:" or not Path(store_path).exists():
+    if not Path(store_path).exists():
         return
     with open_store(store_path) as store:
         entries = len(store)
@@ -835,8 +835,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--serve-dir", default="service", metavar="DIR",
                        help="service spool directory")
     p_srv.add_argument("--store", default=None, metavar="PATH",
-                       help="evaluation store file (.jsonl or .db/.sqlite; "
-                            "':memory:' for no persistence; default DIR/store.jsonl)")
+                       help="evaluation store file (.jsonl or .db/.sqlite; default "
+                            "DIR/store.jsonl); ':memory:', as for every --store, "
+                            "keeps it in this process with no file")
     p_srv.add_argument("--workers", type=int, default=2, help="concurrent jobs")
     p_srv.add_argument("--poll", type=float, default=None, metavar="SECONDS",
                        help="keep serving, re-scanning the queue every SECONDS "

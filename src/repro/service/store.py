@@ -18,11 +18,12 @@ vector)``:
   ``float`` and rendered with ``repr``) so that logically equal inputs —
   different dict insertion orders, ``4`` vs ``4.0`` — map to the same key.
 
-Three backends are provided: :class:`InMemoryStore` (a dict),
+Three backends are provided: :class:`InMemoryStore` (dicts),
 :class:`JsonlStore` (append-only JSON Lines, human-greppable) and
-:class:`SqliteStore` (cross-process safe).  All are safe under concurrent
-writers within a process; SQLite additionally serialises concurrent
-writer *processes*.
+:class:`SqliteStore` (cross-process safe), each only five row calls and
+a transaction under the one protocol of :class:`EvaluationStore`.  All
+are safe under concurrent writers within a process; SQLite additionally
+serialises concurrent writer *processes*.
 
 Beyond finished results, the store also tracks *in-flight* work through a
 claim/lease protocol (:meth:`EvaluationStore.claim` /
@@ -64,7 +65,8 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
+from typing import Any, NamedTuple
 
 from repro.telemetry.metrics import registry as _metrics_registry
 
@@ -114,27 +116,36 @@ def _read_jsonl_tolerant(path: Path, label: str) -> list[dict[str, object]]:
     anywhere *before* the final line is not a crash signature — it still
     raises, because silently skipping interior records would un-publish
     evaluations other jobs may have already observed.
+
+    The file is then made to end on a full line again (a fragment cut
+    off, a missing newline added): appended to a fragment, the next
+    acknowledged record would be dropped with it at the next open.
     """
-    with path.open() as handle:
-        lines = handle.readlines()
-    last = len(lines) - 1
+    raw = path.read_bytes()
+    lines = raw.decode("utf-8").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the file ends on a newline (or is empty)
     records: list[dict[str, object]] = []
     for index, line in enumerate(lines):
-        stripped = line.strip()
-        if not stripped:
+        if not line.strip():
             continue
         try:
-            data = json.loads(stripped)
-        except json.JSONDecodeError as error:
-            if index == last:
-                _log.warning(
-                    "%s: dropping truncated final line of %s (%s)", label, path, error
-                )
-                break
-            raise ValueError(
-                f"corrupt {label} record at {path}:{index + 1}: {error}"
-            ) from error
-        records.append(data)
+            records.append(json.loads(line))
+        except ValueError as error:
+            if index < len(lines) - 1:
+                raise ValueError(
+                    f"corrupt {label} record at {path}:{index + 1}: {error}"
+                ) from error
+            _log.warning("%s: dropping truncated final line of %s (%s)", label, path, error)
+            lines[index] = ""
+    if lines and (not lines[-1] or not raw.endswith(b"\n")):
+        with contextlib.suppress(PermissionError), path.open("r+b") as handle:
+            # A file that grew since the read has a writer appending to it,
+            # whose line ends on a newline of its own: leave it be.
+            if handle.seek(0, 2) == len(raw):
+                handle.seek(sum(len(line.encode()) + 1 for line in lines[:-1]))
+                handle.write(lines[-1].encode() + b"\n" if lines[-1] else b"")
+                handle.truncate()
     return records
 
 
@@ -251,21 +262,49 @@ class StoreClaim:
     QUARANTINED = "quarantined"
 
 
-class EvaluationStore:
-    """Base class: thread-safe keyed access plus hit/miss accounting.
+# A tuple, not a frozen dataclass: every claim miss builds one, at a third of the cost.
+class _Lease(NamedTuple):
+    """One in-flight claim: ``owner`` computes ``key`` until ``expires_at``."""
 
-    Subclasses implement ``_load_entry``/``_save_entry`` (and optionally
-    ``_iter_entries`` and the ``_*_lease`` hooks); all locking and
+    key: str
+    owner: str
+    expires_at: float
+
+    def to_dict(self) -> dict[str, object]:
+        return self._asdict()
+
+    @staticmethod
+    def from_dict(data: Mapping[str, object]) -> _Lease:
+        return _Lease(str(data["key"]), str(data["owner"]), float(data["expires_at"]))
+
+
+#: the store's keyed tables and the record type each holds, keyed by ``key``
+_Record = StoredEvaluation | StoredFailure | _Lease
+_RECORDS: dict[str, type[_Record]] = {
+    "evaluations": StoredEvaluation,
+    "failures": StoredFailure,
+    "leases": _Lease,
+}
+
+
+class EvaluationStore:
+    """Base class: the store protocol, written once, plus hit/miss accounting.
+
+    The protocol runs over three keyed tables (``evaluations``,
+    ``failures``, ``leases``) through five row calls — ``_get``, ``_put``,
+    ``_delete``, ``_records``, ``_size`` — served here from dicts, which
+    makes the base class the whole in-memory backend.  A backend keeping
+    rows elsewhere overrides those five and :meth:`_transaction`; all locking and
     statistics live here.  Every public method is atomic under the store
     lock, so a store instance can be shared by any number of jobs/threads
     within a process; whether two *processes* can share a store depends on
     the backend (SQLite yes, JSONL only via :meth:`JsonlStore.reload`,
     in-memory no).
 
-    Hooks never commit; public methods own the transaction: every
+    Row calls never commit; public methods own the transaction: every
     mutating protocol step (:meth:`put`, :meth:`record_failure`,
     :meth:`clear_failure`, :meth:`release`, the miss path of
-    :meth:`claim`) runs its hooks inside one :meth:`_transaction`, so a
+    :meth:`claim`) runs its row calls inside one :meth:`_transaction`, so a
     step is published to other processes whole or not at all.
     """
 
@@ -279,14 +318,10 @@ class EvaluationStore:
         self.lease_conflicts = 0
         #: failures recorded via :meth:`record_failure` (quarantine events)
         self.failures_recorded = 0
-        #: default in-memory lease table (overridden by SqliteStore):
-        #: key -> (owner, expires_at)
-        self._leases: dict[str, tuple[str, float]] = {}
-        #: default in-memory failure-quarantine table (JsonlStore persists
-        #: it to a sidecar file, SqliteStore to a table)
-        self._failures: dict[str, StoredFailure] = {}
+        #: table -> key -> record (SqliteStore keeps its rows in the database)
+        self._tables: dict[str, dict[str, _Record]] = {table: {} for table in _RECORDS}
 
-    # -- backend interface --------------------------------------------- #
+    # -- backend interface: a transaction and five row calls ----------- #
     def _transaction(self) -> contextlib.AbstractContextManager[object]:
         """Context manager around one mutating protocol step.
 
@@ -296,72 +331,31 @@ class EvaluationStore:
         """
         return self._lock
 
-    def _load_entry(self, key: str) -> StoredEvaluation | None:
-        raise NotImplementedError  # pragma: no cover - interface
+    def _get(self, table: str, key: str) -> Any:
+        """The record stored under ``key`` in ``table``, or ``None``."""
+        return self._tables[table].get(key)
 
-    def _save_entry(self, entry: StoredEvaluation) -> None:
-        raise NotImplementedError  # pragma: no cover - interface
+    def _put(self, table: str, record: _Record) -> None:
+        """Insert or replace ``record`` (keyed by ``record.key``)."""
+        self._tables[table][record.key] = record
 
-    def _iter_entries(self) -> Iterable[StoredEvaluation]:
-        raise NotImplementedError  # pragma: no cover - interface
+    def _delete(self, table: str, key: str) -> None:
+        """Drop the row for ``key`` (a no-op if there is none)."""
+        self._tables[table].pop(key, None)
 
-    def _count_entries(self) -> int:
-        return sum(1 for _ in self._iter_entries())
+    def _records(self, table: str) -> list[Any]:
+        """Every record of ``table``, in no particular order."""
+        return list(self._tables[table].values())
 
-    # -- lease backend (in-memory default; SqliteStore overrides) ------- #
-    def _load_lease(self, key: str) -> tuple[str, float] | None:
-        return self._leases.get(key)
-
-    def _save_lease(self, key: str, owner: str, expires_at: float) -> None:
-        self._leases[key] = (owner, expires_at)
-
-    def _drop_lease(self, key: str) -> None:
-        self._leases.pop(key, None)
-
-    def _try_acquire_lease(
-        self, key: str, owner: str, now: float, expires_at: float
-    ) -> tuple[str, float] | None:
-        """Atomically acquire (or renew) the lease on ``key`` for ``owner``.
-
-        Returns ``None`` on success, or the blocking ``(owner,
-        expires_at)`` lease held by someone else.  The read-then-write is
-        atomic because :meth:`claim` calls it inside :meth:`_transaction`.
-        """
-        lease = self._load_lease(key)
-        if lease is not None and lease[0] != owner and lease[1] > now:
-            return lease
-        self._save_lease(key, owner, expires_at)
-        return None
-
-    def _release_lease(self, key: str, owner: str) -> None:
-        """Drop ``owner``'s lease on ``key`` (a no-op if someone else holds
-        it); called inside :meth:`_transaction` like :meth:`_try_acquire_lease`."""
-        lease = self._load_lease(key)
-        if lease is not None and lease[0] == owner:
-            self._drop_lease(key)
-
-    # -- failure backend (in-memory default; Jsonl/Sqlite override) ------ #
-    def _load_failure(self, key: str) -> StoredFailure | None:
-        return self._failures.get(key)
-
-    def _save_failure(self, failure: StoredFailure) -> None:
-        self._failures[failure.key] = failure
-
-    def _drop_failure(self, key: str) -> None:
-        self._failures.pop(key, None)
-
-    def _iter_failures(self) -> Iterable[StoredFailure]:
-        return list(self._failures.values())
-
-    def _count_failures(self) -> int:
-        return len(self._failures)
+    def _size(self, table: str) -> int:
+        return len(self._tables[table])
 
     # -- public API ---------------------------------------------------- #
     def get(self, fingerprint: str, values: Mapping[str, float]) -> float | None:
         """Look up the objective value for a (scenario, point), or ``None``."""
         key = evaluation_key(fingerprint, values)
         with self._lock:
-            entry = self._load_entry(key)
+            entry = self._get("evaluations", key)
             if entry is None:
                 self.misses += 1
                 self._count("repro_store_misses_total")
@@ -375,7 +369,7 @@ class EvaluationStore:
         drivers polling for a point another owner is computing, so a tight
         poll loop does not distort the store statistics."""
         with self._lock:
-            entry = self._load_entry(evaluation_key(fingerprint, values))
+            entry = self._get("evaluations", evaluation_key(fingerprint, values))
             return None if entry is None else entry.value
 
     def put(self, fingerprint: str, values: Mapping[str, float], value: float) -> StoredEvaluation:
@@ -389,9 +383,9 @@ class EvaluationStore:
             created_at=time.time(),
         )
         with self._transaction():
-            self._save_entry(entry)
-            self._drop_lease(key)  # publishing a value finishes its claim
-            self._drop_failure(key)  # a success un-quarantines the point
+            self._put("evaluations", entry)
+            self._delete("leases", key)  # publishing a value finishes its claim
+            self._delete("failures", key)  # a success un-quarantines the point
             self.puts += 1
             self._count("repro_store_puts_total")
         return entry
@@ -424,8 +418,8 @@ class EvaluationStore:
             created_at=time.time(),
         )
         with self._transaction():
-            self._save_failure(failure)
-            self._drop_lease(key)
+            self._put("failures", failure)
+            self._delete("leases", key)
             self.failures_recorded += 1
             self._count("repro_store_failures_total")
         return failure
@@ -434,26 +428,22 @@ class EvaluationStore:
         """The quarantine record for a point, or ``None`` (no hit/miss
         accounting — callers poll this alongside :meth:`peek`)."""
         with self._lock:
-            return self._load_failure(evaluation_key(fingerprint, values))
+            return self._get("failures", evaluation_key(fingerprint, values))
 
     def clear_failure(self, fingerprint: str, values: Mapping[str, float]) -> None:
         """Lift a point's quarantine (e.g. after the faulty dependency is
         fixed) so the next claim recomputes it."""
         with self._transaction():
-            self._drop_failure(evaluation_key(fingerprint, values))
+            self._delete("failures", evaluation_key(fingerprint, values))
 
     def failure_count(self) -> int:
         """Number of currently quarantined points."""
         with self._lock:
-            return self._count_failures()
+            return self._size("failures")
 
     def failures(self, fingerprint: str | None = None) -> list[StoredFailure]:
         """All quarantine records, optionally restricted to one scenario."""
-        with self._lock:
-            return [
-                f for f in self._iter_failures()
-                if fingerprint is None or f.fingerprint == fingerprint
-            ]
+        return self._of_scenario("failures", fingerprint)
 
     # -- claim/lease protocol ------------------------------------------ #
     def claim(
@@ -481,14 +471,14 @@ class EvaluationStore:
         key = evaluation_key(fingerprint, values)
         now = time.time()
         with self._lock:
-            entry = self._load_entry(key)
+            entry = self._get("evaluations", key)
             if entry is None:
                 with self._transaction():
                     # Re-read under the write lock: another process may
                     # have published the point and dropped its lease
                     # between the read above and this transaction, and a
                     # stored point must never be claimed again.
-                    entry = self._load_entry(key)
+                    entry = self._get("evaluations", key)
                     if entry is None:
                         return self._claim_missing(key, owner, now, now + float(ttl))
             self.hits += 1
@@ -497,14 +487,15 @@ class EvaluationStore:
 
     def _claim_missing(self, key: str, owner: str, now: float, expires_at: float) -> StoreClaim:
         """The miss path of :meth:`claim`; runs inside its transaction."""
-        known = self._load_failure(key)
+        known = self._get("failures", key)
         if known is not None:
             return StoreClaim(StoreClaim.QUARANTINED, failure=known)
-        blocker = self._try_acquire_lease(key, owner, now, expires_at)
-        if blocker is not None:
+        lease = self._get("leases", key)
+        if lease is not None and lease.owner != owner and lease.expires_at > now:
             self.lease_conflicts += 1
             self._count("repro_store_lease_conflicts_total")
-            return StoreClaim(StoreClaim.LEASED, owner=blocker[0], expires_at=blocker[1])
+            return StoreClaim(StoreClaim.LEASED, owner=lease.owner, expires_at=lease.expires_at)
+        self._put("leases", _Lease(key, owner, expires_at))
         self.misses += 1
         self._count("repro_store_misses_total")
         return StoreClaim(StoreClaim.CLAIMED)
@@ -517,21 +508,14 @@ class EvaluationStore:
         """
         key = evaluation_key(fingerprint, values)
         with self._transaction():
-            self._release_lease(key, owner)
+            lease = self._get("leases", key)
+            if lease is not None and lease.owner == owner:
+                self._delete("leases", key)
 
     def lease_count(self) -> int:
         """Number of live (possibly expired, not yet reaped) leases."""
         with self._lock:
-            return self._count_leases()
-
-    def _count_leases(self) -> int:
-        return len(self._leases)
-
-    def _iter_leases(self) -> Iterable[tuple[str, str, float]]:
-        """All ``(key, owner, expires_at)`` lease rows (including expired
-        ones not yet reaped); overridden by backends with external lease
-        state."""
-        return [(key, owner, expires_at) for key, (owner, expires_at) in self._leases.items()]
+            return self._size("leases")
 
     def active_leases(self, now: float | None = None) -> list[dict[str, object]]:
         """The unexpired leases — evaluations currently being computed.
@@ -542,46 +526,40 @@ class EvaluationStore:
         """
         cutoff = time.time() if now is None else float(now)
         with self._lock:
-            rows = list(self._iter_leases())
-        live = [
-            {"key": key, "owner": owner, "expires_at": expires_at}
-            for key, owner, expires_at in rows
-            if expires_at > cutoff
-        ]
-        live.sort(key=lambda lease: lease["expires_at"])
-        return live
+            rows = self._records("leases")
+        live = [lease for lease in rows if lease.expires_at > cutoff]
+        return [lease.to_dict() for lease in sorted(live, key=lambda lease: lease.expires_at)]
 
     def __contains__(self, item: tuple[str, Mapping[str, float]]) -> bool:
         fingerprint, values = item
-        with self._lock:
-            return self._load_entry(evaluation_key(fingerprint, values)) is not None
+        return self.peek(fingerprint, values) is not None
 
     def __len__(self) -> int:
         with self._lock:
-            return self._count_entries()
+            return self._size("evaluations")
 
     def entries(self, fingerprint: str | None = None) -> list[StoredEvaluation]:
         """All stored evaluations, optionally restricted to one scenario."""
+        return self._of_scenario("evaluations", fingerprint)
+
+    def _of_scenario(self, table: str, fingerprint: str | None) -> list[Any]:
         with self._lock:
-            return [
-                e for e in self._iter_entries()
-                if fingerprint is None or e.fingerprint == fingerprint
-            ]
+            rows = self._records(table)
+        return [row for row in rows if fingerprint is None or row.fingerprint == fingerprint]
 
     def fingerprints(self) -> list[str]:
         """The distinct scenario fingerprints present in the store."""
-        with self._lock:
-            return sorted({e.fingerprint for e in self._iter_entries()})
+        return sorted({e.fingerprint for e in self.entries()})
 
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {
-                "entries": self._count_entries(),
+                "entries": self._size("evaluations"),
                 "hits": self.hits,
                 "misses": self.misses,
                 "puts": self.puts,
                 "lease_conflicts": self.lease_conflicts,
-                "failures": self._count_failures(),
+                "failures": self._size("failures"),
             }
 
     def _count(self, name: str) -> None:
@@ -605,32 +583,16 @@ class EvaluationStore:
 class InMemoryStore(EvaluationStore):
     """Dict-backed store; shared across jobs within one process."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._data: dict[str, StoredEvaluation] = {}
-
-    def _load_entry(self, key: str) -> StoredEvaluation | None:
-        return self._data.get(key)
-
-    def _save_entry(self, entry: StoredEvaluation) -> None:
-        self._data[entry.key] = entry
-
-    def _iter_entries(self) -> Iterable[StoredEvaluation]:
-        return list(self._data.values())
-
-    def _count_entries(self) -> int:
-        return len(self._data)
-
 
 class JsonlStore(EvaluationStore):
     """Append-only JSON Lines store.
 
-    Reads are served from an in-memory index; every put appends one line to
-    the file, so the on-disk state is a log that can be tailed, grepped and
-    concatenated.  ``reload()`` merges lines written by other processes
-    since the file was last read; a truncated *final* line (the signature
-    of a crash mid-append) is dropped with a warning instead of poisoning
-    the whole store.
+    Reads are served from the base class's in-memory tables; every put
+    appends one line to the file, so the on-disk state is a log that can
+    be tailed, grepped and concatenated.  ``reload()`` merges lines
+    written by other processes since the file was last read; a truncated
+    *final* line (the signature of a crash mid-append) is dropped with a
+    warning instead of poisoning the whole store.
 
     Failure-quarantine records live in an append-only sidecar next to the
     main file (``<stem>.failures<suffix>``): recording appends the failure
@@ -646,7 +608,7 @@ class JsonlStore(EvaluationStore):
         self.failures_path = self.path.with_name(
             self.path.stem + ".failures" + self.path.suffix
         )
-        self._data: dict[str, StoredEvaluation] = {}
+        self._logs = {"evaluations": self.path, "failures": self.failures_path}
         self.reload()
 
     def reload(self) -> int:
@@ -654,53 +616,63 @@ class JsonlStore(EvaluationStore):
 
         Returns the number of entries now indexed.
         """
+        evaluations, failures = self._tables["evaluations"], self._tables["failures"]
         with self._lock:
             if self.path.exists():
                 for data in _read_jsonl_tolerant(self.path, "evaluation store"):
                     entry = StoredEvaluation.from_dict(data)
-                    self._data[entry.key] = entry
+                    evaluations[entry.key] = entry
             if self.failures_path.exists():
                 for data in _read_jsonl_tolerant(self.failures_path, "failure quarantine"):
                     if data.get("cleared"):
-                        self._failures.pop(str(data["key"]), None)
+                        failures.pop(str(data["key"]), None)
                     else:
                         failure = StoredFailure.from_dict(data)
-                        self._failures[failure.key] = failure
+                        failures[failure.key] = failure
             # A published value beats a stale quarantine record regardless
             # of the order the two logs were read in.
-            for key in list(self._failures):
-                if key in self._data:
-                    self._failures.pop(key)
-            return len(self._data)
+            for key in failures.keys() & evaluations.keys():
+                del failures[key]
+            return len(evaluations)
 
-    def _load_entry(self, key: str) -> StoredEvaluation | None:
-        return self._data.get(key)
+    def _put(self, table: str, record: _Record) -> None:
+        super()._put(table, record)
+        if table in self._logs:
+            # One line per record, written in a single append so that
+            # concurrent in-process writers (serialised by the store lock)
+            # and append-mode writers in other processes never interleave
+            # partial lines.
+            with self._logs[table].open("a") as handle:
+                handle.write(json.dumps(record.to_dict()) + "\n")
 
-    def _save_entry(self, entry: StoredEvaluation) -> None:
-        self._data[entry.key] = entry
-        # One line per entry, written in a single append so that concurrent
-        # in-process writers (serialised by the store lock) and append-mode
-        # writers in other processes never interleave partial lines.
-        with self.path.open("a") as handle:
-            handle.write(json.dumps(entry.to_dict()) + "\n")
-
-    def _iter_entries(self) -> Iterable[StoredEvaluation]:
-        return list(self._data.values())
-
-    def _count_entries(self) -> int:
-        return len(self._data)
-
-    def _save_failure(self, failure: StoredFailure) -> None:
-        self._failures[failure.key] = failure
-        with self.failures_path.open("a") as handle:
-            handle.write(json.dumps(failure.to_dict()) + "\n")
-
-    def _drop_failure(self, key: str) -> None:
+    def _delete(self, table: str, key: str) -> None:
         # Only write a tombstone when the key was actually quarantined —
         # every put() drops failures, and successes must not bloat the log.
-        if self._failures.pop(key, None) is not None:
+        if table == "failures" and key in self._tables[table]:
             with self.failures_path.open("a") as handle:
                 handle.write(json.dumps({"key": key, "cleared": True}) + "\n")
+        super()._delete(table, key)
+
+
+#: each SQLite table's columns, key first; ``params`` holds ``values`` as JSON
+_COLUMNS = {
+    "evaluations": ("key", "fingerprint", "params", "value", "created_at"),
+    "failures": ("key", "fingerprint", "params", "error", "kind", "attempts", "created_at"),
+    "leases": ("key", "owner", "expires_at"),
+}
+
+#: the row calls' SQL per table, built once
+_SQL = {
+    table: {
+        "get": f"SELECT {', '.join(columns)} FROM {table} WHERE key = ?",
+        "put": f"INSERT OR REPLACE INTO {table} ({', '.join(columns)}) "
+        f"VALUES ({', '.join('?' * len(columns))})",
+        "delete": f"DELETE FROM {table} WHERE key = ?",
+        "records": f"SELECT {', '.join(columns)} FROM {table}",
+        "size": f"SELECT COUNT(*) FROM {table}",
+    }
+    for table, columns in _COLUMNS.items()
+}
 
 
 class SqliteStore(EvaluationStore):
@@ -782,137 +754,30 @@ class SqliteStore(EvaluationStore):
                 self._conn.rollback()
                 raise
 
-    @staticmethod
-    def _row_to_entry(row: tuple[str, str, str, float, float]) -> StoredEvaluation:
-        key, fingerprint, params, value, created_at = row
-        return StoredEvaluation(
-            key=key,
-            fingerprint=fingerprint,
-            values={k: float(v) for k, v in json.loads(params).items()},
-            value=float(value),
-            created_at=float(created_at),
-        )
+    def _record(self, table: str, row: tuple[object, ...]) -> _Record:
+        data = dict(zip(_COLUMNS[table], row, strict=True))
+        if "params" in data:
+            data["values"] = json.loads(str(data.pop("params")))
+        return _RECORDS[table].from_dict(data)
 
-    def _load_entry(self, key: str) -> StoredEvaluation | None:
-        row = self._conn.execute(
-            "SELECT key, fingerprint, params, value, created_at "
-            "FROM evaluations WHERE key = ?",
-            (key,),
-        ).fetchone()
-        return None if row is None else self._row_to_entry(row)
+    def _get(self, table: str, key: str) -> Any:
+        row = self._conn.execute(_SQL[table]["get"], (key,)).fetchone()
+        return None if row is None else self._record(table, row)
 
-    def _save_entry(self, entry: StoredEvaluation) -> None:
-        self._conn.execute(
-            "INSERT OR REPLACE INTO evaluations (key, fingerprint, params, value, created_at) "
-            "VALUES (?, ?, ?, ?, ?)",
-            (
-                entry.key,
-                entry.fingerprint,
-                json.dumps(entry.values, sort_keys=True),
-                entry.value,
-                entry.created_at,
-            ),
-        )
+    def _put(self, table: str, record: _Record) -> None:
+        data = record.to_dict()
+        if "values" in data:
+            data["params"] = json.dumps(data.pop("values"), sort_keys=True)
+        self._conn.execute(_SQL[table]["put"], [data[column] for column in _COLUMNS[table]])
 
-    def _iter_entries(self) -> Iterable[StoredEvaluation]:
-        rows = self._conn.execute(
-            "SELECT key, fingerprint, params, value, created_at FROM evaluations"
-        ).fetchall()
-        return [self._row_to_entry(row) for row in rows]
+    def _delete(self, table: str, key: str) -> None:
+        self._conn.execute(_SQL[table]["delete"], (key,))
 
-    def _count_entries(self) -> int:
-        (count,) = self._conn.execute("SELECT COUNT(*) FROM evaluations").fetchone()
-        return int(count)
+    def _records(self, table: str) -> list[Any]:
+        return [self._record(table, row) for row in self._conn.execute(_SQL[table]["records"])]
 
-    @staticmethod
-    def _row_to_failure(
-        row: tuple[str, str, str, str, str, int, float]
-    ) -> StoredFailure:
-        key, fingerprint, params, error, kind, attempts, created_at = row
-        return StoredFailure(
-            key=key,
-            fingerprint=fingerprint,
-            values={k: float(v) for k, v in json.loads(params).items()},
-            error=str(error),
-            kind=str(kind),
-            attempts=int(attempts),
-            created_at=float(created_at),
-        )
-
-    def _load_failure(self, key: str) -> StoredFailure | None:
-        row = self._conn.execute(
-            "SELECT key, fingerprint, params, error, kind, attempts, created_at "
-            "FROM failures WHERE key = ?",
-            (key,),
-        ).fetchone()
-        return None if row is None else self._row_to_failure(row)
-
-    def _save_failure(self, failure: StoredFailure) -> None:
-        self._conn.execute(
-            "INSERT OR REPLACE INTO failures "
-            "(key, fingerprint, params, error, kind, attempts, created_at) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (
-                failure.key,
-                failure.fingerprint,
-                json.dumps(failure.values, sort_keys=True),
-                failure.error,
-                failure.kind,
-                failure.attempts,
-                failure.created_at,
-            ),
-        )
-
-    def _drop_failure(self, key: str) -> None:
-        self._conn.execute("DELETE FROM failures WHERE key = ?", (key,))
-
-    def _iter_failures(self) -> Iterable[StoredFailure]:
-        rows = self._conn.execute(
-            "SELECT key, fingerprint, params, error, kind, attempts, created_at FROM failures"
-        ).fetchall()
-        return [self._row_to_failure(row) for row in rows]
-
-    def _count_failures(self) -> int:
-        (count,) = self._conn.execute("SELECT COUNT(*) FROM failures").fetchone()
-        return int(count)
-
-    def _load_lease(self, key: str) -> tuple[str, float] | None:
-        row = self._conn.execute(
-            "SELECT owner, expires_at FROM leases WHERE key = ?", (key,)
-        ).fetchone()
-        return None if row is None else (str(row[0]), float(row[1]))
-
-    def _drop_lease(self, key: str) -> None:
-        self._conn.execute("DELETE FROM leases WHERE key = ?", (key,))
-
-    def _try_acquire_lease(
-        self, key: str, owner: str, now: float, expires_at: float
-    ) -> tuple[str, float] | None:
-        # One conditional upsert instead of the base class's read-then-write
-        # (rowcount 0 = somebody else holds it, unexpired).
-        cursor = self._conn.execute(
-            "INSERT INTO leases (key, owner, expires_at) VALUES (?, ?, ?) "
-            "ON CONFLICT(key) DO UPDATE SET "
-            "    owner = excluded.owner, expires_at = excluded.expires_at "
-            "WHERE leases.owner = excluded.owner OR leases.expires_at <= ?",
-            (key, owner, expires_at, now),
-        )
-        if cursor.rowcount:
-            return None
-        return self._load_lease(key)
-
-    def _release_lease(self, key: str, owner: str) -> None:
-        self._conn.execute(
-            "DELETE FROM leases WHERE key = ? AND owner = ?", (key, owner)
-        )
-
-    def _count_leases(self) -> int:
-        (count,) = self._conn.execute("SELECT COUNT(*) FROM leases").fetchone()
-        return int(count)
-
-    def _iter_leases(self) -> Iterable[tuple[str, str, float]]:
-        rows = self._conn.execute("SELECT key, owner, expires_at FROM leases").fetchall()
-        return [(str(key), str(owner), float(expires_at)) for key, owner, expires_at in rows]
+    def _size(self, table: str) -> int:
+        return int(self._conn.execute(_SQL[table]["size"]).fetchone()[0])
 
     def close(self) -> None:
         with self._lock:
@@ -922,11 +787,11 @@ class SqliteStore(EvaluationStore):
 def open_store(path: str | Path | None = None) -> EvaluationStore:
     """Open the evaluation store for ``path``.
 
-    ``None`` returns an :class:`InMemoryStore`; a ``.db`` / ``.sqlite`` /
-    ``.sqlite3`` suffix selects :class:`SqliteStore`; anything else (the
-    conventional suffix is ``.jsonl``) selects :class:`JsonlStore`.
+    ``None`` or ``":memory:"`` returns an :class:`InMemoryStore`; a ``.db`` /
+    ``.sqlite`` / ``.sqlite3`` suffix selects :class:`SqliteStore`; anything
+    else (the conventional suffix is ``.jsonl``) selects :class:`JsonlStore`.
     """
-    if path is None:
+    if path is None or str(path) == ":memory:":
         return InMemoryStore()
     path = Path(path)
     if path.suffix.lower() in (".db", ".sqlite", ".sqlite3"):

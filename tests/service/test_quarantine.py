@@ -153,6 +153,32 @@ class TestJsonlPersistence:
         assert reopened.peek(FP, {"x": 2.0}) == 2.0
         assert any("truncated" in r.getMessage() for r in caplog.records)
 
+    def test_writes_after_a_torn_tail_survive_reopening(self, tmp_path):
+        """Regression: the append after a dropped torn line used to land on
+        the fragment's line, vanish with it at the next open, and make the
+        store unopenable once one more line followed.  Both logs."""
+        path = tmp_path / "store.jsonl"
+        store = JsonlStore(path)
+        store.put(FP, {"x": 1.0}, 1.0)
+        store.record_failure(FP, POINT, "boom")
+        for log in (path, store.failures_path):
+            with log.open("a") as handle:
+                handle.write('{"key": "abc", "fing')  # a crash mid-append
+        reopened = JsonlStore(path)
+        assert len(reopened) == 1 and reopened.failure_count() == 1
+        reopened.put(FP, {"x": 2.0}, 2.0)
+        reopened.record_failure(FP, {"x": 3.0}, "bang")
+
+        reopened = JsonlStore(path)
+        assert len(reopened) == 2 and reopened.peek(FP, {"x": 2.0}) == 2.0
+        assert reopened.failure_count() == 2
+        reopened.put(FP, {"x": 4.0}, 4.0)
+        reopened.clear_failure(FP, POINT)
+
+        final = JsonlStore(path)
+        assert len(final) == 3 and final.peek(FP, {"x": 4.0}) == 4.0
+        assert [f.values for f in final.failures()] == [{"x": 3.0}]
+
     def test_interior_corruption_still_raises(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = JsonlStore(path)

@@ -158,3 +158,10 @@ class TestOpenStore:
         sqlite_store = open_store(tmp_path / "a.db")
         assert isinstance(sqlite_store, SqliteStore)
         sqlite_store.close()
+
+    def test_memory_spelling_opens_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with open_store(":memory:") as store:
+            assert isinstance(store, InMemoryStore)
+            store.put("fp", {"x": 1.0}, 1.0)
+        assert list(tmp_path.iterdir()) == []

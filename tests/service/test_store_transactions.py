@@ -33,18 +33,18 @@ def racing_stores(request, tmp_path):
 
 def test_a_point_published_between_read_and_write_lock_is_a_hit(racing_stores, monkeypatch):
     a, b = racing_stores
-    load_entry = b._load_entry
+    get = b._get
     raced = []
 
-    def miss_then_lose_the_race(key):
-        entry = load_entry(key)
-        if entry is None and not raced:
+    def miss_then_lose_the_race(table, key):
+        entry = get(table, key)
+        if table == "evaluations" and entry is None and not raced:
             raced.append(key)
             assert a.claim("fp", POINT, owner="a").status == StoreClaim.CLAIMED
             a.put("fp", POINT, 42.0)
         return entry
 
-    monkeypatch.setattr(b, "_load_entry", miss_then_lose_the_race)
+    monkeypatch.setattr(b, "_get", miss_then_lose_the_race)
     outcome = b.claim("fp", POINT, owner="b")
 
     assert raced, "the fast-path read never missed"
@@ -106,10 +106,14 @@ class TestSqliteCommitCount:
         store.claim("fp", POINT, owner="a")
         del statements[:]
 
-        def fail(key):
-            raise RuntimeError("disk on fire")
+        delete = store._delete
 
-        monkeypatch.setattr(store, "_drop_lease", fail)
+        def fail(table, key):
+            if table == "leases":
+                raise RuntimeError("disk on fire")
+            delete(table, key)
+
+        monkeypatch.setattr(store, "_delete", fail)
         with pytest.raises(RuntimeError):
             store.put("fp", POINT, 1.0)
         assert statements == ["BEGIN IMMEDIATE", "ROLLBACK"]
