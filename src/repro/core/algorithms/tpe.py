@@ -62,45 +62,39 @@ class TPESearch(CalibrationAlgorithm):
         self.max_iterations = int(max_iterations)
 
     # ------------------------------------------------------------------ #
-    # Parzen estimator helpers (one-dimensional, Gaussian kernels)
+    # Parzen estimator helpers (Gaussian kernels, one row per dimension)
     # ------------------------------------------------------------------ #
     def _bandwidths(self, centers: np.ndarray) -> np.ndarray:
-        """Per-kernel bandwidths from the spacing of the sorted centers."""
-        if centers.size == 1:
-            return np.array([0.25])
-        order = np.argsort(centers)
-        sorted_centers = centers[order]
-        gaps = np.diff(sorted_centers)
+        """Per-kernel bandwidths from the spacing of each row's sorted
+        centers; ``centers`` and the result have shape ``(d, k)``."""
+        if centers.shape[1] == 1:
+            return np.full(centers.shape, 0.25)
+        order = np.argsort(centers, axis=1)
+        sorted_centers = np.take_along_axis(centers, order, axis=1)
+        gaps = np.diff(sorted_centers, axis=1)
         widths = np.empty_like(sorted_centers)
-        widths[0] = gaps[0] if gaps.size else 0.25
-        widths[-1] = gaps[-1] if gaps.size else 0.25
-        if centers.size > 2:
-            widths[1:-1] = np.maximum(gaps[:-1], gaps[1:])
+        widths[:, 0] = gaps[:, 0]
+        widths[:, -1] = gaps[:, -1]
+        widths[:, 1:-1] = np.maximum(gaps[:, :-1], gaps[:, 1:])
         bandwidths = np.empty_like(widths)
-        bandwidths[order] = np.maximum(widths, self.min_bandwidth)
+        np.put_along_axis(bandwidths, order, np.maximum(widths, self.min_bandwidth), axis=1)
         return bandwidths
-
-    def _sample_from(
-        self, centers: np.ndarray, bandwidths: np.ndarray, size: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Draw ``size`` samples from the (truncated-to-box) Parzen mixture."""
-        picks = rng.integers(0, centers.size, size=size)
-        samples = rng.normal(centers[picks], bandwidths[picks])
-        return np.clip(samples, 0.0, 1.0)
 
     @staticmethod
     def _log_density(
         x: np.ndarray, centers: np.ndarray, bandwidths: np.ndarray
     ) -> np.ndarray:
-        """Log density of the Parzen mixture at points ``x`` (1-D)."""
-        # shape: (len(x), len(centers))
-        z = (x[:, None] - centers[None, :]) / bandwidths[None, :]
-        log_kernels = -0.5 * z**2 - np.log(bandwidths[None, :]) - 0.5 * np.log(2 * np.pi)
-        maxima = log_kernels.max(axis=1, keepdims=True)
+        """Log density of each row's Parzen mixture at that row's points:
+        ``x`` is ``(d, n)``, ``centers`` and ``bandwidths`` are ``(d, k)``,
+        the result is ``(d, n)``."""
+        # shape: (d, n, k)
+        z = (x[:, :, None] - centers[:, None, :]) / bandwidths[:, None, :]
+        log_kernels = -0.5 * z**2 - np.log(bandwidths)[:, None, :] - 0.5 * np.log(2 * np.pi)
+        maxima = log_kernels.max(axis=2, keepdims=True)
         return (
-            maxima.squeeze(1)
-            + np.log(np.exp(log_kernels - maxima).sum(axis=1))
-            - np.log(centers.size)
+            maxima.squeeze(2)
+            + np.log(np.exp(log_kernels - maxima).sum(axis=2))
+            - np.log(centers.shape[1])
         )
 
     # ------------------------------------------------------------------ #
@@ -124,21 +118,29 @@ class TPESearch(CalibrationAlgorithm):
             bad = observations
 
         # Build the candidate pool from the good-set density and score it
-        # by the density ratio, one dimension at a time (the "tree" of TPE
-        # is trivial here: the parameters are independent).
-        candidates = np.empty((self.candidates_per_step, d))
-        log_l = np.zeros(self.candidates_per_step)
-        log_g = np.zeros(self.candidates_per_step)
+        # by the density ratio (the "tree" of TPE is trivial here: the
+        # parameters are independent).  The rows are dimensions; the draws
+        # stay per dimension, so the rng stream is the same in any shape.
+        good_centers = np.ascontiguousarray(good.T)
+        bad_centers = np.ascontiguousarray(bad.T)
+        good_bw = self._bandwidths(good_centers)
+        bad_bw = self._bandwidths(bad_centers)
+        n = self.candidates_per_step
+        samples = np.empty((d, n))
         for dim in range(d):
-            good_centers = good[:, dim]
-            bad_centers = bad[:, dim]
-            good_bw = self._bandwidths(good_centers)
-            bad_bw = self._bandwidths(bad_centers)
-            column = self._sample_from(good_centers, good_bw, self.candidates_per_step, rng)
-            candidates[:, dim] = column
-            log_l += self._log_density(column, good_centers, good_bw)
-            log_g += self._log_density(column, bad_centers, bad_bw)
-        return candidates[int(np.argmax(log_l - log_g))]
+            picks = rng.integers(0, good_centers.shape[1], size=n)
+            samples[dim] = rng.normal(good_centers[dim, picks], good_bw[dim, picks])
+        samples = np.clip(samples, 0.0, 1.0)
+        log_l = np.zeros(n)
+        log_g = np.zeros(n)
+        for l_row, g_row in zip(
+            self._log_density(samples, good_centers, good_bw),
+            self._log_density(samples, bad_centers, bad_bw),
+            strict=True,
+        ):
+            log_l += l_row
+            log_g += g_row
+        return samples[:, int(np.argmax(log_l - log_g))].copy()
 
     def _generate(self, rng: np.random.Generator, n: int) -> list[np.ndarray] | None:
         if not self._points:

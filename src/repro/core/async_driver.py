@@ -655,7 +655,9 @@ class AsyncCalibrator:
         a batch asked wider than the remaining budget can produce.
         """
         seq, self._seq = self._seq, self._seq + 1
-        mapping = self.space.from_unit_array(self.space.clip_unit(candidate))
+        # No clip_unit first: from_unit already clamps every coordinate to
+        # [0, 1], and clip-then-clamp equals clamp (NaN, ±inf, -0.0 too).
+        mapping = self.space.from_unit_array(candidate)
         # Round-tripped unit (the key and the history record), so that
         # non-injective parameters (integers) collapse onto one entry.
         unit = self.space.to_unit_array(mapping)
@@ -1020,7 +1022,7 @@ class AsyncCalibrator:
             Evaluation(
                 index=len(history),
                 values=dict(mapping),
-                unit=tuple(float(u) for u in unit),
+                unit=tuple(unit.tolist()),
                 value=value,
                 started_at=started_at,
                 finished_at=finished_at,

@@ -70,9 +70,11 @@ def unit_cache_key(unit: np.ndarray, decimals: int) -> CacheKey:
 
     Every component that shares a cache (the drivers, the service's store
     adapter) must build keys through this one function, or entries
-    written by one stop matching lookups from another.
+    written by one stop matching lookups from another.  The key holds
+    plain Python floats, which compare and hash like the rounded
+    ``np.float64`` values and cost less to build and to look up.
     """
-    return tuple(np.round(unit, decimals))
+    return tuple(np.round(unit, decimals).tolist())
 
 
 @dataclasses.dataclass(frozen=True)

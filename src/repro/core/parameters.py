@@ -46,6 +46,10 @@ class Parameter:
     scale: str = "log2"
     unit: str = ""
     integer: bool = False
+    #: ``log2(low)`` and ``log2(high) - log2(low)`` of a log2 parameter,
+    #: derived once here rather than on every transform
+    _log2_low: float = dataclasses.field(init=False, repr=False, compare=False)
+    _log2_span: float = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.low >= self.high:
@@ -54,29 +58,41 @@ class Parameter:
             raise ValueError(f"parameter {self.name!r}: unknown scale {self.scale!r}")
         if self.scale == "log2" and self.low <= 0:
             raise ValueError(f"parameter {self.name!r}: log2 scale requires positive bounds")
+        if self.scale == "log2":
+            lo = math.log2(self.low)
+            object.__setattr__(self, "_log2_low", lo)
+            object.__setattr__(self, "_log2_span", math.log2(self.high) - lo)
+
+    def __getstate__(self) -> dict[str, object]:
+        # The declared inputs only, so pickles are what they were before
+        # the log2 bounds were derived; __setstate__ derives them again.
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.init}
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     # ------------------------------------------------------------------ #
     # unit-interval transform
     # ------------------------------------------------------------------ #
     def to_unit(self, value: float) -> float:
         """Map a parameter value to the normalised search coordinate in [0, 1]."""
-        value = self.clip(value)
+        value = min(max(float(value), self.low), self.high)  # clip(), inlined: hot path
         if self.scale == "log2":
-            lo, hi = math.log2(self.low), math.log2(self.high)
-            return (math.log2(value) - lo) / (hi - lo)
+            return (math.log2(value) - self._log2_low) / self._log2_span
         return (value - self.low) / (self.high - self.low)
 
     def from_unit(self, x: float) -> float:
         """Map a normalised search coordinate in [0, 1] to a parameter value."""
         x = min(max(float(x), 0.0), 1.0)
         if self.scale == "log2":
-            lo, hi = math.log2(self.low), math.log2(self.high)
-            value = 2.0 ** (lo + x * (hi - lo))
+            value = 2.0 ** (self._log2_low + x * self._log2_span)
         else:
             value = self.low + x * (self.high - self.low)
         if self.integer:
             value = float(round(value))
-        return self.clip(value)
+        return min(max(value, self.low), self.high)  # clip(), inlined: hot path
 
     def clip(self, value: float) -> float:
         """Clamp a value to the parameter range."""
@@ -145,7 +161,7 @@ class ParameterSpace:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(f"expected {self.dimension} coordinates, got shape {x.shape}")
-        return {p.name: p.from_unit(x[i]) for i, p in enumerate(self._parameters)}
+        return {p.name: p.from_unit(u) for p, u in zip(self._parameters, x.tolist(), strict=True)}
 
     def clip_unit(self, x: Sequence[float]) -> np.ndarray:
         """Clamp normalised coordinates to the unit cube."""
