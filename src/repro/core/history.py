@@ -10,6 +10,7 @@ analysis of Section IV.C.5.
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 __all__ = ["Evaluation", "CalibrationHistory"]
@@ -38,20 +39,31 @@ class Evaluation:
         return self.finished_at - self.started_at
 
 
+def _improves(value: float, best: float | None) -> bool:
+    """Whether ``value`` displaces the best so far: a lower number does, a
+    NaN never displaces a number and any number displaces a NaN, so NaN
+    is the best only when every value is NaN."""
+    return best is None or value < best or (math.isnan(best) and not math.isnan(value))
+
+
 class CalibrationHistory:
     """Ordered list of evaluations plus convenience aggregations."""
 
     def __init__(self) -> None:
         self._evaluations: list[Evaluation] = []
         self._best: Evaluation | None = None
+        #: :meth:`best_so_far`, extended by each :meth:`record`
+        self._curve: list[float] = []
 
     # ------------------------------------------------------------------ #
     # population
     # ------------------------------------------------------------------ #
     def record(self, evaluation: Evaluation) -> None:
         self._evaluations.append(evaluation)
-        if self._best is None or evaluation.value < self._best.value:
+        if _improves(evaluation.value, None if self._best is None else self._best.value):
             self._best = evaluation
+        previous = self._curve[-1] if self._curve else math.inf
+        self._curve.append(min(previous, evaluation.value))
 
     # ------------------------------------------------------------------ #
     # access
@@ -83,30 +95,29 @@ class CalibrationHistory:
     # convergence curves
     # ------------------------------------------------------------------ #
     def best_so_far(self) -> list[float]:
-        """Best objective value after each evaluation (non-increasing)."""
-        curve: list[float] = []
-        best = float("inf")
-        for evaluation in self._evaluations:
-            best = min(best, evaluation.value)
-            curve.append(best)
-        return curve
+        """Best objective value after each evaluation (non-increasing; a
+        NaN value is skipped, ``inf`` until the first number)."""
+        return list(self._curve)
+
+    def best_after(self, count: int) -> float:
+        """``best_so_far()[count - 1]`` in constant time: the best value
+        among the first ``count`` evaluations (``inf`` when ``count`` is 0)."""
+        return self._curve[count - 1] if count > 0 else math.inf
 
     def best_over_time(self) -> list[tuple[float, float]]:
         """(wall-clock time, best value so far) pairs — Figure 2's series."""
-        series: list[tuple[float, float]] = []
-        best = float("inf")
-        for evaluation in self._evaluations:
-            best = min(best, evaluation.value)
-            series.append((evaluation.finished_at, best))
-        return series
+        return [
+            (e.finished_at, best) for e, best in zip(self._evaluations, self._curve, strict=True)
+        ]
 
     def best_at_time(self, elapsed: float) -> float | None:
-        """Best value found within the first ``elapsed`` seconds."""
+        """Best value found within the first ``elapsed`` seconds (NaN only
+        when every value found by then is NaN)."""
         best: float | None = None
         for evaluation in self._evaluations:
             if evaluation.finished_at > elapsed:
                 break
-            if best is None or evaluation.value < best:
+            if _improves(evaluation.value, best):
                 best = evaluation.value
         return best
 

@@ -20,6 +20,8 @@ budget, so the run stops at whichever comes first.
 
 from __future__ import annotations
 
+import collections
+import math
 
 from repro.core.budget import Budget
 from repro.core.history import CalibrationHistory
@@ -67,17 +69,43 @@ class NoImprovementStopper(StoppingCriterion):
             raise ValueError("min_delta must be non-negative")
         self.patience = int(patience)
         self.min_delta = float(min_delta)
+        # A sliding-window minimum over the watched history's values:
+        # (index, value) pairs with increasing values, the front being the
+        # best of the last ``patience`` evaluations (NaN values skipped).
+        self._watched: CalibrationHistory | None = None
+        self._fed = 0
+        self._window: collections.deque[tuple[int, float]] = collections.deque()
 
     def should_stop(self, history: CalibrationHistory) -> bool:
-        evaluations = history.evaluations
-        if len(evaluations) <= self.patience:
+        n = len(history)
+        if n <= self.patience:
             return False
         # Best value achieved up to (and including) the cut-off point...
-        cutoff = len(evaluations) - self.patience
-        best_before = min(e.value for e in evaluations[:cutoff])
+        cutoff = n - self.patience
+        best_before = history.best_after(cutoff)
         # ...compared with the best achieved since.
-        best_since = min(e.value for e in evaluations[cutoff:])
+        best_since = self._best_since(history, cutoff)
         return best_since > best_before - self.min_delta
+
+    def _best_since(self, history: CalibrationHistory, cutoff: int) -> float:
+        """The best value from index ``cutoff`` on, in amortised constant
+        time per evaluation across the checks of one run."""
+        n = len(history)
+        if history is not self._watched or n < self._fed:
+            self._watched, self._fed = history, 0
+            self._window.clear()
+        window = self._window
+        for index in range(max(self._fed, cutoff), n):
+            value = history[index].value
+            if math.isnan(value):
+                continue
+            while window and window[-1][1] >= value:
+                window.pop()
+            window.append((index, value))
+        self._fed = n
+        while window and window[0][0] < cutoff:
+            window.popleft()
+        return window[0][1] if window else math.inf
 
     def describe(self) -> str:
         return f"stop after {self.patience} evaluations without {self.min_delta:g} improvement"
@@ -96,11 +124,11 @@ class RelativePlateauStopper(StoppingCriterion):
         self.fraction = float(fraction)
 
     def should_stop(self, history: CalibrationHistory) -> bool:
-        curve = history.best_so_far()
-        if len(curve) <= self.window:
+        n = len(history)
+        if n <= self.window:
             return False
-        previous = curve[-self.window - 1]
-        current = curve[-1]
+        previous = history.best_after(n - self.window)
+        current = history.best_after(n)
         if previous == 0:
             return current == 0
         return (previous - current) / abs(previous) < self.fraction

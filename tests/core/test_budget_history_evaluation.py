@@ -1,5 +1,6 @@
 """Budgets, evaluation history and budget-aware objective evaluation."""
 
+import math
 import time
 
 import pytest
@@ -89,6 +90,38 @@ class TestHistory:
         history = CalibrationHistory()
         assert history.best is None
         assert history.best_so_far() == []
+
+    def test_a_nan_never_displaces_a_number_and_a_number_displaces_a_nan(self):
+        history = CalibrationHistory()
+        bests = []
+        for i, value in enumerate([math.nan, 10.0, math.nan, 7.0, math.nan]):
+            history.record(self.make_eval(i, value, finished_at=float(i + 1)))
+            bests.append(history.best.value)
+        assert math.isnan(bests[0])
+        assert bests[1:] == [10.0, 10.0, 7.0, 7.0]
+        assert history.best_at_time(1.5) != history.best_at_time(1.5)  # only the NaN so far
+        assert history.best_at_time(2.5) == 10.0
+        assert history.best_at_time(100.0) == 7.0
+        assert history.best_so_far() == [math.inf, 10.0, 10.0, 7.0, 7.0]
+        assert [history.best_after(n) for n in range(6)] == [math.inf] + history.best_so_far()
+
+    def test_nan_is_the_best_only_when_every_value_is_nan(self):
+        history = CalibrationHistory()
+        for i in range(3):
+            history.record(self.make_eval(i, math.nan))
+        assert math.isnan(history.best.value)
+        assert math.isnan(history.best_at_time(100.0))
+
+    def test_a_leading_nan_does_not_become_the_run_best(self):
+        space = make_space()
+        values = iter([math.nan, 10.0, 9.0, 8.0, 7.0, 6.0])
+        result = Calibrator(
+            space, lambda _: next(values), algorithm="random",
+            budget=EvaluationBudget(6), seed=1,
+        ).run()
+        assert result.best_value == 6.0
+        assert result.best_value == result.history.best_so_far()[-1]
+        assert result.history.best_at_time(math.inf) == 6.0
 
 
 class TestObjective:

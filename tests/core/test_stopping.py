@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Calibrator,
@@ -85,6 +87,71 @@ class TestRelativePlateauStopper:
             RelativePlateauStopper(window=1)
         with pytest.raises(ValueError):
             RelativePlateauStopper(fraction=1.5)
+
+
+def _old_no_improvement(stopper, history):
+    """The O(n) formula the incremental check replaced (the reference)."""
+    evaluations = history.evaluations
+    if len(evaluations) <= stopper.patience:
+        return False
+    cutoff = len(evaluations) - stopper.patience
+    best_before = min(e.value for e in evaluations[:cutoff])
+    best_since = min(e.value for e in evaluations[cutoff:])
+    return best_since > best_before - stopper.min_delta
+
+
+def _old_relative_plateau(stopper, history):
+    """The O(n) formula, with the best-so-far curve rebuilt on every check."""
+    curve, best = [], float("inf")
+    for evaluation in history:
+        best = min(best, evaluation.value)
+        curve.append(best)
+    if len(curve) <= stopper.window:
+        return False
+    previous = curve[-stopper.window - 1]
+    current = curve[-1]
+    if previous == 0:
+        return current == 0
+    return (previous - current) / abs(previous) < stopper.fraction
+
+
+# NaN-free values with many ties, so equal bests and equal window minima occur
+stopper_values = st.lists(
+    st.one_of(st.integers(-5, 5).map(float), st.floats(allow_nan=False)), max_size=120
+)
+
+
+class TestIncrementalChecks:
+    """Each check is O(1) amortised and decides exactly as the old
+    full-history formula, whatever evaluations it is checked after."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=stopper_values, patience=st.integers(1, 20),
+           min_delta=st.sampled_from([0.0, 0.5, 1.0, 1e-300]),
+           checked=st.lists(st.booleans(), min_size=120, max_size=120))
+    def test_no_improvement_matches_the_reference(self, values, patience, min_delta, checked):
+        stopper = NoImprovementStopper(patience=patience, min_delta=min_delta)
+        history = CalibrationHistory()
+        for i, value in enumerate(values):
+            history.record(Evaluation(index=i, values={}, unit=(), value=value,
+                                      started_at=0.0, finished_at=0.0))
+            if checked[i]:
+                assert stopper.should_stop(history) == _old_no_improvement(stopper, history)
+        # the same stopper then watches a second, different history
+        assert stopper.should_stop(make_history(values[::-1])) == _old_no_improvement(
+            stopper, make_history(values[::-1])
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=stopper_values, window=st.integers(2, 20),
+           fraction=st.sampled_from([0.01, 0.25, 0.9]))
+    def test_relative_plateau_matches_the_reference(self, values, window, fraction):
+        stopper = RelativePlateauStopper(window=window, fraction=fraction)
+        history = CalibrationHistory()
+        for i, value in enumerate(values):
+            history.record(Evaluation(index=i, values={}, unit=(), value=value,
+                                      started_at=0.0, finished_at=0.0))
+            assert stopper.should_stop(history) == _old_relative_plateau(stopper, history)
 
 
 class TestStoppingBudgetAdapter:
