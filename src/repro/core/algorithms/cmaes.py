@@ -19,6 +19,7 @@ trajectory of the original blocking loop.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -162,7 +163,9 @@ class CMAES(CalibrationAlgorithm):
         self._path_sigma = (1.0 - c_sigma) * self._path_sigma + np.sqrt(
             c_sigma * (2.0 - c_sigma) * mu_eff
         ) * inv_sqrt_cov @ shift
-        self._sigma *= np.exp(
+        # math.exp, not np.exp: numpy's AVX-512 exp rounds differently
+        # from libm on some inputs, which made the trajectory CPU-dependent.
+        self._sigma *= math.exp(
             (c_sigma / d_sigma) * (np.linalg.norm(self._path_sigma) / chi_d - 1.0)
         )
         self._sigma = float(np.clip(self._sigma, 1e-8, 1.0))
