@@ -52,10 +52,4 @@ def scripted():
         def _observe(self, candidates, values):
             self.told.extend(values)
 
-        def _state_dict(self):
-            return {"next": self._next}
-
-        def _load_state_dict(self, state):
-            self._next = state["next"]
-
     return Scripted

@@ -8,8 +8,9 @@ This example drives algorithms without any Calibrator at all:
 1. a minimal serial loop (what ``Calibrator.run()`` does internally);
 2. a batched loop evaluating a whole CMA-ES generation per round (what
    ``BatchCalibrator`` does with a process pool);
-3. checkpoint/resume: snapshot the search mid-run with ``state_dict()``,
-   rebuild a fresh instance and finish the identical trajectory.
+3. resume by replay: log the told (candidate, value) pairs, re-feed them
+   to a fresh, identically seeded instance and finish the identical
+   trajectory — no search state is ever serialised.
 
 Run it with:  python examples/ask_tell_calibration.py
 """
@@ -85,14 +86,24 @@ def batched_loop() -> None:
 
 
 def checkpoint_and_resume() -> None:
-    """Stop after 40 evaluations, resume a fresh instance, finish identically."""
+    """Stop after 40 evaluations, replay them into a fresh instance, finish
+    identically.
+
+    An algorithm is a deterministic function of its seeded rng and the
+    results it is told, so the told pairs are the whole checkpoint: a
+    fresh instance asked with a fresh rng of the same seed proposes the
+    same candidates again, and telling it the logged values (instead of
+    re-running the objective) brings it to the interrupted state.
+    """
     space, objective = make_problem()
 
-    def drive(algorithm, rng, n):
+    def drive(algorithm, rng, n, log=None):
         trace = []
         while len(trace) < n and not algorithm.done():
             for candidate in algorithm.ask(rng, 1):
                 value = evaluate(space, objective, candidate)
+                if log is not None:
+                    log.append((candidate.tolist(), value))
                 algorithm.tell([candidate], [value])
                 trace.append(value)
                 if len(trace) == n:
@@ -102,30 +113,28 @@ def checkpoint_and_resume() -> None:
     # Uninterrupted reference run.
     reference = get_algorithm("gdfix")
     reference.setup(space)
-    rng = np.random.default_rng(7)
-    full_trace = drive(reference, rng, 100)
+    full_trace = drive(reference, np.random.default_rng(7), 100)
 
-    # Interrupted run: snapshot algorithm + rng state at evaluation 40.
+    # Interrupted run: log every told pair of the first 40 evaluations.
     first = get_algorithm("gdfix")
     first.setup(space)
-    rng = np.random.default_rng(7)
-    head = drive(first, rng, 40)
-    snapshot = json.dumps({
-        "algorithm": first.state_dict(),
-        "rng": rng.bit_generator.state,
-    })  # JSON: this is exactly what the service spools to disk
+    told = []
+    head = drive(first, np.random.default_rng(7), 40, log=told)
+    tell_log = json.dumps(told)  # JSON lines of this are what the service spools
 
-    # A fresh process would start here: rebuild and continue.
-    state = json.loads(snapshot)
+    # A fresh process would start here: replay the log, then continue.
     resumed = get_algorithm("gdfix")
     resumed.setup(space)
-    resumed.load_state_dict(state["algorithm"])
-    rng2 = np.random.default_rng()
-    rng2.bit_generator.state = state["rng"]
-    tail = drive(resumed, rng2, 60)
+    rng = np.random.default_rng(7)
+    for unit, value in json.loads(tell_log):
+        (candidate,) = resumed.ask(rng, 1)
+        if candidate.tolist() != unit:
+            raise ValueError("the tell log belongs to another run")
+        resumed.tell([candidate], [value])  # no objective call
+    tail = drive(resumed, rng, 60)
 
     identical = head + tail == full_trace
-    print(f"resume          : 40 + 60 evaluations, trajectory identical: {identical}")
+    print(f"resume by replay: 40 + 60 evaluations, trajectory identical: {identical}")
     assert identical
 
 

@@ -249,6 +249,18 @@ def cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _attach_tell_log(spool, job_id: str, request, args: argparse.Namespace) -> None:
+    """Set a queued job's checkpointing: with ``--resume`` it replays the
+    tell log its crashed run left behind; otherwise a stale log is
+    dropped so the fresh run starts a new one."""
+    request.checkpoint_every = args.checkpoint_every
+    request.checkpoint = spool.read_checkpoint(job_id) if args.resume else None
+    if request.checkpoint is None:
+        spool.clear_checkpoint(job_id)
+    else:
+        _log.info("[resumed  ] %s: replaying %d logged tells", job_id, len(request.checkpoint))
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import CalibrationServer, CaseStudyRequestFactory, JobSpool, open_store
 
@@ -263,7 +275,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     def on_event_with_checkpoints(job, event):
         if event.kind == "checkpoint":
-            spool.write_checkpoint(job.id, event.payload["state"])
+            spool.write_checkpoint(job.id, event.payload["entries"])
             return
         on_event(job, event)
 
@@ -283,19 +295,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 spec = spool.load(job_id)
                 try:
                     request = factory.request(spec)
+                    _attach_tell_log(spool, job_id, request, args)
                 except Exception as exc:
                     spool.update(job_id, status="failed", error=f"{type(exc).__name__}: {exc}")
                     _log.warning("[failed   ] %s: %s", job_id, exc)
                     continue
-                request.checkpoint_every = args.checkpoint_every
-                if args.resume:
-                    # Continue a crashed run from its last snapshot instead
-                    # of replaying it from scratch.
-                    request.checkpoint = spool.read_checkpoint(job_id)
-                    if request.checkpoint is not None:
-                        done = len(request.checkpoint.get("history", []))
-                        _log.info("[resumed  ] %s: from checkpoint "
-                                  "(%d evaluations already done)", job_id, done)
                 spool.update(job_id, status="running")
                 jobs.append(server.submit(request, job_id=job_id))
             for job in jobs:
@@ -345,7 +349,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
     def on_event(job, event):
         if event.kind == "checkpoint":
-            spool.write_checkpoint(job.id, event.payload["state"])
+            spool.write_checkpoint(job.id, event.payload["entries"])
         elif event.kind != "submitted":
             _log.info("[%-9s] %s", event.kind, event.message)
 
@@ -384,17 +388,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 spec = spool.load(job_id)
                 try:
                     request = factory.request(spec)
+                    _attach_tell_log(spool, job_id, request, args)
                 except Exception as exc:
                     spool.update(job_id, status="failed", error=f"{type(exc).__name__}: {exc}")
                     _log.warning("[failed   ] %s: %s", job_id, exc)
                     continue
-                request.checkpoint_every = args.checkpoint_every
-                if args.resume:
-                    request.checkpoint = spool.read_checkpoint(job_id)
-                    if request.checkpoint is not None:
-                        done = len(request.checkpoint.get("history", []))
-                        _log.info("[resumed  ] %s: from checkpoint "
-                                  "(%d evaluations already done)", job_id, done)
                 spool.update(job_id, status="running")
                 jobs.append(server.submit(request, job_id=job_id))
             for job in jobs:
@@ -710,12 +708,11 @@ calibration service:
   .history.jsonl (CalibrationHistory.to_jsonl).
 
   All algorithms speak a batched ask/tell protocol, which `serve` uses
-  for crash recovery: with `--checkpoint-every N` the server persists a
-  resumable snapshot of every running job (algorithm state, rng state,
-  history) in <serve-dir>/checkpoints/ every N evaluations, and `serve
-  --resume` continues a killed job from its last snapshot — finishing
-  with the same best point as an uninterrupted run — instead of
-  replaying it.  The same protocol powers `repro calibrate --workers K`,
+  for crash recovery: with `--checkpoint-every N` the server appends each
+  running job's tells to <serve-dir>/checkpoints/<job>.log.jsonl every N
+  tells, and `serve --resume` replays a killed job's log into a fresh,
+  identically seeded algorithm — no simulator call repeated — and
+  finishes with the same best point as an uninterrupted run.  The same protocol powers `repro calibrate --workers K`,
   which evaluates each algorithm's candidate batches over K processes
   (one simulation per core, the paper's parallel protocol); adding
   `--async` switches to the asynchronous driver, which asks speculatively
@@ -843,10 +840,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keep serving, re-scanning the queue every SECONDS "
                             "(default: drain once and exit)")
     p_srv.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                       help="persist a resumable snapshot of each running job "
-                            "every N evaluations (default: off)")
+                       help="append each running job's tells to its tell log "
+                            "every N tells (default: off)")
     p_srv.add_argument("--resume", action="store_true",
-                       help="continue crashed jobs from their last snapshot "
+                       help="continue crashed jobs by replaying their tell logs "
                             "instead of re-running them from scratch")
     p_srv.set_defaults(func=cmd_serve)
 
@@ -870,10 +867,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keep serving, re-scanning the queue every SECONDS "
                             "(default: drain once and exit)")
     p_flt.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                       help="persist a resumable snapshot of each running job "
-                            "every N evaluations (default: off)")
+                       help="append each running job's tells to its tell log "
+                            "every N tells (default: off)")
     p_flt.add_argument("--resume", action="store_true",
-                       help="continue crashed jobs from their last snapshot "
+                       help="continue crashed jobs by replaying their tell logs "
                             "instead of re-running them from scratch")
     p_flt.set_defaults(func=cmd_fleet)
 

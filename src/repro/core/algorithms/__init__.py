@@ -2,8 +2,7 @@
 
 Every algorithm speaks the batched ask/tell protocol of
 :class:`~repro.core.algorithms.base.CalibrationAlgorithm` (``setup`` /
-``ask`` / ``tell`` / ``done`` plus ``state_dict``/``load_state_dict`` for
-checkpoint-resume); the paper's blocking loop survives as the serial
+``ask`` / ``tell`` / ``done``); the paper's blocking loop survives as the serial
 :class:`~repro.core.calibrator.Calibrator`, so seeded trajectories match
 the original implementations byte for byte while the same algorithms can
 be driven in parallel by :class:`~repro.core.parallel.BatchCalibrator`.

@@ -16,16 +16,10 @@ original draw order exactly.
 from __future__ import annotations
 
 import math
-from typing import Any
 
 import numpy as np
 
-from repro.core.algorithms.base import (
-    CalibrationAlgorithm,
-    array_or_none,
-    floats_or_none,
-    register,
-)
+from repro.core.algorithms.base import CalibrationAlgorithm, register
 
 __all__ = ["SimulatedAnnealing"]
 
@@ -85,19 +79,3 @@ class SimulatedAnnealing(CalibrationAlgorithm):
         if self._temperature <= self.min_temperature:
             self._anneals_done += 1
             self._phase = "start"
-
-    def _state_dict(self) -> dict[str, Any]:
-        return {
-            "phase": self._phase,
-            "x": floats_or_none(self._x),
-            "fx": self._fx,
-            "temperature": self._temperature,
-            "anneals_done": self._anneals_done,
-        }
-
-    def _load_state_dict(self, state: dict[str, Any]) -> None:
-        self._phase = state["phase"]
-        self._x = array_or_none(state["x"])
-        self._fx = float(state["fx"])
-        self._temperature = float(state["temperature"])
-        self._anneals_done = int(state["anneals_done"])

@@ -21,10 +21,10 @@ protocol has four verbs:
     Whether the algorithm has decided it is finished (drivers also stop
     when the budget runs out, whichever comes first).
 
-plus ``state_dict()`` / ``load_state_dict()``, which snapshot and restore
-the full search state as JSON-compatible primitives — together with the
-driver's RNG state this makes any run checkpointable and resumable
-mid-trajectory (see :meth:`repro.core.calibrator.Calibrator.checkpoint`).
+An algorithm is a deterministic function of the rng it is handed and the
+(candidate, value) pairs it is told, so it needs no serialisable state: a
+driver resumes a run by replaying its tell log into a fresh instance (see
+:meth:`repro.core.async_driver.AsyncCalibrator.run`).
 
 Two tell orderings exist, selected by the class attribute
 ``supports_async_tell``:
@@ -60,9 +60,7 @@ Subclasses implement the protected hooks rather than ask/tell directly:
 * ``_generate(rng, n)`` — produce the next natural batch of candidates
   (a full generation, a line-search probe, ``n`` random samples, ...), or
   ``None`` when the algorithm is finished;
-* ``_observe(candidates, values)`` — ingest a completed batch;
-* ``_state_dict()`` / ``_load_state_dict(state)`` — algorithm state as
-  JSON-compatible primitives.
+* ``_observe(candidates, values)`` — ingest a completed batch.
 
 The base class buffers partially dispatched and partially told batches,
 so hooks never see a half generation.
@@ -81,44 +79,7 @@ from repro.telemetry.metrics import registry as _metrics_registry
 
 _REGISTRY = _metrics_registry()
 
-__all__ = [
-    "CalibrationAlgorithm",
-    "ALGORITHMS",
-    "register",
-    "get_algorithm",
-    "floats_or_none",
-    "array_or_none",
-    "rows_or_none",
-    "matrix_or_none",
-]
-
-
-def _as_lists(rows: Sequence[np.ndarray]) -> list[list[float]]:
-    """Candidate arrays as JSON-compatible nested lists."""
-    return [[float(x) for x in row] for row in rows]
-
-
-def _as_arrays(rows: Sequence[Sequence[float]]) -> list[np.ndarray]:
-    return [np.asarray(row, dtype=float) for row in rows]
-
-
-# Shared ``_state_dict``/``_load_state_dict`` converters: every algorithm
-# serializes optional vectors/matrices through these, so the canonical
-# JSON representation lives in exactly one place.
-def floats_or_none(vector: np.ndarray | None) -> list[float] | None:
-    return None if vector is None else [float(v) for v in vector]
-
-
-def array_or_none(data: Sequence[float] | None) -> np.ndarray | None:
-    return None if data is None else np.asarray(data, dtype=float)
-
-
-def rows_or_none(matrix: np.ndarray | None) -> list[list[float]] | None:
-    return None if matrix is None else _as_lists(np.atleast_2d(matrix))
-
-
-def matrix_or_none(data: Sequence[Sequence[float]] | None) -> np.ndarray | None:
-    return None if data is None else np.array(data, dtype=float)
+__all__ = ["CalibrationAlgorithm", "ALGORITHMS", "register", "get_algorithm"]
 
 
 class CalibrationAlgorithm:
@@ -315,65 +276,6 @@ class CalibrationAlgorithm:
         self._observe(matched, observed)
 
     # ------------------------------------------------------------------ #
-    # protocol: checkpointing
-    # ------------------------------------------------------------------ #
-    def state_dict(self) -> dict[str, Any]:
-        """Snapshot the full search state as JSON-compatible primitives.
-
-        Candidates that were asked but never told are treated as pending:
-        after :meth:`load_state_dict` they are handed out again by the
-        next :meth:`ask`, so a resumed run re-dispatches exactly the work
-        a crashed driver lost.
-
-        The returned dictionary has three keys: ``name`` (the registry
-        name, checked on restore), ``base`` (the protocol ledger — the
-        ordered batch buffer, or the queue/outstanding ledger for
-        async-native algorithms) and ``state`` (the subclass's private
-        search state from :meth:`_state_dict`).
-        """
-        if self.supports_async_tell:
-            base: dict[str, Any] = {
-                "queue": _as_lists(self._queue),
-                "outstanding": _as_lists(self._outstanding),
-                "finished": self._finished,
-            }
-        else:
-            base = {
-                "batch": _as_lists(self._batch),
-                "told": self._told,
-                "values": list(self._values),
-                "finished": self._finished,
-            }
-        return {
-            "name": self.name,
-            "base": base,
-            "state": self._state_dict(),
-        }
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        """Restore :meth:`state_dict` output (call :meth:`setup` first)."""
-        if self._space is None:
-            raise RuntimeError(f"{self.name}: call setup(space) before load_state_dict")
-        if state.get("name") != self.name:
-            raise ValueError(
-                f"checkpoint is for algorithm {state.get('name')!r}, not {self.name!r}"
-            )
-        base = state["base"]
-        if self.supports_async_tell:
-            # Asked-but-untold candidates are re-dispatched first, then the
-            # generated-but-unasked surplus, so a resumed run walks the
-            # exact remaining trajectory.
-            self._queue = _as_arrays(base["outstanding"]) + _as_arrays(base["queue"])
-            self._outstanding = []
-        else:
-            self._batch = _as_arrays(base["batch"])
-            self._told = int(base["told"])
-            self._dispatched = self._told  # re-dispatch asked-but-untold candidates
-            self._values = [float(v) for v in base["values"]]
-        self._finished = bool(base["finished"])
-        self._load_state_dict(state["state"])
-
-    # ------------------------------------------------------------------ #
     # subclass hooks
     # ------------------------------------------------------------------ #
     def _setup(self) -> None:
@@ -392,13 +294,6 @@ class CalibrationAlgorithm:
 
     def _observe(self, candidates: list[np.ndarray], values: list[float]) -> None:
         """Ingest one completed batch (every candidate told)."""
-
-    def _state_dict(self) -> dict[str, Any]:
-        """Algorithm state as JSON-compatible primitives."""
-        return {}
-
-    def _load_state_dict(self, state: dict[str, Any]) -> None:
-        """Restore :meth:`_state_dict` output."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<{type(self).__name__} ({self.name})>"

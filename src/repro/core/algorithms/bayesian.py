@@ -33,16 +33,10 @@ SIMD kernels round differently on some inputs.
 from __future__ import annotations
 
 import math
-from typing import Any
 
 import numpy as np
 
-from repro.core.algorithms.base import (
-    CalibrationAlgorithm,
-    _as_arrays,
-    _as_lists,
-    register,
-)
+from repro.core.algorithms.base import CalibrationAlgorithm, register
 
 __all__ = ["BayesianOptimization"]
 
@@ -251,15 +245,3 @@ class BayesianOptimization(CalibrationAlgorithm):
         for candidate, value in zip(candidates, values, strict=True):
             self._xs.append(np.asarray(candidate, dtype=float))
             self._ys.append(float(value))
-
-    def _state_dict(self) -> dict[str, Any]:
-        return {
-            "xs": _as_lists(self._xs),
-            "ys": list(self._ys),
-            "iterations": self._iterations,
-        }
-
-    def _load_state_dict(self, state: dict[str, Any]) -> None:
-        self._xs = _as_arrays(state["xs"])
-        self._ys = [float(v) for v in state["ys"]]
-        self._iterations = int(state["iterations"])

@@ -24,14 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.algorithms.base import (
-    CalibrationAlgorithm,
-    array_or_none,
-    floats_or_none,
-    matrix_or_none,
-    register,
-    rows_or_none,
-)
+from repro.core.algorithms.base import CalibrationAlgorithm, register
 
 __all__ = ["CMAES"]
 
@@ -60,7 +53,7 @@ class CMAES(CalibrationAlgorithm):
         self.max_restarts = int(max_restarts)
 
     # ------------------------------------------------------------------ #
-    # strategy constants (deterministic in the dimension, not serialized)
+    # strategy constants (deterministic in the dimension)
     # ------------------------------------------------------------------ #
     def _constants(self) -> dict[str, Any]:
         if self._cst is not None and self._cst["d"] == self.space.dimension:
@@ -109,8 +102,7 @@ class CMAES(CalibrationAlgorithm):
         self._unclipped: np.ndarray | None = None
         self._cst: dict[str, Any] | None = None
         #: inverse square root of the covariance the pending generation was
-        #: sampled from — kept in memory only; a resumed instance recomputes
-        #: it from the (serialized) covariance, deterministically.
+        #: sampled from
         self._inv_sqrt_cov: np.ndarray | None = None
 
     def _generate(self, rng: np.random.Generator, n: int) -> list[np.ndarray] | None:
@@ -143,8 +135,6 @@ class CMAES(CalibrationAlgorithm):
         d, mu, weights, mu_eff = cst["d"], cst["mu"], cst["weights"], cst["mu_eff"]
         c_sigma, d_sigma, c_c = cst["c_sigma"], cst["d_sigma"], cst["c_c"]
         c_1, c_mu, chi_d = cst["c_1"], cst["c_mu"], cst["chi_d"]
-        if self._inv_sqrt_cov is None:  # resumed mid-generation
-            _, self._inv_sqrt_cov = self._decompose(self._covariance)
         inv_sqrt_cov = self._inv_sqrt_cov
 
         scores = np.array(values)
@@ -202,30 +192,3 @@ class CMAES(CalibrationAlgorithm):
             self._phase = "start"  # converged: the next ask restarts
         else:
             self._previous_best = best_value
-
-    def _state_dict(self) -> dict[str, Any]:
-        return {
-            "phase": self._phase,
-            "restarts_started": self._restarts_started,
-            "generation": self._generation,
-            "mean": floats_or_none(self._mean),
-            "sigma": self._sigma,
-            "covariance": rows_or_none(self._covariance),
-            "path_sigma": floats_or_none(self._path_sigma),
-            "path_c": floats_or_none(self._path_c),
-            "previous_best": self._previous_best,
-            "unclipped": rows_or_none(self._unclipped),
-        }
-
-    def _load_state_dict(self, state: dict[str, Any]) -> None:
-        self._phase = state["phase"]
-        self._restarts_started = int(state["restarts_started"])
-        self._generation = int(state["generation"])
-        self._mean = array_or_none(state["mean"])
-        self._sigma = float(state["sigma"])
-        self._covariance = matrix_or_none(state["covariance"])
-        self._path_sigma = array_or_none(state["path_sigma"])
-        self._path_c = array_or_none(state["path_c"])
-        self._previous_best = float(state["previous_best"])
-        self._unclipped = matrix_or_none(state["unclipped"])
-        self._inv_sqrt_cov = None

@@ -14,16 +14,10 @@ asked as one batch (a parallel driver evaluates a whole round at once).
 
 from __future__ import annotations
 
-from typing import Any
 
 import numpy as np
 
-from repro.core.algorithms.base import (
-    CalibrationAlgorithm,
-    array_or_none,
-    floats_or_none,
-    register,
-)
+from repro.core.algorithms.base import CalibrationAlgorithm, register
 
 __all__ = ["CoordinateDescent"]
 
@@ -107,29 +101,3 @@ class CoordinateDescent(CalibrationAlgorithm):
             self._phase = "restart"
         else:
             self._sweep_start_fx = self._fx
-
-    def _state_dict(self) -> dict[str, Any]:
-        return {
-            "phase": self._phase,
-            "restarts": self._restarts,
-            "x": floats_or_none(self._x),
-            "fx": self._fx,
-            "axis": self._axis,
-            "refinement": self._refinement,
-            "low": self._low,
-            "high": self._high,
-            "sweep_start_fx": self._sweep_start_fx,
-            "positions": list(self._positions),
-        }
-
-    def _load_state_dict(self, state: dict[str, Any]) -> None:
-        self._phase = state["phase"]
-        self._restarts = int(state["restarts"])
-        self._x = array_or_none(state["x"])
-        self._fx = float(state["fx"])
-        self._axis = int(state["axis"])
-        self._refinement = int(state["refinement"])
-        self._low = float(state["low"])
-        self._high = float(state["high"])
-        self._sweep_start_fx = float(state["sweep_start_fx"])
-        self._positions = [float(v) for v in state["positions"]]

@@ -27,18 +27,10 @@ Two selection schemes are available:
 
 from __future__ import annotations
 
-from typing import Any
 
 import numpy as np
 
-from repro.core.algorithms.base import (
-    CalibrationAlgorithm,
-    array_or_none,
-    floats_or_none,
-    matrix_or_none,
-    rows_or_none,
-    register,
-)
+from repro.core.algorithms.base import CalibrationAlgorithm, register
 
 __all__ = ["DifferentialEvolution"]
 
@@ -125,19 +117,3 @@ class DifferentialEvolution(CalibrationAlgorithm):
         if self._member >= self.population_size:
             self._member = 0
             self._generation += 1
-
-    def _state_dict(self) -> dict[str, Any]:
-        return {
-            "phase": self._phase,
-            "population": rows_or_none(self._population),
-            "fitness": floats_or_none(self._fitness),
-            "member": self._member,
-            "generation": self._generation,
-        }
-
-    def _load_state_dict(self, state: dict[str, Any]) -> None:
-        self._phase = state["phase"]
-        self._population = matrix_or_none(state["population"])
-        self._fitness = array_or_none(state["fitness"])
-        self._member = int(state["member"])
-        self._generation = int(state["generation"])

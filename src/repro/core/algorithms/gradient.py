@@ -27,17 +27,10 @@ trajectory stays byte-identical to the original nested loops.
 
 from __future__ import annotations
 
-from typing import Any
 
 import numpy as np
 
-from repro.core.algorithms.base import (
-    ALGORITHMS,
-    CalibrationAlgorithm,
-    array_or_none,
-    floats_or_none,
-    register,
-)
+from repro.core.algorithms.base import ALGORITHMS, CalibrationAlgorithm, register
 
 __all__ = ["GradientDescent"]
 
@@ -142,32 +135,6 @@ class GradientDescent(CalibrationAlgorithm):
         self._ls_iter += 1
         if self._ls_iter >= self.max_line_search:
             self._phase = "restart"  # no step length decreased enough
-
-    def _state_dict(self) -> dict[str, Any]:
-        return {
-            "phase": self._phase,
-            "paths": self._paths,
-            "x": floats_or_none(self._x),
-            "fx": self._fx,
-            "delta": self._delta,
-            "gradient": floats_or_none(self._gradient),
-            "directions": list(self._directions),
-            "norm_sq": self._norm_sq,
-            "step": self._step,
-            "ls_iter": self._ls_iter,
-        }
-
-    def _load_state_dict(self, state: dict[str, Any]) -> None:
-        self._phase = state["phase"]
-        self._paths = int(state["paths"])
-        self._x = array_or_none(state["x"])
-        self._fx = float(state["fx"])
-        self._delta = float(state["delta"])
-        self._gradient = array_or_none(state["gradient"])
-        self._directions = [float(v) for v in state["directions"]]
-        self._norm_sq = float(state["norm_sq"])
-        self._step = float(state["step"])
-        self._ls_iter = int(state["ls_iter"])
 
 
 # The dynamic-delta variant is registered under its own name so that the

@@ -16,17 +16,15 @@ out.  Given ``p`` parameters and ``N`` completed invocations, each
 parameter has therefore taken roughly ``N**(1/p)`` distinct values, as
 stated in the paper.
 
-The grid is deterministic, so its ask/tell state is just a cursor
-``(level, offset)``; candidates stream out in chunks sized to the
-driver's capacity hint, and resume simply re-enumerates the level up to
-the recorded offset.
+The grid is deterministic, so its ask/tell state is just the current
+level and its enumeration; candidates stream out in chunks sized to the
+driver's capacity hint.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from typing import Any
 
 import numpy as np
 
@@ -72,28 +70,15 @@ class GridSearch(CalibrationAlgorithm):
 
     def _setup(self) -> None:
         self._level = 0
-        self._offset = 0  # combinations of the current level already generated
         self._iter: Iterator[np.ndarray] | None = None
 
     def _generate(self, rng: np.random.Generator, n: int) -> list[np.ndarray] | None:
         while self._level <= self.max_level:
             if self._iter is None:
-                self._iter = itertools.islice(
-                    self._level_combos(self._level), self._offset, None
-                )
+                self._iter = self._level_combos(self._level)
             chunk = list(itertools.islice(self._iter, max(n, 1)))
             if chunk:
-                self._offset += len(chunk)
                 return chunk
             self._level += 1
-            self._offset = 0
             self._iter = None
         return None
-
-    def _state_dict(self) -> dict[str, Any]:
-        return {"level": self._level, "offset": self._offset}
-
-    def _load_state_dict(self, state: dict[str, Any]) -> None:
-        self._level = int(state["level"])
-        self._offset = int(state["offset"])
-        self._iter = None

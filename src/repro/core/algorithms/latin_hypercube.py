@@ -14,7 +14,6 @@ for the parallel batch driver.
 
 from __future__ import annotations
 
-from typing import Any
 
 import numpy as np
 
@@ -58,9 +57,3 @@ class LatinHypercubeSearch(CalibrationAlgorithm):
             return None
         self._batches += 1
         return list(self._lhs_batch(self.space.dimension, rng))
-
-    def _state_dict(self) -> dict[str, Any]:
-        return {"batches": self._batches}
-
-    def _load_state_dict(self, state: dict[str, Any]) -> None:
-        self._batches = int(state["batches"])

@@ -19,18 +19,10 @@ are singleton probes whose outcome picks the next move.
 
 from __future__ import annotations
 
-from typing import Any
 
 import numpy as np
 
-from repro.core.algorithms.base import (
-    CalibrationAlgorithm,
-    array_or_none,
-    floats_or_none,
-    matrix_or_none,
-    rows_or_none,
-    register,
-)
+from repro.core.algorithms.base import CalibrationAlgorithm, register
 
 __all__ = ["NelderMead"]
 
@@ -180,25 +172,3 @@ class NelderMead(CalibrationAlgorithm):
             self._f[i] = value
         self._iteration += 1
         self._phase = "iterate"
-
-    def _state_dict(self) -> dict[str, Any]:
-        return {
-            "phase": self._phase,
-            "restarts": self._restarts,
-            "simplex": rows_or_none(self._simplex),
-            "f": floats_or_none(self._f),
-            "iteration": self._iteration,
-            "centroid": floats_or_none(self._centroid),
-            "reflected": floats_or_none(self._reflected),
-            "f_reflected": self._f_reflected,
-        }
-
-    def _load_state_dict(self, state: dict[str, Any]) -> None:
-        self._phase = state["phase"]
-        self._restarts = int(state["restarts"])
-        self._simplex = matrix_or_none(state["simplex"])
-        self._f = array_or_none(state["f"])
-        self._iteration = int(state["iteration"])
-        self._centroid = array_or_none(state["centroid"])
-        self._reflected = array_or_none(state["reflected"])
-        self._f_reflected = float(state["f_reflected"])

@@ -21,16 +21,10 @@ axis, direction by direction) → ``pattern`` and back.
 
 from __future__ import annotations
 
-from typing import Any
 
 import numpy as np
 
-from repro.core.algorithms.base import (
-    CalibrationAlgorithm,
-    array_or_none,
-    floats_or_none,
-    register,
-)
+from repro.core.algorithms.base import CalibrationAlgorithm, register
 
 __all__ = ["PatternSearch"]
 
@@ -139,27 +133,3 @@ class PatternSearch(CalibrationAlgorithm):
             self._axis += 1
         else:
             self._advance_direction()
-
-    def _state_dict(self) -> dict[str, Any]:
-        return {
-            "phase": self._phase,
-            "restarts": self._restarts,
-            "base": floats_or_none(self._base),
-            "f_base": self._f_base,
-            "current": floats_or_none(self._current),
-            "f_current": self._f_current,
-            "step": self._step,
-            "axis": self._axis,
-            "direction": self._direction,
-        }
-
-    def _load_state_dict(self, state: dict[str, Any]) -> None:
-        self._phase = state["phase"]
-        self._restarts = int(state["restarts"])
-        self._base = array_or_none(state["base"])
-        self._f_base = float(state["f_base"])
-        self._current = array_or_none(state["current"])
-        self._f_current = float(state["f_current"])
-        self._step = float(state["step"])
-        self._axis = int(state["axis"])
-        self._direction = int(state["direction"])

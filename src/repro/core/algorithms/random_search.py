@@ -13,7 +13,6 @@ one (the draws just happen ahead of the evaluations).
 
 from __future__ import annotations
 
-from typing import Any
 
 import numpy as np
 
@@ -45,9 +44,3 @@ class RandomSearch(CalibrationAlgorithm):
         samples = [self.space.sample_unit(rng) for _ in range(k)]
         self._count += k
         return samples
-
-    def _state_dict(self) -> dict[str, Any]:
-        return {"count": self._count}
-
-    def _load_state_dict(self, state: dict[str, Any]) -> None:
-        self._count = int(state["count"])

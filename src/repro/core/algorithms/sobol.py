@@ -9,15 +9,12 @@ effect against plain random search and Latin hypercube sampling.
 
 The sequence comes from :mod:`scipy.stats.qmc`; the generator is
 re-scrambled from the calibration seed so that, like every other
-algorithm, the search is fully reproducible.  For checkpoint/resume the
-rng state *at scrambling time* is kept in the state dict: a restored
-instance rebuilds the identical scrambled sequence from it and
-fast-forwards past the points already drawn.
+algorithm, the search is fully reproducible.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -52,47 +49,15 @@ class SobolSearch(CalibrationAlgorithm):
     def _setup(self) -> None:
         self._sampler: qmc.Sobol | None = None
         self._blocks = 0
-        self._seed_seq: dict[str, Any] | None = None
 
     def _ensure_sampler(self, rng: np.random.Generator) -> qmc.Sobol:
         if self._sampler is None:
             from scipy.stats import qmc
 
-            if self._seed_seq is None:
-                # Fresh run: scramble from the driver's rng, exactly like
-                # the original blocking loop did.  scipy derives the
-                # scrambling by *spawning* from the generator's
-                # SeedSequence (the raw bit-generator state is untouched),
-                # so that is what a resume must replay: record the seed
-                # sequence coordinates as they are right now, before the
-                # construction consumes a spawn.
-                seed_seq = rng.bit_generator.seed_seq
-                self._seed_seq = {
-                    "entropy": seed_seq.entropy,
-                    "spawn_key": list(seed_seq.spawn_key),
-                    "n_children_spawned": seed_seq.n_children_spawned,
-                }
-                self._sampler = qmc.Sobol(
-                    d=self.space.dimension, scramble=True, seed=rng
-                )
-            else:
-                # Resume: rebuild the identical scrambled sequence from the
-                # recorded seed-sequence coordinates and skip the points
-                # already generated.
-                replay = np.random.Generator(
-                    np.random.PCG64(
-                        np.random.SeedSequence(
-                            entropy=self._seed_seq["entropy"],
-                            spawn_key=tuple(self._seed_seq["spawn_key"]),
-                            n_children_spawned=self._seed_seq["n_children_spawned"],
-                        )
-                    )
-                )
-                self._sampler = qmc.Sobol(
-                    d=self.space.dimension, scramble=True, seed=replay
-                )
-                if self._blocks:
-                    self._sampler.fast_forward(self._blocks * self.batch_size)
+            # Scrambled from the driver's rng, exactly like the original
+            # blocking loop did (scipy spawns from the rng's seed
+            # sequence, so a replayed rng re-scrambles identically).
+            self._sampler = qmc.Sobol(d=self.space.dimension, scramble=True, seed=rng)
         return self._sampler
 
     def _generate(self, rng: np.random.Generator, n: int) -> list[np.ndarray] | None:
@@ -101,11 +66,3 @@ class SobolSearch(CalibrationAlgorithm):
         sampler = self._ensure_sampler(rng)
         self._blocks += 1
         return list(sampler.random(self.batch_size))
-
-    def _state_dict(self) -> dict[str, Any]:
-        return {"blocks": self._blocks, "seed_seq": self._seed_seq}
-
-    def _load_state_dict(self, state: dict[str, Any]) -> None:
-        self._blocks = int(state["blocks"])
-        self._seed_seq = state["seed_seq"]
-        self._sampler = None

@@ -18,16 +18,10 @@ is a singleton, since each proposal conditions on all previous results.
 
 from __future__ import annotations
 
-from typing import Any
 
 import numpy as np
 
-from repro.core.algorithms.base import (
-    CalibrationAlgorithm,
-    _as_arrays,
-    _as_lists,
-    register,
-)
+from repro.core.algorithms.base import CalibrationAlgorithm, register
 
 __all__ = ["TPESearch"]
 
@@ -153,15 +147,3 @@ class TPESearch(CalibrationAlgorithm):
     def _observe(self, candidates: list[np.ndarray], values: list[float]) -> None:
         self._points.extend(candidates)
         self._scores.extend(values)
-
-    def _state_dict(self) -> dict[str, Any]:
-        return {
-            "points": _as_lists(self._points),
-            "scores": list(self._scores),
-            "iterations": self._iterations,
-        }
-
-    def _load_state_dict(self, state: dict[str, Any]) -> None:
-        self._points = _as_arrays(state["points"])
-        self._scores = [float(v) for v in state["scores"]]
-        self._iterations = int(state["iterations"])

@@ -2,8 +2,8 @@
 
 This module holds the one event loop every driver runs — claim →
 dispatch → settle → record → tell, with lease re-claims, failure
-settlement and checkpoint/restore.  The three drivers differ only in a
-refill policy fixed per class:
+settlement and resume by replaying the run's tell log.  The three
+drivers differ only in a refill policy fixed per class:
 :class:`~repro.core.calibrator.Calibrator` keeps one candidate in flight
 and evaluates it inline (the paper's blocking loop);
 :class:`~repro.core.parallel.BatchCalibrator` (``_barrier = True``) runs
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import TYPE_CHECKING, Any
 
@@ -83,10 +83,11 @@ if TYPE_CHECKING:
 
 _REGISTRY = _metrics_registry()
 
-__all__ = ["AsyncCalibrator", "CHECKPOINT_VERSION", "OrderedTellAdapter", "RunConfig"]
+__all__ = ["AsyncCalibrator", "OrderedTellAdapter", "RunConfig"]
 
-#: checkpoint layout version (bumped on incompatible changes)
-CHECKPOINT_VERSION = 1
+#: failure attached to a point quarantined again while a tell log is
+#: replayed (the log keeps the penalty record, not the diagnosis)
+_REPLAYED_FAILURE = EvaluationFailure(error="EvaluationFailed: replayed from the tell log")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,7 +118,7 @@ class RunConfig:
         that predates the run — one budget unit each, while in-run
         revisits stay free.  A warm evaluation-budget run over a shared
         store then stops where the cold run stopped and replays its
-        trajectory; its checkpoints carry every charged hit.
+        trajectory; its tell log carries each hit's charge.
     """
 
     retry_policy: RetryPolicy | None = None
@@ -356,114 +357,105 @@ class AsyncCalibrator:
             self._cache = None
         self.cache_hits = 0
         self.deferred_hits = 0  # points resolved from a concurrent driver's lease
-        self._rng: np.random.Generator | None = None
-        self._resume_elapsed = 0.0
-        #: serialized history records, memoized across checkpoints
-        #: (records are append-only)
-        self._serialized_history: list[dict[str, Any]] = []
 
     # ------------------------------------------------------------------ #
-    # checkpointing
+    # resume by replay
     # ------------------------------------------------------------------ #
-    def checkpoint(self) -> dict[str, Any]:
-        """A JSON-compatible snapshot of the run, in one format for every
-        driver, so the job spool persists them interchangeably and an
-        async snapshot can even be finished by the serial driver::
+    def _restore(
+        self, log: Sequence[dict[str, Any]], rng: np.random.Generator
+    ) -> tuple[list[tuple[int, np.ndarray]], float]:
+        """Replay a tell log into the freshly set-up algorithm.
 
-            {"version": 1,                        # CHECKPOINT_VERSION
-             "algorithm": <registry name>,        # checked on restore
-             "seed": <int>,
-             "elapsed": <wall-clock seconds spent so far>,
-             "rng_state": <numpy bit-generator state>,
-             "algorithm_state": <CalibrationAlgorithm.state_dict()>,
-             "history": [<evaluation dict>, ...]} # serialization module format
-
-        History serialization is memoized: records are immutable and
-        append-only, so each periodic checkpoint only serializes the
-        evaluations since the last one.
-
-        The in-flight ledger is snapshotted through the algorithm's own
-        ``state_dict()``: candidates asked but not yet told — dispatched
-        futures, deferred leases, riders and completions parked in the
-        ordered adapter — are exactly the algorithm's asked-but-untold
-        ledger, which ``load_state_dict`` re-dispatches on resume.  A
-        resumed run therefore redoes precisely the work the interruption
-        lost (against a shared store those re-dispatches usually resolve
-        as cache hits) and nothing else; the history holds only released
-        (told) evaluations, so trajectory and budget accounting line up.
-
-        Only call between events on the driver thread (``on_checkpoint``)
-        or after :meth:`run` returns — the driver takes its own snapshots
-        at consistent points only.
+        Before each entry's tell the algorithm is asked, in this driver's
+        own width, until it has handed out ``asked`` candidates — the
+        interrupted run's exact ask/tell interleaving — then candidate
+        ``seq`` must round-trip to the logged unit point and is told the
+        logged value.  Budget (Σ ``charged``), history, cache, counters
+        and clock are rebuilt from the entries.  Returns the candidates
+        asked but never told, in ask order, and the clock to continue
+        from; raises ``ValueError`` at the first ``seq`` this run would
+        not have told (another algorithm, options or seed, or a log told
+        out of ask order resumed with the ordered adapter).
         """
-        if self._rng is None:
-            raise RuntimeError("checkpoint() is only meaningful once run() has started")
+        width = self.max_pending if self._barrier else 1
+        asked: dict[int, np.ndarray] = {}
         history = self.evaluator.history
-        for index in range(len(self._serialized_history), len(history)):
-            self._serialized_history.append(evaluation_to_dict(history[index]))
-        return {
-            "version": CHECKPOINT_VERSION,
-            "algorithm": self.algorithm.name,
-            "seed": self.seed,
-            "elapsed": self.evaluator.elapsed,
-            "rng_state": self._rng.bit_generator.state,
-            "algorithm_state": self.algorithm.state_dict(),
-            "history": list(self._serialized_history),
-        }
-
-    def _restore(self, checkpoint: dict[str, Any], rng: np.random.Generator) -> None:
-        """Rebuild driver state from a snapshot: algorithm, rng, history,
-        cache and budget accounting continue where the snapshot stopped."""
-        version = checkpoint.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version {version!r} "
-                f"(this library reads version {CHECKPOINT_VERSION})"
+        replay = self.config.replay_cache_hits
+        policy = self.config.failure_policy
+        quarantine = policy is not None and policy.quarantine
+        quarantined: set[CacheKey] = set()
+        elapsed = 0.0
+        for told, entry in enumerate(log):
+            seq = entry["seq"]
+            while self._seq < entry["asked"]:
+                batch = self.algorithm.ask(rng, width)
+                if not batch:
+                    break
+                for candidate in batch:
+                    asked[self._seq] = candidate
+                    self._seq += 1
+            candidate = asked.pop(seq, None)
+            unit = (
+                None if candidate is None
+                else self.space.to_unit_array(self.space.from_unit_array(candidate))
             )
-        if checkpoint.get("algorithm") != self.algorithm.name:
-            raise ValueError(
-                f"checkpoint is for algorithm {checkpoint.get('algorithm')!r}, "
-                f"not {self.algorithm.name!r}"
-            )
-        self.algorithm.setup(self.space)
-        self.algorithm.load_state_dict(checkpoint["algorithm_state"])
-        rng.bit_generator.state = checkpoint["rng_state"]
-        history = self.evaluator.history
-        for entry in checkpoint.get("history", []):
+            if (
+                unit is None
+                or self._seq != entry["asked"]
+                or unit.tolist() != list(entry["unit"])
+                or (self.ordered_tells and seq != told)  # the adapter tells in ask order
+            ):
+                raise ValueError(
+                    f"the tell log diverges from this run at seq {seq}: "
+                    f"{self.algorithm.name!r} with seed {self.seed} would not "
+                    f"tell {entry['unit']} there"
+                )
             evaluation = evaluation_from_dict(entry)
-            unit = np.asarray(evaluation.unit, dtype=float)
+            self.algorithm.tell([candidate], [evaluation.value])
             key = unit_cache_key(unit, CACHE_DECIMALS)
-            if evaluation.cached:
-                # Only a replaying run records hits, and it charged the
-                # first-seen ones; a failed hit rode on a failed point.
-                if evaluation.failed:
+            if evaluation.failed:
+                # A rider of a failure, or a revisit of a point this run
+                # quarantined, was a skip; anything else failed afresh.
+                if evaluation.cached or key in quarantined:
                     self.quarantine_skips += 1
                 else:
-                    self.cache_hits += 1
-                if key not in self._seen:
-                    self._budget_units += 1
+                    self.failures += 1
+                    if quarantine:
+                        quarantined.add(key)
+                        # A shared store may still hold the real diagnosis.
+                        if (
+                            self._cache is not None
+                            and self._cache.get_failure(key, evaluation.values) is None
+                        ):
+                            self._cache.mark_failed(key, evaluation.values, _REPLAYED_FAILURE)
+                if self._breaker is not None:
+                    self._breaker.record(_REPLAYED_FAILURE)
+            elif evaluation.cached:
+                self.cache_hits += 1
+                # Charged hits are replayed first-seen hits or deferred ones.
+                if entry["charged"] and not (replay and key not in self._seen):
+                    self.deferred_hits += 1
             else:
-                self._budget_units += 1
-                # A failed record's value is the penalty, not a simulator
-                # output: it must not re-enter the cache as a real value
-                # (the store-side quarantine already remembers the point).
-                if self._cache is not None and not evaluation.failed:
-                    self._cache.put(key, dict(evaluation.values), evaluation.value)
+                quarantined.discard(key)
+                if self._cache is not None:
+                    self._cache.put(key, evaluation.values, evaluation.value)
+                if self._breaker is not None:
+                    self._breaker.record(None)
+            self._budget_units += entry["charged"]
             self._seen.add(key)
-            history.record(evaluation)
-            self._serialized_history.append(dict(entry))
-        # Continue the interrupted run's wall-clock so timestamps stay
-        # monotone and a time budget only gets its remaining seconds.
-        self._resume_elapsed = float(checkpoint.get("elapsed", 0.0))
+            if not evaluation.cached or replay:
+                history.record(dataclasses.replace(evaluation, index=len(history)))
+            elapsed = max(elapsed, evaluation.finished_at)
+        return list(asked.items()), elapsed
 
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
     def run(
         self,
-        resume: dict[str, Any] | None = None,
+        resume: Sequence[dict[str, Any]] | None = None,
         checkpoint_every: int = 0,
-        on_checkpoint: Callable[[dict[str, Any]], None] | None = None,
+        on_checkpoint: Callable[[list[dict[str, Any]]], None] | None = None,
     ) -> CalibrationResult:
         """Ask speculatively, evaluate concurrently, tell out of order.
 
@@ -474,47 +466,60 @@ class AsyncCalibrator:
         Parameters
         ----------
         resume:
-            A :meth:`checkpoint` snapshot to continue from; the restored
-            run finishes the interrupted trajectory (re-dispatching the
-            work that was in flight when the snapshot was taken) instead
-            of replaying it.
+            The tell log of an interrupted run of this configuration (the
+            entries ``on_checkpoint`` received, in order).  The run
+            replays it into a fresh algorithm and rng seeded alike, then
+            launches the candidates asked but never told under their
+            original ``seq`` and carries on.
         checkpoint_every:
-            Emit a snapshot to ``on_checkpoint`` roughly every this many
-            recorded evaluations (0 disables).  Snapshots are taken only
-            at consistent points — between completions on the driver
-            thread, never while the ordered adapter is mid-release.
+            Hand the tell-log entries to ``on_checkpoint`` whenever at
+            least this many have accumulated (0 disables), and the rest
+            when the run ends.  The log has one entry per tell — cache
+            hits and riders included — holding the
+            :func:`~repro.core.serialization.evaluation_to_dict` record
+            plus ``seq`` (the ask index), ``asked`` (candidates asked
+            before this tell) and ``charged`` (budget units it cost).
+            Entries are handed over only between completions, never while
+            the ordered adapter is mid-release.
         on_checkpoint:
-            Callback receiving each snapshot (e.g. to persist it).
+            Callback receiving each list of new entries (e.g. to append
+            them to a file).
         """
-        self._rng = rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(self.seed)
         self.cache_hits = 0
         self.deferred_hits = 0
         self.failures = 0
         self.quarantine_skips = 0
         policy = self.config.failure_policy
         self._breaker = policy.breaker() if policy is not None else None
-        self._seq = 0
+        self._seq = 0  # candidates asked so far: the next ask index
         self._budget_units = 0
-        self._resume_elapsed = 0.0
-        self._serialized_history = []
         self._seen: set[CacheKey] = set()
         self._pending: list[_InFlight] = []
         self._inflight_keys: dict[CacheKey, _InFlight] = {}
-        if resume is None:
-            self.algorithm.setup(self.space)
-        else:
-            self._restore(resume, rng)
+        self.algorithm.setup(self.space)
+        #: candidates a resumed run asked but never told, relaunched first
+        self._untold: list[tuple[int, np.ndarray]] = []
+        elapsed = 0.0
+        if resume is not None:
+            self._untold, elapsed = self._restore(resume, rng)
         self._adapter = OrderedTellAdapter(self.algorithm) if self.ordered_tells else None
+        if self._adapter is not None and resume is not None:
+            self._adapter._next_release = len(resume)  # the replay told this prefix
         self._checkpoint_every = int(checkpoint_every)
         self._on_checkpoint = on_checkpoint
-        self._last_checkpoint_len = len(self.evaluator.history)
-        self._budget.start(self._resume_elapsed)
-        self.evaluator.reset_clock(self._resume_elapsed)
+        #: tell-log entries not yet handed to ``on_checkpoint`` (None:
+        #: the run keeps no log)
+        self._log: list[dict[str, Any]] | None = (
+            [] if self._checkpoint_every > 0 and on_checkpoint is not None else None
+        )
+        self._budget.start(elapsed)
+        self.evaluator.reset_clock(elapsed)
         #: per-seq record metadata (mapping, unit, started_at,
-        #: finished_at, cached, failed), parked alongside the adapter's
-        #: buffer until the seq is released
+        #: finished_at, cached, failed, charged), parked alongside the
+        #: adapter's buffer until the seq is released
         self._meta: dict[
-            int, tuple[dict[str, float], np.ndarray, float, float, bool, bool]
+            int, tuple[dict[str, float], np.ndarray, float, float, bool, bool, int]
         ] = {}
         self._tracer = current_tracer()
         # Instruments are looked up once per run, only when telemetry is
@@ -552,6 +557,8 @@ class AsyncCalibrator:
         )
         try:
             self._drive(rng)
+            if self._log:
+                self._hand_over_log()
         except BaseException:
             # Whatever aborted the run — an objective exception out of a
             # worker, a failure the policy raises, an open circuit, an
@@ -586,9 +593,11 @@ class AsyncCalibrator:
     # the event loop
     # ------------------------------------------------------------------ #
     def _drive(self, rng: np.random.Generator) -> None:
+        for seq, candidate in self._untold:  # a resumed run's in-flight work
+            if not self._launch(candidate, seq):
+                break
         while True:
             asked = self._refill(rng)
-            self._maybe_checkpoint()
             if not self._pending:
                 if asked:
                     continue  # everything asked was answered by the cache
@@ -603,21 +612,19 @@ class AsyncCalibrator:
             self._maybe_checkpoint()
 
     def _maybe_checkpoint(self) -> None:
-        """Emit a periodic snapshot between completions.
+        """Hand the new tell-log entries over after a round of completions.
 
-        Called only at consistent points of the event loop: every release
-        burst of the ordered adapter has fully landed in the history, so
-        the algorithm's told-ledger and the snapshot's history agree —
-        checkpointing *inside* a release burst would snapshot an algorithm
-        that has been told results the history does not carry yet, and the
-        resumed run would lose them.
+        Called only once a round of completions is fully told: with an
+        inline evaluator nothing computed is then left untold, so a run
+        killed after the hand-over and resumed from the log repeats no
+        simulator call.
         """
-        if self._checkpoint_every <= 0 or self._on_checkpoint is None:
-            return
-        recorded = len(self.evaluator.history)
-        if recorded - self._last_checkpoint_len >= self._checkpoint_every:
-            self._last_checkpoint_len = recorded
-            self._on_checkpoint(self.checkpoint())
+        if self._log is not None and len(self._log) >= self._checkpoint_every:
+            self._hand_over_log()
+
+    def _hand_over_log(self) -> None:
+        entries, self._log = self._log, []
+        self._on_checkpoint(entries)
 
     def _refill(self, rng: np.random.Generator) -> int:
         """Ask and launch candidates until capacity or budget runs out.
@@ -639,22 +646,23 @@ class AsyncCalibrator:
             candidates = self.algorithm.ask(rng, width)
             if not candidates:
                 break  # ordered algorithm awaiting tells (or done)
-            for candidate in candidates:
+            first = self._seq
+            self._seq += len(candidates)
+            for offset, candidate in enumerate(candidates):
                 asked += 1
-                if not self._launch(candidate):
+                if not self._launch(candidate, first + offset):
                     # Truncated final batch: only the affordable prefix is
                     # launched (and told); the run is over anyway.
                     return asked
         return asked
 
-    def _launch(self, candidate: np.ndarray) -> bool:
-        """Claim one asked candidate and resolve, defer or dispatch it.
+    def _launch(self, candidate: np.ndarray, seq: int) -> bool:
+        """Claim candidate ``seq`` and resolve, defer or dispatch it.
 
         Returns ``False`` — with the claim cancelled and nothing recorded
         — when the evaluation cap cannot afford the candidate, which only
         a batch asked wider than the remaining budget can produce.
         """
-        seq, self._seq = self._seq, self._seq + 1
         # No clip_unit first: from_unit already clamps every coordinate to
         # [0, 1], and clip-then-clamp equals clamp (NaN, ±inf, -0.0 too).
         mapping = self.space.from_unit_array(candidate)
@@ -688,7 +696,6 @@ class AsyncCalibrator:
                 # The claim announced this run's responsibility for a
                 # point it will never dispatch: release it.
                 self._cache.cancel(key, mapping)
-            self._seq = seq  # never asked of the adapter: the number is reused
             return False
 
         if claim.status == Claim.HIT:
@@ -699,7 +706,8 @@ class AsyncCalibrator:
                 "evaluation", parent=self._root, driver=self._driver, seq=seq
             )
             at = self.evaluator.elapsed
-            self._resolve(seq, candidate, mapping, unit, claim.value, at, at, cached=True)
+            self._resolve(seq, candidate, mapping, unit, claim.value, at, at,
+                          cached=True, charged=charge)
             self._tracer.end(span, cached=True, value=claim.value)
             return True
 
@@ -995,6 +1003,7 @@ class AsyncCalibrator:
         finished_at: float,
         cached: bool,
         failed: bool = False,
+        charged: int = 1,
     ) -> None:
         """Tell one completed candidate and record it in the history.
 
@@ -1002,8 +1011,9 @@ class AsyncCalibrator:
         buffered until every earlier candidate completes, so the history
         lands in ask order — byte-for-byte the serial sequence; native
         tells and their records land immediately, in completion order.
+        ``charged`` is the budget this outcome cost, for the tell log.
         """
-        self._meta[seq] = (mapping, unit, started_at, finished_at, cached, failed)
+        self._meta[seq] = (mapping, unit, started_at, finished_at, cached, failed, charged)
         if self._adapter is None:
             self.algorithm.tell([candidate], [value])
             self._record(seq, value)
@@ -1014,22 +1024,28 @@ class AsyncCalibrator:
                 self._record(released_seq, released_value)
 
     def _record(self, seq: int, value: float) -> None:
-        mapping, unit, started_at, finished_at, cached, failed = self._meta.pop(seq)
-        if cached and not self.config.replay_cache_hits:
+        mapping, unit, started_at, finished_at, cached, failed, charged = self._meta.pop(seq)
+        unrecorded = cached and not self.config.replay_cache_hits
+        if unrecorded and self._log is None:
             return
         history = self.evaluator.history
-        history.record(
-            Evaluation(
-                index=len(history),
-                values=dict(mapping),
-                unit=tuple(unit.tolist()),
-                value=value,
-                started_at=started_at,
-                finished_at=finished_at,
-                cached=cached,
-                failed=failed,
-            )
+        evaluation = Evaluation(
+            index=len(history),
+            values=dict(mapping),
+            unit=tuple(unit.tolist()),
+            value=value,
+            started_at=started_at,
+            finished_at=finished_at,
+            cached=cached,
+            failed=failed,
         )
+        if self._log is not None:
+            entry = evaluation_to_dict(evaluation)
+            entry.update(seq=seq, asked=self._seq, charged=charged)
+            self._log.append(entry)
+            if unrecorded:
+                return
+        history.record(evaluation)
 
     # ------------------------------------------------------------------ #
     # plumbing
@@ -1065,7 +1081,7 @@ class AsyncCalibrator:
             )
             at = self.evaluator.elapsed
             self._resolve(rider_seq, rider_candidate, entry.mapping, entry.unit, value,
-                          at, at, cached=True, failed=failed)
+                          at, at, cached=True, failed=failed, charged=0)
             self._tracer.end(span, cached=True, rider=True, failed=failed, value=value)
         entry.riders = []
 

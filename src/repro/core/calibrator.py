@@ -1,4 +1,4 @@
-"""The calibrator: the paper's serial ask/tell loop, with checkpoint/resume.
+"""The calibrator: the paper's serial ask/tell loop, resumable by replay.
 
 A :class:`Calibrator` owns one calibration run: it instantiates the
 algorithm and drives it through the ask/tell protocol of
@@ -24,26 +24,27 @@ case study):
     result = calibrator.run()
     result.best_values   # the calibrated parameter values
 
-Because the algorithms expose their full search state via
-``state_dict()``, a run can be snapshotted and resumed mid-trajectory:
+A run is resumable without any serialised search state: every algorithm
+is a pure function of the seeded rng and the results it is told, so the
+run's *tell log* — one entry per tell — is its checkpoint:
 
 .. code-block:: python
 
-    snapshots = []
-    calibrator.run(checkpoint_every=50, on_checkpoint=snapshots.append)
+    log = []
+    calibrator.run(checkpoint_every=50, on_checkpoint=log.extend)
     # ... the process dies; later, in a fresh process:
     resumed = Calibrator(space, objective_fn, algorithm="random",
                          budget=EvaluationBudget(500), seed=0)
-    result = resumed.run(resume=snapshots[-1])   # finishes the trajectory
+    result = resumed.run(resume=log)   # finishes the trajectory
 
-A checkpoint is a JSON-compatible dictionary bundling the algorithm state,
-the driver's rng state and the evaluation history (see
-:meth:`~repro.core.async_driver.AsyncCalibrator.checkpoint`); the resumed
-run replays *nothing* — restored evaluations re-enter the history, the
-cache and the budget accounting, and the algorithm continues exactly
-where the snapshot was taken (the calibration service persists these
-snapshots with its job spool so a crashed server finishes jobs instead of
-re-running them).
+Resuming replays the log (see
+:meth:`~repro.core.async_driver.AsyncCalibrator.run`): a fresh algorithm
+is asked and told exactly as the interrupted run was, each replayed
+candidate is checked against the logged point, and the logged values
+re-enter the history, the cache and the budget accounting without a
+single simulator call.  The calibration service appends the log to a
+file next to its job spool, so a crashed server finishes jobs instead of
+re-running them.
 """
 
 from __future__ import annotations
@@ -52,13 +53,13 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.core.algorithms import CalibrationAlgorithm
-from repro.core.async_driver import CHECKPOINT_VERSION, AsyncCalibrator, RunConfig
+from repro.core.async_driver import AsyncCalibrator, RunConfig
 from repro.core.budget import Budget, CombinedBudget
 from repro.core.evaluation import CacheBackend
 from repro.core.parameters import ParameterSpace
 from repro.core.stopping import StoppingBudget, StoppingCriterion
 
-__all__ = ["CHECKPOINT_VERSION", "Calibrator"]
+__all__ = ["Calibrator"]
 
 
 class Calibrator(AsyncCalibrator):

@@ -143,8 +143,8 @@ class ParallelEvaluator:
 
     def reset_clock(self, elapsed_offset: float = 0.0) -> None:
         """Restart the clock; a resumed run passes the wall-clock its
-        checkpoint had already spent so new timestamps stay monotone
-        after the restored ones."""
+        tell log had already spent so new timestamps stay monotone
+        after the replayed ones."""
         self._start_time = time.perf_counter() - elapsed_offset
 
     def close(self) -> None:

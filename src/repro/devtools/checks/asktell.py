@@ -1,24 +1,20 @@
 """RPL4xx — ask/tell protocol conformance.
 
-PR 2 redesigned every algorithm around one batched protocol: the public
-surface (``setup``/``ask``/``tell``/``done``/``state_dict``/
-``load_state_dict``) lives on ``CalibrationAlgorithm`` and is
-*final* — drivers, the checkpoint machinery, and the async ledger all
-assume its exact semantics — while subclasses customize through the
-underscore hooks (``_setup``/``_generate``/``_observe``/``_state_dict``/
-``_load_state_dict``).  PR 3 added ``supports_async_tell``: an algorithm
-claiming it is promising the base-class ledger (out-of-order ``tell``,
-speculative ``ask``) works unmodified, which requires the hook layer to
-stay intact and checkpointable.
+Every algorithm speaks one batched protocol: the public surface
+(``setup``/``ask``/``tell``/``done``) lives on ``CalibrationAlgorithm``
+and is *final* — the drivers, the tell-log replay and the async ledger
+all assume its exact semantics — while subclasses customize through the
+underscore hooks (``_setup``/``_generate``/``_observe``).  An algorithm
+claiming ``supports_async_tell`` is promising that the base-class ledger
+(out-of-order ``tell``, speculative ``ask``) works unmodified.
 
 * **RPL401** — every algorithm class defines the hook surface
-  (``_setup``, ``_generate``, ``_state_dict``, ``_load_state_dict``),
-  has a ``name`` (class attribute or ``self.name`` in ``__init__``),
-  and does not override the final public protocol methods.
+  (``_setup``, ``_generate``), has a ``name`` (class attribute or
+  ``self.name`` in ``__init__``), and does not override the final public
+  protocol methods.
 * **RPL402** — a ``supports_async_tell = True`` class leaves the async
   ledger intact: no overrides of the ledger internals (``_ask_impl``,
-  ``_tell_impl``, ``_tell_out_of_order``, ``_ask_freely``) and a
-  checkpointable state surface (``_state_dict``/``_load_state_dict``).
+  ``_tell_impl``, ``_tell_out_of_order``, ``_ask_freely``).
 """
 
 from __future__ import annotations
@@ -33,16 +29,9 @@ ALGORITHMS_SCOPE = ("repro/core/algorithms/",)
 
 #: final public protocol — overriding any of these breaks driver/ledger
 #: assumptions (RPL401)
-FINAL_METHODS = {
-    "setup",
-    "ask",
-    "tell",
-    "done",
-    "state_dict",
-    "load_state_dict",
-}
+FINAL_METHODS = {"setup", "ask", "tell", "done"}
 #: hooks every algorithm must define (RPL401)
-REQUIRED_HOOKS = ("_setup", "_generate", "_state_dict", "_load_state_dict")
+REQUIRED_HOOKS = ("_setup", "_generate")
 #: base-class ledger internals async-native algorithms must not touch
 #: (RPL402)
 LEDGER_METHODS = {"_ask_impl", "_tell_impl", "_tell_out_of_order", "_ask_freely"}
@@ -138,8 +127,8 @@ class AskTellSurface(Rule):
                             self.id,
                             classdef,
                             f"{classdef.name} does not define {hook}()",
-                            hint="implement the hook (checkpoint/resume and the "
-                            "drivers rely on the full surface)",
+                            hint="implement the hook (the drivers rely on the "
+                            "full surface)",
                         )
                     )
             if "name" not in _class_attr_names(classdef) and not _sets_name_in_init(
@@ -151,7 +140,7 @@ class AskTellSurface(Rule):
                         classdef,
                         f"{classdef.name} has no `name` (class attribute or "
                         "self.name in __init__)",
-                        hint="the registry, checkpoints and telemetry label "
+                        hint="the registry, resume errors and telemetry label "
                         "algorithms by name",
                     )
                 )
@@ -193,18 +182,6 @@ class AsyncTellLedger(Rule):
                             f"overrides ledger internal {method}()",
                             hint="async-native algorithms must inherit the base "
                             "ledger; drop the flag or the override",
-                        )
-                    )
-            for hook in ("_state_dict", "_load_state_dict"):
-                if hook not in methods:
-                    findings.append(
-                        ctx.finding(
-                            self.id,
-                            classdef,
-                            f"{classdef.name} claims supports_async_tell but "
-                            f"does not define {hook}()",
-                            hint="the async driver checkpoints the in-flight "
-                            "ledger through the state hooks",
                         )
                     )
         return findings

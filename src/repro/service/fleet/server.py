@@ -85,7 +85,7 @@ class FleetServer(CalibrationServer):
         job: CalibrationJob,
         objective: Callable[[dict[str, float]], float],
         cache: JobCache,
-        on_checkpoint: Callable[[dict[str, Any]], None] | None,
+        on_checkpoint: Callable[[list[dict[str, Any]]], None] | None,
     ) -> CalibrationResult:
         request = job.request
         evaluator = FleetEvaluator(

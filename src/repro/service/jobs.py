@@ -51,13 +51,14 @@ class CalibrationRequest:
     #: constructor keyword arguments forwarded to the algorithm factory
     #: (e.g. ``{"population_size": 8}`` for ``"cmaes"``)
     algorithm_options: dict[str, Any] = dataclasses.field(default_factory=dict)
-    #: emit a ``checkpoint`` job event (carrying the full
-    #: :meth:`repro.core.calibrator.Calibrator.checkpoint` snapshot in its
-    #: payload) every this many completed evaluations; 0 disables
+    #: emit a ``checkpoint`` job event (carrying the new tell-log entries
+    #: in its payload, see :meth:`repro.core.async_driver.AsyncCalibrator.run`)
+    #: every this many tells; 0 disables
     checkpoint_every: int = 0
-    #: a previously emitted checkpoint snapshot to resume from — the job
-    #: finishes the interrupted trajectory instead of replaying it
-    checkpoint: dict[str, Any] | None = None
+    #: the tell log of an interrupted run of this job (every entry its
+    #: checkpoint events carried) — the job replays it and finishes the
+    #: interrupted trajectory
+    checkpoint: list[dict[str, Any]] | None = None
 
 
 class JobStatus(str, enum.Enum):
@@ -100,9 +101,8 @@ class CalibrationJob:
     def emit(self, kind: str, message: str, store: bool = True, **payload: Any) -> JobEvent:
         """Create the next event; ``store=False`` delivers it to
         subscribers without retaining it on the job — used for checkpoint
-        events, whose payload is a full calibrator snapshot that would
-        otherwise pin every intermediate history copy in memory for the
-        server's lifetime."""
+        events, whose tell-log entries would otherwise pin the whole log
+        in memory for the server's lifetime."""
         with self._lock:
             event = JobEvent(seq=self._seq, kind=kind, message=message, payload=payload)
             self._seq += 1

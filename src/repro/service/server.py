@@ -25,15 +25,15 @@ an optional ``on_event`` callback (submitted / started / progress /
 checkpoint / finished / failed).
 
 Jobs are resumable: a request with ``checkpoint_every > 0`` emits
-``checkpoint`` events whose payload is the calibrator's full snapshot
-(algorithm state, rng state, evaluation history; delivered to the
-callback only — snapshots are not retained on the job), and a request
-carrying a ``checkpoint`` picks the trajectory up mid-run — the restored
-evaluations re-enter the budget, the history *and* the shared store, so a
+``checkpoint`` events whose payload ``entries`` extends the run's tell
+log (delivered to the callback only — entries are not retained on the
+job), and a request carrying that log as its ``checkpoint`` replays it
+and picks the trajectory up where it stopped — the logged evaluations
+re-enter the budget, the history *and* the shared store, so a
 killed-then-resubmitted job finishes with exactly the best point of an
-uninterrupted one without replaying the work already done (the CLI's
-``repro serve --checkpoint-every N``/``--resume`` persists these
-snapshots next to the job spool).
+uninterrupted one without re-simulating the work already done (the CLI's
+``repro serve --checkpoint-every N``/``--resume`` appends the log to a
+file next to the job spool).
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ class CalibrationServer:
         job: CalibrationJob,
         objective: Callable[[dict[str, float]], float],
         cache: JobCache,
-        on_checkpoint: Callable[[dict[str, Any]], None] | None,
+        on_checkpoint: Callable[[list[dict[str, Any]]], None] | None,
     ) -> CalibrationResult:
         """Run one job's calibration to completion."""
         request = job.request
@@ -270,16 +270,16 @@ class CalibrationServer:
             on_checkpoint = None
             if request.checkpoint_every > 0:
 
-                def on_checkpoint(state):
-                    # Delivered to subscribers only (store=False): snapshots
-                    # carry the full history and must not accumulate on the
+                def on_checkpoint(entries):
+                    # Delivered to subscribers only (store=False): the log
+                    # grows with the run and must not accumulate on the
                     # job for the server's lifetime.
                     self._emit(
                         job,
                         "checkpoint",
-                        f"{job.id}: checkpoint at {len(state['history'])} evaluations",
+                        f"{job.id}: {len(entries)} more tells logged",
                         store=False,
-                        state=state,
+                        entries=entries,
                     )
 
             result = self._execute(job, objective, cache, on_checkpoint)

@@ -10,30 +10,26 @@ submit`` drops job specifications into, ``repro serve`` drains, and
         jobs/job-0001.json           # specification + live status fields
         results/job-0001.json        # full CalibrationResult (reloadable)
         results/job-0001.history.jsonl   # per-evaluation JSON Lines
-        checkpoints/job-0001.json    # latest mid-run calibrator snapshot
-        checkpoints/job-0001.history.jsonl  # append-only history sidecar
+        checkpoints/job-0001.log.jsonl   # the running job's tell log
         store.jsonl                  # default shared evaluation store
 
 Job files double as status records: the server rewrites them (atomically,
 via a temp file + rename) as the job moves through ``pending -> running ->
 done | failed``, so ``repro status`` needs no running server to answer.
 
-Checkpoints are written incrementally: the evaluation history — by far
-the bulk of a snapshot, and strictly append-only — lives in a JSON Lines
-*sidecar* next to the snapshot, and each periodic checkpoint only appends
-the evaluations completed since the previous one (the snapshot JSON keeps
-just a ``history_count`` pointer into the sidecar).  A job checkpointed
-every ``k`` evaluations therefore writes O(N) history bytes over its
-lifetime instead of the O(N²/k) that rewriting the full history into
-every snapshot used to cost.  :meth:`JobSpool.read_checkpoint` splices
-the sidecar back in, so checkpoint consumers still see the plain
-in-memory format of :meth:`repro.core.calibrator.Calibrator.checkpoint`.
+A job's checkpoint is its *tell log*, one JSON line per tell, which the
+server appends to as the job runs (see
+:meth:`repro.core.async_driver.AsyncCalibrator.run`).  Nothing else is
+persisted: the algorithm, its options and the seed are in the job file,
+and a resumed job rebuilds everything else by replaying the log.  A
+crash mid-append can only tear the final line, which
+:meth:`JobSpool.read_checkpoint` cuts with a warning, so the job resumes
+from every tell the log acknowledged.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 import tempfile
 from pathlib import Path
@@ -47,8 +43,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from repro.core.result import CalibrationResult
 from repro.core.serialization import load_result, save_result
-
-_log = logging.getLogger("repro.service.spool")
+from repro.service.store import _read_jsonl_tolerant
 
 __all__ = ["JobSpool"]
 
@@ -64,12 +59,6 @@ class JobSpool:
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self.results_dir.mkdir(parents=True, exist_ok=True)
         self.checkpoints_dir.mkdir(parents=True, exist_ok=True)
-        # Records already appended to each job's checkpoint-history sidecar
-        # by *this* spool instance.  A job's first checkpoint in a fresh
-        # process rewrites the sidecar from scratch (cheap — it happens
-        # once), which makes stale sidecars from a previous incarnation
-        # harmless; every later checkpoint only appends the delta.
-        self._sidecar_counts: dict = {}
 
     # ------------------------------------------------------------------ #
     # paths
@@ -89,16 +78,8 @@ class JobSpool:
         return self.results_dir / f"{job_id}.history.jsonl"
 
     def checkpoint_path(self, job_id: str) -> Path:
-        return self.checkpoints_dir / f"{job_id}.json"
-
-    def checkpoint_history_path(self, job_id: str) -> Path:
-        """The append-only history sidecar of a job's checkpoints."""
-        return self.checkpoints_dir / f"{job_id}.history.jsonl"
-
-    def checkpoint_prev_path(self, job_id: str) -> Path:
-        """The previous snapshot, kept as the fallback for a latest
-        snapshot corrupted by a crash (see :meth:`read_checkpoint`)."""
-        return self.checkpoints_dir / f"{job_id}.prev.json"
+        """A job's tell log, its only checkpoint file."""
+        return self.checkpoints_dir / f"{job_id}.log.jsonl"
 
     # ------------------------------------------------------------------ #
     # submission
@@ -224,131 +205,27 @@ class JobSpool:
     # ------------------------------------------------------------------ #
     # checkpoints (crash/resume support)
     # ------------------------------------------------------------------ #
-    def write_checkpoint(self, job_id: str, state: dict[str, Any]) -> Path:
-        """Persist the latest calibrator snapshot of a job.
-
-        The evaluation history is split out into the append-only sidecar
-        (see the module docstring): only the evaluations new since this
-        spool's previous checkpoint of the job are written, and the
-        snapshot JSON — rewritten atomically as before — shrinks to the
-        algorithm/rng state plus a ``history_count`` pointer.
-
-        The outgoing snapshot is demoted to ``<job>.prev.json`` first, so
-        there is always one known-good snapshot to fall back to if the
-        latest one is lost to a crash or disk fault.
-        """
+    def write_checkpoint(self, job_id: str, entries: Sequence[dict[str, Any]]) -> Path:
+        """Append tell-log entries to a job's log, in one write."""
         path = self.checkpoint_path(job_id)
-        if path.exists():
-            os.replace(path, self.checkpoint_prev_path(job_id))
-        history = state.get("history")
-        if history is None:
-            self._write_json(path, state)
-            return path
-        sidecar = self.checkpoint_history_path(job_id)
-        already = self._sidecar_counts.get(job_id)
-        if already is None or already > len(history):
-            # First checkpoint of this incarnation (or a job restarted
-            # from scratch): rewrite the sidecar whole, once — atomically,
-            # so a crash mid-rewrite cannot tear a sidecar the previous
-            # snapshot still points into.
-            fd, tmp = tempfile.mkstemp(dir=str(sidecar.parent), suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    for record in history:
-                        handle.write(json.dumps(record) + "\n")
-                os.replace(tmp, sidecar)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-        else:
-            with sidecar.open("a") as handle:
-                for record in history[already:]:
-                    handle.write(json.dumps(record) + "\n")
-        self._sidecar_counts[job_id] = len(history)
-        slim = {key: value for key, value in state.items() if key != "history"}
-        slim["history_count"] = len(history)
-        slim["history_sidecar"] = sidecar.name
-        self._write_json(path, slim)
+        with path.open("a") as handle:
+            handle.write("".join(json.dumps(entry) + "\n" for entry in entries))
         return path
 
-    def read_checkpoint(self, job_id: str) -> dict[str, Any] | None:
-        """The last *readable* snapshot, or ``None`` if there is none.
+    def read_checkpoint(self, job_id: str) -> list[dict[str, Any]] | None:
+        """A job's tell log, or ``None`` if it has none.
 
-        Splices the history sidecar back into the returned state, so
-        callers see the plain :meth:`Calibrator.checkpoint` format
-        regardless of how it was stored.  A sidecar longer than the
-        snapshot's ``history_count`` (a crash between the sidecar append
-        and the snapshot rename) is truncated to the count — the snapshot
-        is the source of truth.
-
-        If the latest snapshot is unreadable (corrupted JSON, or a
-        sidecar shorter than its ``history_count``), the previous
-        snapshot demoted by :meth:`write_checkpoint` is tried with a
-        warning — resuming one checkpoint interval back beats restarting
-        the whole job.  Only if both are unreadable does the job restart
-        from scratch (with a second warning).
+        A final line torn by a crash mid-append is cut from the file with
+        a warning; corruption before it raises ``ValueError``.
         """
         path = self.checkpoint_path(job_id)
-        prev = self.checkpoint_prev_path(job_id)
-        if path.exists():
-            try:
-                return self._load_snapshot(job_id, path)
-            except ValueError as error:
-                _log.warning(
-                    "latest checkpoint of %s is unreadable (%s); "
-                    "falling back to the previous snapshot",
-                    job_id,
-                    error,
-                )
-        elif not prev.exists():
+        if not path.exists():
             return None
-        if prev.exists():
-            try:
-                return self._load_snapshot(job_id, prev)
-            except ValueError as error:
-                _log.warning(
-                    "previous checkpoint of %s is unreadable too (%s); "
-                    "the job restarts from scratch",
-                    job_id,
-                    error,
-                )
-        return None
-
-    def _load_snapshot(self, job_id: str, path: Path) -> dict[str, Any]:
-        """Load one snapshot file and splice its sidecar history back in
-        (raises ``ValueError`` on corrupted JSON or a short sidecar)."""
-        state = json.loads(path.read_text())
-        count = state.pop("history_count", None)
-        state.pop("history_sidecar", None)
-        if count is not None and "history" not in state:
-            records: list[dict[str, Any]] = []
-            sidecar = self.checkpoint_history_path(job_id)
-            if sidecar.exists():
-                with sidecar.open() as handle:
-                    for line in handle:
-                        if len(records) >= count:
-                            break
-                        line = line.strip()
-                        if line:
-                            records.append(json.loads(line))
-            if len(records) < count:
-                raise ValueError(
-                    f"checkpoint sidecar for {job_id!r} holds {len(records)} "
-                    f"evaluations but the snapshot expects {count}"
-                )
-            state["history"] = records
-        return state
+        return _read_jsonl_tolerant(path, "tell log")
 
     def clear_checkpoint(self, job_id: str) -> None:
-        """Drop a job's snapshots and sidecar (called once the job is done)."""
-        self._sidecar_counts.pop(job_id, None)
-        for path in (
-            self.checkpoint_path(job_id),
-            self.checkpoint_prev_path(job_id),
-            self.checkpoint_history_path(job_id),
-        ):
-            path.unlink(missing_ok=True)
+        """Drop a job's tell log (once it is done, or before it restarts)."""
+        self.checkpoint_path(job_id).unlink(missing_ok=True)
 
     # ------------------------------------------------------------------ #
     # plumbing

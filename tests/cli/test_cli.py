@@ -245,6 +245,69 @@ class TestServiceCommands:
         capsys.readouterr()
         assert spool.load("job-0001")["status"] == "done"
 
+    def test_serve_resume_replays_the_tell_log(self, capsys, tmp_path, monkeypatch):
+        """A job killed mid-run (here: its first 4 tells logged, the log
+        never cleared) resumes by replaying the log: it finishes with the
+        uninterrupted job's best and simulates only the missing points."""
+        from repro.service import JobSpool
+
+        reference_dir = str(tmp_path / "reference")
+        assert main(self.SUBMIT + ["--serve-dir", reference_dir]) == 0
+        assert main(["serve", "--serve-dir", reference_dir]) == 0
+        reference = JobSpool(reference_dir).load("job-0001")
+
+        serve_dir = str(tmp_path / "svc")
+        assert main(self.SUBMIT + ["--serve-dir", serve_dir]) == 0
+        spool = JobSpool(serve_dir)
+        spool.update("job-0001", evaluations=4)
+        with monkeypatch.context() as patch:
+            patch.setattr(JobSpool, "clear_checkpoint", lambda self, job_id: None)
+            assert main(["serve", "--serve-dir", serve_dir, "--checkpoint-every", "1"]) == 0
+        assert len(spool.read_checkpoint("job-0001")) == 4
+        spool.update("job-0001", evaluations=8, status="running")
+        assert main(["serve", "--serve-dir", serve_dir, "--checkpoint-every", "1",
+                     "--resume"]) == 0
+        capsys.readouterr()
+        resumed = spool.load("job-0001")
+        assert resumed["status"] == "done"
+        assert resumed["best_value"] == reference["best_value"]
+        assert len(spool.read_result("job-0001").history) == 8
+        assert spool.read_checkpoint("job-0001") is None  # cleared once done
+
+    def test_tell_log_is_replayed_only_on_resume(self, tmp_path):
+        import argparse
+        import types
+
+        from repro.cli.main import _attach_tell_log
+        from repro.service import JobSpool
+
+        spool = JobSpool(tmp_path / "svc")
+        log = [{"seq": 0, "asked": 1, "charged": 1, "unit": [0.5], "value": 1.0}]
+        spool.write_checkpoint("job-0001", log)
+        request = types.SimpleNamespace()
+        _attach_tell_log(spool, "job-0001", request,
+                         argparse.Namespace(checkpoint_every=5, resume=True))
+        assert (request.checkpoint, request.checkpoint_every) == (log, 5)
+        # A run that is not resumed starts a fresh log: a stale one from a
+        # previous incarnation must not be appended to.
+        _attach_tell_log(spool, "job-0001", request,
+                         argparse.Namespace(checkpoint_every=5, resume=False))
+        assert request.checkpoint is None
+        assert spool.read_checkpoint("job-0001") is None
+
+    def test_corrupt_tell_log_marks_the_job_failed(self, capsys, tmp_path):
+        serve_dir = str(tmp_path / "svc")
+        assert main(self.SUBMIT + ["--serve-dir", serve_dir]) == 0
+
+        from repro.service import JobSpool
+
+        spool = JobSpool(serve_dir)
+        spool.checkpoint_path("job-0001").write_text('{"seq": 0, "as\n{"seq": 1}\n')
+        assert main(["serve", "--serve-dir", serve_dir, "--resume"]) == 0
+        capsys.readouterr()
+        record = spool.load("job-0001")
+        assert record["status"] == "failed" and "corrupt tell log" in record["error"]
+
     def test_duplicate_explicit_job_id_is_rejected(self, tmp_path):
         from repro.service import JobSpool
 

@@ -1,16 +1,15 @@
-"""Checkpoint/resume determinism for the pooled drivers.
+"""Resume by replay for the pooled drivers.
 
-Extends the seed-trajectory parity harness of
-``test_checkpoint_resume.py`` to :class:`AsyncCalibrator` (and to
-:class:`BatchCalibrator`, which runs the same event loop): interrupt a
-run with candidates still in flight (emulated, as in the serial harness,
-by exhausting a smaller budget so the snapshot is taken with the pending
-ledger populated along the way), resume from the JSON-round-tripped
-snapshot in a fresh driver, and require the resumed trajectory to match
-an uninterrupted run.  The in-flight ledger travels inside the
-algorithm's ``state_dict`` (asked-but-untold candidates are re-dispatched
-on resume), and the snapshot format is byte-compatible with the serial
-calibrator's, so the cross-driver case is asserted too.
+Extends the harness of ``test_checkpoint_resume.py`` to
+:class:`AsyncCalibrator` (and to :class:`BatchCalibrator`, which runs the
+same event loop): interrupt a run (emulated by exhausting a smaller
+budget, so a batch is cut short and candidates are left asked but
+untold), replay its JSON-round-tripped tell log in a fresh driver, and
+require the resumed trajectory to match an uninterrupted run.  The
+replay asks in the driver's own width until each entry's ``asked`` count
+is reached, and the asked-but-untold candidates are launched again under
+their original ``seq``; every driver writes one log format, so the
+cross-driver case is asserted too.
 """
 
 import json
@@ -73,16 +72,14 @@ def batch_calibrator(space, algorithm, budget, ordered=True):
     )
 
 
-def cut_snapshot(space, algorithm, ordered, calibrator=async_calibrator):
-    """The snapshot an interrupted run left behind at CUT evaluations."""
-    snapshots = []
+def cut_log(space, algorithm, ordered, calibrator=async_calibrator):
+    """The tell log an interrupted run left behind at CUT charges."""
+    log = []
     calibrator(space, algorithm, CUT, ordered).run(
-        checkpoint_every=CUT, on_checkpoint=snapshots.append
+        checkpoint_every=CUT, on_checkpoint=log.extend
     )
-    assert snapshots, f"{algorithm}: no checkpoint was emitted"
-    snapshot = json.loads(json.dumps(snapshots[-1]))  # fresh-process emulation
-    assert 0 < len(snapshot["history"]) <= CUT
-    return snapshot
+    assert sum(entry["charged"] for entry in log) == CUT
+    return json.loads(json.dumps(log))  # fresh-process emulation
 
 
 class TestAsyncResumeDeterminism:
@@ -106,10 +103,8 @@ class TestAsyncResumeDeterminism:
         ).run()
         assert trajectory(uninterrupted) == trajectory(serial)
 
-        snapshot = cut_snapshot(space, algorithm, ordered=True, calibrator=calibrator)
-        resumed = calibrator(space, algorithm, TOTAL, ordered=True).run(
-            resume=snapshot
-        )
+        log = cut_log(space, algorithm, ordered=True, calibrator=calibrator)
+        resumed = calibrator(space, algorithm, TOTAL, ordered=True).run(resume=log)
         assert trajectory(resumed) == trajectory(uninterrupted)
         assert resumed.best_value == uninterrupted.best_value
         assert resumed.best_values == uninterrupted.best_values
@@ -121,27 +116,25 @@ class TestAsyncResumeDeterminism:
         the record *order* is not part of the native contract."""
         space = make_space()
         uninterrupted = async_calibrator(space, algorithm, TOTAL, ordered=False).run()
-        snapshot = cut_snapshot(space, algorithm, ordered=False)
-        resumed = async_calibrator(space, algorithm, TOTAL, ordered=False).run(
-            resume=snapshot
-        )
+        log = cut_log(space, algorithm, ordered=False)
+        resumed = async_calibrator(space, algorithm, TOTAL, ordered=False).run(resume=log)
         assert point_multiset(resumed) == point_multiset(uninterrupted)
         assert resumed.best_value == uninterrupted.best_value
         assert resumed.evaluations == uninterrupted.evaluations
 
-    def test_async_snapshot_resumes_in_the_serial_driver(self):
-        """The snapshot format is the serial calibrator's: a distributed
+    def test_async_log_resumes_in_the_serial_driver(self):
+        """The tell log format is the serial calibrator's: a distributed
         job interrupted mid-flight can be finished by a plain Calibrator."""
         space = make_space()
         serial = Calibrator(
             space, objective_for(space), algorithm="cmaes",
             budget=EvaluationBudget(TOTAL), seed=SEED,
         ).run()
-        snapshot = cut_snapshot(space, "cmaes", ordered=True)
+        log = cut_log(space, "cmaes", ordered=True)
         resumed = Calibrator(
             space, objective_for(space), algorithm="cmaes",
             budget=EvaluationBudget(TOTAL), seed=SEED,
-        ).run(resume=snapshot)
+        ).run(resume=log)
         assert trajectory(resumed) == trajectory(serial)
 
     def test_resume_restores_budget_accounting(self):
@@ -161,23 +154,26 @@ class TestAsyncResumeDeterminism:
                 seed=3, ordered_tells=True,
             )
 
-        snapshots = []
-        driver(20).run(checkpoint_every=20, on_checkpoint=snapshots.append)
+        log = []
+        driver(20).run(checkpoint_every=20, on_checkpoint=log.extend)
         assert calls["n"] == 20
         calls["n"] = 0
-        resumed = driver(50).run(resume=json.loads(json.dumps(snapshots[-1])))
-        assert calls["n"] == 30  # not 50: the first 20 came from the snapshot
+        resumed = driver(50).run(resume=json.loads(json.dumps(log)))
+        assert calls["n"] == 30  # not 50: the first 20 were replayed
         assert resumed.evaluations == 50
 
-    def test_checkpoint_before_run_is_rejected(self):
+    def test_out_of_order_log_is_rejected_by_the_ordered_adapter(self):
+        """The ordered adapter tells in ask order, so it only replays a
+        log told in ask order and names the first entry that is not."""
         space = make_space(2)
-        driver = async_calibrator(space, "random", 10, ordered=True)
-        with pytest.raises(RuntimeError):
-            driver.checkpoint()
+        log = cut_log(space, "random", ordered=False)
+        log = [log[1], log[0], *log[2:]]
+        with pytest.raises(ValueError, match=r"\bseq 1\b"):
+            async_calibrator(space, "random", TOTAL, ordered=True).run(resume=log)
 
     def test_resume_with_wrong_algorithm_is_rejected(self):
         space = make_space(2)
-        snapshot = cut_snapshot(space, "random", ordered=True)
+        log = cut_log(space, "random", ordered=True)
         other = async_calibrator(space, "lhs", TOTAL, ordered=True)
-        with pytest.raises(ValueError):
-            other.run(resume=snapshot)
+        with pytest.raises(ValueError, match=r"\bseq 0\b"):
+            other.run(resume=log)

@@ -465,7 +465,8 @@ class TestDriverFailurePaths:
 
         algorithm = scripted(space, [poison, poison, other])
         calibrator = driver(algorithm)
-        result = calibrator.run()
+        log = []
+        result = calibrator.run(checkpoint_every=1, on_checkpoint=log.extend)
         assert sorted(algorithm.told) == [1.0, 9.0, 9.0]
         riders = [e for e in result.history if e.cached]
         assert len(riders) == 1
@@ -475,7 +476,7 @@ class TestDriverFailurePaths:
         )
 
         resumed = driver(scripted(space, [poison, poison, other]))
-        resumed.run(resume=calibrator.checkpoint())
+        resumed.run(resume=log)
         assert (resumed.quarantine_skips, resumed.cache_hits) == (1, 0)
 
     def test_transient_retries_match_the_clean_trajectory(self):

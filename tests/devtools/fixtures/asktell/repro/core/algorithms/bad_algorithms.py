@@ -29,3 +29,17 @@ class BadAsync(CalibrationAlgorithm):
 
     def _tell_impl(self, candidates, values):  # RPL402: ledger override
         pass
+
+
+class Replayable(CalibrationAlgorithm):
+    """Clean: ``_setup``/``_generate`` are the whole required surface —
+    no state hooks, since a run resumes by replaying its tell log."""
+
+    name = "replayable"
+    supports_async_tell = True
+
+    def _setup(self):
+        pass
+
+    def _generate(self, rng, n):
+        return []

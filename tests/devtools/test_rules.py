@@ -175,15 +175,9 @@ class TestAskTellRules:
     def test_golden_findings(self):
         findings = lint_fixture("asktell")
         assert rule_lines(findings) == [
-            ("RPL401", "bad_algorithms.py", 8),  # missing _load_state_dict
             ("RPL401", "bad_algorithms.py", 8),  # missing _setup
-            ("RPL401", "bad_algorithms.py", 8),  # missing _state_dict
             ("RPL401", "bad_algorithms.py", 8),  # missing `name`
             ("RPL401", "bad_algorithms.py", 11),  # overrides final ask()
-            ("RPL401", "bad_algorithms.py", 18),  # async: missing _load_state_dict
-            ("RPL401", "bad_algorithms.py", 18),  # async: missing _state_dict
-            ("RPL402", "bad_algorithms.py", 18),  # async: missing _load_state_dict
-            ("RPL402", "bad_algorithms.py", 18),  # async: missing _state_dict
             ("RPL402", "bad_algorithms.py", 30),  # async: overrides _tell_impl
         ]
 

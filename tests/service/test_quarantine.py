@@ -1,4 +1,4 @@
-"""Poison-point quarantine, crash-safe persistence, client/checkpoint recovery."""
+"""Poison-point quarantine, crash-safe persistence, client recovery."""
 
 import io
 import json
@@ -20,7 +20,6 @@ from repro.core import (
 from repro.core.evaluation import Claim
 from repro.service import (
     InMemoryStore,
-    JobSpool,
     JsonlStore,
     SqliteStore,
     StoreBackedCache,
@@ -382,58 +381,3 @@ class TestFleetClientRetry:
         with pytest.raises(FleetClientError):
             self._client().health()
         assert len(attempts) == 1
-
-
-class TestCheckpointPrevFallback:
-    def _snapshot(self, marker, history=None):
-        state = {"version": 1, "algorithm": "random", "seed": 0, "marker": marker}
-        if history is not None:
-            state["history"] = history
-        return state
-
-    def test_latest_snapshot_wins_when_readable(self, tmp_path):
-        spool = JobSpool(tmp_path)
-        job = spool.submit({"algorithm": "random"})
-        spool.write_checkpoint(job, self._snapshot("first"))
-        spool.write_checkpoint(job, self._snapshot("second"))
-        assert spool.read_checkpoint(job)["marker"] == "second"
-        assert spool.checkpoint_prev_path(job).exists()
-
-    def test_corrupt_latest_falls_back_to_previous(self, tmp_path, caplog, propagating_logs):
-        spool = JobSpool(tmp_path)
-        job = spool.submit({"algorithm": "random"})
-        history = [{"index": 0, "values": {"x": 1.0}, "unit": [0.5], "value": 1.0,
-                    "started_at": 0.0, "finished_at": 0.1}]
-        spool.write_checkpoint(job, self._snapshot("first", history))
-        spool.write_checkpoint(job, self._snapshot("second", history))
-        spool.checkpoint_path(job).write_text('{"torn mid-wri')
-        with caplog.at_level(logging.WARNING, logger="repro.service.spool"):
-            state = spool.read_checkpoint(job)
-        assert state is not None and state["marker"] == "first"
-        assert state["history"] == history  # sidecar spliced back in
-        assert any("falling back" in r.getMessage() for r in caplog.records)
-
-    def test_both_snapshots_corrupt_restarts_from_scratch(self, tmp_path, caplog, propagating_logs):
-        spool = JobSpool(tmp_path)
-        job = spool.submit({"algorithm": "random"})
-        spool.write_checkpoint(job, self._snapshot("first"))
-        spool.write_checkpoint(job, self._snapshot("second"))
-        spool.checkpoint_path(job).write_text("{broken")
-        spool.checkpoint_prev_path(job).write_text("{also broken")
-        with caplog.at_level(logging.WARNING, logger="repro.service.spool"):
-            assert spool.read_checkpoint(job) is None
-        assert len([r for r in caplog.records if "unreadable" in r.getMessage()]) >= 1
-
-    def test_no_checkpoint_is_simply_none(self, tmp_path):
-        spool = JobSpool(tmp_path)
-        job = spool.submit({"algorithm": "random"})
-        assert spool.read_checkpoint(job) is None
-
-    def test_clear_checkpoint_removes_the_fallback_too(self, tmp_path):
-        spool = JobSpool(tmp_path)
-        job = spool.submit({"algorithm": "random"})
-        spool.write_checkpoint(job, self._snapshot("first"))
-        spool.write_checkpoint(job, self._snapshot("second"))
-        spool.clear_checkpoint(job)
-        assert not spool.checkpoint_path(job).exists()
-        assert not spool.checkpoint_prev_path(job).exists()

@@ -1,15 +1,16 @@
-"""Crash/resume of service jobs: checkpoint events, spool persistence,
-and the acceptance property — a killed-then-resumed job finishes with the
-same best point as an uninterrupted one.
+"""Crash/resume of service jobs: tell-log checkpoint events, the spool's
+log file, and the acceptance property — a killed-then-resumed job
+finishes with the same best point as an uninterrupted one.
 """
 
 import json
+import logging
 import threading
 
 import numpy as np
 import pytest
 
-from repro.core import EvaluationBudget, Parameter, ParameterSpace
+from repro.core import Calibrator, EvaluationBudget, Parameter, ParameterSpace
 from repro.service import CalibrationRequest, CalibrationServer, InMemoryStore, JobSpool
 
 
@@ -35,23 +36,28 @@ def make_objective(space, crash_after=None):
 
 
 def run_job(request, store=None):
-    """Run one job to completion; returns (job, checkpoint snapshots).
+    """Run one job to completion; returns (job, checkpoint events' entries).
 
     Checkpoint events are delivered to the ``on_event`` callback only (they
-    are deliberately not retained on the job), so the snapshots must be
+    are deliberately not retained on the job), so their entries must be
     captured here — exactly what the CLI's spool persistence does.
     """
-    snapshots = []
+    handed_over = []
 
     def on_event(job, event):
         if event.kind == "checkpoint":
-            snapshots.append(event.payload["state"])
+            handed_over.append(event.payload["entries"])
 
     with CalibrationServer(store=store or InMemoryStore(), workers=1,
                            on_event=on_event) as server:
         job = server.submit(request)
         job.wait()
-    return job, snapshots
+    return job, handed_over
+
+
+def joined(handed_over):
+    """The tell log as a file would hold it: every entry, JSON-round-tripped."""
+    return json.loads(json.dumps([entry for entries in handed_over for entry in entries]))
 
 
 class TestServerCheckpointEvents:
@@ -62,21 +68,29 @@ class TestServerCheckpointEvents:
             algorithm="annealing", budget=EvaluationBudget(30), seed=3,
             checkpoint_every=10,
         )
-        job, snapshots = run_job(request)
-        assert [len(s["history"]) for s in snapshots] == [10, 20, 30]
-        assert snapshots[0]["algorithm"] == "annealing"
-        assert snapshots[0]["seed"] == 3
-        json.dumps(snapshots[0])  # must be spool-persistable as-is
-        # Snapshots are streamed, not retained on the job's event log.
+        job, handed_over = run_job(request)
+        assert [len(entries) for entries in handed_over] == [10, 10, 10]
+        log = joined(handed_over)  # must be spool-persistable as-is
+        assert [entry["seq"] for entry in log] == list(range(30))
+        assert sum(entry["charged"] for entry in log) == 30
+        # The log resumes the job: replayed, it finishes with no new work.
+        resumed, _ = run_job(CalibrationRequest(
+            space=space, objective=make_objective(space, crash_after=0),
+            fingerprint="fp-ckpt", algorithm="annealing",
+            budget=EvaluationBudget(30), seed=3, checkpoint=log,
+        ))
+        assert resumed.status.value == "done"
+        assert resumed.result.best_value == job.result.best_value
+        # Entries are streamed, not retained on the job's event log.
         assert not any(e.kind == "checkpoint" for e in job.events)
 
     def test_jobs_without_checkpointing_emit_none(self):
         space = make_space(2)
-        job, snapshots = run_job(CalibrationRequest(
+        job, handed_over = run_job(CalibrationRequest(
             space=space, objective=make_objective(space), fingerprint="fp-none",
             algorithm="random", budget=EvaluationBudget(10),
         ))
-        assert snapshots == []
+        assert handed_over == []
         assert not any(e.kind == "checkpoint" for e in job.events)
 
 
@@ -97,14 +111,14 @@ class TestKilledThenResumedJob:
         assert reference.status.value == "done"
 
         # The same job, but the simulator dies after 25 evaluations.
-        crashed, snapshots = run_job(request_for(make_objective(space, crash_after=25)))
+        crashed, handed_over = run_job(request_for(make_objective(space, crash_after=25)))
         assert crashed.status.value == "failed"
-        assert snapshots, "the crashed job left no checkpoint behind"
-        last = json.loads(json.dumps(snapshots[-1]))
-        assert 0 < len(last["history"]) < budget
+        assert handed_over, "the crashed job left no tell log behind"
+        log = joined(handed_over)
+        assert 0 < len(log) < budget
 
-        # Resubmit with the snapshot: the job finishes the trajectory.
-        resumed, _ = run_job(request_for(make_objective(space), checkpoint=last))
+        # Resubmit with the log: the job finishes the trajectory.
+        resumed, _ = run_job(request_for(make_objective(space), checkpoint=log))
         assert resumed.status.value == "done"
         assert resumed.result.best_value == reference.result.best_value
         assert resumed.result.best_values == reference.result.best_values
@@ -115,7 +129,8 @@ class TestKilledThenResumedJob:
         assert resumed.evaluations == budget
 
     def test_resume_replays_nothing_through_the_store(self):
-        """The resumed leg only pays for evaluations past the snapshot."""
+        """The resumed leg only pays for evaluations past the logged ones:
+        the replay needs neither the simulator nor the crashed run's store."""
         space = make_space(2)
         objective = make_objective(space)
         crashing = make_objective(space, crash_after=25)
@@ -128,139 +143,134 @@ class TestKilledThenResumedJob:
                 checkpoint_every=10, checkpoint=checkpoint,
             )
 
-        crashed, snapshots = run_job(request_for(crashing), store=store)
+        crashed, handed_over = run_job(request_for(crashing), store=store)
         assert crashed.status.value == "failed"
-        last = snapshots[-1]
-        resumed, _ = run_job(request_for(objective, checkpoint=last), store=InMemoryStore())
+        resumed, _ = run_job(request_for(objective, checkpoint=joined(handed_over)),
+                             store=InMemoryStore())
         assert resumed.status.value == "done"
-        # 20 evaluations were restored, so only 20 new calls were needed.
+        # 20 evaluations were replayed, so only 20 new calls were needed.
         assert objective.calls["n"] == 20
+
+
+def lhs_calibrator(space, objective, budget):
+    return Calibrator(space, objective, algorithm="lhs",
+                      budget=EvaluationBudget(budget), seed=4)
+
+
+def bowl(space):
+    def objective(values):
+        unit = space.to_unit_array(values)
+        return float(np.sum((unit - 0.4) ** 2))
+
+    return objective
+
+
+def trajectory(result):
+    return [(e.unit, e.value, e.cached) for e in result.history]
 
 
 class TestSpoolCheckpoints:
     def test_checkpoint_roundtrip_and_clear(self, tmp_path):
         spool = JobSpool(tmp_path / "spool")
         assert spool.read_checkpoint("job-0001") is None
-        state = {"version": 1, "algorithm": "random", "history": []}
-        path = spool.write_checkpoint("job-0001", state)
-        assert path.exists()
-        assert spool.read_checkpoint("job-0001") == state
-        spool.write_checkpoint("job-0001", {**state, "algorithm": "lhs"})
-        assert spool.read_checkpoint("job-0001")["algorithm"] == "lhs"
+        first = [{"seq": 0, "asked": 1, "charged": 1, "unit": [0.5], "value": 1.0}]
+        second = [{"seq": 1, "asked": 2, "charged": 0, "unit": [0.5], "value": 1.0,
+                   "cached": True}]
+        path = spool.write_checkpoint("job-0001", first)
+        assert path == spool.checkpoint_path("job-0001") and path.name == "job-0001.log.jsonl"
+        assert spool.read_checkpoint("job-0001") == first
+        first_bytes = path.read_bytes()
+        spool.write_checkpoint("job-0001", second)
+        # Appended to, never rewritten.
+        assert path.read_bytes()[: len(first_bytes)] == first_bytes
+        assert spool.read_checkpoint("job-0001") == first + second
+        assert sorted(p.name for p in spool.checkpoints_dir.iterdir()) == [path.name]
         spool.clear_checkpoint("job-0001")
         assert spool.read_checkpoint("job-0001") is None
         spool.clear_checkpoint("job-0001")  # idempotent
 
-
-class TestAppendOnlyHistorySidecar:
-    """Periodic checkpoints must stop rewriting the full history: the
-    snapshot JSON stays O(state) and the history goes to an append-only
-    sidecar, so a long job writes O(N) history bytes, not O(N²/k)."""
-
-    @staticmethod
-    def _state(n, extra=0):
-        history = [
-            {"index": i, "values": {"x": float(i)}, "unit": [0.1 * i],
-             "value": float(i), "started_at": float(i), "finished_at": float(i) + 0.5}
-            for i in range(n)
-        ]
-        return {"version": 1, "algorithm": "random", "seed": 0,
-                "elapsed": float(n), "rng_state": {"state": n + extra},
-                "algorithm_state": {"name": "random"}, "history": history}
-
-    def test_snapshot_json_does_not_embed_the_history(self, tmp_path):
-        import json
-
-        spool = JobSpool(tmp_path / "spool")
-        spool.write_checkpoint("job-0001", self._state(25))
-        raw = json.loads(spool.checkpoint_path("job-0001").read_text())
-        assert "history" not in raw
-        assert raw["history_count"] == 25
-        sidecar = spool.checkpoint_history_path("job-0001")
-        assert sidecar.exists()
-        assert sum(1 for _ in sidecar.open()) == 25
-
-    def test_later_checkpoints_append_instead_of_rewriting(self, tmp_path):
-        spool = JobSpool(tmp_path / "spool")
-        sidecar = spool.checkpoint_history_path("job-0001")
-        spool.write_checkpoint("job-0001", self._state(10))
-        size_after_first = sidecar.stat().st_size
-        first_bytes = sidecar.read_bytes()
-        spool.write_checkpoint("job-0001", self._state(20))
-        assert sidecar.stat().st_size > size_after_first
-        # The first 10 records were appended to, not rewritten.
-        assert sidecar.read_bytes()[: len(first_bytes)] == first_bytes
-        restored = spool.read_checkpoint("job-0001")
-        assert restored == self._state(20)
-
-    def test_read_checkpoint_reassembles_the_plain_format(self, tmp_path):
-        spool = JobSpool(tmp_path / "spool")
-        state = self._state(7)
-        spool.write_checkpoint("job-0001", state)
-        restored = spool.read_checkpoint("job-0001")
-        assert restored == state  # byte-identical to Calibrator.checkpoint()
-
-    def test_fresh_process_rewrites_the_sidecar_once(self, tmp_path):
-        """A new spool instance (fresh server process) must not trust a
-        sidecar written by a previous incarnation."""
-        first = JobSpool(tmp_path / "spool")
-        first.write_checkpoint("job-0001", self._state(30))
-        # New incarnation, job re-run from scratch with a different
-        # trajectory (shorter history, different content).
-        second = JobSpool(tmp_path / "spool")
-        state = self._state(5, extra=99)
-        second.write_checkpoint("job-0001", state)
-        assert second.read_checkpoint("job-0001") == state
-        sidecar = second.checkpoint_history_path("job-0001")
-        assert sum(1 for _ in sidecar.open()) == 5
-
-    def test_sidecar_longer_than_snapshot_is_truncated_on_read(self, tmp_path):
-        """Crash between the sidecar append and the snapshot rename: the
-        snapshot's history_count is the source of truth."""
-        import json
-
-        spool = JobSpool(tmp_path / "spool")
-        spool.write_checkpoint("job-0001", self._state(10))
-        with spool.checkpoint_history_path("job-0001").open("a") as handle:
-            handle.write(json.dumps({"index": 10, "values": {"x": 10.0},
-                                     "unit": [1.0], "value": 10.0,
-                                     "started_at": 10.0, "finished_at": 10.5}) + "\n")
-        restored = spool.read_checkpoint("job-0001")
-        assert len(restored["history"]) == 10
-
-    def test_clear_checkpoint_removes_the_sidecar(self, tmp_path):
-        spool = JobSpool(tmp_path / "spool")
-        spool.write_checkpoint("job-0001", self._state(3))
-        spool.clear_checkpoint("job-0001")
-        assert not spool.checkpoint_path("job-0001").exists()
-        assert not spool.checkpoint_history_path("job-0001").exists()
-
-    def test_end_to_end_resume_through_the_sidecar(self, tmp_path):
-        """A calibrator checkpoint written through the spool and read back
+    def test_end_to_end_resume_through_the_log_file(self, tmp_path):
+        """A calibrator's tell log appended through the spool and read back
         resumes to the exact uninterrupted trajectory."""
-        import numpy as np
+        space = make_space(2)
+        full = lhs_calibrator(space, bowl(space), 30).run()
+        spool = JobSpool(tmp_path / "spool")
+        lhs_calibrator(space, bowl(space), 12).run(
+            checkpoint_every=6,
+            on_checkpoint=lambda entries: spool.write_checkpoint("job-0001", entries),
+        )
+        log = spool.read_checkpoint("job-0001")
+        assert len(log) == 12
+        resumed = lhs_calibrator(space, bowl(space), 30).run(resume=log)
+        assert trajectory(resumed) == trajectory(full)
 
-        from repro.core import Calibrator, EvaluationBudget, Parameter, ParameterSpace
+    def test_interior_corruption_raises(self, tmp_path):
+        """Only the final line can be torn by a crash; a damaged line before
+        it is not a crash signature and is not skipped silently."""
+        spool = JobSpool(tmp_path / "spool")
+        spool.write_checkpoint("job-0001", [{"seq": i} for i in range(3)])
+        path = spool.checkpoint_path("job-0001")
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][:-3]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="corrupt tell log"):
+            spool.read_checkpoint("job-0001")
 
-        space = ParameterSpace([Parameter("x", 2.0**4, 2.0**12),
-                                Parameter("y", 2.0**4, 2.0**12)])
+
+@pytest.fixture
+def propagating_logs():
+    """The CLI's log handler sets ``repro``'s propagate=False (once any CLI
+    test has run), which would hide records from caplog's root handler."""
+    logger = logging.getLogger("repro")
+    before = logger.propagate
+    logger.propagate = True
+    yield
+    logger.propagate = before
+
+
+class TestTornTellLog:
+    def test_resume_from_a_log_torn_at_any_byte_of_its_last_entry(
+        self, tmp_path, caplog, propagating_logs
+    ):
+        """A crash mid-append can leave the last entry cut at any byte.
+        Reading the log cuts that fragment (with a warning) and repairs the
+        file, and the resumed run equals one resumed from the acknowledged
+        prefix — every entry whose line was complete — with the same
+        simulator calls."""
+        space = make_space(2)
+        calls = {"n": 0}
 
         def objective(values):
-            unit = space.to_unit_array(values)
-            return float(np.sum((unit - 0.4) ** 2))
-
-        full = Calibrator(space, objective, algorithm="lhs",
-                          budget=EvaluationBudget(30), seed=4).run()
+            calls["n"] += 1
+            return bowl(space)(values)
 
         spool = JobSpool(tmp_path / "spool")
-        Calibrator(space, objective, algorithm="lhs",
-                   budget=EvaluationBudget(12), seed=4).run(
-            checkpoint_every=6,
-            on_checkpoint=lambda s: spool.write_checkpoint("job-0001", s),
+        job = "job-0001"
+        lhs_calibrator(space, objective, 9).run(
+            checkpoint_every=4, on_checkpoint=lambda e: spool.write_checkpoint(job, e)
         )
-        snapshot = spool.read_checkpoint("job-0001")
-        assert len(snapshot["history"]) == 12
-        resumed = Calibrator(space, objective, algorithm="lhs",
-                             budget=EvaluationBudget(30), seed=4).run(resume=snapshot)
-        assert [(e.unit, e.value) for e in resumed.history] == \
-            [(e.unit, e.value) for e in full.history]
+        path = spool.checkpoint_path(job)
+        raw = path.read_bytes()
+        entries = [json.loads(line) for line in raw.splitlines()]
+        last_line = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+
+        def resumed(log):
+            calls["n"] = 0
+            result = lhs_calibrator(space, objective, 20).run(resume=log)
+            return trajectory(result), calls["n"]
+
+        expected = {len(entries) - 1: resumed(entries[:-1]), len(entries): resumed(entries)}
+        for cut in range(last_line, len(raw)):
+            path.write_bytes(raw[:cut])
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="repro.service.store"):
+                log = spool.read_checkpoint(job)
+            torn = last_line < cut < len(raw) - 1
+            assert len(log) == len(entries) - (cut < len(raw) - 1)
+            assert any("truncated" in r.getMessage() for r in caplog.records) == torn
+            assert log == entries[: len(log)]
+            assert resumed(log) == expected[len(log)]
+            # The file ends on a whole line again, so the resumed run's
+            # next append lands on a line of its own.
+            spool.write_checkpoint(job, [entries[-1]])
+            assert spool.read_checkpoint(job) == entries[: len(log)] + [entries[-1]]
