@@ -104,6 +104,34 @@ class TestFleetCalibration:
         assert worker.stats["evaluations"] == 20
         assert worker.stats["publishes"] == 20
 
+    def test_fleet_job_resumes_a_serial_tell_log(self, fleet):
+        """Every driver writes one tell-log format: a fleet job replays a
+        log the serial calibrator wrote and finishes its trajectory, the
+        workers evaluating only the points past the log."""
+        store, server, frontend, client = fleet
+        space = make_space()
+        serial = Calibrator(
+            space, quadratic, algorithm="random", budget=EvaluationBudget(20), seed=7
+        ).run()
+        log = []
+        Calibrator(
+            space, quadratic, algorithm="random", budget=EvaluationBudget(8), seed=7
+        ).run(checkpoint_every=8, on_checkpoint=log.extend)
+
+        calls = []
+        _, thread = run_worker_thread(client, store, calls=calls)
+        request = make_request(space)
+        request.checkpoint = json.loads(json.dumps(log))
+        job = server.submit(request)
+        assert job.wait(60)
+        thread.join(timeout=30)
+
+        assert job.status is JobStatus.DONE
+        assert [(e.unit, e.value) for e in job.result.history] == [
+            (e.unit, e.value) for e in serial.history
+        ]
+        assert len(calls) == 12
+
     def test_two_worker_threads_split_the_work_without_duplicates(self, fleet):
         store, server, frontend, client = fleet
         space = make_space()
