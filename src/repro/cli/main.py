@@ -9,6 +9,7 @@ has in mind is domain scientists, not simulator developers).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
@@ -131,23 +132,24 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if args.trace:
         tracer = Tracer(JsonlTraceSink(args.trace))
         previous_tracer = set_tracer(tracer)
-    cache: bool | CacheBackend = True
-    store = None
     if args.store:
         from repro.service import StoreBackedCache, open_store
-
-        store = open_store(args.store)
-        cache = StoreBackedCache(store, problem.fingerprint())
-    try:
-        result = problem.calibrate(
-            algorithm=args.algorithm, budget=_budget(args), seed=args.seed,
-            workers=args.workers, asynchronous=args.use_async,
-            max_pending=args.max_pending, cache=cache, config=args.run_config,
-        )
-    finally:
-        if tracer is not None:
-            set_tracer(previous_tracer)
-            tracer.close()
+    # The store is closed however the run ends.
+    with open_store(args.store) if args.store else contextlib.nullcontext() as store:
+        cache: bool | CacheBackend = True
+        if store is not None:
+            cache = StoreBackedCache(store, problem.fingerprint())
+        try:
+            result = problem.calibrate(
+                algorithm=args.algorithm, budget=_budget(args), seed=args.seed,
+                workers=args.workers, asynchronous=args.use_async,
+                max_pending=args.max_pending, cache=cache, config=args.run_config,
+            )
+        finally:
+            if tracer is not None:
+                set_tracer(previous_tracer)
+                tracer.close()
+        entries = store.stats()["entries"] if store is not None else None
     values = problem.calibrated_values(result)
 
     if args.use_async:
@@ -165,11 +167,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     console("calibrated values  :")
     for name, value in values.to_dict().items():
         console(f"  {name:22s} {value:.4g}")
-    if store is not None:
-        stats = store.stats()
-        console(f"store              : {args.store} ({stats['entries']} evaluations, "
+    if entries is not None:
+        console(f"store              : {args.store} ({entries} evaluations, "
                 f"{cache.hits} hits this run)")
-        store.close()
     if args.compare:
         human = problem.evaluate(problem.human_values())
         true = problem.evaluate(problem.true_values())
@@ -261,71 +261,79 @@ def _attach_tell_log(spool, job_id: str, request, args: argparse.Namespace) -> N
         _log.info("[resumed  ] %s: replaying %d logged tells", job_id, len(request.checkpoint))
 
 
+def _spool_events(spool) -> Callable:
+    """A server's event callback for spooled jobs: checkpoints append to
+    the job's tell log, every other event but submission is narrated."""
+
+    def on_event(job, event):
+        if event.kind == "checkpoint":
+            spool.write_checkpoint(job.id, event.payload["entries"])
+        elif event.kind != "submitted":
+            _log.info("[%-9s] %s", event.kind, event.message)
+
+    return on_event
+
+
+def _serve_spool(spool, server, factory, args: argparse.Namespace) -> int:
+    """Run the spool's jobs on ``server`` — scan, submit, wait, write each
+    result back — once, or every ``--poll`` seconds.  Returns the number
+    of jobs processed."""
+    processed = 0
+    first_scan = True
+    while True:
+        # The first scan also re-runs jobs a crashed server left behind
+        # in "running"; later scans only pick up fresh submissions (the
+        # running ones are ours).
+        pending = spool.runnable() if first_scan else spool.pending()
+        first_scan = False
+        jobs = []
+        for job_id in pending:
+            spec = spool.load(job_id)
+            try:
+                request = factory.request(spec)
+                _attach_tell_log(spool, job_id, request, args)
+            except Exception as exc:
+                spool.update(job_id, status="failed", error=f"{type(exc).__name__}: {exc}")
+                _log.warning("[failed   ] %s: %s", job_id, exc)
+                continue
+            spool.update(job_id, status="running")
+            jobs.append(server.submit(request, job_id=job_id))
+        for job in jobs:
+            job.wait()
+            processed += 1
+            record = job.to_dict()
+            if job.result is not None:
+                spool.write_result(job.id, job.result)
+            spool.update(
+                job.id,
+                status=record["status"],
+                best_value=record.get("best_value"),
+                evaluations=record["evaluations"],
+                cache_hits=record["cache_hits"],
+                elapsed=record["elapsed"],
+                error=record.get("error"),
+            )
+            if record["status"] == "done":
+                spool.clear_checkpoint(job.id)
+        if args.poll is None:
+            return processed
+        try:
+            time.sleep(args.poll)
+        except KeyboardInterrupt:  # pragma: no cover - interactive only
+            return processed
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import CalibrationServer, CaseStudyRequestFactory, JobSpool, open_store
 
     spool = JobSpool(args.serve_dir)
     store_path = args.store if args.store is not None else str(spool.default_store_path)
-    store = open_store(store_path)
-    factory = CaseStudyRequestFactory()
-
-    def on_event(job, event):
-        if event.kind != "submitted":
-            _log.info("[%-9s] %s", event.kind, event.message)
-
-    def on_event_with_checkpoints(job, event):
-        if event.kind == "checkpoint":
-            spool.write_checkpoint(job.id, event.payload["entries"])
-            return
-        on_event(job, event)
-
-    processed = 0
-    with CalibrationServer(
-        store=store, workers=args.workers, on_event=on_event_with_checkpoints
-    ) as server:
-        first_scan = True
-        while True:
-            # The first scan also re-runs jobs a crashed server left behind
-            # in "running"; later scans only pick up fresh submissions (the
-            # running ones are ours).
-            pending = spool.runnable() if first_scan else spool.pending()
-            first_scan = False
-            jobs = []
-            for job_id in pending:
-                spec = spool.load(job_id)
-                try:
-                    request = factory.request(spec)
-                    _attach_tell_log(spool, job_id, request, args)
-                except Exception as exc:
-                    spool.update(job_id, status="failed", error=f"{type(exc).__name__}: {exc}")
-                    _log.warning("[failed   ] %s: %s", job_id, exc)
-                    continue
-                spool.update(job_id, status="running")
-                jobs.append(server.submit(request, job_id=job_id))
-            for job in jobs:
-                job.wait()
-                processed += 1
-                record = job.to_dict()
-                if job.result is not None:
-                    spool.write_result(job.id, job.result)
-                spool.update(
-                    job.id,
-                    status=record["status"],
-                    best_value=record.get("best_value"),
-                    evaluations=record["evaluations"],
-                    cache_hits=record["cache_hits"],
-                    elapsed=record["elapsed"],
-                    error=record.get("error"),
-                )
-                if record["status"] == "done":
-                    spool.clear_checkpoint(job.id)
-            if args.poll is None:
-                break
-            try:
-                time.sleep(args.poll)
-            except KeyboardInterrupt:  # pragma: no cover - interactive only
-                break
-    stats = store.stats()
+    with open_store(store_path) as store:
+        with CalibrationServer(
+            store=store, workers=args.workers, on_event=_spool_events(spool)
+        ) as server:
+            processed = _serve_spool(spool, server, CaseStudyRequestFactory(), args)
+        stats = store.stats()
     console(f"served {processed} job(s); store: {stats['entries']} evaluations, "
             f"{stats['hits']} hits / {stats['misses']} misses this run")
     return 0
@@ -345,16 +353,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     # provides — default to DIR/store.db rather than serve's store.jsonl.
     store_path = args.store if args.store is not None else str(Path(args.serve_dir) / "store.db")
     store = open_store(store_path)
-    factory = CaseStudyRequestFactory()
-
-    def on_event(job, event):
-        if event.kind == "checkpoint":
-            spool.write_checkpoint(job.id, event.payload["entries"])
-        elif event.kind != "submitted":
-            _log.info("[%-9s] %s", event.kind, event.message)
-
     server = FleetServer(
-        store=store, workers=args.workers, on_event=on_event, max_pending=args.max_pending
+        store=store, workers=args.workers, on_event=_spool_events(spool),
+        max_pending=args.max_pending,
     )
 
     def status_view():
@@ -377,47 +378,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         # to discover an ephemeral --port 0 binding.
         Path(args.url_file).write_text(frontend.url + "\n")
 
-    processed = 0
     try:
-        first_scan = True
-        while True:
-            pending = spool.runnable() if first_scan else spool.pending()
-            first_scan = False
-            jobs = []
-            for job_id in pending:
-                spec = spool.load(job_id)
-                try:
-                    request = factory.request(spec)
-                    _attach_tell_log(spool, job_id, request, args)
-                except Exception as exc:
-                    spool.update(job_id, status="failed", error=f"{type(exc).__name__}: {exc}")
-                    _log.warning("[failed   ] %s: %s", job_id, exc)
-                    continue
-                spool.update(job_id, status="running")
-                jobs.append(server.submit(request, job_id=job_id))
-            for job in jobs:
-                job.wait()
-                processed += 1
-                record = job.to_dict()
-                if job.result is not None:
-                    spool.write_result(job.id, job.result)
-                spool.update(
-                    job.id,
-                    status=record["status"],
-                    best_value=record.get("best_value"),
-                    evaluations=record["evaluations"],
-                    cache_hits=record["cache_hits"],
-                    elapsed=record["elapsed"],
-                    error=record.get("error"),
-                )
-                if record["status"] == "done":
-                    spool.clear_checkpoint(job.id)
-            if args.poll is None:
-                break
-            try:
-                time.sleep(args.poll)
-            except KeyboardInterrupt:  # pragma: no cover - interactive only
-                break
+        processed = _serve_spool(spool, server, CaseStudyRequestFactory(), args)
     finally:
         frontend.close()
         # wait=False: a fleet job with no workers left can never finish —

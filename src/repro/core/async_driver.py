@@ -1,9 +1,13 @@
 """The evaluation loop: asynchronous, out-of-order calibration driving.
 
 This module holds the one event loop every driver runs — claim →
-dispatch → settle → record → tell, with lease re-claims, failure
-settlement and resume by replaying the run's tell log.  The three
-drivers differ only in a refill policy fixed per class:
+dispatch → settle → tell → record, with lease re-claims and resume by
+replaying the run's tell log.  Every outcome of a candidate (evaluated,
+hit, deferred hit, fresh failure, quarantine skip, and the riders of
+each) is settled by one method, :meth:`AsyncCalibrator._settle`, whose
+docstring is the rule table of what each outcome records, counts and
+costs; the replay counts through the same :meth:`AsyncCalibrator._count`.
+The three drivers differ only in a refill policy fixed per class:
 :class:`~repro.core.calibrator.Calibrator` keeps one candidate in flight
 and evaluates it inline (the paper's blocking loop);
 :class:`~repro.core.parallel.BatchCalibrator` (``_barrier = True``) runs
@@ -88,6 +92,15 @@ __all__ = ["AsyncCalibrator", "OrderedTellAdapter", "RunConfig"]
 #: failure attached to a point quarantined again while a tell log is
 #: replayed (the log keeps the penalty record, not the diagnosis)
 _REPLAYED_FAILURE = EvaluationFailure(error="EvaluationFailed: replayed from the tell log")
+
+#: what a candidate settles as: the rows of ``AsyncCalibrator._settle``'s
+#: rule table, and the ``outcome`` attribute of its ``evaluation`` span
+_EVALUATED, _HIT, _DEFERRED, _FAILED, _SKIPPED = (
+    "evaluated", "hit", "deferred", "failed", "skipped"
+)
+
+#: the claim of a run without a cache: every candidate is dispatched
+_CLAIMED = Claim(Claim.CLAIMED)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -195,7 +208,7 @@ class OrderedTellAdapter:
         return released
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class _InFlight:
     """One candidate between ask and tell."""
 
@@ -205,9 +218,10 @@ class _InFlight:
     unit: np.ndarray  # round-tripped unit point (cache key and record)
     key: CacheKey
     started_at: float
+    span: Span | None  # open "evaluation" span (tracing enabled only)
+    charged: int  # budget units paid at launch
     future: Future[Outcome] | None = None  # None: deferred (leased elsewhere)
-    riders: list[tuple[int, np.ndarray]] = dataclasses.field(default_factory=list)
-    span: Span | None = None  # open "evaluation" span (tracing enabled only)
+    riders: tuple[tuple[int, np.ndarray], ...] = ()  # in-run revisits riding on it
     #: wall-clock at dispatch, for the driver-side hard deadline (None
     #: while deferred behind another driver's lease)
     dispatched_wall: float | None = None
@@ -370,12 +384,14 @@ class AsyncCalibrator:
         own width, until it has handed out ``asked`` candidates — the
         interrupted run's exact ask/tell interleaving — then candidate
         ``seq`` must round-trip to the logged unit point and is told the
-        logged value.  Budget (Σ ``charged``), history, cache, counters
-        and clock are rebuilt from the entries.  Returns the candidates
-        asked but never told, in ask order, and the clock to continue
-        from; raises ``ValueError`` at the first ``seq`` this run would
-        not have told (another algorithm, options or seed, or a log told
-        out of ask order resumed with the ordered adapter).
+        logged value.  Each entry is classified as the outcome it settled
+        as and counted through :meth:`_count`, like a live one; budget
+        (Σ ``charged``), history and clock are rebuilt from the entries.
+        Returns the candidates asked but never told, in ask order, and
+        the clock to continue from; raises ``ValueError`` at the first
+        ``seq`` this run would not have told (another algorithm, options
+        or seed, or a log told out of ask order resumed with the ordered
+        adapter).
         """
         width = self.max_pending if self._barrier else 1
         asked: dict[int, np.ndarray] = {}
@@ -416,33 +432,18 @@ class AsyncCalibrator:
             if evaluation.failed:
                 # A rider of a failure, or a revisit of a point this run
                 # quarantined, was a skip; anything else failed afresh.
-                if evaluation.cached or key in quarantined:
-                    self.quarantine_skips += 1
-                else:
-                    self.failures += 1
-                    if quarantine:
-                        quarantined.add(key)
-                        # A shared store may still hold the real diagnosis.
-                        if (
-                            self._cache is not None
-                            and self._cache.get_failure(key, evaluation.values) is None
-                        ):
-                            self._cache.mark_failed(key, evaluation.values, _REPLAYED_FAILURE)
-                if self._breaker is not None:
-                    self._breaker.record(_REPLAYED_FAILURE)
+                outcome = _SKIPPED if evaluation.cached or key in quarantined else _FAILED
+                if outcome == _FAILED and quarantine:
+                    quarantined.add(key)
             elif evaluation.cached:
-                self.cache_hits += 1
                 # Charged hits are replayed first-seen hits or deferred ones.
-                if entry["charged"] and not (replay and key not in self._seen):
-                    self.deferred_hits += 1
+                deferred = entry["charged"] and not (replay and key not in self._seen)
+                outcome = _DEFERRED if deferred else _HIT
             else:
+                outcome = _EVALUATED
                 quarantined.discard(key)
-                if self._cache is not None:
-                    self._cache.put(key, evaluation.values, evaluation.value)
-                if self._breaker is not None:
-                    self._breaker.record(None)
+            self._count(outcome, key, evaluation.values, evaluation.value, _REPLAYED_FAILURE)
             self._budget_units += entry["charged"]
-            self._seen.add(key)
             if not evaluation.cached or replay:
                 history.record(dataclasses.replace(evaluation, index=len(history)))
             elapsed = max(elapsed, evaluation.finished_at)
@@ -501,6 +502,7 @@ class AsyncCalibrator:
         #: candidates a resumed run asked but never told, relaunched first
         self._untold: list[tuple[int, np.ndarray]] = []
         elapsed = 0.0
+        self._reg = None  # a replay moves no metric
         if resume is not None:
             self._untold, elapsed = self._restore(resume, rng)
         self._adapter = OrderedTellAdapter(self.algorithm) if self.ordered_tells else None
@@ -515,12 +517,10 @@ class AsyncCalibrator:
         )
         self._budget.start(elapsed)
         self.evaluator.reset_clock(elapsed)
-        #: per-seq record metadata (mapping, unit, started_at,
+        #: per-seq record metadata (the settled entry, started_at,
         #: finished_at, cached, failed, charged), parked alongside the
         #: adapter's buffer until the seq is released
-        self._meta: dict[
-            int, tuple[dict[str, float], np.ndarray, float, float, bool, bool, int]
-        ] = {}
+        self._meta: dict[int, tuple[_InFlight, float, float, bool, bool, int]] = {}
         self._tracer = current_tracer()
         # Instruments are looked up once per run, only when telemetry is
         # on: the disabled hot path costs one attribute check per use.
@@ -657,7 +657,7 @@ class AsyncCalibrator:
         return asked
 
     def _launch(self, candidate: np.ndarray, seq: int) -> bool:
-        """Claim candidate ``seq`` and resolve, defer or dispatch it.
+        """Claim candidate ``seq`` and settle, defer or dispatch it.
 
         Returns ``False`` — with the claim cancelled and nothing recorded
         — when the evaluation cap cannot afford the candidate, which only
@@ -672,19 +672,14 @@ class AsyncCalibrator:
         key = unit_cache_key(unit, CACHE_DECIMALS)
 
         # An identical point already in flight *within this run*: ride on
-        # it instead of claiming or dispatching again (the in-run revisit
-        # is free, as the serial cache would have made it).
+        # it instead of claiming or dispatching again.
         if self._cache is not None and key in self._inflight_keys:
-            self._inflight_keys[key].riders.append((seq, candidate))
+            self._inflight_keys[key].riders += ((seq, candidate),)
             if self._reg is not None:
                 self._m_riders.inc()
             return True
 
-        if self._cache is not None:
-            claim = self._cache.claim(key, mapping)
-        else:
-            claim = Claim(Claim.CLAIMED)
-
+        claim = self._cache.claim(key, mapping) if self._cache is not None else _CLAIMED
         # A dispatch costs 1, so does a leased or quarantined point; a hit
         # costs 1 only when it is first-seen and replayed, so a warm run
         # stops at the cold run's total.
@@ -698,39 +693,27 @@ class AsyncCalibrator:
                 self._cache.cancel(key, mapping)
             return False
 
+        self._budget_units += charge
+        entry = _InFlight(
+            seq, candidate, mapping, unit, key, self.evaluator.elapsed,
+            self._tracer.begin("evaluation", parent=self._root, driver=self._driver, seq=seq),
+            charge,
+        )
         if claim.status == Claim.HIT:
-            self._budget_units += charge
-            self._seen.add(key)
-            self._count_hit()
-            span = self._tracer.begin(
-                "evaluation", parent=self._root, driver=self._driver, seq=seq
-            )
-            at = self.evaluator.elapsed
-            self._resolve(seq, candidate, mapping, unit, claim.value, at, at,
-                          cached=True, charged=charge)
-            self._tracer.end(span, cached=True, value=claim.value)
+            self._settle(_HIT, entry, claim.value)
             return True
-
         if (
             claim.status == Claim.QUARANTINED
             and claim.failure is not None
             and self.config.failure_policy is not None
         ):
-            # Known poison point: resolve from the recorded failure, one
-            # budget charge, no dispatch and no lease wait.  (Without a
-            # failure policy the claim falls through to a dispatch — the
-            # run re-attempts the point, pre-quarantine behavior.)
-            self._skip_quarantined(seq, candidate, mapping, unit, key, claim.failure)
+            # Known poison point: settled from the recorded failure, no
+            # dispatch and no lease wait.  (Without a failure policy the
+            # claim falls through to a dispatch — the run re-attempts the
+            # point, pre-quarantine behavior.)
+            self._settle(_SKIPPED, entry, None, 0.0, claim.failure)
             return True
 
-        entry = _InFlight(
-            seq=seq, candidate=candidate, mapping=mapping, unit=unit, key=key,
-            started_at=self.evaluator.elapsed,
-            span=self._tracer.begin(
-                "evaluation", parent=self._root, driver=self._driver, seq=seq
-            ),
-        )
-        self._budget_units += 1  # dispatch (or deferred lease) charge
         if claim.status == Claim.LEASED:
             if self._reg is not None:
                 self._m_deferred.inc()
@@ -812,8 +795,9 @@ class AsyncCalibrator:
             self._dispatch(entry)
         for entry in stalled:
             elapsed = now - (entry.dispatched_wall or now)
-            self._deliver_failure(
-                entry,
+            self._remove(entry)
+            self._settle(
+                _FAILED, entry, None, 0.0,
                 EvaluationFailure(
                     error=(
                         "EvaluationTimeout: evaluation exceeded the "
@@ -831,134 +815,14 @@ class AsyncCalibrator:
             value, duration = entry.future.result()
         except EvaluationFailed as error:
             # The evaluation exhausted its in-worker attempts; the pool
-            # itself is healthy.  Quarantine and apply the failure policy.
-            self._deliver_failure(entry, error.failure, duration=error.failure.elapsed)
+            # itself is healthy.
+            self._remove(entry)
+            self._settle(_FAILED, entry, None, error.failure.elapsed, error.failure)
             return
-        finished_at = self.evaluator.elapsed
-        # The worker timed its own call; anchor that interval to the
-        # driver's clock at completion so the record carries the true
-        # per-point evaluation wall-clock (dispatch-to-completion would
-        # fold in executor queueing, overstating slow-pool points).
-        started_at = max(finished_at - duration, entry.started_at)
-        if self._cache is not None:
-            self._cache.put(entry.key, entry.mapping, value)
-        if self._breaker is not None:
-            self._breaker.record(None)
         if self._reg is not None:
-            self._m_evals.inc()
             self._m_eval_seconds.observe(duration)
-        self._seen.add(entry.key)
         self._remove(entry)
-        self._resolve(
-            entry.seq, entry.candidate, entry.mapping, entry.unit, value,
-            started_at, finished_at, cached=False,
-        )
-        self._tracer.end(entry.span, cached=False, value=value, duration_in_worker=duration)
-        self._resolve_riders(entry, value)
-
-    # ------------------------------------------------------------------ #
-    # failure outcomes
-    # ------------------------------------------------------------------ #
-    def _account_failure(
-        self,
-        key: CacheKey,
-        mapping: dict[str, float],
-        failure: EvaluationFailure,
-        quarantined: bool,
-    ) -> None:
-        """Shared failure bookkeeping: counters and metrics, quarantine
-        persistence (for fresh failures), circuit-breaker accounting."""
-        if quarantined:
-            self.quarantine_skips += 1
-        else:
-            self.failures += 1
-        if self._reg is not None:
-            if quarantined:
-                self._reg.counter(
-                    "repro_eval_quarantined_total",
-                    EVAL_METRIC_HELP["repro_eval_quarantined_total"],
-                ).inc()
-            else:
-                self._reg.counter(
-                    "repro_eval_failures_total",
-                    EVAL_METRIC_HELP["repro_eval_failures_total"],
-                ).inc()
-                if failure.attempts > 1:
-                    self._reg.counter(
-                        "repro_eval_retries_total",
-                        EVAL_METRIC_HELP["repro_eval_retries_total"],
-                    ).inc(failure.attempts - 1)
-                if failure.kind == "timeout":
-                    self._reg.counter(
-                        "repro_eval_timeouts_total",
-                        EVAL_METRIC_HELP["repro_eval_timeouts_total"],
-                    ).inc()
-        if not quarantined and self._cache is not None:
-            policy = self.config.failure_policy
-            if policy is not None and policy.quarantine:
-                self._cache.mark_failed(key, mapping, failure)
-            else:
-                self._cache.cancel(key, mapping)
-        if self._breaker is not None:
-            self._breaker.record(failure)
-
-    def _deliver_failure(
-        self,
-        entry: _InFlight,
-        failure: EvaluationFailure,
-        duration: float = 0.0,
-        quarantined: bool = False,
-    ) -> None:
-        """Settle an in-flight entry whose evaluation is a failure
-        outcome: penalty-tell it (riders included) or abort per policy."""
-        self._account_failure(entry.key, entry.mapping, failure, quarantined)
-        self._seen.add(entry.key)
-        self._remove(entry)
-        policy = self.config.failure_policy
-        if policy is not None and policy.penalize:
-            penalty = policy.penalty
-            finished_at = self.evaluator.elapsed
-            started_at = max(finished_at - duration, entry.started_at)
-            self._resolve(
-                entry.seq, entry.candidate, entry.mapping, entry.unit, penalty,
-                started_at, finished_at, cached=False, failed=True,
-            )
-            self._tracer.end(entry.span, failed=True, value=penalty)
-            self._resolve_riders(entry, penalty, failure)
-            if self._breaker is not None:
-                self._breaker.check()
-            return
-        self._tracer.end(entry.span, failed=True)
-        raise EvaluationFailed(failure)
-
-    def _skip_quarantined(
-        self,
-        seq: int,
-        candidate: np.ndarray,
-        mapping: dict[str, float],
-        unit: np.ndarray,
-        key: CacheKey,
-        failure: EvaluationFailure,
-    ) -> None:
-        """Resolve a freshly-asked candidate whose point is already
-        quarantined: one budget charge, zero simulator time."""
-        self._budget_units += 1
-        self._account_failure(key, mapping, failure, quarantined=True)
-        self._seen.add(key)
-        policy = self.config.failure_policy
-        if policy is not None and policy.penalize:
-            penalty = policy.penalty
-            span = self._tracer.begin(
-                "evaluation", parent=self._root, driver=self._driver, seq=seq
-            )
-            at = self.evaluator.elapsed
-            self._resolve(seq, candidate, mapping, unit, penalty, at, at,
-                          cached=False, failed=True)
-            self._tracer.end(span, failed=True, quarantined=True, value=penalty)
-            if self._breaker is not None:
-                self._breaker.check()
-            return
-        raise EvaluationFailed(failure)
+        self._settle(_EVALUATED, entry, value, duration)
 
     def _poll_deferred(self, deferred: list[_InFlight]) -> None:
         """Re-claim each deferred point: one claim answers whether it was
@@ -969,22 +833,16 @@ class AsyncCalibrator:
             if claim.status == Claim.LEASED:
                 continue
             if claim.status == Claim.HIT:
-                self._seen.add(entry.key)
-                self._count_hit()
-                self.deferred_hits += 1
                 self._remove(entry)
-                at = self.evaluator.elapsed
-                self._resolve(entry.seq, entry.candidate, entry.mapping, entry.unit,
-                              claim.value, at, at, cached=True)
-                self._tracer.end(entry.span, cached=True, leased=True, value=claim.value)
-                self._resolve_riders(entry, claim.value)
+                self._settle(_DEFERRED, entry, claim.value)
             elif (
                 claim.status == Claim.QUARANTINED
                 and claim.failure is not None
                 and self.config.failure_policy is not None
             ):
                 # The leader quarantined the point instead of publishing.
-                self._deliver_failure(entry, claim.failure, quarantined=True)
+                self._remove(entry)
+                self._settle(_SKIPPED, entry, None, 0.0, claim.failure)
             else:
                 # The lease was released or expired (or, without a failure
                 # policy, the point is quarantined and is re-attempted):
@@ -992,28 +850,166 @@ class AsyncCalibrator:
                 entry.started_at = self.evaluator.elapsed
                 self._dispatch(entry)
 
+    # ------------------------------------------------------------------ #
+    # settling an outcome
+    # ------------------------------------------------------------------ #
+    def _settle(
+        self,
+        outcome: str,
+        entry: _InFlight,
+        value: float | None,
+        duration: float = 0.0,
+        failure: EvaluationFailure | None = None,
+    ) -> None:
+        """Settle one outcome of candidate ``entry``, and its riders.
+
+        Every outcome of every driver goes through here, in one order:
+        count and persist it (:meth:`_count`); apply the failure policy
+        (a failure outcome tells the penalty instead of ``value``, or
+        raises :class:`~repro.core.faults.EvaluationFailed`); tell and
+        record it (:meth:`_resolve`); close its span; settle its riders
+        — in-run revisits asked while it was in flight — for free; and,
+        after a failure, check the circuit breaker once.  ``duration`` is
+        the worker's time on the point.  The rule table (``charged`` is
+        paid at launch and logged with the tell):
+
+        outcome    settles                     cached  failed  counter           charged
+        evaluated  a dispatched point          no      no      —                 1
+        hit        a store or in-run cache     yes     no      cache_hits        0 [1]
+                   hit, at claim
+        deferred   a point published by the    yes     no      cache_hits and    1
+                   lease holder it waited on                   deferred_hits
+        failed     a fresh failure, the hard   no      yes     failures          1
+                   deadline's timeout too
+        skipped    a quarantined point, at     no      yes     quarantine_skips  1
+                   claim or after a deferral
+        hit        the rider of a success      yes     no      cache_hits        0
+        skipped    the rider of a failure      yes     yes     quarantine_skips  0
+                   or a skip
+
+        [1] 1 when the point is first-seen and ``replay_cache_hits`` is on.
+
+        The table keeps an asymmetry as it stands: the serial driver
+        meets the revisit of a failed point in the cache, a ``skipped``
+        outcome that is charged, while a pooled driver meets it as the
+        free rider of the failure still in flight.
+        """
+        self._count(outcome, entry.key, entry.mapping, value, failure)
+        failed = failure is not None
+        if failure is not None:
+            policy = self.config.failure_policy
+            if policy is None or not policy.penalize:
+                self._tracer.end(entry.span, outcome=outcome)
+                raise EvaluationFailed(failure)
+            value = policy.penalty
+        finished_at = self.evaluator.elapsed
+        # The worker timed its own call; anchoring that interval to the
+        # driver's clock at completion gives the true per-point wall-clock
+        # (dispatch-to-completion would fold in executor queueing).
+        started_at = max(finished_at - duration, entry.started_at)
+        cached = outcome == _HIT or outcome == _DEFERRED
+        self._resolve(entry.seq, entry.candidate, entry, value, started_at, finished_at,
+                      cached, failed, entry.charged)
+        if entry.span is not None:  # None unless tracing: spare the hot path a call
+            self._tracer.end(entry.span, outcome=outcome, value=value, duration_in_worker=duration)
+        if entry.riders:
+            rider = _SKIPPED if failed else _HIT
+            for seq, candidate in entry.riders:
+                self._count(rider, entry.key, entry.mapping, value, failure)
+                span = self._tracer.begin(
+                    "evaluation", parent=self._root, driver=self._driver, seq=seq
+                )
+                self._resolve(seq, candidate, entry, value, finished_at, finished_at,
+                              True, failed, 0)
+                self._tracer.end(span, outcome=rider, value=value, rider=True)
+        if failed and self._breaker is not None:
+            self._breaker.check()
+
+    def _count(
+        self,
+        outcome: str,
+        key: CacheKey,
+        mapping: dict[str, float],
+        value: float | None,
+        failure: EvaluationFailure | None,
+    ) -> None:
+        """Count one outcome and persist it, live or replayed from a tell
+        log: the only code that moves ``cache_hits``, ``deferred_hits``,
+        ``failures`` and ``quarantine_skips``.
+
+        An evaluated value is published to the cache; a fresh failure is
+        quarantined there, or its claim released without quarantine (a
+        replayed failure, ``_REPLAYED_FAILURE``, keeps the diagnosis a
+        shared store may still hold); the circuit breaker records every
+        evaluated and failure outcome.
+        """
+        self._seen.add(key)
+        reg = self._reg
+        if outcome == _HIT or outcome == _DEFERRED:
+            self.cache_hits += 1
+            if outcome == _DEFERRED:
+                self.deferred_hits += 1
+            if reg is not None:
+                self._m_hits.inc()
+                self._m_obj_hits.inc()
+            return
+        if outcome == _EVALUATED:
+            if self._cache is not None:
+                self._cache.put(key, mapping, value)
+            if reg is not None:
+                self._m_evals.inc()
+            failure = None
+        elif outcome == _SKIPPED:
+            self.quarantine_skips += 1
+            if reg is not None:
+                reg.counter(
+                    "repro_eval_quarantined_total",
+                    EVAL_METRIC_HELP["repro_eval_quarantined_total"],
+                ).inc()
+        else:
+            self.failures += 1
+            if reg is not None:
+                for name, amount in (
+                    ("repro_eval_failures_total", 1),
+                    ("repro_eval_retries_total", failure.attempts - 1),
+                    ("repro_eval_timeouts_total", int(failure.kind == "timeout")),
+                ):
+                    if amount > 0:
+                        reg.counter(name, EVAL_METRIC_HELP[name]).inc(amount)
+            if self._cache is not None:
+                policy = self.config.failure_policy
+                if policy is None or not policy.quarantine:
+                    self._cache.cancel(key, mapping)
+                elif (
+                    failure is not _REPLAYED_FAILURE
+                    or self._cache.get_failure(key, mapping) is None
+                ):
+                    self._cache.mark_failed(key, mapping, failure)
+        if self._breaker is not None:
+            self._breaker.record(failure)
+
     def _resolve(
         self,
         seq: int,
         candidate: np.ndarray,
-        mapping: dict[str, float],
-        unit: np.ndarray,
+        entry: _InFlight,
         value: float,
         started_at: float,
         finished_at: float,
         cached: bool,
-        failed: bool = False,
-        charged: int = 1,
+        failed: bool,
+        charged: int,
     ) -> None:
-        """Tell one completed candidate and record it in the history.
+        """Tell one settled candidate and record it in the history.
 
         With the ordered adapter the tell (and the history record) may be
         buffered until every earlier candidate completes, so the history
         lands in ask order — byte-for-byte the serial sequence; native
         tells and their records land immediately, in completion order.
-        ``charged`` is the budget this outcome cost, for the tell log.
+        ``entry`` is the settled point (a rider's, for a rider), and
+        ``charged`` the budget this outcome cost, for the tell log.
         """
-        self._meta[seq] = (mapping, unit, started_at, finished_at, cached, failed, charged)
+        self._meta[seq] = (entry, started_at, finished_at, cached, failed, charged)
         if self._adapter is None:
             self.algorithm.tell([candidate], [value])
             self._record(seq, value)
@@ -1024,15 +1020,15 @@ class AsyncCalibrator:
                 self._record(released_seq, released_value)
 
     def _record(self, seq: int, value: float) -> None:
-        mapping, unit, started_at, finished_at, cached, failed, charged = self._meta.pop(seq)
+        entry, started_at, finished_at, cached, failed, charged = self._meta.pop(seq)
         unrecorded = cached and not self.config.replay_cache_hits
         if unrecorded and self._log is None:
             return
         history = self.evaluator.history
         evaluation = Evaluation(
             index=len(history),
-            values=dict(mapping),
-            unit=tuple(unit.tolist()),
+            values=dict(entry.mapping),
+            unit=tuple(entry.unit.tolist()),
             value=value,
             started_at=started_at,
             finished_at=finished_at,
@@ -1040,9 +1036,9 @@ class AsyncCalibrator:
             failed=failed,
         )
         if self._log is not None:
-            entry = evaluation_to_dict(evaluation)
-            entry.update(seq=seq, asked=self._seq, charged=charged)
-            self._log.append(entry)
+            logged = evaluation_to_dict(evaluation)
+            logged.update(seq=seq, asked=self._seq, charged=charged)
+            self._log.append(logged)
             if unrecorded:
                 return
         history.record(evaluation)
@@ -1056,34 +1052,6 @@ class AsyncCalibrator:
             self._m_inflight.set(len(self._pending))
         if self._cache is not None:
             self._inflight_keys.pop(entry.key, None)
-
-    def _count_hit(self) -> None:
-        self.cache_hits += 1
-        if self._reg is not None:
-            self._m_hits.inc()
-            self._m_obj_hits.inc()
-
-    def _resolve_riders(
-        self, entry: _InFlight, value: float, failure: EvaluationFailure | None = None
-    ) -> None:
-        """In-run revisits of a just-resolved point are served from its
-        result, free of charge.  A success serves them as cache hits; a
-        failure outcome (``failure`` given, ``value`` its penalty) as
-        quarantine skips, flagged ``failed`` like the serial revisit."""
-        failed = failure is not None
-        for rider_seq, rider_candidate in entry.riders:
-            if failure is not None:
-                self._account_failure(entry.key, entry.mapping, failure, quarantined=True)
-            else:
-                self._count_hit()
-            span = self._tracer.begin(
-                "evaluation", parent=self._root, driver=self._driver, seq=rider_seq
-            )
-            at = self.evaluator.elapsed
-            self._resolve(rider_seq, rider_candidate, entry.mapping, entry.unit, value,
-                          at, at, cached=True, failed=failed, charged=0)
-            self._tracer.end(span, cached=True, rider=True, failed=failed, value=value)
-        entry.riders = []
 
     def _abandon_claims(self) -> None:
         if self._cache is None:

@@ -22,11 +22,11 @@ from concurrent.futures import Future
 from collections.abc import Mapping
 from typing import Any
 
-from repro.core.evaluation import CacheKey, Claim
+from repro.core.evaluation import CacheKey
 from repro.core.faults import EvaluationFailure
 from repro.core.history import CalibrationHistory
 from repro.core.parameters import ParameterSpace
-from repro.service.cache import JobCache
+from repro.service.cache import JobCache, _to_core_failure
 from repro.service.fleet.board import Outcome, TaskBoard
 from repro.service.store import EvaluationStore
 
@@ -58,28 +58,12 @@ class StoreReadCache(JobCache):
     def put(self, key: CacheKey, values: Mapping[str, float], value: float) -> None:
         self.store.put(self.fingerprint, values, value)
 
-    def cancel(self, key: CacheKey, values: Mapping[str, float]) -> None:
-        """Nothing to release: this cache took no lease."""
-
-    def claim(self, key: CacheKey, values: Mapping[str, float]) -> Claim:
-        value = self.get(key, values)
-        if value is not None:
-            return Claim(Claim.HIT, value)
-        known = self.get_failure(key, values)
-        if known is not None:
-            return Claim(Claim.QUARANTINED, failure=known)
-        return Claim(Claim.CLAIMED)
-
     def get_failure(
         self, key: CacheKey, values: Mapping[str, float]
     ) -> EvaluationFailure | None:
         """Surface worker-recorded quarantines to a fault-aware driver."""
         stored = self.store.get_failure(self.fingerprint, values)
-        if stored is None:
-            return None
-        return EvaluationFailure(
-            error=stored.error, kind=stored.kind, attempts=stored.attempts
-        )
+        return None if stored is None else _to_core_failure(stored)
 
 
 class FleetEvaluator:

@@ -6,6 +6,28 @@ from repro.cli import build_parser, main
 from repro.core import AsyncCalibrator, FailurePolicy, RetryPolicy, RunConfig
 
 
+def spy_on_store_close(monkeypatch):
+    """Record the path of every store the CLI opens once it is closed."""
+    import repro.service
+
+    closed = []
+    open_store = repro.service.open_store
+
+    def opening(path=None):
+        store = open_store(path)
+        close = store.close
+
+        def closing():
+            closed.append(str(path))
+            close()
+
+        store.close = closing
+        return store
+
+    monkeypatch.setattr(repro.service, "open_store", opening)
+    return closed
+
+
 class TestParser:
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):
@@ -328,6 +350,14 @@ class TestServiceCommands:
         capsys.readouterr()
         assert spool.load("job-0001")["status"] == "failed"
 
+    def test_serve_closes_its_store(self, capsys, tmp_path, monkeypatch):
+        serve_dir = tmp_path / "svc"
+        assert main(self.SUBMIT + ["--serve-dir", str(serve_dir)]) == 0
+        closed = spy_on_store_close(monkeypatch)
+        assert main(["serve", "--serve-dir", str(serve_dir)]) == 0
+        capsys.readouterr()
+        assert closed == [str(serve_dir / "store.jsonl")]
+
     def test_help_epilog_documents_the_service(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
@@ -393,6 +423,19 @@ class TestCalibrateTelemetryOptions:
         assert main(self.BASE + ["--store", store]) == 0
         warm = capsys.readouterr().out
         assert "8 evaluations, 8 hits this run" in warm
+
+    def test_store_is_closed_when_the_run_raises(self, tmp_path, monkeypatch):
+        from repro.hepsim import CaseStudyProblem
+
+        def dying(self, **kwargs):
+            raise RuntimeError("the run dies")
+
+        monkeypatch.setattr(CaseStudyProblem, "calibrate", dying)
+        closed = spy_on_store_close(monkeypatch)
+        store = str(tmp_path / "store.jsonl")
+        with pytest.raises(RuntimeError, match="the run dies"):
+            main(self.BASE + ["--store", store])
+        assert closed == [store]
 
 
 class TestTopCommand:
