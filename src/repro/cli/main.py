@@ -352,40 +352,43 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     # The fleet needs cross-process leases, which only the SQLite backend
     # provides — default to DIR/store.db rather than serve's store.jsonl.
     store_path = args.store if args.store is not None else str(Path(args.serve_dir) / "store.db")
-    store = open_store(store_path)
-    server = FleetServer(
-        store=store, workers=args.workers, on_event=_spool_events(spool),
-        max_pending=args.max_pending,
-    )
+    with open_store(store_path) as store:
+        server = FleetServer(
+            store=store, workers=args.workers, on_event=_spool_events(spool),
+            max_pending=args.max_pending,
+        )
 
-    def status_view():
-        live = {record["id"]: record for record in server.snapshot()}
-        merged = [live.get(record.get("id"), record) for record in spool.statuses()]
-        return merged
+        def status_view():
+            live = {record["id"]: record for record in server.snapshot()}
+            merged = [live.get(record.get("id"), record) for record in spool.statuses()]
+            return merged
 
-    frontend = FleetFrontend(
-        server,
-        host=args.host,
-        port=args.port,
-        submit=lambda spec: spool.submit(dict(spec)),
-        status_view=status_view,
-    ).start()
-    console(f"fleet front-end listening on {frontend.url}")
-    console(f"shared store: {store_path}")
-    _log.info("start workers with: repro worker --url %s --store %s", frontend.url, store_path)
-    if args.url_file:
-        # Written atomically-enough for the integration tests that poll it
-        # to discover an ephemeral --port 0 binding.
-        Path(args.url_file).write_text(frontend.url + "\n")
-
-    try:
-        processed = _serve_spool(spool, server, CaseStudyRequestFactory(), args)
-    finally:
-        frontend.close()
-        # wait=False: a fleet job with no workers left can never finish —
-        # front-end and threads are daemonic, exiting the process is safe.
-        server.shutdown(wait=False)
-        store.close()
+        try:
+            frontend = FleetFrontend(
+                server,
+                host=args.host,
+                port=args.port,
+                submit=lambda spec: spool.submit(dict(spec)),
+                status_view=status_view,
+            ).start()
+        except BaseException:
+            server.shutdown()  # no job has run: the workers exit at once
+            raise
+        try:
+            console(f"fleet front-end listening on {frontend.url}")
+            console(f"shared store: {store_path}")
+            _log.info("start workers with: repro worker --url %s --store %s",
+                      frontend.url, store_path)
+            if args.url_file:
+                # Written atomically-enough for the integration tests that poll
+                # it to discover an ephemeral --port 0 binding.
+                Path(args.url_file).write_text(frontend.url + "\n")
+            processed = _serve_spool(spool, server, CaseStudyRequestFactory(), args)
+        finally:
+            frontend.close()
+            # wait=False: a fleet job with no workers left can never finish —
+            # front-end and threads are daemonic, exiting the process is safe.
+            server.shutdown(wait=False)
     console(f"served {processed} fleet job(s)")
     return 0
 

@@ -66,7 +66,7 @@ import threading
 import time
 from pathlib import Path
 from collections.abc import Iterator, Mapping
-from typing import Any, NamedTuple
+from typing import Any, BinaryIO, NamedTuple
 
 from repro.telemetry.metrics import registry as _metrics_registry
 
@@ -305,7 +305,10 @@ class EvaluationStore:
     mutating protocol step (:meth:`put`, :meth:`record_failure`,
     :meth:`clear_failure`, :meth:`release`, the miss path of
     :meth:`claim`) runs its row calls inside one :meth:`_transaction`, so a
-    step is published to other processes whole or not at all.
+    step is published to other processes whole or not at all.  The lease
+    steps (the miss path of :meth:`claim`, :meth:`release`) are not
+    *durable*: a lease lost with the machine belonged to an owner that died
+    with it, and its TTL already covers that.
     """
 
     def __init__(self) -> None:
@@ -322,12 +325,14 @@ class EvaluationStore:
         self._tables: dict[str, dict[str, _Record]] = {table: {} for table in _RECORDS}
 
     # -- backend interface: a transaction and five row calls ----------- #
-    def _transaction(self) -> contextlib.AbstractContextManager[object]:
+    def _transaction(self, durable: bool = True) -> contextlib.AbstractContextManager[object]:
         """Context manager around one mutating protocol step.
 
         The store lock and nothing else here; a backend shared between
         *processes* (SQLite) also holds its write lock for the duration
-        and commits on exit, rolling back if the step raised.
+        and commits on exit, rolling back if the step raised.  A step that
+        is not ``durable`` must reach the other processes but need not
+        survive a power loss: SQLite commits it without an fsync.
         """
         return self._lock
 
@@ -473,7 +478,7 @@ class EvaluationStore:
         with self._lock:
             entry = self._get("evaluations", key)
             if entry is None:
-                with self._transaction():
+                with self._transaction(durable=False):
                     # Re-read under the write lock: another process may
                     # have published the point and dropped its lease
                     # between the read above and this transaction, and a
@@ -507,7 +512,7 @@ class EvaluationStore:
         owner whose lease already expired and was taken over is a no-op.
         """
         key = evaluation_key(fingerprint, values)
-        with self._transaction():
+        with self._transaction(durable=False):
             lease = self._get("leases", key)
             if lease is not None and lease.owner == owner:
                 self._delete("leases", key)
@@ -598,6 +603,13 @@ class JsonlStore(EvaluationStore):
     main file (``<stem>.failures<suffix>``): recording appends the failure
     dict, clearing appends a ``{"key": ..., "cleared": true}`` tombstone,
     and reload folds the log in order.
+
+    Each log is opened at its first append and kept open, unbuffered and
+    in append mode, until :meth:`close` (a later append reopens it).  A
+    record is one ``write(2)`` of one encoded line, so it is with the OS
+    — it survives the process, not the machine (nothing is fsynced) —
+    once its step returns, and writers in other processes never
+    interleave partial lines with it.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -609,6 +621,8 @@ class JsonlStore(EvaluationStore):
             self.path.stem + ".failures" + self.path.suffix
         )
         self._logs = {"evaluations": self.path, "failures": self.failures_path}
+        #: table -> the open append handle of its log
+        self._handles: dict[str, BinaryIO] = {}
         self.reload()
 
     def reload(self) -> int:
@@ -635,23 +649,33 @@ class JsonlStore(EvaluationStore):
                 del failures[key]
             return len(evaluations)
 
+    def _append(self, table: str, data: Mapping[str, object]) -> None:
+        # One line per record, written in a single unbuffered append so
+        # that concurrent in-process writers (serialised by the store lock)
+        # and append-mode writers in other processes never interleave
+        # partial lines.
+        handle = self._handles.get(table)
+        if handle is None:
+            handle = self._handles[table] = open(self._logs[table], "ab", buffering=0)
+        handle.write((json.dumps(data) + "\n").encode())
+
     def _put(self, table: str, record: _Record) -> None:
         super()._put(table, record)
         if table in self._logs:
-            # One line per record, written in a single append so that
-            # concurrent in-process writers (serialised by the store lock)
-            # and append-mode writers in other processes never interleave
-            # partial lines.
-            with self._logs[table].open("a") as handle:
-                handle.write(json.dumps(record.to_dict()) + "\n")
+            self._append(table, record.to_dict())
 
     def _delete(self, table: str, key: str) -> None:
         # Only write a tombstone when the key was actually quarantined —
         # every put() drops failures, and successes must not bloat the log.
         if table == "failures" and key in self._tables[table]:
-            with self.failures_path.open("a") as handle:
-                handle.write(json.dumps({"key": key, "cleared": True}) + "\n")
+            self._append(table, {"key": key, "cleared": True})
         super()._delete(table, key)
+
+    def close(self) -> None:
+        with self._lock:
+            for handle in self._handles.values():
+                handle.close()
+            self._handles.clear()
 
 
 #: each SQLite table's columns, key first; ``params`` holds ``values`` as JSON
@@ -674,6 +698,9 @@ _SQL = {
     for table, columns in _COLUMNS.items()
 }
 
+#: ``PRAGMA synchronous`` level at which a WAL commit skips its fsync
+_SYNCHRONOUS_NORMAL = 1
+
 
 class SqliteStore(EvaluationStore):
     """SQLite-backed store; safe under concurrent writer processes."""
@@ -689,12 +716,16 @@ class SqliteStore(EvaluationStore):
         #
         # Write-ahead log: a commit is one append and one fsync instead of
         # a rollback journal's create/sync/write/sync/delete chain.
-        # ``synchronous`` stays at its default (FULL), so a commit that
-        # returned is on disk.  A filesystem that refuses WAL makes SQLite
-        # report the mode it kept; the store carries on in it.
+        # ``synchronous`` stays at its default (FULL), so a durable step
+        # that returned is on disk.  A lease step commits at NORMAL, without
+        # the fsync: its frames are with the OS, so a killed process loses
+        # nothing, and the next durable commit's fsync of the log covers
+        # them too.  A filesystem that refuses WAL makes SQLite report the
+        # mode it kept; the store carries on in it.
         (mode,) = self._conn.execute("PRAGMA journal_mode=WAL").fetchone()
         if mode != "wal":
             _log.warning("%s: no write-ahead log here, journal_mode=%s", self.path, mode)
+        (self._synchronous,) = self._conn.execute("PRAGMA synchronous").fetchone()
         self._conn.execute(
             """
             CREATE TABLE IF NOT EXISTS evaluations (
@@ -739,20 +770,26 @@ class SqliteStore(EvaluationStore):
         self._conn.commit()
 
     @contextlib.contextmanager
-    def _transaction(self) -> Iterator[None]:
+    def _transaction(self, durable: bool = True) -> Iterator[None]:
         # BEGIN IMMEDIATE takes the database write lock up front, so what
         # the step reads is what it then writes over (a deferred BEGIN
         # would read a snapshot another process may already have replaced
         # and fail at its first write), and the one commit publishes the
         # step's rows to other processes together.
+        relax = not durable and self._synchronous > _SYNCHRONOUS_NORMAL
         with super()._transaction():
-            self._conn.execute("BEGIN IMMEDIATE")
+            if relax:
+                self._conn.execute(f"PRAGMA synchronous={_SYNCHRONOUS_NORMAL}")
             try:
+                self._conn.execute("BEGIN IMMEDIATE")
                 yield
                 self._conn.commit()
             except BaseException:
-                self._conn.rollback()
+                self._conn.rollback()  # a no-op if BEGIN itself failed
                 raise
+            finally:
+                if relax:
+                    self._conn.execute(f"PRAGMA synchronous={self._synchronous}")
 
     def _record(self, table: str, row: tuple[object, ...]) -> _Record:
         data = dict(zip(_COLUMNS[table], row, strict=True))

@@ -1,5 +1,7 @@
 """The ``repro`` command-line interface."""
 
+import threading
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -357,6 +359,21 @@ class TestServiceCommands:
         assert main(["serve", "--serve-dir", str(serve_dir)]) == 0
         capsys.readouterr()
         assert closed == [str(serve_dir / "store.jsonl")]
+
+    def test_fleet_that_cannot_bind_closes_its_store_and_server(self, tmp_path, monkeypatch):
+        import repro.service.fleet
+
+        def taken(*args, **kwargs):
+            raise OSError("address already in use")
+
+        monkeypatch.setattr(repro.service.fleet, "FleetFrontend", taken)
+        closed = spy_on_store_close(monkeypatch)
+        store = str(tmp_path / "store.db")
+        with pytest.raises(OSError, match="already in use"):
+            main(["fleet", "--serve-dir", str(tmp_path / "svc"), "--store", store])
+        assert closed == [store]
+        workers = [t.name for t in threading.enumerate() if t.name.startswith("calibration-worker-")]
+        assert workers == []
 
     def test_help_epilog_documents_the_service(self, capsys):
         with pytest.raises(SystemExit):

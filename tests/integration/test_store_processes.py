@@ -4,7 +4,8 @@ The store's lease protocol is the only arbiter between the processes of a
 fleet, so these tests use nothing else: worker *processes* race on one
 database file with a zero-cost objective (all of the wall-clock is
 claim + put, which is what maximises the chance of a lost race), and a
-writer is SIGKILLed between two acknowledged puts.
+writer is SIGKILLed between two acknowledged puts, or right after it
+acknowledged a claim, whose lease was committed without an fsync.
 """
 
 import multiprocessing
@@ -13,7 +14,7 @@ import signal
 import time
 
 from repro.service import SqliteStore
-from repro.service.store import StoreClaim
+from repro.service.store import StoreClaim, evaluation_key
 
 FP = "fp"
 KEYS = 200
@@ -129,3 +130,47 @@ def test_a_killed_writer_loses_no_acknowledged_put(tmp_path):
         assert store.lease_count() <= 1
     # The clean close folded the log into the database file and removed it.
     assert not wal.exists()
+
+
+def _fill_then_hold_a_claim(path, puts, acks):
+    """Writer: claim and put ``puts`` points, acknowledging each put, then
+    claim one more, acknowledge the claim and wait to be killed."""
+    store = SqliteStore(path)  # never closed: the parent kills this process
+    for index in range(puts):
+        store.claim(FP, _point(index), owner="writer")
+        store.put(FP, _point(index), float(index))
+        acks.send(("put", index))
+    acks.send(("claim", puts, store.claim(FP, _point(puts), owner="writer").status))
+    time.sleep(TIMEOUT)
+
+
+def test_a_killed_claimer_keeps_its_lease(tmp_path):
+    path = tmp_path / "store.db"
+    puts = 50
+    receiver, sender = _SPAWN.Pipe(duplex=False)
+    writer = _SPAWN.Process(target=_fill_then_hold_a_claim, args=(path, puts, sender))
+    writer.start()
+    sender.close()
+    acknowledged = []
+    try:
+        while not acknowledged or acknowledged[-1][0] != "claim":
+            assert receiver.poll(TIMEOUT), "the writer stopped acknowledging"
+            acknowledged.append(receiver.recv())
+        os.kill(writer.pid, signal.SIGKILL)
+    finally:
+        writer.kill()
+        writer.join(TIMEOUT)
+    assert writer.exitcode == -signal.SIGKILL
+    assert acknowledged == [("put", i) for i in range(puts)] + [
+        ("claim", puts, StoreClaim.CLAIMED)
+    ]
+    assert (tmp_path / "store.db-wal").stat().st_size > 0
+
+    with SqliteStore(path) as store:
+        stored = sorted(e.values["x"] for e in store.entries())
+        assert stored == [float(i) for i in range(puts)]
+        (lease,) = store.active_leases()
+        assert lease["key"] == evaluation_key(FP, _point(puts))
+        assert lease["owner"] == "writer"
+        (integrity,) = store._conn.execute("PRAGMA integrity_check").fetchone()
+        assert integrity == "ok"

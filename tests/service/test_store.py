@@ -2,6 +2,7 @@
 
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +150,75 @@ class TestJsonlStore:
         assert store.get("fp", {"x": 2.0}) is None  # not yet visible
         assert store.reload() == 2
         assert store.get("fp", {"x": 2.0}) == 7.0
+
+
+@pytest.fixture
+def opened(tmp_path, monkeypatch):
+    """The ``(path, handle)`` of every file under ``tmp_path`` opened from
+    here on, through ``open`` or ``Path.open``."""
+    import builtins
+    import io
+
+    calls = []
+    real_open = io.open
+
+    def spy(file, *args, **kwargs):
+        handle = real_open(file, *args, **kwargs)
+        if str(file).startswith(str(tmp_path)):
+            calls.append((Path(file), handle))
+        return handle
+
+    monkeypatch.setattr(builtins, "open", spy)
+    monkeypatch.setattr(io, "open", spy)
+    return calls
+
+
+class TestJsonlHandles:
+    def test_each_log_is_opened_once(self, tmp_path, opened):
+        store = JsonlStore(tmp_path / "store.jsonl")
+        for index in range(50):
+            store.put("fp", {"x": float(index)}, float(index))
+        store.record_failure("fp", {"x": 99.0}, "boom")
+        store.clear_failure("fp", {"x": 99.0})
+        store.close()
+        paths = [path for path, _ in opened]
+        assert sorted(paths) == sorted({store.path, store.failures_path})
+        with JsonlStore(tmp_path / "store.jsonl") as reopened:
+            assert len(reopened) == 50 and reopened.failure_count() == 0
+
+    def test_close_closes_the_handles_and_a_later_put_reopens(self, tmp_path, opened):
+        store = JsonlStore(tmp_path / "store.jsonl")
+        store.put("fp", {"x": 1.0}, 1.0)
+        store.record_failure("fp", {"x": 2.0}, "boom")
+        store.close()
+        assert len(opened) == 2 and all(handle.closed for _, handle in opened)
+        store.put("fp", {"x": 3.0}, 3.0)
+        store.close()
+        with JsonlStore(tmp_path / "store.jsonl") as reopened:
+            assert reopened.get("fp", {"x": 3.0}) == 3.0
+
+    def test_large_records_from_two_instances_stay_whole_lines(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        big = {f"p{index:05d}": float(index) for index in range(6000)}
+        assert len(json.dumps(big)) > 64 * 1024
+        stores = [JsonlStore(path), JsonlStore(path)]
+
+        def write(tid):
+            for index in range(10):
+                stores[tid].put(f"fp-{tid}", {**big, "i": float(index)}, float(index))
+
+        threads = [threading.Thread(target=write, args=(tid,)) for tid in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for store in stores:
+            store.close()
+        lines = path.read_bytes().split(b"\n")
+        assert lines.pop() == b"" and len(lines) == 20
+        assert all(json.loads(line)["values"]["p05999"] == 5999.0 for line in lines)
+        with JsonlStore(path) as reloaded:
+            assert len(reloaded) == 20
 
 
 class TestOpenStore:

@@ -4,7 +4,8 @@
   read and its write lock is a ``hit`` for that claimer, never a second
   ``claimed`` — one rule, stated against all three backends;
 * the SQLite backend pays exactly one commit per mutating step and none
-  for a read, in a write-ahead log, at SQLite's default ``synchronous``.
+  for a read, in a write-ahead log, at SQLite's default ``synchronous``;
+  only the lease steps commit at ``NORMAL``, without an fsync.
 """
 
 import sqlite3
@@ -121,6 +122,64 @@ class TestSqliteCommitCount:
         monkeypatch.undo()
         store.put("fp", POINT, 1.0)  # the connection is usable again
         assert len(store) == 1 and store.lease_count() == 0
+
+
+def _default_synchronous(path):
+    """What a connection that never heard of this store gets in WAL mode."""
+    plain = sqlite3.connect(str(path))
+    try:
+        plain.execute("PRAGMA journal_mode=WAL")
+        return plain.execute("PRAGMA synchronous").fetchone()[0]
+    finally:
+        plain.close()
+
+
+def test_only_the_lease_steps_commit_without_an_fsync(tmp_path, monkeypatch):
+    default = _default_synchronous(tmp_path / "plain.db")
+    relax, restore = [], []
+    if default > 1:  # stricter than NORMAL: a lease step relaxes, then restores
+        relax, restore = ["PRAGMA SYNCHRONOUS=1"], [f"PRAGMA SYNCHRONOUS={default}"]
+    durable = ["BEGIN IMMEDIATE", "COMMIT"]
+    lease = [*relax, *durable, *restore]
+    statements = []
+
+    def record(sql):
+        sql = sql.upper()
+        if sql.split()[0] in ("BEGIN", "COMMIT", "ROLLBACK") or sql.startswith(
+            "PRAGMA SYNCHRONOUS="
+        ):
+            statements.append(sql)
+
+    def step(call, *args, **kwargs):
+        del statements[:]
+        outcome = call("fp", POINT, *args, **kwargs)
+        return getattr(outcome, "status", None), list(statements)
+
+    with SqliteStore(tmp_path / "store.db") as store:
+        store._conn.set_trace_callback(record)
+        assert step(store.claim, owner="a") == (StoreClaim.CLAIMED, lease)
+        assert step(store.claim, owner="b") == (StoreClaim.LEASED, lease)
+        assert step(store.release, owner="a") == (None, lease)
+        assert step(store.claim, owner="a") == (StoreClaim.CLAIMED, lease)
+        assert step(store.record_failure, "boom") == (None, durable)
+        assert step(store.claim, owner="a") == (StoreClaim.QUARANTINED, lease)
+        assert step(store.clear_failure) == (None, durable)
+        assert step(store.put, 1.0) == (None, durable)
+        assert step(store.claim, owner="a") == (StoreClaim.HIT, [])
+
+        put = store._put
+
+        def fail(table, record):
+            if table == "leases":
+                raise RuntimeError("disk on fire")
+            put(table, record)
+
+        monkeypatch.setattr(store, "_put", fail)
+        del statements[:]
+        with pytest.raises(RuntimeError):
+            store.claim("fp", {"x": 0.0}, owner="a")
+        assert statements == [*relax, "BEGIN IMMEDIATE", "ROLLBACK", *restore]
+        assert store._conn.execute("PRAGMA synchronous").fetchone() == (default,)
 
 
 def _pragma(path, name):
