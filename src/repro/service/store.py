@@ -657,7 +657,11 @@ class JsonlStore(EvaluationStore):
         handle = self._handles.get(table)
         if handle is None:
             handle = self._handles[table] = open(self._logs[table], "ab", buffering=0)
-        handle.write((json.dumps(data) + "\n").encode())
+        line = (json.dumps(data) + "\n").encode()
+        # A raw write may stop short (a full disk) and only say so in its
+        # count; a record it did not finish must not count as stored.
+        if handle.write(line) != len(line):
+            raise OSError(f"short write to {self._logs[table]}")
 
     def _put(self, table: str, record: _Record) -> None:
         super()._put(table, record)
@@ -721,11 +725,14 @@ class SqliteStore(EvaluationStore):
         # the fsync: its frames are with the OS, so a killed process loses
         # nothing, and the next durable commit's fsync of the log covers
         # them too.  A filesystem that refuses WAL makes SQLite report the
-        # mode it kept; the store carries on in it.
+        # mode it kept; the store carries on in it, with every step at the
+        # default, because in a rollback journal NORMAL can corrupt the file
+        # itself on a power loss, acknowledged values included.
         (mode,) = self._conn.execute("PRAGMA journal_mode=WAL").fetchone()
         if mode != "wal":
             _log.warning("%s: no write-ahead log here, journal_mode=%s", self.path, mode)
         (self._synchronous,) = self._conn.execute("PRAGMA synchronous").fetchone()
+        self._relax_leases = mode == "wal" and self._synchronous > _SYNCHRONOUS_NORMAL
         self._conn.execute(
             """
             CREATE TABLE IF NOT EXISTS evaluations (
@@ -776,7 +783,7 @@ class SqliteStore(EvaluationStore):
         # would read a snapshot another process may already have replaced
         # and fail at its first write), and the one commit publishes the
         # step's rows to other processes together.
-        relax = not durable and self._synchronous > _SYNCHRONOUS_NORMAL
+        relax = not durable and self._relax_leases
         with super()._transaction():
             if relax:
                 self._conn.execute(f"PRAGMA synchronous={_SYNCHRONOUS_NORMAL}")

@@ -369,11 +369,16 @@ class TestServiceCommands:
         monkeypatch.setattr(repro.service.fleet, "FleetFrontend", taken)
         closed = spy_on_store_close(monkeypatch)
         store = str(tmp_path / "store.db")
+        before = set(threading.enumerate())
         with pytest.raises(OSError, match="already in use"):
             main(["fleet", "--serve-dir", str(tmp_path / "svc"), "--store", store])
         assert closed == [store]
-        workers = [t.name for t in threading.enumerate() if t.name.startswith("calibration-worker-")]
-        assert workers == []
+        left = [
+            thread.name
+            for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith("calibration-worker-")
+        ]
+        assert left == []
 
     def test_help_epilog_documents_the_service(self, capsys):
         with pytest.raises(SystemExit):

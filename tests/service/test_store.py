@@ -221,6 +221,23 @@ class TestJsonlHandles:
             assert len(reloaded) == 20
 
 
+    def test_a_short_write_is_not_acknowledged(self, tmp_path):
+        class Full:
+            """A raw handle on a full disk: it takes part of the line."""
+
+            def write(self, data):
+                return len(data) // 2
+
+            def close(self):
+                pass
+
+        store = JsonlStore(tmp_path / "store.jsonl")
+        store._handles["evaluations"] = Full()
+        with pytest.raises(OSError, match="short write"):
+            store.put("fp", {"x": 1.0}, 1.0)
+        store.close()
+
+
 class TestOpenStore:
     def test_dispatch(self, tmp_path):
         assert isinstance(open_store(None), InMemoryStore)

@@ -182,6 +182,32 @@ def test_only_the_lease_steps_commit_without_an_fsync(tmp_path, monkeypatch):
         assert store._conn.execute("PRAGMA synchronous").fetchone() == (default,)
 
 
+def test_a_store_without_a_write_ahead_log_syncs_every_step(tmp_path, monkeypatch):
+    # In a rollback journal NORMAL can corrupt the database file on a power
+    # loss, so a store whose filesystem refused WAL relaxes nothing.
+    class Refusing(sqlite3.Connection):
+        def execute(self, sql, *args):
+            if sql == "PRAGMA journal_mode=WAL":
+                sql = "PRAGMA journal_mode=DELETE"
+            return super().execute(sql, *args)
+
+    connect = sqlite3.connect
+    monkeypatch.setattr(sqlite3, "connect", lambda *a, **k: connect(*a, factory=Refusing, **k))
+    statements = []
+    with SqliteStore(tmp_path / "store.db") as store:
+        assert store._conn.execute("PRAGMA journal_mode").fetchone() == ("delete",)
+
+        def record(sql):
+            if sql.split()[0].upper() in ("BEGIN", "COMMIT", "ROLLBACK", "PRAGMA"):
+                statements.append(sql.upper())
+
+        store._conn.set_trace_callback(record)
+        assert store.claim("fp", POINT, owner="a").status == StoreClaim.CLAIMED
+        assert store.claim("fp", POINT, owner="b").status == StoreClaim.LEASED
+        store.release("fp", POINT, owner="a")
+        assert statements == ["BEGIN IMMEDIATE", "COMMIT"] * 3
+
+
 def _pragma(path, name):
     conn = sqlite3.connect(str(path))
     try:
