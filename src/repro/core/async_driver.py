@@ -49,8 +49,8 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from collections.abc import Callable, Collection, Sequence
+from concurrent.futures import Future
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -288,11 +288,12 @@ class AsyncCalibrator:
         :class:`~repro.core.parallel.ParallelEvaluator` pool (in which
         case ``workers``/``mode`` are ignored).  Anything implementing
         the same surface works — ``submit(mapping) -> Future[(value,
-        duration)]``, ``history``, ``elapsed``, ``reset_clock()``,
-        ``close()`` — notably the distributed fleet's task-board
-        evaluator (:class:`repro.service.fleet.FleetEvaluator`), which
-        hands candidates to pull-based worker processes instead of a
-        local pool.
+        duration)]``, ``wait(futures, timeout) -> done``, ``history``,
+        ``elapsed``, ``reset_clock()``, ``close()`` — notably the
+        distributed fleet's task-board evaluator
+        (:class:`repro.service.fleet.FleetEvaluator`), which hands
+        candidates to pull-based worker processes instead of a local
+        pool.
     """
 
     #: deferred-lease poll cadence while futures are also pending / not
@@ -743,7 +744,7 @@ class AsyncCalibrator:
         if futures:
             # Futures already done (always so for an inline evaluator) are
             # taken without a wait() call.
-            done = [future for future in futures if future.done()]
+            done: Collection[Future[Outcome]] = [f for f in futures if f.done()]
             if not done:
                 timeout = self._POLL_WITH_FUTURES if deferred else None
                 if self._hard_timeout is not None:
@@ -756,7 +757,7 @@ class AsyncCalibrator:
                     )
                     slack = max(deadline - time.time(), 0.01)
                     timeout = slack if timeout is None else min(timeout, slack)
-                done, _ = wait(futures, timeout=timeout, return_when=FIRST_COMPLETED)
+                done = self.evaluator.wait(futures, timeout)
             for future in done:
                 self._complete(futures[future])
             if not done:

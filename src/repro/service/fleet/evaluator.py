@@ -18,8 +18,8 @@ two pieces adapt it to remote evaluation:
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future
-from collections.abc import Mapping
+from concurrent.futures import FIRST_COMPLETED, Future, wait
+from collections.abc import Collection, Mapping
 from typing import Any
 
 from repro.core.evaluation import CacheKey
@@ -70,7 +70,8 @@ class FleetEvaluator:
     """Posts candidates to a task board; workers do the computing.
 
     Implements the evaluator surface the asynchronous driver needs —
-    ``submit`` / ``history`` / ``elapsed`` / ``reset_clock`` / ``close``
+    ``submit`` / ``wait`` / ``history`` / ``elapsed`` / ``reset_clock`` /
+    ``close``
     — so it injects straight into
     :class:`~repro.core.async_driver.AsyncCalibrator` via its
     ``evaluator`` parameter.
@@ -101,6 +102,13 @@ class FleetEvaluator:
 
     def submit(self, candidate: dict[str, float]) -> Future[Outcome]:
         return self.board.post(self.job_id, self.fingerprint, dict(candidate), self.spec)
+
+    def wait(
+        self, futures: Collection[Future[Outcome]], timeout: float | None = None
+    ) -> set[Future[Outcome]]:
+        """Block until one of ``futures`` is done or ``timeout`` seconds
+        have passed, and return those that are done."""
+        return wait(futures, timeout, FIRST_COMPLETED).done
 
     def close(self) -> None:
         """Withdraw whatever this job still has open on the board."""

@@ -23,7 +23,7 @@ class _QuadraticObjective:
 
 
 class TestParallelEvaluator:
-    def test_thread_and_serial_agree(self):
+    def test_process_thread_and_serial_agree(self):
         space = make_space()
         objective = _QuadraticObjective(space)
         batch = [space.from_unit_array([x, x]) for x in (0.0, 0.25, 0.5, 0.75, 1.0)]
@@ -36,6 +36,7 @@ class TestParallelEvaluator:
         serial = values(1, "serial")
         assert serial == pytest.approx([objective(candidate) for candidate in batch])
         assert values(3, "thread") == pytest.approx(serial)
+        assert values(2, "process") == pytest.approx(serial)
 
     def test_invalid_configuration(self):
         space = make_space()
