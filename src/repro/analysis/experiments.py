@@ -74,13 +74,7 @@ def _make_problem(
     generator: GroundTruthGenerator | None,
     scale: str = "calib",
 ) -> CaseStudyProblem:
-    factory = {
-        "paper": Scenario.paper,
-        "bench": Scenario.bench,
-        "calib": Scenario.calib,
-        "tiny": Scenario.tiny,
-    }[scale]
-    scenario = factory(platform, icd_values=tuple(icd_values))
+    scenario = Scenario.preset(scale, platform, icd_values)
     return CaseStudyProblem.create(scenario, generator=generator)
 
 
@@ -354,12 +348,9 @@ def table6_speed_accuracy(
     rows = []
     detail: dict[str, dict[str, float]] = {}
     for block_size, buffer_size in granularities:
-        scenario = {
-            "paper": Scenario.paper,
-            "bench": Scenario.bench,
-            "calib": Scenario.calib,
-            "tiny": Scenario.tiny,
-        }[scale](platform, icd_values=tuple(icd_values)).with_granularity(block_size, buffer_size)
+        scenario = Scenario.preset(scale, platform, icd_values).with_granularity(
+            block_size, buffer_size
+        )
         problem = CaseStudyProblem.create(scenario, generator=generator)
 
         # Measure the average wall-clock time of one simulator invocation
@@ -413,12 +404,7 @@ def figure2_convergence(
 
     series: dict[str, list[tuple[float, float]]] = {}
     for algorithm in algorithms:
-        scenario = {
-            "paper": Scenario.paper,
-            "bench": Scenario.bench,
-            "calib": Scenario.calib,
-            "tiny": Scenario.tiny,
-        }[scale](platform, icd_values=tuple(icd_values))
+        scenario = Scenario.preset(scale, platform, icd_values)
         problem = CaseStudyProblem.create(scenario, generator=generator, metric="mae")
         result = problem.calibrate(
             algorithm=algorithm, budget=TimeBudget(budget_seconds), seed=seed
@@ -470,12 +456,7 @@ def ablation_sampling_scale(
     """
     budget_evaluations = budget_evaluations or default_evaluation_budget()
     generator = generator or GroundTruthGenerator()
-    scenario = {
-        "paper": Scenario.paper,
-        "bench": Scenario.bench,
-        "calib": Scenario.calib,
-        "tiny": Scenario.tiny,
-    }[scale](platform, icd_values=tuple(icd_values))
+    scenario = Scenario.preset(scale, platform, icd_values)
 
     rows = []
     detail = {}

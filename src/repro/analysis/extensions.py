@@ -58,14 +58,6 @@ __all__ = [
 ]
 
 
-_SCENARIO_FACTORIES = {
-    "paper": Scenario.paper,
-    "bench": Scenario.bench,
-    "calib": Scenario.calib,
-    "tiny": Scenario.tiny,
-}
-
-
 # ---------------------------------------------------------------------- #
 # generalisation across compute-to-data ratios (Section IV.C.2)
 # ---------------------------------------------------------------------- #
@@ -141,7 +133,7 @@ def ablation_accuracy_metrics(
     """
     budget_evaluations = budget_evaluations or default_evaluation_budget()
     generator = generator or GroundTruthGenerator()
-    scenario = _SCENARIO_FACTORIES[scale](platform, icd_values=tuple(icd_values))
+    scenario = Scenario.preset(scale, platform, icd_values)
 
     # The MRE problem is the common yardstick.
     yardstick = CaseStudyProblem.create(scenario, generator=generator, metric="mre")

@@ -18,11 +18,9 @@ from collections.abc import Callable, Sequence
 from repro.core import (
     ALGORITHMS,
     CacheBackend,
-    EvaluationBudget,
     FailurePolicy,
     RetryPolicy,
     RunConfig,
-    TimeBudget,
 )
 from repro.core.faults import DEFAULT_PENALTY
 from repro.core.metrics import METRICS
@@ -45,25 +43,6 @@ def _parse_icds(text: str | None) -> list[float] | None:
         return [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise SystemExit(f"invalid ICD list {text!r}; expected comma-separated numbers") from exc
-
-
-def _scenario(platform: str, scale: str, icds: Sequence[float] | None) -> Scenario:
-    factory = {
-        "paper": Scenario.paper,
-        "bench": Scenario.bench,
-        "calib": Scenario.calib,
-        "tiny": Scenario.tiny,
-    }[scale]
-    scenario = factory(platform)
-    if icds:
-        scenario = scenario.with_icds(tuple(icds))
-    return scenario
-
-
-def _budget(args: argparse.Namespace):
-    if getattr(args, "seconds", None):
-        return TimeBudget(args.seconds)
-    return EvaluationBudget(getattr(args, "evaluations", 100) or 100)
 
 
 # ---------------------------------------------------------------------- #
@@ -120,7 +99,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         set_tracer,
     )
 
-    scenario = _scenario(args.platform, args.scale, _parse_icds(args.icds))
+    from repro.service import spec_budget
+
+    scenario = Scenario.preset(args.scale, args.platform, _parse_icds(args.icds))
     generator = GroundTruthGenerator()
     problem = CaseStudyProblem.create(scenario, generator=generator, metric=args.metric)
 
@@ -141,7 +122,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             cache = StoreBackedCache(store, problem.fingerprint())
         try:
             result = problem.calibrate(
-                algorithm=args.algorithm, budget=_budget(args), seed=args.seed,
+                algorithm=args.algorithm, budget=spec_budget(vars(args)), seed=args.seed,
                 workers=args.workers, asynchronous=args.use_async,
                 max_pending=args.max_pending, cache=cache, config=args.run_config,
             )
@@ -198,7 +179,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = _scenario(args.platform, args.scale, _parse_icds(args.icds))
+    scenario = Scenario.preset(args.scale, args.platform, _parse_icds(args.icds))
     generator = GroundTruthGenerator()
     problem = CaseStudyProblem.create(scenario, generator=generator)
     if args.values == "human":

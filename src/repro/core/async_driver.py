@@ -73,10 +73,11 @@ from repro.core.faults import (
     FailurePolicy,
     RetryPolicy,
 )
-from repro.core.history import Evaluation
+from repro.core.history import CalibrationHistory, Evaluation
 from repro.core.parameters import ParameterSpace
 from repro.core.result import CalibrationResult
 from repro.core.serialization import evaluation_from_dict, evaluation_to_dict
+from repro.core.stopping import StoppingBudget
 from repro.telemetry.metrics import registry as _metrics_registry
 from repro.telemetry.tracing import Span, current_tracer
 
@@ -124,7 +125,7 @@ class RunConfig:
         propagate as itself.
     eval_timeout:
         Per-attempt wall-clock bound in seconds (``None``: unbounded).
-        In a process pool a driver-side hard deadline backs it up.
+        In a process pool the pool's hard deadline backs it up.
     replay_cache_hits:
         Record cache hits in the history (zero-duration ``cached=True``
         records) and charge *first-seen* hits — points served from work
@@ -154,18 +155,19 @@ class RunConfig:
             or self.eval_timeout is not None
         )
 
-    def hard_deadline(self, rounds: int) -> float | None:
-        """Driver-side deadline for one dispatched point queued ``rounds``
-        deep: long enough for every in-worker attempt plus backoff at
-        each queue position, so it only fires for hangs the in-worker
-        alarm could not interrupt.  ``None`` without an ``eval_timeout``."""
+    def hard_deadline(self) -> float | None:
+        """Seconds a process-pool worker may hold one task, counted from
+        when the worker receives it, before the pool kills that worker:
+        every in-worker attempt and backoff, plus a margin of at least
+        5 s, so it only fires for hangs the in-worker alarm could not
+        interrupt.  ``None`` without an ``eval_timeout``."""
         if self.eval_timeout is None:
             return None
         retry = self.retry_policy
         attempts = retry.max_attempts if retry is not None else 1
         backoff = retry.max_total_backoff() if retry is not None else 0.0
         per_point = self.eval_timeout * attempts + backoff
-        return per_point * rounds + max(5.0, per_point)
+        return per_point + max(5.0, per_point)
 
 
 class OrderedTellAdapter:
@@ -222,9 +224,6 @@ class _InFlight:
     charged: int  # budget units paid at launch
     future: Future[Outcome] | None = None  # None: deferred (leased elsewhere)
     riders: tuple[tuple[int, np.ndarray], ...] = ()  # in-run revisits riding on it
-    #: wall-clock at dispatch, for the driver-side hard deadline (None
-    #: while deferred behind another driver's lease)
-    dispatched_wall: float | None = None
 
 
 class AsyncCalibrator:
@@ -288,8 +287,8 @@ class AsyncCalibrator:
         :class:`~repro.core.parallel.ParallelEvaluator` pool (in which
         case ``workers``/``mode`` are ignored).  Anything implementing
         the same surface works — ``submit(mapping) -> Future[(value,
-        duration)]``, ``wait(futures, timeout) -> done``, ``history``,
-        ``elapsed``, ``reset_clock()``, ``close()`` — notably the
+        duration)]``, ``wait(futures, timeout) -> done`` and ``close()``;
+        the driver keeps the history and the clock itself — notably the
         distributed fleet's task-board evaluator
         (:class:`repro.service.fleet.FleetEvaluator`), which hands
         candidates to pull-based worker processes instead of a local
@@ -351,13 +350,10 @@ class AsyncCalibrator:
         self.max_pending = int(workers) if max_pending is None else int(max_pending)
         if self.max_pending < 1:
             raise ValueError("max_pending must be at least 1")
-        # Driver-side hard deadline, for a point queued behind every
-        # pool-mate.  Killing a wedged worker needs a killable pool, hence
-        # process mode on the local evaluator only.
-        self._hard_timeout: float | None = None
-        if getattr(self.evaluator, "mode", "") == "process":
-            rounds = -(-self.max_pending // max(int(workers), 1))
-            self._hard_timeout = self.config.hard_deadline(rounds)
+        #: the record of the latest run, and the stopping criterion (if
+        #: any) that watches it
+        self.history = CalibrationHistory()
+        self._stopper: StoppingBudget | None = None
         #: the caller's budget (reported in the result) and the one the
         #: loop enforces — the same object unless a subclass adds a
         #: stopping criterion to it
@@ -396,7 +392,7 @@ class AsyncCalibrator:
         """
         width = self.max_pending if self._barrier else 1
         asked: dict[int, np.ndarray] = {}
-        history = self.evaluator.history
+        history = self.history
         replay = self.config.replay_cache_hits
         policy = self.config.failure_policy
         quarantine = policy is not None and policy.quarantine
@@ -502,6 +498,9 @@ class AsyncCalibrator:
         self.algorithm.setup(self.space)
         #: candidates a resumed run asked but never told, relaunched first
         self._untold: list[tuple[int, np.ndarray]] = []
+        self.history = CalibrationHistory()
+        if self._stopper is not None:
+            self._stopper.bind(self.history)
         elapsed = 0.0
         self._reg = None  # a replay moves no metric
         if resume is not None:
@@ -517,7 +516,9 @@ class AsyncCalibrator:
             [] if self._checkpoint_every > 0 and on_checkpoint is not None else None
         )
         self._budget.start(elapsed)
-        self.evaluator.reset_clock(elapsed)
+        #: the run's clock: a resumed run continues from the wall-clock
+        #: its tell log had already spent, so timestamps stay monotone
+        self._clock_start = time.perf_counter() - elapsed
         #: per-seq record metadata (the settled entry, started_at,
         #: finished_at, cached, failed, charged), parked alongside the
         #: adapter's buffer until the seq is released
@@ -574,7 +575,7 @@ class AsyncCalibrator:
                 self._m_inflight.set(0)
             self.evaluator.close()
 
-        history = self.evaluator.history
+        history = self.history
         best = history.best
         if best is None:
             raise RuntimeError("the budget was exhausted before a single evaluation completed")
@@ -583,7 +584,7 @@ class AsyncCalibrator:
             best_values=dict(best.values),
             best_value=best.value,
             evaluations=sum(1 for e in history if not e.cached),
-            elapsed=self.evaluator.elapsed,
+            elapsed=self._elapsed(),
             history=history,
             budget_description=self.budget.describe(),
             seed=self.seed,
@@ -696,7 +697,7 @@ class AsyncCalibrator:
 
         self._budget_units += charge
         entry = _InFlight(
-            seq, candidate, mapping, unit, key, self.evaluator.elapsed,
+            seq, candidate, mapping, unit, key, self._elapsed(),
             self._tracer.begin("evaluation", parent=self._root, driver=self._driver, seq=seq),
             charge,
         )
@@ -735,7 +736,6 @@ class AsyncCalibrator:
         span = self._tracer.begin("simulate", parent=entry.span) if self._inline else None
         entry.future = self.evaluator.submit(entry.mapping)
         self._tracer.end(span)
-        entry.dispatched_wall = time.time()
 
     def _await_completions(self) -> None:
         """Block until at least one pending entry can be resolved."""
@@ -747,76 +747,20 @@ class AsyncCalibrator:
             done: Collection[Future[Outcome]] = [f for f in futures if f.done()]
             if not done:
                 timeout = self._POLL_WITH_FUTURES if deferred else None
-                if self._hard_timeout is not None:
-                    # Bound the wait by the earliest hard deadline so a
-                    # wedged worker is noticed even with nothing else to poll.
-                    deadline = min(
-                        e.dispatched_wall + self._hard_timeout
-                        for e in futures.values()
-                        if e.dispatched_wall is not None
-                    )
-                    slack = max(deadline - time.time(), 0.01)
-                    timeout = slack if timeout is None else min(timeout, slack)
                 done = self.evaluator.wait(futures, timeout)
             for future in done:
                 self._complete(futures[future])
-            if not done:
-                self._reap_stalled()
         elif deferred:
             time.sleep(self._POLL_DEFERRED_ONLY)
         if deferred:
             self._poll_deferred(deferred)
 
-    def _reap_stalled(self) -> None:
-        """Driver-side hard-deadline backstop: kill and replace the pool
-        when a dispatched evaluation has been running past any possible
-        in-worker timeout schedule (a hang the ``SIGALRM`` guard could
-        not interrupt), deliver timeout failures for the stalled entries
-        and resubmit the innocent in-flight ones on the fresh pool."""
-        if self._hard_timeout is None:
-            return
-        now = time.time()
-        stalled = [
-            e for e in self._pending
-            if e.future is not None and e.dispatched_wall is not None
-            and now - e.dispatched_wall >= self._hard_timeout
-        ]
-        if not stalled:
-            return
-        replace = getattr(self.evaluator, "replace_pool", None)
-        if replace is None:
-            return  # transport owns its workers (fleet); its lease TTL recovers
-        innocent = [
-            e for e in self._pending if e.future is not None and e not in stalled
-        ]
-        replace()
-        for entry in innocent:
-            # Their futures died with the killed pool through no fault of
-            # their own evaluation: dispatch them again, deadline reset.
-            self._dispatch(entry)
-        for entry in stalled:
-            elapsed = now - (entry.dispatched_wall or now)
-            self._remove(entry)
-            self._settle(
-                _FAILED, entry, None, 0.0,
-                EvaluationFailure(
-                    error=(
-                        "EvaluationTimeout: evaluation exceeded the "
-                        f"{self._hard_timeout:g}s hard deadline; "
-                        "its pool worker was killed and replaced"
-                    ),
-                    kind="timeout",
-                    attempts=1,
-                    elapsed=elapsed,
-                ),
-            )
-
     def _complete(self, entry: _InFlight) -> None:
         try:
             value, duration = entry.future.result()
         except EvaluationFailed as error:
-            # The evaluation exhausted its in-worker attempts; the pool
-            # itself is healthy.
+            # The evaluation exhausted its in-worker attempts, or the pool
+            # killed its worker at the hard deadline.
             self._remove(entry)
             self._settle(_FAILED, entry, None, error.failure.elapsed, error.failure)
             return
@@ -848,7 +792,7 @@ class AsyncCalibrator:
                 # The lease was released or expired (or, without a failure
                 # policy, the point is quarantined and is re-attempted):
                 # compute it ourselves — the defer paid the budget charge.
-                entry.started_at = self.evaluator.elapsed
+                entry.started_at = self._elapsed()
                 self._dispatch(entry)
 
     # ------------------------------------------------------------------ #
@@ -903,7 +847,7 @@ class AsyncCalibrator:
                 self._tracer.end(entry.span, outcome=outcome)
                 raise EvaluationFailed(failure)
             value = policy.penalty
-        finished_at = self.evaluator.elapsed
+        finished_at = self._elapsed()
         # The worker timed its own call; anchoring that interval to the
         # driver's clock at completion gives the true per-point wall-clock
         # (dispatch-to-completion would fold in executor queueing).
@@ -1025,7 +969,7 @@ class AsyncCalibrator:
         unrecorded = cached and not self.config.replay_cache_hits
         if unrecorded and self._log is None:
             return
-        history = self.evaluator.history
+        history = self.history
         evaluation = Evaluation(
             index=len(history),
             values=dict(entry.mapping),
@@ -1047,6 +991,10 @@ class AsyncCalibrator:
     # ------------------------------------------------------------------ #
     # plumbing
     # ------------------------------------------------------------------ #
+    def _elapsed(self) -> float:
+        """Wall-clock seconds into the run."""
+        return time.perf_counter() - self._clock_start
+
     def _remove(self, entry: _InFlight) -> None:
         self._pending.remove(entry)
         if self._reg is not None:

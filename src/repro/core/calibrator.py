@@ -98,6 +98,6 @@ class Calibrator(AsyncCalibrator):
             algorithm_options=algorithm_options, config=config,
         )
         if stopping is not None:
-            stopper = StoppingBudget(stopping)
-            stopper.bind(self.evaluator.history)
-            self._budget = CombinedBudget([self.budget, stopper])
+            # each run binds it to that run's history
+            self._stopper = StoppingBudget(stopping)
+            self._budget = CombinedBudget([self.budget, self._stopper])

@@ -16,8 +16,9 @@ first-class, *recorded* outcome instead of a job-killing exception:
 * :func:`call_with_timeout` — a per-evaluation wall-clock timeout via
   ``SIGALRM``/``setitimer``.  It works exactly where evaluations run: the
   main thread of a process-pool worker (and of a serial driver) on
-  POSIX; in worker *threads* it degrades to an unguarded call and the
-  pooled drivers' hard-deadline backstop takes over.
+  POSIX; in worker *threads* it degrades to an unguarded call.  A
+  process pool backs it up with a hard deadline that kills the stuck
+  worker.
 * :class:`FailurePolicy` — what a driver does with a failure outcome:
   ``"raise"`` (today's behavior, the default when no policy is given) or
   ``"penalty"`` (tell the algorithm a large penalty value and keep
@@ -229,7 +230,8 @@ def call_with_timeout(
     Raises :class:`EvaluationTimeout` when the deadline passes — the
     interval timer interrupts pure-Python hangs and sleeps alike.  Where
     alarms cannot fire (non-POSIX, or a worker *thread*), the call runs
-    unguarded and the driver-side hard deadline remains the backstop.
+    unguarded; in a process pool the pool's hard deadline remains the
+    backstop.
     """
     if timeout is None or timeout <= 0 or not timeouts_supported():
         return float(function(values))

@@ -50,8 +50,13 @@ from repro.core.algorithms import CalibrationAlgorithm
 from repro.core.async_driver import AsyncCalibrator, RunConfig
 from repro.core.budget import Budget
 from repro.core.evaluation import CacheBackend
-from repro.core.faults import EVAL_METRIC_HELP, RetryPolicy, run_guarded
-from repro.core.history import CalibrationHistory
+from repro.core.faults import (
+    EVAL_METRIC_HELP,
+    EvaluationFailed,
+    EvaluationFailure,
+    RetryPolicy,
+    run_guarded,
+)
 from repro.core.parameters import ParameterSpace
 from repro.telemetry.metrics import registry as _metrics_registry
 
@@ -156,13 +161,15 @@ def _worker(conn: Connection, objective: bytes) -> None:
 
 
 class _Worker:
-    """One pool process and the parent's end of its pipe."""
+    """One pool process, the parent's end of its pipe, and when it was
+    sent its current task (``time.monotonic``)."""
 
-    __slots__ = ("process", "conn")
+    __slots__ = ("process", "conn", "sent")
 
     def __init__(self, process: BaseProcess, conn: Connection) -> None:
         self.process = process
         self.conn = conn
+        self.sent = 0.0
 
 
 class _PoolFuture(Future[Outcome]):
@@ -203,7 +210,15 @@ class ParallelEvaluator:
     thread: settle its futures through :meth:`wait` (or their own
     ``result()``), not :func:`concurrent.futures.wait`.  A worker that
     dies fails its task's future with
-    :class:`~concurrent.futures.process.BrokenProcessPool`.
+    :class:`~concurrent.futures.process.BrokenProcessPool`.  With an
+    ``eval_timeout`` the pool also keeps
+    :meth:`~repro.core.async_driver.RunConfig.hard_deadline`, counted
+    from when a worker receives its task: a worker past it is killed
+    alone and its future fails with a ``timeout``
+    :class:`~repro.core.faults.EvaluationFailed`.
+
+    The surface a driver uses is :meth:`submit`, :meth:`wait` and
+    :meth:`close`; the driver keeps the run's history and clock.
     """
 
     def __init__(
@@ -237,9 +252,8 @@ class ParallelEvaluator:
         self._idle: list[_Worker] = []
         self._busy: dict[Connection, tuple[_Worker, Future[Outcome]]] = {}
         self._queue: deque[tuple[Future[Outcome], tuple[Any, ...]]] = deque()
-        #: the driver's record of the run (the evaluator only carries it)
-        self.history = CalibrationHistory()
-        self._start_time = time.perf_counter()
+        #: seconds a worker may hold one task before it is killed
+        self._hard_deadline = self.config.hard_deadline()
 
     # ------------------------------------------------------------------ #
     # plumbing
@@ -249,17 +263,6 @@ class ParallelEvaluator:
         """Retries burned across all dispatches (transient failures that
         were re-attempted in a worker and eventually succeeded or not)."""
         return sum(self._retries)
-
-    @property
-    def elapsed(self) -> float:
-        """Wall-clock seconds since the evaluator was created (or reset)."""
-        return time.perf_counter() - self._start_time
-
-    def reset_clock(self, elapsed_offset: float = 0.0) -> None:
-        """Restart the clock; a resumed run passes the wall-clock its
-        tell log had already spent so new timestamps stay monotone
-        after the replayed ones."""
-        self._start_time = time.perf_counter() - elapsed_offset
 
     def close(self) -> None:
         """Shut the pool down (no-op before the first dispatch).
@@ -292,23 +295,6 @@ class ParallelEvaluator:
             worker.conn.close()
         self._idle = []
         self._busy.clear()
-
-    def replace_pool(self) -> None:
-        """Hard-replace a wedged pool: kill its workers, so the next
-        dispatch starts fresh ones.
-
-        This is the driver-side backstop for evaluations the in-worker
-        ``SIGALRM`` timeout could not interrupt (C extensions holding the
-        GIL, platforms without alarms).  The futures of its running
-        evaluations fail with ``BrokenProcessPool`` and queued ones are
-        cancelled; the caller decides which of them to resubmit.  Only
-        worker processes can be killed — in thread mode this just
-        detaches the executor (threads are not interruptible).
-        """
-        if self._executor is not None:
-            executor, self._executor = self._executor, None
-            executor.shutdown(wait=False, cancel_futures=True)
-        self.close()
 
     def __enter__(self) -> ParallelEvaluator:
         return self
@@ -365,17 +351,28 @@ class ParallelEvaluator:
         In ``"process"`` mode this is where the pool runs: it reads every
         reply that is ready, settles its future (counting the retries a
         guarded call burned) and sends queued tasks to the freed workers.
-        Other modes wait on their futures as
-        :func:`concurrent.futures.wait` does.
+        It is also where the hard deadline is kept: a worker that has
+        held its task for :meth:`~repro.core.async_driver.RunConfig.hard_deadline`
+        seconds is killed (see :meth:`_kill_stalled`).  Other modes wait
+        on their futures as :func:`concurrent.futures.wait` does.
         """
         if self.mode != "process":
             return wait_futures(futures, timeout, FIRST_COMPLETED).done
+        hard = self._hard_deadline
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             done = {future for future in futures if future.done()}
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if done or not self._busy or (remaining is not None and remaining <= 0):
+            if done or not self._busy:
                 return done
+            wake = deadline
+            if hard is not None:
+                stall = min(worker.sent for worker, _ in self._busy.values()) + hard
+                wake = stall if wake is None else min(wake, stall)
+            remaining = None if wake is None else wake - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                if hard is None or not self._kill_stalled(hard):
+                    return done  # the caller's timeout
+                continue
             for conn in wait_connections(list(self._busy), remaining):
                 self._receive(cast(Connection, conn))
 
@@ -408,6 +405,7 @@ class ParallelEvaluator:
         except OSError:  # the worker died while idle
             self._bury(worker, future)
             return
+        worker.sent = time.monotonic()
         self._busy[worker.conn] = (worker, future)
 
     def _start_worker(self) -> _Worker:
@@ -432,6 +430,37 @@ class ParallelEvaluator:
         else:
             self._idle.append(worker)
             self._settle(future, data)
+        self._feed()
+
+    def _kill_stalled(self, hard: float) -> bool:
+        """Kill every worker that has held its task ``hard`` seconds (the
+        hard deadline) and fail that task's future with a ``timeout``
+        :class:`~repro.core.faults.EvaluationFailed`; its pool-mates run
+        on, and a queued task goes to a fresh worker.  This backs up the
+        in-worker ``SIGALRM`` timeout, for hangs it cannot interrupt (C
+        code holding the GIL, an objective that ignores the signal).
+        Returns whether any worker was killed."""
+        now = time.monotonic()
+        stalled = [
+            conn for conn, (worker, _) in self._busy.items()
+            if now - worker.sent >= hard
+        ]
+        for conn in stalled:
+            worker, future = self._busy.pop(conn)
+            worker.process.kill()
+            self._bury(worker, future, EvaluationFailed(EvaluationFailure(
+                error=(
+                    f"EvaluationTimeout: evaluation exceeded the {hard:g}s "
+                    "hard deadline; its pool worker was killed"
+                ),
+                kind="timeout",
+                elapsed=now - worker.sent,
+            )))
+        self._feed()
+        return bool(stalled)
+
+    def _feed(self) -> None:
+        """Hand queued tasks to idle workers, or to new ones."""
         while self._queue and (self._idle or len(self._busy) < self.workers):
             self._send(*self._queue.popleft())
 
@@ -451,11 +480,14 @@ class ParallelEvaluator:
         else:
             future.set_result(outcome)
 
-    def _bury(self, worker: _Worker, future: Future[Outcome]) -> None:
-        """Join a worker that died and fail the future of its task."""
+    def _bury(
+        self, worker: _Worker, future: Future[Outcome], error: BaseException | None = None
+    ) -> None:
+        """Join a worker that died and fail the future of its task with
+        ``error`` (default: ``BrokenProcessPool``)."""
         worker.process.join()
         worker.conn.close()
-        future.set_exception(BrokenProcessPool(
+        future.set_exception(error or BrokenProcessPool(
             f"a pool worker (pid {worker.process.pid}) exited with code "
             f"{worker.process.exitcode} while evaluating a candidate"
         ))

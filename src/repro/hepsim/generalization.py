@@ -116,17 +116,9 @@ def generalization_study(
     """
     generator = generator or GroundTruthGenerator()
     budget = budget or EvaluationBudget(150)
-    factory = {
-        "paper": Scenario.paper,
-        "bench": Scenario.bench,
-        "calib": Scenario.calib,
-        "tiny": Scenario.tiny,
-    }[scale]
-
-    base_scenario = factory(platform)
-    if icd_values is not None:
-        base_scenario = base_scenario.with_icds(tuple(icd_values))
-    base_scenario = with_compute_data_ratio(base_scenario, base_factor)
+    base_scenario = with_compute_data_ratio(
+        Scenario.preset(scale, platform, icd_values), base_factor
+    )
     base_problem = CaseStudyProblem.create(base_scenario, generator=generator)
     calibration = base_problem.calibrate(algorithm=algorithm, budget=budget, seed=seed)
     calibrated_values = base_problem.calibrated_values(calibration)
@@ -135,10 +127,7 @@ def generalization_study(
 
     evaluations: dict[float, RatioEvaluation] = {}
     for factor in factors:
-        scenario = with_compute_data_ratio(
-            factory(platform) if icd_values is None else factory(platform).with_icds(tuple(icd_values)),
-            factor,
-        )
+        scenario = with_compute_data_ratio(Scenario.preset(scale, platform, icd_values), factor)
         problem = CaseStudyProblem.create(scenario, generator=generator)
         evaluations[factor] = RatioEvaluation(
             factor=factor,

@@ -168,6 +168,22 @@ class Scenario:
             label="tiny",
         )
 
+    @staticmethod
+    def preset(
+        scale: str, platform_name: str = "FCSN", icd_values: Sequence[float] | None = None
+    ) -> Scenario:
+        """The preset named ``scale`` (``"paper"``, ``"bench"``, ``"calib"``
+        or ``"tiny"``), with its own ICD values unless ``icd_values`` are
+        given (an empty sequence keeps them too)."""
+        factory = _PRESETS.get(scale)
+        if factory is None:
+            raise ValueError(
+                f"unknown scenario scale {scale!r}; expected one of {sorted(_PRESETS)}"
+            )
+        if not icd_values:
+            return factory(platform_name)
+        return factory(platform_name, tuple(float(icd) for icd in icd_values))
+
     def cache_key(self) -> str:
         """A string key identifying the scenario for ground-truth caching."""
         w = self.workload
@@ -176,3 +192,12 @@ class Scenario:
             f"-s{int(w.file_size.value)}-fpb{w.flops_per_byte.value:g}"
             f"-icd{len(self.icd_values)}"
         )
+
+
+#: the scale names :meth:`Scenario.preset` accepts
+_PRESETS = {
+    "paper": Scenario.paper,
+    "bench": Scenario.bench,
+    "calib": Scenario.calib,
+    "tiny": Scenario.tiny,
+}

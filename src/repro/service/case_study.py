@@ -24,14 +24,6 @@ from repro.service.jobs import CalibrationRequest
 
 __all__ = ["CaseStudyRequestFactory", "spec_budget"]
 
-_SCALES = {
-    "paper": Scenario.paper,
-    "bench": Scenario.bench,
-    "calib": Scenario.calib,
-    "tiny": Scenario.tiny,
-}
-
-
 def spec_budget(spec: dict[str, Any]) -> Budget:
     """The budget described by a job specification.
 
@@ -64,11 +56,7 @@ class CaseStudyRequestFactory:
         metric: str = "mre",
     ) -> CaseStudyProblem:
         """The (cached) case-study problem for one scenario specification."""
-        if scale not in _SCALES:
-            raise ValueError(f"unknown scenario scale {scale!r}; expected one of {sorted(_SCALES)}")
-        scenario = _SCALES[scale](platform)
-        if icds:
-            scenario = scenario.with_icds(tuple(float(icd) for icd in icds))
+        scenario = Scenario.preset(scale, platform, icds)
         # cache_key() only encodes the ICD *count*; the actual grid values
         # must participate or two jobs with different same-length grids
         # would silently share one problem (and poison the store).

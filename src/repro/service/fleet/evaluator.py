@@ -17,14 +17,12 @@ two pieces adapt it to remote evaluation:
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from collections.abc import Collection, Mapping
 from typing import Any
 
 from repro.core.evaluation import CacheKey
 from repro.core.faults import EvaluationFailure
-from repro.core.history import CalibrationHistory
 from repro.core.parameters import ParameterSpace
 from repro.service.cache import JobCache, _to_core_failure
 from repro.service.fleet.board import Outcome, TaskBoard
@@ -70,9 +68,7 @@ class FleetEvaluator:
     """Posts candidates to a task board; workers do the computing.
 
     Implements the evaluator surface the asynchronous driver needs —
-    ``submit`` / ``wait`` / ``history`` / ``elapsed`` / ``reset_clock`` /
-    ``close``
-    — so it injects straight into
+    ``submit`` / ``wait`` / ``close`` — so it injects straight into
     :class:`~repro.core.async_driver.AsyncCalibrator` via its
     ``evaluator`` parameter.
     """
@@ -90,15 +86,6 @@ class FleetEvaluator:
         self.fingerprint = fingerprint
         self.spec = dict(spec) if spec else {}
         self.space = space
-        self.history = CalibrationHistory()
-        self._start_time = time.perf_counter()
-
-    @property
-    def elapsed(self) -> float:
-        return time.perf_counter() - self._start_time
-
-    def reset_clock(self, elapsed_offset: float = 0.0) -> None:
-        self._start_time = time.perf_counter() - elapsed_offset
 
     def submit(self, candidate: dict[str, float]) -> Future[Outcome]:
         return self.board.post(self.job_id, self.fingerprint, dict(candidate), self.spec)

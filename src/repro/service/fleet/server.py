@@ -97,7 +97,7 @@ class FleetServer(CalibrationServer):
         )
         driver = AsyncCalibrator(
             request.space,
-            objective,  # unused transport-side; kept for evaluator-less fallback paths
+            objective,
             algorithm=request.algorithm,
             max_pending=self.max_pending,
             budget=request.budget if request.budget is not None else EvaluationBudget(100),

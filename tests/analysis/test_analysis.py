@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.analysis.experiments import table1_survey, table2_platforms
+from repro.analysis.experiments import (
+    ablation_sampling_scale,
+    table1_survey,
+    table2_platforms,
+)
 from repro.analysis.figures import render_series, sample_series
 from repro.analysis.survey import (
     PAPER_COUNTS,
@@ -11,6 +15,11 @@ from repro.analysis.survey import (
     summarize_survey,
 )
 from repro.analysis.tables import ExperimentResult, render_table
+
+
+def test_an_experiment_rejects_an_unknown_scale():
+    with pytest.raises(ValueError, match="unknown scenario scale"):
+        ablation_sampling_scale(scale="huge")
 
 
 class TestSurvey:

@@ -273,7 +273,7 @@ class TestObjectiveFailurePaths:
         assert calibrator.failures == 1
         # Raise-policy failures are not history records (the run aborts),
         # but the point is quarantined for the next run sharing the cache.
-        assert len(calibrator.evaluator.history) == 0
+        assert len(calibrator.history) == 0
 
     def test_quarantined_point_is_not_reevaluated(self, scripted):
         space = make_space(1)

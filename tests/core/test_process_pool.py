@@ -19,6 +19,7 @@ from repro.core import (
     AsyncCalibrator,
     BatchCalibrator,
     EvaluationBudget,
+    EvaluationFailed,
     FailurePolicy,
     Parameter,
     ParallelEvaluator,
@@ -56,6 +57,32 @@ class FirstCallMisbehaves:
         if self.action == "exit":
             os._exit(7)
         # "hang": out of reach of the in-worker alarm
+        signal.signal(signal.SIGALRM, signal.SIG_IGN)
+        time.sleep(60.0)
+        return quadratic(values)
+
+
+class HangsOnceAmongSlowMates:
+    """Picklable objective: the first call to create ``marker`` hangs out
+    of reach of the alarm, every other call takes ``seconds``; each call
+    first appends its point to ``log``."""
+
+    def __init__(self, marker, log, seconds):
+        self.marker = str(marker)
+        self.log = str(log)
+        self.seconds = seconds
+
+    def __call__(self, values):
+        descriptor = os.open(self.log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(descriptor, f"{values['p0']!r},{values['p1']!r}\n".encode())
+        finally:
+            os.close(descriptor)
+        try:
+            os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            time.sleep(self.seconds)
+            return quadratic(values)
         signal.signal(signal.SIGALRM, signal.SIG_IGN)
         time.sleep(60.0)
         return quadratic(values)
@@ -132,6 +159,45 @@ def test_the_hard_deadline_kills_an_evaluation_the_alarm_cannot_stop(tmp_path):
     stored = store.get_failure("hang", failed[0].values)
     assert stored is not None and stored.kind == "timeout"
     assert "hard deadline" in stored.error
+    assert new_children(before) == set()
+
+
+def test_the_hard_deadline_kills_only_the_stalled_worker(tmp_path):
+    """Only the hung point's worker is killed at the hard deadline
+    (1 s + 5 s): its pool-mate runs on, so no point is evaluated twice."""
+    before = set(multiprocessing.active_children())
+    log = tmp_path / "calls"
+    penalty = FailurePolicy(penalty=1.0e6)
+    result = AsyncCalibrator(
+        SPACE, HangsOnceAmongSlowMates(tmp_path / "marker", log, 0.8),
+        workers=2, mode="process", budget=EvaluationBudget(12), seed=0,
+        config=RunConfig(eval_timeout=1.0, failure_policy=penalty),
+    ).run()
+
+    calls = log.read_text().splitlines()
+    assert result.evaluations == 12
+    assert len(calls) == 12 and len(set(calls)) == 12
+    failed = [e for e in result.history if e.failed]
+    assert len(failed) == 1 and failed[0].value == penalty.penalty
+    assert new_children(before) == set()
+
+
+def test_a_standalone_pool_keeps_the_hard_deadline(tmp_path):
+    """Without a driver, the pool itself fails a task whose worker hangs
+    past the hard deadline (0.2 s + 5 s) with a timeout."""
+    before = set(multiprocessing.active_children())
+    config = RunConfig(eval_timeout=0.2)
+    with ParallelEvaluator(
+        FirstCallMisbehaves(tmp_path / "marker", "hang"), SPACE, workers=1, config=config
+    ) as evaluator:
+        future = evaluator.submit({"p0": 2.0**11, "p1": 2.0**12})
+        started = time.perf_counter()
+        with pytest.raises(EvaluationFailed) as info:
+            future.result(timeout=8.0)
+        assert 5.0 <= time.perf_counter() - started < 8.0
+        assert info.value.failure.kind == "timeout"
+        assert "hard deadline" in info.value.failure.error
+        assert new_children(before) == set()  # the killed worker is joined
     assert new_children(before) == set()
 
 

@@ -200,3 +200,15 @@ class TestCalibratorIntegration:
                             EvaluationBudget(30), seed=1,
                             stopping=TargetValueStopper(-1.0)).run()
         assert result.evaluations == 30
+
+    def test_each_run_records_its_own_history(self):
+        """A second run of one calibrator neither grows the first run's
+        history nor counts its evaluations."""
+        space = self.make_space()
+        calibrator = Calibrator(space, self.objective(space), "random",
+                                EvaluationBudget(5), seed=1)
+        first = calibrator.run()
+        second = calibrator.run()
+        assert len(first.history) == 5
+        assert second.evaluations == 5 and len(second.history) == 5
+        assert calibrator.history is second.history

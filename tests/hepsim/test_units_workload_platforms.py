@@ -178,6 +178,14 @@ class TestScenario:
         assert len(PAPER_ICD_VALUES) == 11
         assert len(REDUCED_ICD_VALUES) == 5
 
+    def test_preset_by_scale_name(self):
+        assert Scenario.preset("tiny", "SCSN") == Scenario.tiny("SCSN")
+        assert Scenario.preset("calib", "FCSN", [0, 1]) == Scenario.calib(
+            "FCSN", icd_values=(0.0, 1.0)
+        )
+        with pytest.raises(ValueError, match="unknown scenario scale 'huge'"):
+            Scenario.preset("huge")
+
     def test_metric_count_matches_paper(self):
         scenario = Scenario.paper("FCSN")
         assert scenario.metric_count == 33

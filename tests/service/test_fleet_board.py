@@ -135,11 +135,6 @@ class TestFleetEvaluator:
         evaluator.close()
         assert len(board) == 0
 
-    def test_clock_surface(self):
-        evaluator = FleetEvaluator(TaskBoard(), "job-1", "fp")
-        evaluator.reset_clock(elapsed_offset=10.0)
-        assert evaluator.elapsed >= 10.0
-
 
 class TestFaultInjector:
     def test_disabled_injector_never_fires(self):
