@@ -230,15 +230,12 @@ def cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _attach_tell_log(spool, job_id: str, request, args: argparse.Namespace) -> None:
-    """Set a queued job's checkpointing: with ``--resume`` it replays the
-    tell log its crashed run left behind; otherwise a stale log is
-    dropped so the fresh run starts a new one."""
-    request.checkpoint_every = args.checkpoint_every
-    request.checkpoint = spool.read_checkpoint(job_id) if args.resume else None
-    if request.checkpoint is None:
-        spool.clear_checkpoint(job_id)
-    else:
+def _attach_tell_log(spool, job_id: str, request) -> None:
+    """Log every tell of a queued job, and replay the log a killed run of
+    it left behind."""
+    request.checkpoint_every = 1
+    request.checkpoint = spool.read_checkpoint(job_id)
+    if request.checkpoint is not None:
         _log.info("[resumed  ] %s: replaying %d logged tells", job_id, len(request.checkpoint))
 
 
@@ -272,7 +269,7 @@ def _serve_spool(spool, server, factory, args: argparse.Namespace) -> int:
             spec = spool.load(job_id)
             try:
                 request = factory.request(spec)
-                _attach_tell_log(spool, job_id, request, args)
+                _attach_tell_log(spool, job_id, request)
             except Exception as exc:
                 spool.update(job_id, status="failed", error=f"{type(exc).__name__}: {exc}")
                 _log.warning("[failed   ] %s: %s", job_id, exc)
@@ -294,8 +291,6 @@ def _serve_spool(spool, server, factory, args: argparse.Namespace) -> int:
                 elapsed=record["elapsed"],
                 error=record.get("error"),
             )
-            if record["status"] == "done":
-                spool.clear_checkpoint(job.id)
         if args.poll is None:
             return processed
         try:
@@ -650,15 +645,17 @@ calibration service:
   status`'s hits column); jobs with a --seconds budget reuse stored
   points too, but explore further instead of replaying exactly.  --poll
   SECONDS turns `serve` into a long-lived daemon.
-  Results land in <serve-dir>/results/ as JSON plus a per-evaluation
-  .history.jsonl (CalibrationHistory.to_jsonl).
+  Each job's result lands in <serve-dir>/results/<job>.json and its
+  per-evaluation history in its tell log,
+  <serve-dir>/checkpoints/<job>.log.jsonl: one JSON line per tell,
+  written as the job runs and kept once it is done.
 
   All algorithms speak a batched ask/tell protocol, which `serve` uses
-  for crash recovery: with `--checkpoint-every N` the server appends each
-  running job's tells to <serve-dir>/checkpoints/<job>.log.jsonl every N
-  tells, and `serve --resume` replays a killed job's log into a fresh,
-  identically seeded algorithm — no simulator call repeated — and
-  finishes with the same best point as an uninterrupted run.  The same protocol powers `repro calibrate --workers K`,
+  for crash recovery: a job killed mid-run is resumed by the next `serve`
+  (or `fleet`), which replays its tell log into a fresh, identically
+  seeded algorithm — no simulator call repeated — and finishes with the
+  same best point as an uninterrupted run.  The same protocol powers
+  `repro calibrate --workers K`,
   which evaluates each algorithm's candidate batches over K processes
   (one simulation per core, the paper's parallel protocol); adding
   `--async` switches to the asynchronous driver, which asks speculatively
@@ -785,12 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--poll", type=float, default=None, metavar="SECONDS",
                        help="keep serving, re-scanning the queue every SECONDS "
                             "(default: drain once and exit)")
-    p_srv.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                       help="append each running job's tells to its tell log "
-                            "every N tells (default: off)")
-    p_srv.add_argument("--resume", action="store_true",
-                       help="continue crashed jobs by replaying their tell logs "
-                            "instead of re-running them from scratch")
     p_srv.set_defaults(func=cmd_serve)
 
     p_flt = sub.add_parser("fleet", parents=[verbosity],
@@ -812,12 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_flt.add_argument("--poll", type=float, default=None, metavar="SECONDS",
                        help="keep serving, re-scanning the queue every SECONDS "
                             "(default: drain once and exit)")
-    p_flt.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                       help="append each running job's tells to its tell log "
-                            "every N tells (default: off)")
-    p_flt.add_argument("--resume", action="store_true",
-                       help="continue crashed jobs by replaying their tell logs "
-                            "instead of re-running them from scratch")
     p_flt.set_defaults(func=cmd_fleet)
 
     p_wrk = sub.add_parser("worker", parents=[verbosity],

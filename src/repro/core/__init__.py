@@ -68,12 +68,7 @@ from repro.core.parallel import BatchCalibrator, ParallelEvaluator
 from repro.core.parameters import Parameter, ParameterSpace
 from repro.core.reporting import calibration_report, convergence_sparkline
 from repro.core.result import CalibrationResult
-from repro.core.serialization import (
-    load_history_jsonl,
-    load_result,
-    save_history_jsonl,
-    save_result,
-)
+from repro.core.serialization import load_result, save_result
 from repro.core.stopping import (
     NoImprovementStopper,
     RelativePlateauStopper,
@@ -129,13 +124,11 @@ __all__ = [
     "calibration_report",
     "convergence_sparkline",
     "get_algorithm",
-    "load_history_jsonl",
     "load_result",
     "max_relative_error",
     "mean_absolute_error",
     "mean_relative_error",
     "remaining_evaluations",
     "root_mean_squared_error",
-    "save_history_jsonl",
     "save_result",
 ]

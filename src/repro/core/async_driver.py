@@ -91,7 +91,8 @@ _REGISTRY = _metrics_registry()
 __all__ = ["AsyncCalibrator", "OrderedTellAdapter", "RunConfig"]
 
 #: failure attached to a point quarantined again while a tell log is
-#: replayed (the log keeps the penalty record, not the diagnosis)
+#: replayed, when its entry carries no diagnosis (a log written before
+#: failed entries named their ``failure_kind`` and ``error``)
 _REPLAYED_FAILURE = EvaluationFailure(error="EvaluationFailed: replayed from the tell log")
 
 #: what a candidate settles as: the rows of ``AsyncCalibrator._settle``'s
@@ -263,8 +264,9 @@ class AsyncCalibrator:
     seed:
         Seed for the algorithm's random number generator.
     cache:
-        ``True`` (memoise in a fresh in-memory
-        :class:`~repro.core.evaluation.DictCache`), ``False`` (always
+        ``True`` (memoise in an in-memory
+        :class:`~repro.core.evaluation.DictCache`, fresh for each
+        :meth:`run`), ``False`` (always
         dispatch), or a shared :class:`~repro.core.evaluation.CacheBackend`
         such as the service's store-backed cache.  A candidate the cache
         answers is not dispatched and, unless ``config`` replays hits,
@@ -360,12 +362,8 @@ class AsyncCalibrator:
         self.budget = budget if budget is not None else EvaluationBudget(100)
         self._budget: Budget = self.budget
         self.seed = seed
-        if isinstance(cache, CacheBackend):
-            self._cache: CacheBackend | None = cache
-        elif cache:
-            self._cache = DictCache()
-        else:
-            self._cache = None
+        self._cache_option = cache
+        self._cache: CacheBackend | None = None
         self.cache_hits = 0
         self.deferred_hits = 0  # points resolved from a concurrent driver's lease
 
@@ -382,8 +380,9 @@ class AsyncCalibrator:
         interrupted run's exact ask/tell interleaving — then candidate
         ``seq`` must round-trip to the logged unit point and is told the
         logged value.  Each entry is classified as the outcome it settled
-        as and counted through :meth:`_count`, like a live one; budget
-        (Σ ``charged``), history and clock are rebuilt from the entries.
+        as and counted through :meth:`_count`, like a live one (a failure
+        with its logged diagnosis); budget (Σ ``charged``), history and
+        clock are rebuilt from the entries.
         Returns the candidates asked but never told, in ask order, and
         the clock to continue from; raises ``ValueError`` at the first
         ``seq`` this run would not have told (another algorithm, options
@@ -439,7 +438,12 @@ class AsyncCalibrator:
             else:
                 outcome = _EVALUATED
                 quarantined.discard(key)
-            self._count(outcome, key, evaluation.values, evaluation.value, _REPLAYED_FAILURE)
+            failure = (
+                EvaluationFailure(error=entry["error"], kind=entry["failure_kind"])
+                if "error" in entry else _REPLAYED_FAILURE
+            )
+            self._count(outcome, key, evaluation.values, evaluation.value, failure,
+                        replayed=True)
             self._budget_units += entry["charged"]
             if not evaluation.cached or replay:
                 history.record(dataclasses.replace(evaluation, index=len(history)))
@@ -476,14 +480,18 @@ class AsyncCalibrator:
             hits and riders included — holding the
             :func:`~repro.core.serialization.evaluation_to_dict` record
             plus ``seq`` (the ask index), ``asked`` (candidates asked
-            before this tell) and ``charged`` (budget units it cost).
-            Entries are handed over only between completions, never while
-            the ordered adapter is mid-release.
+            before this tell) and ``charged`` (budget units it cost); a
+            failed entry also carries its diagnosis, ``failure_kind`` and
+            ``error``, which a replay quarantines the point with.  Entries
+            are handed over only between completions, never while the
+            ordered adapter is mid-release.
         on_checkpoint:
             Callback receiving each list of new entries (e.g. to append
             them to a file).
         """
         rng = np.random.default_rng(self.seed)
+        cache = self._cache_option
+        self._cache = cache if isinstance(cache, CacheBackend) else DictCache() if cache else None
         self.cache_hits = 0
         self.deferred_hits = 0
         self.failures = 0
@@ -520,9 +528,11 @@ class AsyncCalibrator:
         #: its tell log had already spent, so timestamps stay monotone
         self._clock_start = time.perf_counter() - elapsed
         #: per-seq record metadata (the settled entry, started_at,
-        #: finished_at, cached, failed, charged), parked alongside the
-        #: adapter's buffer until the seq is released
-        self._meta: dict[int, tuple[_InFlight, float, float, bool, bool, int]] = {}
+        #: finished_at, cached, the failure or None, charged), parked
+        #: alongside the adapter's buffer until the seq is released
+        self._meta: dict[
+            int, tuple[_InFlight, float, float, bool, EvaluationFailure | None, int]
+        ] = {}
         self._tracer = current_tracer()
         # Instruments are looked up once per run, only when telemetry is
         # on: the disabled hot path costs one attribute check per use.
@@ -854,7 +864,7 @@ class AsyncCalibrator:
         started_at = max(finished_at - duration, entry.started_at)
         cached = outcome == _HIT or outcome == _DEFERRED
         self._resolve(entry.seq, entry.candidate, entry, value, started_at, finished_at,
-                      cached, failed, entry.charged)
+                      cached, failure, entry.charged)
         if entry.span is not None:  # None unless tracing: spare the hot path a call
             self._tracer.end(entry.span, outcome=outcome, value=value, duration_in_worker=duration)
         if entry.riders:
@@ -865,7 +875,7 @@ class AsyncCalibrator:
                     "evaluation", parent=self._root, driver=self._driver, seq=seq
                 )
                 self._resolve(seq, candidate, entry, value, finished_at, finished_at,
-                              True, failed, 0)
+                              True, failure, 0)
                 self._tracer.end(span, outcome=rider, value=value, rider=True)
         if failed and self._breaker is not None:
             self._breaker.check()
@@ -877,16 +887,17 @@ class AsyncCalibrator:
         mapping: dict[str, float],
         value: float | None,
         failure: EvaluationFailure | None,
+        replayed: bool = False,
     ) -> None:
-        """Count one outcome and persist it, live or replayed from a tell
-        log: the only code that moves ``cache_hits``, ``deferred_hits``,
-        ``failures`` and ``quarantine_skips``.
+        """Count one outcome and persist it, live or ``replayed`` from a
+        tell log: the only code that moves ``cache_hits``,
+        ``deferred_hits``, ``failures`` and ``quarantine_skips``.
 
         An evaluated value is published to the cache; a fresh failure is
         quarantined there, or its claim released without quarantine (a
-        replayed failure, ``_REPLAYED_FAILURE``, keeps the diagnosis a
-        shared store may still hold); the circuit breaker records every
-        evaluated and failure outcome.
+        replayed failure keeps the diagnosis a shared store may still
+        hold); the circuit breaker records every evaluated and failure
+        outcome.
         """
         self._seen.add(key)
         reg = self._reg
@@ -925,10 +936,7 @@ class AsyncCalibrator:
                 policy = self.config.failure_policy
                 if policy is None or not policy.quarantine:
                     self._cache.cancel(key, mapping)
-                elif (
-                    failure is not _REPLAYED_FAILURE
-                    or self._cache.get_failure(key, mapping) is None
-                ):
+                elif not replayed or self._cache.get_failure(key, mapping) is None:
                     self._cache.mark_failed(key, mapping, failure)
         if self._breaker is not None:
             self._breaker.record(failure)
@@ -942,7 +950,7 @@ class AsyncCalibrator:
         started_at: float,
         finished_at: float,
         cached: bool,
-        failed: bool,
+        failure: EvaluationFailure | None,
         charged: int,
     ) -> None:
         """Tell one settled candidate and record it in the history.
@@ -952,9 +960,10 @@ class AsyncCalibrator:
         lands in ask order — byte-for-byte the serial sequence; native
         tells and their records land immediately, in completion order.
         ``entry`` is the settled point (a rider's, for a rider), and
-        ``charged`` the budget this outcome cost, for the tell log.
+        ``failure`` (its diagnosis, or ``None``) and ``charged`` (the
+        budget this outcome cost) go to the tell log.
         """
-        self._meta[seq] = (entry, started_at, finished_at, cached, failed, charged)
+        self._meta[seq] = (entry, started_at, finished_at, cached, failure, charged)
         if self._adapter is None:
             self.algorithm.tell([candidate], [value])
             self._record(seq, value)
@@ -965,7 +974,7 @@ class AsyncCalibrator:
                 self._record(released_seq, released_value)
 
     def _record(self, seq: int, value: float) -> None:
-        entry, started_at, finished_at, cached, failed, charged = self._meta.pop(seq)
+        entry, started_at, finished_at, cached, failure, charged = self._meta.pop(seq)
         unrecorded = cached and not self.config.replay_cache_hits
         if unrecorded and self._log is None:
             return
@@ -978,10 +987,12 @@ class AsyncCalibrator:
             started_at=started_at,
             finished_at=finished_at,
             cached=cached,
-            failed=failed,
+            failed=failure is not None,
         )
         if self._log is not None:
             logged = evaluation_to_dict(evaluation)
+            if failure is not None:  # optional keys: zero-failure logs are unchanged
+                logged.update(failure_kind=failure.kind, error=failure.error)
             logged.update(seq=seq, asked=self._seq, charged=charged)
             self._log.append(logged)
             if unrecorded:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from pathlib import Path
 
 __all__ = ["Evaluation", "CalibrationHistory"]
 
@@ -124,22 +123,3 @@ class CalibrationHistory:
     def value_curve(self) -> list[float]:
         """Raw objective values in evaluation order."""
         return [e.value for e in self._evaluations]
-
-    # ------------------------------------------------------------------ #
-    # persistence (JSON Lines)
-    # ------------------------------------------------------------------ #
-    def to_jsonl(self, path: str | Path) -> Path:
-        """Write the history to ``path`` as JSON Lines, one evaluation per
-        line — the calibration service's job-result persistence format
-        (appendable and streamable, unlike one monolithic JSON document)."""
-        # Imported here: repro.core.serialization imports this module.
-        from repro.core.serialization import save_history_jsonl
-
-        return save_history_jsonl(self, path)
-
-    @staticmethod
-    def from_jsonl(path: str | Path) -> CalibrationHistory:
-        """Rebuild a history previously written by :meth:`to_jsonl`."""
-        from repro.core.serialization import load_history_jsonl
-
-        return load_history_jsonl(path)

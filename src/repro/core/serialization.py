@@ -4,9 +4,10 @@ A calibration worth 6 hours of compute (the paper's budget) is worth
 writing to disk: this module serialises
 :class:`~repro.core.result.CalibrationResult` objects — including their
 full evaluation history, from which the Figure 2 convergence curves are
-rebuilt — to a stable JSON document, and loads them back.  Histories can
-also be written on their own as JSON Lines (one evaluation per line),
-which is the calibration service's job-result persistence format.
+rebuilt — to a stable JSON document, and loads them back.  One evaluation
+record, :func:`evaluation_to_dict`, is also the body of each tell-log
+entry (see :meth:`~repro.core.async_driver.AsyncCalibrator.run`), so a
+served job's log doubles as its per-evaluation history.
 
 The format is versioned and deliberately simple (plain lists and dicts) so
 that results can also be consumed by external tooling (pandas, plotting
@@ -29,8 +30,6 @@ __all__ = [
     "result_from_dict",
     "save_result",
     "load_result",
-    "save_history_jsonl",
-    "load_history_jsonl",
 ]
 
 #: Bumped whenever the on-disk layout changes incompatibly.
@@ -57,7 +56,8 @@ def evaluation_to_dict(evaluation: Evaluation) -> dict:
 
 
 def evaluation_from_dict(data: dict) -> Evaluation:
-    """Rebuild an :class:`Evaluation` from :func:`evaluation_to_dict` output."""
+    """Rebuild an :class:`Evaluation` from :func:`evaluation_to_dict` output
+    (or a tell-log entry: its other keys are ignored)."""
     return Evaluation(
         index=int(data["index"]),
         values={k: float(v) for k, v in data["values"].items()},
@@ -126,24 +126,3 @@ def save_result(result: CalibrationResult, path: str | Path, indent: int = 2) ->
 def load_result(path: str | Path) -> CalibrationResult:
     """Read a result previously written by :func:`save_result`."""
     return result_from_dict(json.loads(Path(path).read_text()))
-
-
-def save_history_jsonl(history: CalibrationHistory, path: str | Path) -> Path:
-    """Write a history to ``path`` as JSON Lines (one evaluation per line)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
-        for evaluation in history:
-            handle.write(json.dumps(evaluation_to_dict(evaluation)) + "\n")
-    return path
-
-
-def load_history_jsonl(path: str | Path) -> CalibrationHistory:
-    """Read a history previously written by :func:`save_history_jsonl`."""
-    history = CalibrationHistory()
-    with Path(path).open() as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                history.record(evaluation_from_dict(json.loads(line)))
-    return history

@@ -31,9 +31,9 @@ job), and a request carrying that log as its ``checkpoint`` replays it
 and picks the trajectory up where it stopped — the logged evaluations
 re-enter the budget, the history *and* the shared store, so a
 killed-then-resubmitted job finishes with exactly the best point of an
-uninterrupted one without re-simulating the work already done (the CLI's
-``repro serve --checkpoint-every N``/``--resume`` appends the log to a
-file next to the job spool).
+uninterrupted one without re-simulating the work already done (``repro
+serve`` logs every tell to a file in the job spool, and replays it for a
+job a killed server left behind).
 """
 
 from __future__ import annotations

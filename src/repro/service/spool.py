@@ -8,27 +8,29 @@ submit`` drops job specifications into, ``repro serve`` drains, and
 
     <serve-dir>/
         jobs/job-0001.json           # specification + live status fields
-        results/job-0001.json        # full CalibrationResult (reloadable)
-        results/job-0001.history.jsonl   # per-evaluation JSON Lines
-        checkpoints/job-0001.log.jsonl   # the running job's tell log
+        results/job-0001.json        # CalibrationResult without its history
+        checkpoints/job-0001.log.jsonl   # the job's tell log: its history
         store.jsonl                  # default shared evaluation store
 
 Job files double as status records: the server rewrites them (atomically,
 via a temp file + rename) as the job moves through ``pending -> running ->
 done | failed``, so ``repro status`` needs no running server to answer.
 
-A job's checkpoint is its *tell log*, one JSON line per tell, which the
-server appends to as the job runs (see
-:meth:`repro.core.async_driver.AsyncCalibrator.run`).  Nothing else is
-persisted: the algorithm, its options and the seed are in the job file,
-and a resumed job rebuilds everything else by replaying the log.  A
-crash mid-append can only tear the final line, which
+A job's *tell log*, one JSON line per tell, is its one per-evaluation
+record: the server appends every tell to it as the job runs (see
+:meth:`repro.core.async_driver.AsyncCalibrator.run`) and keeps it once
+the job is done.  It is the job's checkpoint — the algorithm, its
+options and the seed are in the job file, and a job found with a log
+resumes by replaying it — and its history, since a served run records
+every tell (:meth:`JobSpool.read_result` rebuilds the history from it).
+A crash mid-append can only tear the final line, which
 :meth:`JobSpool.read_checkpoint` cuts with a warning, so the job resumes
 from every tell the log acknowledged.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -41,8 +43,9 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
+from repro.core.history import CalibrationHistory
 from repro.core.result import CalibrationResult
-from repro.core.serialization import load_result, save_result
+from repro.core.serialization import result_from_dict, result_to_dict
 from repro.service.store import _read_jsonl_tolerant
 
 __all__ = ["JobSpool"]
@@ -74,11 +77,8 @@ class JobSpool:
     def result_path(self, job_id: str) -> Path:
         return self.results_dir / f"{job_id}.json"
 
-    def history_path(self, job_id: str) -> Path:
-        return self.results_dir / f"{job_id}.history.jsonl"
-
     def checkpoint_path(self, job_id: str) -> Path:
-        """A job's tell log, its only checkpoint file."""
+        """A job's tell log: its checkpoint and its history."""
         return self.checkpoints_dir / f"{job_id}.log.jsonl"
 
     # ------------------------------------------------------------------ #
@@ -194,16 +194,29 @@ class JobSpool:
         return record
 
     def write_result(self, job_id: str, result: CalibrationResult) -> Path:
-        """Persist a finished job's result (JSON) and history (JSON Lines)."""
-        path = save_result(result, self.result_path(job_id))
-        result.history.to_jsonl(self.history_path(job_id))
+        """Persist a finished job's result, all but its history, which
+        the job's tell log already holds."""
+        path = self.result_path(job_id)
+        record = result_to_dict(dataclasses.replace(result, history=CalibrationHistory()))
+        del record["history"]
+        self._write_json(path, record)
         return path
 
     def read_result(self, job_id: str) -> CalibrationResult:
-        return load_result(self.result_path(job_id))
+        """A finished job's result, its history rebuilt from the tell log
+        (a served run records every tell, so each entry is one record)."""
+        record = json.loads(self.result_path(job_id).read_text())
+        log = self.read_checkpoint(job_id)
+        if log is None:
+            raise ValueError(
+                f"{self.checkpoint_path(job_id)} is missing: this spool predates "
+                "tell logs as the history of served jobs, and is not migrated"
+            )
+        record["history"] = log
+        return result_from_dict(record)
 
     # ------------------------------------------------------------------ #
-    # checkpoints (crash/resume support)
+    # tell logs (history and crash/resume)
     # ------------------------------------------------------------------ #
     def write_checkpoint(self, job_id: str, entries: Sequence[dict[str, Any]]) -> Path:
         """Append tell-log entries to a job's log, in one write."""
@@ -222,10 +235,6 @@ class JobSpool:
         if not path.exists():
             return None
         return _read_jsonl_tolerant(path, "tell log")
-
-    def clear_checkpoint(self, job_id: str) -> None:
-        """Drop a job's tell log (once it is done, or before it restarts)."""
-        self.checkpoint_path(job_id).unlink(missing_ok=True)
 
     # ------------------------------------------------------------------ #
     # plumbing

@@ -237,12 +237,10 @@ class TestServiceCommands:
         assert second["cache_hits"] > 0 and second["evaluations"] == 0
         assert second["best_value"] == first["best_value"]
 
-        # Results are reloadable, with per-evaluation JSONL histories.
+        # Results are reloadable, their histories read from the tell logs.
         result = spool.read_result("job-0001")
         assert result.evaluations == 8
-        from repro.core import CalibrationHistory
-
-        history = CalibrationHistory.from_jsonl(spool.history_path("job-0002"))
+        history = spool.read_result("job-0002").history
         assert len(history) == 8
         assert all(e.cached for e in history)
         assert spool.default_store_path.exists()
@@ -269,10 +267,11 @@ class TestServiceCommands:
         capsys.readouterr()
         assert spool.load("job-0001")["status"] == "done"
 
-    def test_serve_resume_replays_the_tell_log(self, capsys, tmp_path, monkeypatch):
-        """A job killed mid-run (here: its first 4 tells logged, the log
-        never cleared) resumes by replaying the log: it finishes with the
-        uninterrupted job's best and simulates only the missing points."""
+    def test_serve_resume_replays_the_tell_log(self, capsys, tmp_path):
+        """A job killed mid-run (here: a 4-evaluation run of it stands for
+        its first 4 tells) is resumed by the next plain `serve`, which
+        replays the log: it finishes with the uninterrupted job's best and
+        simulates only the missing points."""
         from repro.service import JobSpool
 
         reference_dir = str(tmp_path / "reference")
@@ -284,40 +283,59 @@ class TestServiceCommands:
         assert main(self.SUBMIT + ["--serve-dir", serve_dir]) == 0
         spool = JobSpool(serve_dir)
         spool.update("job-0001", evaluations=4)
-        with monkeypatch.context() as patch:
-            patch.setattr(JobSpool, "clear_checkpoint", lambda self, job_id: None)
-            assert main(["serve", "--serve-dir", serve_dir, "--checkpoint-every", "1"]) == 0
+        assert main(["serve", "--serve-dir", serve_dir]) == 0
         assert len(spool.read_checkpoint("job-0001")) == 4
         spool.update("job-0001", evaluations=8, status="running")
-        assert main(["serve", "--serve-dir", serve_dir, "--checkpoint-every", "1",
-                     "--resume"]) == 0
-        capsys.readouterr()
+        assert main(["serve", "--serve-dir", serve_dir]) == 0
+        out = capsys.readouterr().out
+        assert "store: 8 evaluations, 0 hits / 4 misses" in out
         resumed = spool.load("job-0001")
         assert resumed["status"] == "done"
         assert resumed["best_value"] == reference["best_value"]
         assert len(spool.read_result("job-0001").history) == 8
-        assert spool.read_checkpoint("job-0001") is None  # cleared once done
+        assert len(spool.read_checkpoint("job-0001")) == 8  # kept once done
 
-    def test_tell_log_is_replayed_only_on_resume(self, tmp_path):
-        import argparse
-        import types
+    def test_read_result_rebuilds_the_served_history_from_the_tell_log(self, capsys, tmp_path, monkeypatch):
+        """The tell log is a served job's one per-evaluation record: a
+        finished job leaves its job file, a result without a history and
+        its log, and the history read back equals the in-memory one entry
+        for entry — for a cold job, a warm re-run and a killed-then-resumed
+        job."""
+        import json
 
-        from repro.cli.main import _attach_tell_log
-        from repro.service import JobSpool
+        from repro.core.serialization import evaluation_to_dict
+        from repro.service import CalibrationServer, JobSpool
 
-        spool = JobSpool(tmp_path / "svc")
-        log = [{"seq": 0, "asked": 1, "charged": 1, "unit": [0.5], "value": 1.0}]
-        spool.write_checkpoint("job-0001", log)
-        request = types.SimpleNamespace()
-        _attach_tell_log(spool, "job-0001", request,
-                         argparse.Namespace(checkpoint_every=5, resume=True))
-        assert (request.checkpoint, request.checkpoint_every) == (log, 5)
-        # A run that is not resumed starts a fresh log: a stale one from a
-        # previous incarnation must not be appended to.
-        _attach_tell_log(spool, "job-0001", request,
-                         argparse.Namespace(checkpoint_every=5, resume=False))
-        assert request.checkpoint is None
-        assert spool.read_checkpoint("job-0001") is None
+        served = {}
+        submit = CalibrationServer.submit
+
+        def submitting(self, request, job_id=None):
+            job = submit(self, request, job_id=job_id)
+            served[job.id] = job  # a resumed run replaces the killed one
+            return job
+
+        monkeypatch.setattr(CalibrationServer, "submit", submitting)
+        serve_dir = str(tmp_path / "svc")
+        spool = JobSpool(serve_dir)
+        for _ in range(2):  # cold, then warm on the filled store
+            assert main(self.SUBMIT + ["--serve-dir", serve_dir]) == 0
+            assert main(["serve", "--serve-dir", serve_dir]) == 0
+        assert main(self.SUBMIT + ["--serve-dir", serve_dir, "--seed", "4"]) == 0
+        spool.update("job-0003", evaluations=4)  # killed after 4 tells
+        assert main(["serve", "--serve-dir", serve_dir]) == 0
+        spool.update("job-0003", evaluations=8, status="running")
+        assert main(["serve", "--serve-dir", serve_dir]) == 0
+        capsys.readouterr()
+
+        assert sorted(served) == ["job-0001", "job-0002", "job-0003"]
+        assert all(e.cached for e in served["job-0002"].result.history)
+        for job_id, job in served.items():
+            assert spool.load(job_id)["status"] == "done"
+            assert "history" not in json.loads(spool.result_path(job_id).read_text())
+            assert spool.checkpoint_path(job_id).exists()
+            assert [evaluation_to_dict(e) for e in spool.read_result(job_id).history] == [
+                evaluation_to_dict(e) for e in job.result.history
+            ]
 
     def test_corrupt_tell_log_marks_the_job_failed(self, capsys, tmp_path):
         serve_dir = str(tmp_path / "svc")
@@ -327,7 +345,7 @@ class TestServiceCommands:
 
         spool = JobSpool(serve_dir)
         spool.checkpoint_path("job-0001").write_text('{"seq": 0, "as\n{"seq": 1}\n')
-        assert main(["serve", "--serve-dir", serve_dir, "--resume"]) == 0
+        assert main(["serve", "--serve-dir", serve_dir]) == 0
         capsys.readouterr()
         record = spool.load("job-0001")
         assert record["status"] == "failed" and "corrupt tell log" in record["error"]

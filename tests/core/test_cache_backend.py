@@ -76,6 +76,25 @@ class TestPluggableBackend:
         calibrator.run()
         assert calibrator.cache_hits == 1
 
+    def test_rerun_with_cache_true_starts_from_an_empty_cache(self):
+        """``cache=True`` memoises within one run: a second run() is the
+        fresh calibrator's run again, never free hits on the first's points."""
+        space = make_space()
+
+        def calibrator():
+            return Calibrator(space, lambda v: v["x"] + v["y"], "random",
+                              EvaluationBudget(5), seed=1)
+
+        rerun = calibrator()
+        rerun.run()
+        second = rerun.run()
+        fresh = calibrator().run()
+        assert [(e.values, e.value) for e in second.history] == [
+            (e.values, e.value) for e in fresh.history
+        ]
+        assert second.evaluations == 5
+        assert rerun.cache_hits == 0
+
     def test_failing_function_cancels_the_announced_computation(self, scripted):
         space = make_space()
         backend = RecordingBackend()

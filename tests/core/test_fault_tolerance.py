@@ -207,6 +207,33 @@ class TestOutcomeTypes:
         result = Calibrator(space, lambda v: 1.0, algorithm=scripted(space, [[0.5]])).run()
         assert "failed" not in evaluation_to_dict(result.history[0])
 
+    def test_failed_tell_log_entries_carry_their_diagnosis(self, scripted):
+        """A failed tell-log entry names its failure's kind and error; a
+        clean entry carries neither key, and replay reads past both."""
+        space = make_space(1)
+        calls = {"n": 0}
+
+        def objective(values):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise ValueError("poison")
+            if calls["n"] == 3:
+                time.sleep(5.0)
+            return 1.0
+
+        log = []
+        result = Calibrator(
+            space, objective, algorithm=scripted(space, [[0.1], [0.3], [0.5], [0.7]]),
+            config=RunConfig(failure_policy=FailurePolicy(penalty=1e6), eval_timeout=0.2),
+        ).run(checkpoint_every=1, on_checkpoint=log.extend)
+        assert [(e.get("failure_kind"), e.get("error")) for e in log] == [
+            (None, None),
+            (KIND_DETERMINISTIC, "ValueError: poison"),
+            (KIND_TIMEOUT, "EvaluationTimeout: evaluation exceeded its 0.2s timeout"),
+            (None, None),
+        ]
+        assert [evaluation_from_dict(entry) for entry in log] == result.history.evaluations
+
     def test_failure_policy_validates_on_failure(self):
         with pytest.raises(ValueError):
             FailurePolicy(on_failure="explode")

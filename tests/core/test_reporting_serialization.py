@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     Calibrator,
+    Evaluation,
     EvaluationBudget,
     Parameter,
     ParameterSpace,
@@ -13,7 +14,13 @@ from repro.core import (
     load_result,
     save_result,
 )
-from repro.core.serialization import FORMAT_VERSION, result_from_dict, result_to_dict
+from repro.core.serialization import (
+    FORMAT_VERSION,
+    evaluation_from_dict,
+    evaluation_to_dict,
+    result_from_dict,
+    result_to_dict,
+)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +64,11 @@ class TestSerialization:
         payload["format_version"] = FORMAT_VERSION + 1
         with pytest.raises(ValueError, match="format version"):
             result_from_dict(payload)
+
+    def test_evaluation_dict_roundtrip(self):
+        evaluation = Evaluation(index=3, values={"x": 1.0}, unit=(0.0,), value=2.5,
+                                started_at=0.5, finished_at=0.75, cached=True)
+        assert evaluation_from_dict(evaluation_to_dict(evaluation)) == evaluation
 
 
 class TestReporting:

@@ -7,11 +7,12 @@ mid-lease — lives in ``tests/integration/test_fleet.py``.
 
 import json
 import threading
+import types
 
 import pytest
 
 from repro.core import Calibrator, EvaluationBudget, Parameter, ParameterSpace
-from repro.service import CalibrationRequest, InMemoryStore, JobStatus
+from repro.service import CalibrationRequest, InMemoryStore, JobSpool, JobStatus
 from repro.service.fleet import (
     FleetClient,
     FleetClientError,
@@ -131,6 +132,40 @@ class TestFleetCalibration:
             (e.unit, e.value) for e in serial.history
         ]
         assert len(calls) == 12
+
+    def test_spooled_job_keeps_its_tell_log_as_its_history(self, fleet, tmp_path):
+        """Served through the fleet as by `repro serve`, a finished spooled
+        job leaves its job file, a result without a history and its tell
+        log, from which read_result rebuilds the in-memory history."""
+        import argparse
+
+        from repro.cli.main import _serve_spool, _spool_events
+        from repro.core.serialization import evaluation_to_dict
+
+        store, server, frontend, client = fleet
+        space = make_space()
+        spool = JobSpool(tmp_path / "spool")
+        job_id = spool.submit({})
+        server.on_event = _spool_events(spool)
+        jobs = []
+        submit = server.submit
+
+        def submitting(request, job_id=None):
+            jobs.append(submit(request, job_id=job_id))
+            return jobs[-1]
+
+        server.submit = submitting
+        factory = types.SimpleNamespace(request=lambda spec: make_request(space))
+        _, thread = run_worker_thread(client, store)
+        assert _serve_spool(spool, server, factory, argparse.Namespace(poll=None)) == 1
+        thread.join(timeout=30)
+
+        assert spool.load(job_id)["status"] == "done"
+        assert "history" not in json.loads(spool.result_path(job_id).read_text())
+        assert len(spool.read_checkpoint(job_id)) == 20
+        assert [evaluation_to_dict(e) for e in spool.read_result(job_id).history] == [
+            evaluation_to_dict(e) for e in jobs[0].result.history
+        ]
 
     def test_two_worker_threads_split_the_work_without_duplicates(self, fleet):
         store, server, frontend, client = fleet

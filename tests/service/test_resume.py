@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import Calibrator, EvaluationBudget, Parameter, ParameterSpace
+from repro.core import Calibrator, EvaluationBudget, Parameter, ParameterSpace, save_result
 from repro.service import CalibrationRequest, CalibrationServer, InMemoryStore, JobSpool
 
 
@@ -170,7 +170,7 @@ def trajectory(result):
 
 
 class TestSpoolCheckpoints:
-    def test_checkpoint_roundtrip_and_clear(self, tmp_path):
+    def test_checkpoint_roundtrip(self, tmp_path):
         spool = JobSpool(tmp_path / "spool")
         assert spool.read_checkpoint("job-0001") is None
         first = [{"seq": 0, "asked": 1, "charged": 1, "unit": [0.5], "value": 1.0}]
@@ -185,9 +185,31 @@ class TestSpoolCheckpoints:
         assert path.read_bytes()[: len(first_bytes)] == first_bytes
         assert spool.read_checkpoint("job-0001") == first + second
         assert sorted(p.name for p in spool.checkpoints_dir.iterdir()) == [path.name]
-        spool.clear_checkpoint("job-0001")
-        assert spool.read_checkpoint("job-0001") is None
-        spool.clear_checkpoint("job-0001")  # idempotent
+
+    def test_result_is_written_without_its_history(self, tmp_path):
+        """A finished job's history lives in its tell log alone: the result
+        file leaves it out and read_result rebuilds it from the log."""
+        space = make_space(2)
+        spool = JobSpool(tmp_path / "spool")
+        result = lhs_calibrator(space, bowl(space), 12).run(
+            checkpoint_every=1,
+            on_checkpoint=lambda entries: spool.write_checkpoint("job-0001", entries),
+        )
+        path = spool.write_result("job-0001", result)
+        assert "history" not in json.loads(path.read_text())
+        loaded = spool.read_result("job-0001")
+        assert loaded.history.evaluations == result.history.evaluations
+        assert (loaded.best_value, loaded.evaluations) == (result.best_value, result.evaluations)
+
+    def test_a_spool_without_tell_logs_fails_loudly(self, tmp_path):
+        """A finished job of an older spool has its history in the result
+        file and no tell log: reading it names the missing log instead of
+        returning a result with an empty history."""
+        space = make_space(2)
+        spool = JobSpool(tmp_path / "spool")
+        save_result(lhs_calibrator(space, bowl(space), 6).run(), spool.result_path("job-0001"))
+        with pytest.raises(ValueError, match="job-0001.log.jsonl is missing: this spool predates"):
+            spool.read_result("job-0001")
 
     def test_end_to_end_resume_through_the_log_file(self, tmp_path):
         """A calibrator's tell log appended through the spool and read back
