@@ -134,8 +134,6 @@ def main(argv=None) -> int:
     # Sleeps release the GIL, so threads overlap them even on one core —
     # the right model for external (subprocess / I/O bound) simulators.
     mode = args.mode or ("thread" if latency_ms > 0 else "process")
-    if os.environ.get("REPRO_BENCH_SERIAL") and args.mode is None:
-        mode = "serial"
     budget = lambda: EvaluationBudget(evaluations)  # noqa: E731
     ordered = True if args.ordered else None
 

@@ -78,7 +78,7 @@ def main(argv=None) -> int:
     evaluations = args.evaluations or (16 if args.smoke else 128)
     scale = args.scale or ("tiny" if args.smoke else "calib")
     workers = 2 if args.smoke and args.workers > 2 else args.workers
-    mode = args.mode or ("serial" if os.environ.get("REPRO_BENCH_SERIAL") else "process")
+    mode = args.mode or "process"
 
     scenario = getattr(Scenario, scale)(args.platform).with_icds(tuple(REDUCED_ICD_VALUES))
     problem = CaseStudyProblem.create(scenario, generator=GroundTruthGenerator())

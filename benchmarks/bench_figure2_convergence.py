@@ -1,4 +1,8 @@
-"""Figure 2 — best-so-far absolute simulation error vs calibration time.
+"""Figure 2 — best-so-far absolute simulation error vs calibration cost.
+
+The cost axis is cumulative simulated events, the paper's model of
+calibration time (Section IV.C.4); every algorithm gets the same
+simulated-event budget.
 
 Expected shape (paper, Section IV.C.5): all curves are non-increasing with
 a sharp initial decrease; GRID converges the slowest and to the worst

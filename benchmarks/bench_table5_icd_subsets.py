@@ -3,9 +3,9 @@
 Expected shape (paper, Section IV.C.3): calibrating from a single ICD value
 has the worst worst-case accuracy, two or three diverse ICD values are on
 par with (or better than) using the full ICD grid, and — because every
-calibration gets the same wall-clock budget — using *fewer* ICD values can
-beat using all of them, since each objective evaluation is cheaper and the
-parameter space is explored more thoroughly.
+calibration gets the same simulated-event budget — using *fewer* ICD values
+can beat using all of them, since each objective evaluation is cheaper and
+the parameter space is explored more thoroughly.
 
 Reproduction caveat (see docs/architecture.md, "Reproduction deviations"): the paper's most dramatic
 data point — a 7000% MRE when calibrating from a single extreme ICD value —
@@ -49,7 +49,7 @@ def test_table5_icd_subsets(benchmark, publish, ground_truth_generator):
 
     # The paper's budget argument, which our scaled-down setting amplifies:
     # calibrating with a small, diverse subset beats calibrating with the full
-    # ICD grid under the same wall-clock budget, because each objective
+    # ICD grid under the same simulated-event budget, because each objective
     # evaluation is several times cheaper.
     assert best[2] < full_grid
     assert median[2] < full_grid

@@ -1,10 +1,10 @@
 """Table VI — accuracy vs simulation-time (granularity) trade-off on FCSN.
 
-Expected shape (paper, Section IV.C.4): with a fixed wall-clock calibration
-budget, the coarsest (fastest) simulation granularity yields the best MRE
-for every algorithm, because the calibration can explore the parameter
-space much more thoroughly; simulation time grows as the block and buffer
-sizes shrink.
+Expected shape (paper, Section IV.C.4): with the same simulated-event
+calibration budget, the coarsest (fastest) simulation granularity yields
+the best MRE for every algorithm, because the calibration can explore the
+parameter space much more thoroughly; the simulated events and the
+simulation time grow as the block and buffer sizes shrink.
 """
 
 from conftest import run_once
@@ -22,6 +22,9 @@ def test_table6_speed_accuracy(benchmark, publish, ground_truth_generator):
 
     detail = result.extra["detail"]
     keys = list(detail)  # ordered coarse/fast -> fine/slow
+    events = [detail[k]["events"] for k in keys]
+    # Finer granularity => more simulated events per evaluation, exactly.
+    assert all(events[i] < events[i + 1] for i in range(len(events) - 1))
     sim_times = [detail[k]["avg_sim_time"] for k in keys]
     # Finer granularity => slower simulation (strictly increasing cost).
     assert all(sim_times[i] < sim_times[i + 1] for i in range(len(sim_times) - 1))

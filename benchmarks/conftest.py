@@ -8,8 +8,10 @@ is neither needed nor affordable), print the reproduced table and persist
 it under ``benchmarks/results/`` so the output survives pytest's capture.
 
 Budgets are intentionally small (see docs/architecture.md, "Reproduction
-deviations"); set ``REPRO_BENCH_EVALS`` / ``REPRO_BENCH_SECONDS`` to larger
-values to sharpen the results.
+deviations"); set ``REPRO_BENCH_EVALS`` to a larger value to sharpen the
+results.  Tables V and VI and Figure 2 charge that budget in simulated
+events rather than wall-clock, so their numbers do not depend on the
+machine that runs them.
 """
 
 import os

@@ -5,11 +5,11 @@ The case-study simulator's block size ``B`` and buffer size ``b`` control
 how many discrete events are simulated per job (``O(s/B + s/b)`` for ``s``
 input bytes).  Small values make the simulation slower but more
 fine-grained; large values make it fast but coarse.  The paper's finding
-is that — under a fixed wall-clock calibration budget — the *coarsest*
-granularity gives the best accuracy, because the calibration can explore
-the parameter space much more thoroughly.
+is that — under a fixed calibration budget in simulated events — the
+*coarsest* granularity gives the best accuracy, because the calibration can
+explore the parameter space much more thoroughly.
 
-Run it with:  python examples/speed_accuracy_tradeoff.py [--seconds 12]
+Run it with:  python examples/speed_accuracy_tradeoff.py [--evaluations 250]
 """
 
 import argparse
@@ -24,8 +24,8 @@ from repro.hepsim.groundtruth import GroundTruthGenerator
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seconds", type=float, default=12.0,
-                        help="wall-clock budget per calibration")
+    parser.add_argument("--evaluations", type=int, default=250,
+                        help="budget per calibration, in evaluations at the preset granularity")
     parser.add_argument("--platform", default="FCSN",
                         choices=("SCFN", "FCFN", "SCSN", "FCSN"))
     args = parser.parse_args()
@@ -33,13 +33,13 @@ def main() -> None:
     generator = GroundTruthGenerator()
     result = table6_speed_accuracy(
         platform=args.platform,
-        budget_seconds=args.seconds,
+        budget_evaluations=args.evaluations,
         generator=generator,
     )
     print(result.to_text())
 
     detail = result.extra["detail"]
-    print("\nEvaluations that fit in the budget at each granularity:")
+    print("\nEvaluations that fit in the simulated-event budget at each granularity:")
     for key, cell in detail.items():
         per_algo = ", ".join(
             f"{name}={int(cell[f'{name}_evaluations'])}"

@@ -4,10 +4,13 @@ Every function returns an :class:`~repro.analysis.tables.ExperimentResult`
 whose rows mirror the corresponding table of the paper (or, for Figure 2,
 whose ``extra`` payload carries the per-algorithm convergence series).
 
-All experiments are parameterised by an evaluation or time budget so that
-the benchmark harness can run them at CI-friendly sizes while the examples
-can run them at larger sizes; the defaults can be overridden with the
-``REPRO_BENCH_EVALS`` and ``REPRO_BENCH_SECONDS`` environment variables.
+Every experiment takes one budget, ``budget_evaluations`` (default from the
+``REPRO_BENCH_EVALS`` environment variable, 250).  Where calibrations of
+differently priced scenarios compete (Tables V and VI, Figure 2) the budget
+is charged in simulated events, the paper's cost model (Section IV.C.4):
+``budget_evaluations`` evaluations of the experiment's default scenario buy
+``C`` events, and a scenario whose evaluation simulates ``E`` events gets
+``C // E`` evaluations.  So no result depends on the speed of the machine.
 The budgets are necessarily much smaller than the paper's 6 hours on 40
 cores; docs/architecture.md ("Reproduction deviations") documents the
 scaling and which qualitative conclusions survive it.
@@ -16,14 +19,15 @@ scaling and which qualitative conclusions survive it.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import statistics
 from collections.abc import Sequence
 
-from repro.analysis.figures import render_series
+from repro.analysis.figures import render_series, sample_series
 from repro.analysis.survey import build_survey_dataset, summarize_survey
 from repro.analysis.tables import ExperimentResult
-from repro.core.budget import Budget, EvaluationBudget, TimeBudget
+from repro.core.budget import EvaluationBudget
 from repro.core.metrics import mean_absolute_error, mean_relative_error
 from repro.hepsim.calibration import CaseStudyProblem, build_parameter_space
 from repro.hepsim.groundtruth import GroundTruthGenerator
@@ -39,7 +43,6 @@ from repro.hepsim.units import (
 
 __all__ = [
     "default_evaluation_budget",
-    "default_time_budget",
     "table1_survey",
     "table2_platforms",
     "table3_simulation_accuracy",
@@ -63,11 +66,6 @@ def default_evaluation_budget() -> int:
     return int(os.environ.get("REPRO_BENCH_EVALS", "250"))
 
 
-def default_time_budget() -> float:
-    """Wall-clock calibration budget in seconds (env-overridable)."""
-    return float(os.environ.get("REPRO_BENCH_SECONDS", "8"))
-
-
 def _make_problem(
     platform: str,
     icd_values: Sequence[float],
@@ -76,6 +74,14 @@ def _make_problem(
 ) -> CaseStudyProblem:
     scenario = Scenario.preset(scale, platform, icd_values)
     return CaseStudyProblem.create(scenario, generator=generator)
+
+
+def _events_per_evaluation(scenario: Scenario, generator: GroundTruthGenerator) -> int:
+    """Simulated events in one objective evaluation of ``scenario`` (one
+    run per ICD value).  The count depends on the scenario's structure,
+    not on the parameter values, so one probe run at the true values
+    prices every evaluation."""
+    return HEPSimulator(scenario).run_trace(generator.true_values(scenario)).total_events()
 
 
 # ---------------------------------------------------------------------- #
@@ -242,7 +248,7 @@ def table5_icd_subsets(
     subset_universe: Sequence[float] = REDUCED_ICD_VALUES,
     subset_sizes: Sequence[int] = (1, 2, 3),
     evaluation_icds: Sequence[float] = PAPER_ICD_VALUES,
-    budget_seconds: float | None = None,
+    budget_evaluations: int | None = None,
     seed: int = 1,
     generator: GroundTruthGenerator | None = None,
     scale: str = "calib",
@@ -250,54 +256,43 @@ def table5_icd_subsets(
     """Table V: best / median / worst MRE when calibrating from ICD subsets.
 
     For every subset of the 5-element ICD universe with the given sizes the
-    calibration uses *only* that subset's ground truth (and the same time
-    budget, so smaller subsets afford more simulator invocations); the
+    calibration uses *only* that subset's ground truth (and the same
+    simulated-event budget, ``budget_evaluations`` evaluations of the whole
+    universe, so smaller subsets afford more simulator invocations); the
     resulting calibration is then evaluated against the full ICD grid.
     """
-    budget_seconds = budget_seconds or default_time_budget()
+    budget_evaluations = budget_evaluations or default_evaluation_budget()
     generator = generator or GroundTruthGenerator()
+    budget = budget_evaluations * _events_per_evaluation(
+        Scenario.preset(scale, platform, subset_universe), generator
+    )
 
     # The full-grid problem is used to *evaluate* every calibration.
     evaluation_problem = _make_problem(platform, evaluation_icds, generator, scale)
 
-    def calibrate_on(icds: Sequence[float]) -> float:
+    def calibrate_on(icds: Sequence[float]) -> tuple[tuple[float, ...], float, int]:
         problem = _make_problem(platform, icds, generator, scale)
+        evaluations = max(1, budget // _events_per_evaluation(problem.scenario, generator))
         result = problem.calibrate(
-            algorithm=algorithm, budget=TimeBudget(budget_seconds), seed=seed
+            algorithm=algorithm, budget=EvaluationBudget(evaluations), seed=seed
         )
-        return evaluation_problem.evaluate(problem.calibrated_values(result))
+        score = evaluation_problem.evaluate(problem.calibrated_values(result))
+        return tuple(icds), score, result.evaluations
 
     rows = []
-    detail: dict[str, list[tuple[tuple[float, ...], float]]] = {}
+    detail: dict[str, list[tuple[tuple[float, ...], float, int]]] = {}
     for size in subset_sizes:
         subsets = list(itertools.combinations(subset_universe, size))
-        scores = []
-        for subset in subsets:
-            scores.append((subset, calibrate_on(subset)))
-        values = [s for _, s in scores]
-        rows.append(
-            [
-                size,
-                len(subsets),
-                f"{min(values):.2f}%",
-                f"{statistics.median(values):.2f}%",
-                f"{max(values):.2f}%",
-            ]
-        )
+        scores = [calibrate_on(subset) for subset in subsets]
+        values = [score for _, score, _ in scores]
+        summary = (min(values), statistics.median(values), max(values))
+        rows.append([size, len(subsets)] + [f"{value:.2f}%" for value in summary])
         detail[str(size)] = scores
 
     # Last row: calibrating with every ICD value of the evaluation grid.
-    full_score = calibrate_on(tuple(evaluation_icds))
-    rows.append(
-        [
-            len(evaluation_icds),
-            1,
-            f"{full_score:.2f}%",
-            f"{full_score:.2f}%",
-            f"{full_score:.2f}%",
-        ]
-    )
-    detail["full"] = [(tuple(evaluation_icds), full_score)]
+    full = calibrate_on(evaluation_icds)
+    rows.append([len(evaluation_icds), 1] + [f"{full[1]:.2f}%"] * 3)
+    detail["full"] = [full]
 
     return ExperimentResult(
         name="table5",
@@ -305,7 +300,8 @@ def table5_icd_subsets(
         headers=["# ICD values", "# Subsets", "Best", "Median", "Worst"],
         rows=rows,
         notes=(
-            f"Each calibration gets the same wall-clock budget of {budget_seconds:g} s; "
+            f"Each calibration gets the same budget of {budget:,} simulated events "
+            f"({budget_evaluations} evaluations with all of {list(subset_universe)}); "
             "accuracy is always evaluated against the full ICD grid."
         ),
         extra={"detail": detail},
@@ -329,41 +325,44 @@ def table6_speed_accuracy(
     algorithms: Sequence[str] = ("gdfix", "grid", "random"),
     granularities: Sequence[tuple[float, float]] = DEFAULT_GRANULARITIES,
     icd_values: Sequence[float] = REDUCED_ICD_VALUES,
-    budget_seconds: float | None = None,
+    budget_evaluations: int | None = None,
     seed: int = 1,
     generator: GroundTruthGenerator | None = None,
     scale: str = "calib",
 ) -> ExperimentResult:
-    """Table VI: MRE vs average simulation time for different granularities.
+    """Table VI: MRE vs simulation cost for different granularities.
 
     For each (block size, buffer size) pair the simulator is slower or
     faster (the number of simulated events per job is O(s/B + s/b)); every
-    calibration gets the same wall-clock budget, so coarser granularities
-    afford many more invocations — the paper's observation is that the
-    coarsest/fastest granularity yields the *best* accuracy.
+    calibration gets the same simulated-event budget, ``budget_evaluations``
+    evaluations at the scenario's preset granularity, so coarser
+    granularities afford many more invocations — the paper's observation
+    is that the coarsest/fastest granularity yields the *best* accuracy.
     """
-    budget_seconds = budget_seconds or default_time_budget()
+    budget_evaluations = budget_evaluations or default_evaluation_budget()
     generator = generator or GroundTruthGenerator()
+    reference = Scenario.preset(scale, platform, icd_values)
+    budget = budget_evaluations * _events_per_evaluation(reference, generator)
 
     rows = []
     detail: dict[str, dict[str, float]] = {}
     for block_size, buffer_size in granularities:
-        scenario = Scenario.preset(scale, platform, icd_values).with_granularity(
-            block_size, buffer_size
-        )
+        scenario = reference.with_granularity(block_size, buffer_size)
         problem = CaseStudyProblem.create(scenario, generator=generator)
 
-        # Measure the average wall-clock time of one simulator invocation
-        # (one run per ICD value) at this granularity.
-        simulator = HEPSimulator(scenario)
-        probe_trace = simulator.run_trace(generator.true_values(scenario))
+        # Price one simulator invocation (one run per ICD value) at this
+        # granularity: its simulated events, and its wall-clock for information.
+        probe_trace = HEPSimulator(scenario).run_trace(generator.true_values(scenario))
+        events = probe_trace.total_events()
         avg_sim_time = probe_trace.total_simulation_wall_time()
 
-        row: list[object] = [f"B={block_size:.0e}, b={buffer_size:.0e}", format_duration(avg_sim_time)]
-        cell: dict[str, float] = {"avg_sim_time": avg_sim_time}
+        row: list[object] = [
+            f"B={block_size:.0e}, b={buffer_size:.0e}", f"{events:,}", format_duration(avg_sim_time)
+        ]
+        cell: dict[str, float] = {"events": events, "avg_sim_time": avg_sim_time}
         for algorithm in algorithms:
             result = problem.calibrate(
-                algorithm=algorithm, budget=TimeBudget(budget_seconds), seed=seed
+                algorithm=algorithm, budget=EvaluationBudget(max(1, budget // events)), seed=seed
             )
             row.append(f"{result.best_value:.2f}%")
             cell[algorithm] = result.best_value
@@ -373,66 +372,68 @@ def table6_speed_accuracy(
 
     return ExperimentResult(
         name="table6",
-        title=f"MRE vs. average simulation time for platform {platform}",
-        headers=["Granularity", "Sim. time"] + [a.upper() for a in algorithms],
+        title=f"MRE vs. simulation cost for platform {platform}",
+        headers=["Granularity", "Events", "Sim. time"] + [a.upper() for a in algorithms],
         rows=rows,
         notes=(
-            f"Every calibration gets the same wall-clock budget of {budget_seconds:g} s; "
-            "'Sim. time' is the wall-clock cost of one full objective evaluation "
-            "(all ICD values) at that granularity."
+            f"Every calibration gets the same budget of {budget:,} simulated events "
+            f"({budget_evaluations} evaluations at the preset granularity); 'Events' and "
+            "'Sim. time' are the simulated events and the wall-clock (informational) of one "
+            "full objective evaluation (all ICD values) at that granularity."
         ),
         extra={"detail": detail},
     )
 
 
 # ---------------------------------------------------------------------- #
-# Figure 2 — absolute error vs calibration time
+# Figure 2 — absolute error vs calibration cost
 # ---------------------------------------------------------------------- #
 def figure2_convergence(
     platform: str = "FCSN",
     algorithms: Sequence[str] = ("grid", "gdfix", "random"),
     icd_values: Sequence[float] = REDUCED_ICD_VALUES,
-    budget_seconds: float | None = None,
+    budget_evaluations: int | None = None,
     seed: int = 1,
     samples: int = 10,
     generator: GroundTruthGenerator | None = None,
     scale: str = "calib",
 ) -> ExperimentResult:
-    """Figure 2: best-so-far mean absolute simulation error vs wall-clock time."""
-    budget_seconds = budget_seconds or default_time_budget()
+    """Figure 2: best-so-far mean absolute simulation error vs cumulative
+    simulated events, the paper's measure of calibration time.  Each
+    algorithm's wall-clock is kept, for information, in ``extra["elapsed"]``."""
+    budget_evaluations = budget_evaluations or default_evaluation_budget()
     generator = generator or GroundTruthGenerator()
+    scenario = Scenario.preset(scale, platform, icd_values)
+    per_evaluation = _events_per_evaluation(scenario, generator)
+    budget = budget_evaluations * per_evaluation
 
-    series: dict[str, list[tuple[float, float]]] = {}
+    series: dict[str, list[tuple[int, float]]] = {}
+    elapsed: dict[str, float] = {}
     for algorithm in algorithms:
-        scenario = Scenario.preset(scale, platform, icd_values)
         problem = CaseStudyProblem.create(scenario, generator=generator, metric="mae")
         result = problem.calibrate(
-            algorithm=algorithm, budget=TimeBudget(budget_seconds), seed=seed
+            algorithm=algorithm, budget=EvaluationBudget(budget_evaluations), seed=seed
         )
-        series[algorithm] = result.history.best_over_time()
+        # A cache hit simulates nothing, so it costs no events.
+        events = itertools.accumulate(0 if e.cached else per_evaluation for e in result.history)
+        series[algorithm] = list(zip(events, result.history.best_so_far(), strict=True))
+        elapsed[algorithm] = result.elapsed
 
-    # Tabulate the best-so-far error at evenly spaced times.
-    times = [budget_seconds * (i + 1) / samples for i in range(samples)]
-    rows = []
-    for t in times:
-        row: list[object] = [f"{t:.1f} s"]
-        for algorithm in algorithms:
-            best = None
-            for when, value in series[algorithm]:
-                if when <= t:
-                    best = value
-                else:
-                    break
-            row.append("-" if best is None else f"{best:.2f}")
-        rows.append(row)
+    # Tabulate the best-so-far error at evenly spaced event marks.
+    marks = [budget * (i + 1) // samples for i in range(samples)]
+    sampled = [sample_series(series[algorithm], marks) for algorithm in algorithms]
+    rows = [
+        [f"{mark:,}"] + ["-" if math.isnan(best[i]) else f"{best[i]:.2f}" for best in sampled]
+        for i, mark in enumerate(marks)
+    ]
 
     return ExperimentResult(
         name="figure2",
-        title=f"Mean absolute simulation error vs. calibration time ({platform})",
-        headers=["Elapsed"] + [a.upper() for a in algorithms],
+        title=f"Mean absolute simulation error vs. simulated events ({platform})",
+        headers=["Events"] + [a.upper() for a in algorithms],
         rows=rows,
         notes=render_series(series),
-        extra={"series": series},
+        extra={"series": series, "elapsed": elapsed},
     )
 
 

@@ -16,8 +16,7 @@ them alongside the paper's own tables:
   noisy; the simulator is deterministic);
 * :func:`parallel_scaling_experiment` — the paper evaluates candidates on
   a 40-core node; this experiment measures how the number of parallel
-  workers changes the number of evaluations (and the accuracy) affordable
-  within a fixed wall-clock budget;
+  workers changes the wall-clock of a fixed evaluation budget;
 * :func:`service_throughput_experiment` — the calibration service keeps a
   shared evaluation store across jobs (:mod:`repro.service`); this
   experiment submits the same calibration twice and measures how much of
@@ -33,16 +32,11 @@ reproductions in :mod:`repro.analysis.experiments`.
 from __future__ import annotations
 
 import dataclasses
-import os
 from collections.abc import Sequence
 
-from repro.analysis.experiments import (
-    default_evaluation_budget,
-    default_time_budget,
-    _make_problem,
-)
+from repro.analysis.experiments import _make_problem, default_evaluation_budget
 from repro.analysis.tables import ExperimentResult
-from repro.core.budget import EvaluationBudget, TimeBudget
+from repro.core.budget import EvaluationBudget
 from repro.core.parallel import BatchCalibrator
 from repro.hepsim.calibration import CaseStudyProblem
 from repro.hepsim.generalization import generalization_study
@@ -221,31 +215,31 @@ def parallel_scaling_experiment(
     worker_counts: Sequence[int] = (1, 2, 4),
     sampler: str = "lhs",
     icd_values: Sequence[float] = REDUCED_ICD_VALUES,
-    budget_seconds: float | None = None,
+    budget_evaluations: int | None = None,
     seed: int = 1,
     generator: GroundTruthGenerator | None = None,
     scale: str = "calib",
-    mode: str | None = None,
+    mode: str = "process",
 ) -> ExperimentResult:
-    """Fixed wall-clock budget, varying number of parallel workers.
+    """Fixed evaluation budget, varying number of parallel workers.
 
-    More workers evaluate more candidates within the same time bound ``T``,
-    which is the mechanism by which the paper's protocol benefits from its
-    40-core node.  ``mode`` defaults to ``"process"`` (one simulator per
-    worker process) and can be forced to ``"serial"`` via the
-    ``REPRO_BENCH_SERIAL`` environment variable for constrained CI runs.
-    ``sampler`` names the space-filling design (``"uniform"``, ``"lhs"`` or
-    ``"sobol"``) the batch driver draws its candidates from.
+    Under an evaluation budget the batch driver's history does not depend
+    on the worker count, so every row reaches the same evaluations and the
+    same best MRE; only the elapsed wall-clock falls as workers are added,
+    which is how the paper's protocol benefits from its 40-core node.
+    ``mode`` is the pool's evaluator mode for more than one worker
+    (``"process"``: one simulator per worker process; ``"serial"`` on
+    machines with nothing to scale onto).  ``sampler`` names the
+    space-filling design (``"uniform"``, ``"lhs"`` or ``"sobol"``) the
+    batch driver draws its candidates from.
     """
     algorithm = _SAMPLER_ALGORITHMS.get(sampler.lower())
     if algorithm is None:
         raise ValueError(
             f"unknown sampler {sampler!r}; valid choices: {sorted(_SAMPLER_ALGORITHMS)}"
         )
-    budget_seconds = budget_seconds or default_time_budget()
+    budget_evaluations = budget_evaluations or default_evaluation_budget()
     generator = generator or GroundTruthGenerator()
-    if mode is None:
-        mode = "serial" if os.environ.get("REPRO_BENCH_SERIAL") else "process"
     problem = _make_problem(platform, icd_values, generator, scale)
 
     rows = []
@@ -257,7 +251,7 @@ def parallel_scaling_experiment(
             algorithm=algorithm,
             workers=workers,
             mode=mode if workers > 1 else "serial",
-            budget=TimeBudget(budget_seconds),
+            budget=EvaluationBudget(budget_evaluations),
             seed=seed,
         )
         result = calibrator.run()
@@ -272,15 +266,16 @@ def parallel_scaling_experiment(
         detail[str(workers)] = {
             "evaluations": float(result.evaluations),
             "best": result.best_value,
+            "elapsed": result.elapsed,
         }
     return ExperimentResult(
         name="parallel_scaling",
-        title=f"Parallel candidate evaluation under a fixed time budget ({platform})",
+        title=f"Parallel candidate evaluation under a fixed evaluation budget ({platform})",
         headers=["Workers", "Evaluations", "Best MRE", "Elapsed"],
         rows=rows,
         notes=(
-            f"Every run gets the same wall-clock budget of {budget_seconds:g} s; more workers "
-            "should complete more evaluations and therefore reach a lower (or equal) MRE."
+            f"Every run gets the same budget of {budget_evaluations} evaluations and draws the "
+            "same candidates; more workers should only shorten the elapsed wall-clock."
         ),
         extra=detail,
     )

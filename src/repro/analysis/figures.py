@@ -10,12 +10,11 @@ __all__ = ["render_series", "sample_series"]
 def sample_series(
     series: Sequence[tuple[float, float]], times: Sequence[float]
 ) -> list[float]:
-    """Sample a best-so-far step function at the given times.
+    """Sample a best-so-far step function at the given abscissae.
 
-    ``series`` is a list of (time, best value) points as produced by
-    :meth:`repro.core.history.CalibrationHistory.best_over_time`; the value
-    at time ``t`` is the last best value achieved at or before ``t``
-    (``nan`` before the first evaluation completed).
+    ``series`` is a list of (cumulative simulated events, best value)
+    points; the value at ``t`` is the last best value achieved at or
+    before ``t`` (``nan`` before the first evaluation completed).
     """
     sampled: list[float] = []
     for t in times:
@@ -36,8 +35,9 @@ def render_series(
 ) -> str:
     """Render several best-so-far curves as an ASCII plot.
 
-    The x axis is wall-clock time (seconds), the y axis the objective value
-    (e.g. mean absolute simulation error), both linear, as in Figure 2.
+    The x axis is the cumulative number of simulated events, the y axis the
+    objective value (e.g. mean absolute simulation error), both linear, as
+    in Figure 2.
     """
     if not named_series:
         raise ValueError("nothing to plot")
@@ -66,7 +66,7 @@ def render_series(
     for row in grid[1:-1]:
         lines.append(" " * 10 + " |" + "".join(row))
     lines.append(f"{0.0:10.1f} +" + "".join(grid[-1]))
-    lines.append(" " * 12 + "0" + " " * (width - 8) + f"{max_time:.0f} s")
+    lines.append(" " * 12 + "0" + f"{max_time:,.0f} events".rjust(width - 1))
     legend = "   ".join(f"{marker} = {name}" for name, marker in markers.items())
     lines.append("  " + legend)
     return "\n".join(lines)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 import time
 from pathlib import Path
@@ -532,40 +533,23 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         table6_speed_accuracy,
     )
 
-    registry: dict[str, Callable[[], object]] = {
-        "table1": table1_survey,
-        "table2": table2_platforms,
-        "table3": lambda: table3_simulation_accuracy(
-            budget_evaluations=args.evaluations, scale=args.scale, seed=args.seed
-        ),
-        "table4": lambda: table4_calibrated_parameters(
-            budget_evaluations=args.evaluations, scale=args.scale, seed=args.seed
-        ),
-        "table5": lambda: table5_icd_subsets(
-            budget_seconds=args.seconds, scale=args.scale, seed=args.seed
-        ),
-        "table6": lambda: table6_speed_accuracy(
-            budget_seconds=args.seconds, scale=args.scale, seed=args.seed
-        ),
-        "figure2": lambda: figure2_convergence(
-            budget_seconds=args.seconds, scale=args.scale, seed=args.seed
-        ),
-        "generalization": lambda: generalization_experiment(
-            budget_evaluations=args.evaluations, scale=args.scale, seed=args.seed
-        ),
-        "metrics": lambda: ablation_accuracy_metrics(
-            budget_evaluations=args.evaluations, scale=args.scale, seed=args.seed
-        ),
-        "noise": lambda: ablation_reference_noise(
-            budget_evaluations=args.evaluations, scale=args.scale, seed=args.seed
-        ),
-        "parallel": lambda: parallel_scaling_experiment(
-            budget_seconds=args.seconds, scale=args.scale, seed=args.seed
-        ),
-        "service": lambda: service_throughput_experiment(
-            budget_evaluations=args.evaluations, scale=args.scale, seed=args.seed
-        ),
+    budgeted = {
+        "table3": table3_simulation_accuracy,
+        "table4": table4_calibrated_parameters,
+        "table5": table5_icd_subsets,
+        "table6": table6_speed_accuracy,
+        "figure2": figure2_convergence,
+        "generalization": generalization_experiment,
+        "metrics": ablation_accuracy_metrics,
+        "noise": ablation_reference_noise,
+        "parallel": parallel_scaling_experiment,
+        "service": service_throughput_experiment,
     }
+    registry: dict[str, Callable[[], object]] = {"table1": table1_survey, "table2": table2_platforms}
+    for name, experiment in budgeted.items():
+        registry[name] = functools.partial(
+            experiment, budget_evaluations=args.evaluations, scale=args.scale, seed=args.seed
+        )
     names = list(registry) if args.name == "all" else [args.name]
     unknown = [n for n in names if n not in registry]
     if unknown:
@@ -752,8 +736,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", parents=[common], help="reproduce a table/figure or extension study")
     p_exp.add_argument("name", help="table1..table6, figure2, generalization, metrics, noise, "
                                     "parallel, service, or 'all'")
-    p_exp.add_argument("--evaluations", type=int, default=None)
-    p_exp.add_argument("--seconds", type=float, default=None)
+    p_exp.add_argument("--evaluations", type=int, default=None,
+                       help="calibration budget; tables V/VI and figure 2 charge it in "
+                            "simulated events (default: $REPRO_BENCH_EVALS or 250)")
     p_exp.set_defaults(func=cmd_experiment)
 
     p_sub = sub.add_parser("submit", parents=[common],

@@ -68,6 +68,11 @@ class ExecutionTrace:
         """Sum of the recorded wall-clock simulation times (seconds)."""
         return sum(s.get("wall_time", 0.0) for s in self._stats.values())
 
+    def total_events(self) -> int:
+        """Sum of the recorded simulated-event counts: the execution's cost
+        in the paper's model, O(s/B + s/b) per job."""
+        return int(sum(s.get("events", 0.0) for s in self._stats.values()))
+
     # ------------------------------------------------------------------ #
     # aggregate metrics
     # ------------------------------------------------------------------ #

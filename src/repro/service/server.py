@@ -72,7 +72,9 @@ class CalibrationServer:
         Size of the worker pool (concurrent jobs).
     on_event:
         Optional callback invoked as ``on_event(job, event)`` for every
-        progress event of every job.
+        progress event of every job.  What it raises is ignored, except
+        on a ``checkpoint`` event: a tell log that cannot be written fails
+        the job.
     progress_every:
         Emit a ``progress`` event every this many objective evaluations of
         a job (0 disables progress events).
@@ -273,14 +275,17 @@ class CalibrationServer:
                 def on_checkpoint(entries):
                     # Delivered to subscribers only (store=False): the log
                     # grows with the run and must not accumulate on the
-                    # job for the server's lifetime.
-                    self._emit(
-                        job,
+                    # job for the server's lifetime.  Not swallowed as
+                    # ``_emit`` does: the subscriber writes the job's one
+                    # record, so a failed append fails the job.
+                    event = job.emit(
                         "checkpoint",
                         f"{job.id}: {len(entries)} more tells logged",
                         store=False,
                         entries=entries,
                     )
+                    if self.on_event is not None:
+                        self.on_event(job, event)
 
             result = self._execute(job, objective, cache, on_checkpoint)
         except Exception as exc:

@@ -68,7 +68,7 @@ class TestParallelScalingExperiment:
     def test_serial_mode_counts_evaluations(self, generator):
         result = parallel_scaling_experiment(
             platform="FCSN", worker_counts=(1, 2), sampler="lhs",
-            icd_values=ICDS, budget_seconds=1.0, seed=1,
+            icd_values=ICDS, budget_evaluations=12, seed=1,
             generator=generator, scale="tiny", mode="serial",
         )
         assert len(result.rows) == 2

@@ -175,6 +175,12 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit):
             main(["experiment", "table99"])
 
+    def test_experiments_take_no_time_budget(self):
+        # Every experiment's budget is --evaluations, charged in simulated
+        # events where scenarios of different cost compete.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiment", "table6", "--seconds", "1"])
+
 
 class TestCalibrateReportAndSave:
     def test_report_and_save_options(self, capsys, tmp_path):
@@ -349,6 +355,30 @@ class TestServiceCommands:
         capsys.readouterr()
         record = spool.load("job-0001")
         assert record["status"] == "failed" and "corrupt tell log" in record["error"]
+
+    def test_a_failed_tell_log_append_fails_the_job(self, capsys, tmp_path, monkeypatch):
+        """The tell log is the job's one record: a job whose log cannot be
+        appended to ends failed, not done with a short history."""
+        from repro.service import JobSpool
+
+        write_checkpoint = JobSpool.write_checkpoint
+        calls = []
+
+        def disk_full_on_the_third_append(self, job_id, entries):
+            calls.append(job_id)
+            if len(calls) == 3:
+                raise OSError(28, "No space left on device")
+            write_checkpoint(self, job_id, entries)
+
+        monkeypatch.setattr(JobSpool, "write_checkpoint", disk_full_on_the_third_append)
+        serve_dir = str(tmp_path / "svc")
+        assert main(self.SUBMIT + ["--serve-dir", serve_dir]) == 0
+        assert main(["serve", "--serve-dir", serve_dir]) == 0
+        capsys.readouterr()
+        record = JobSpool(serve_dir).load("job-0001")
+        assert record["status"] == "failed"
+        assert "OSError" in record["error"] and "No space left on device" in record["error"]
+        assert len(calls) == 3  # the run stopped at the failed append
 
     def test_duplicate_explicit_job_id_is_rejected(self, tmp_path):
         from repro.service import JobSpool
