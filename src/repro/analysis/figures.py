@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 __all__ = ["render_series", "sample_series"]
@@ -35,16 +36,18 @@ def render_series(
 ) -> str:
     """Render several best-so-far curves as an ASCII plot.
 
-    The x axis is the cumulative number of simulated events, the y axis the
-    objective value (e.g. mean absolute simulation error), both linear, as
-    in Figure 2.
+    The x axis is the cumulative number of simulated events, as in Figure
+    2; the y axis the objective value on a log scale, so one huge early
+    value (a grid's first corner) cannot flatten the other curves.
     """
     if not named_series:
         raise ValueError("nothing to plot")
     max_time = max((s[-1][0] for s in named_series.values() if s), default=0.0)
-    max_value = max((max(v for _, v in s) for s in named_series.values() if s), default=0.0)
-    if max_time <= 0 or max_value <= 0:
+    positive = [v for s in named_series.values() for _, v in s if v > 0]
+    if max_time <= 0 or not positive:
         return "(empty figure: no completed evaluations)"
+    top, bottom = max(positive), min(positive)
+    span = math.log(top / bottom) or 1.0  # a single value: the bottom row
 
     grid = [[" "] * width for _ in range(height)]
     markers = {}
@@ -58,14 +61,14 @@ def render_series(
         for x, value in enumerate(values):
             if value != value:  # NaN: nothing evaluated yet
                 continue
-            y = int(round((value / max_value) * (height - 1)))
+            y = int(round(math.log(value / bottom) / span * (height - 1))) if value > 0 else 0
             y = height - 1 - min(max(y, 0), height - 1)
             grid[y][x] = marker
 
-    lines = [f"{max_value:10.1f} +" + "".join(grid[0])]
+    lines = [f"{top:10.4g} +" + "".join(grid[0])]
     for row in grid[1:-1]:
         lines.append(" " * 10 + " |" + "".join(row))
-    lines.append(f"{0.0:10.1f} +" + "".join(grid[-1]))
+    lines.append(f"{bottom:10.4g} +" + "".join(grid[-1]))
     lines.append(" " * 12 + "0" + f"{max_time:,.0f} events".rjust(width - 1))
     legend = "   ".join(f"{marker} = {name}" for name, marker in markers.items())
     lines.append("  " + legend)

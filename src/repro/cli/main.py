@@ -62,12 +62,13 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    """Build the calibrate command's run configuration from its flags,
-    rejecting (``ValueError``) a flag the configuration would silently
-    ignore.  No fault flag gives ``RunConfig()``, which keeps every
-    trajectory byte-identical to a fault-tolerance-unaware run; ``--store``
-    turns on cache-hit replay."""
-    if args.max_pending is not None and not args.use_async:
+    """Build the run configuration of ``calibrate`` or ``submit`` from its
+    flags, rejecting (``ValueError``) a flag the configuration would
+    silently ignore.  No fault flag gives ``RunConfig()``, which keeps
+    every trajectory byte-identical to a fault-tolerance-unaware run;
+    ``calibrate --store`` turns on cache-hit replay (a served job always
+    replays)."""
+    if getattr(args, "max_pending", None) is not None and not args.use_async:
         raise ValueError("--max-pending needs --async")
     if args.retries < 0:
         raise ValueError(f"--retries must be at least 0, not {args.retries}")
@@ -84,7 +85,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         retry_policy=RetryPolicy(max_attempts=args.retries + 1) if args.retries > 0 else None,
         failure_policy=failure_policy,
         eval_timeout=args.eval_timeout,
-        replay_cache_hits=args.store is not None,
+        replay_cache_hits=getattr(args, "store", None) is not None,
     )
 
 
@@ -213,6 +214,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         "evaluations": args.evaluations,
         "seconds": args.seconds,
         "seed": args.seed,
+        "config": args.run_config.to_dict(),
     }
     if args.url:
         from repro.service.fleet import FleetClient
@@ -337,8 +339,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
         def status_view():
             live = {record["id"]: record for record in server.snapshot()}
-            merged = [live.get(record.get("id"), record) for record in spool.statuses()]
-            return merged
+            return [live.get(record.get("id"), record) for record in spool.statuses()]
 
         try:
             frontend = FleetFrontend(
@@ -394,7 +395,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
             poll=args.poll,
             fault=fault,
             stats_path=args.stats,
-            max_eval_attempts=args.max_eval_attempts,
         )
         _log.info("worker %s pulling from %s (store %s)", worker.owner, args.url, args.store)
         try:
@@ -676,7 +676,29 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--icds", default=None, help="comma-separated ICD values (default: scenario grid)")
     common.add_argument("--seed", type=int, default=1)
 
-    p_cal = sub.add_parser("calibrate", parents=[common], help="calibrate the case-study simulator")
+    # The run configuration's fault flags: a served job carries them too.
+    faults = argparse.ArgumentParser(add_help=False)
+    faults.add_argument("--retries", type=int, default=0, metavar="N",
+                        help="retry each failed evaluation up to N times with "
+                             "seeded exponential backoff before giving up "
+                             "(default: 0, no fault-tolerance layer)")
+    faults.add_argument("--eval-timeout", type=float, default=None, metavar="SECONDS",
+                        help="kill any single evaluation exceeding this "
+                             "wall-clock bound and treat it as a failure")
+    faults.add_argument("--on-failure", default=None, choices=["raise", "penalty"],
+                        help="what a failed evaluation becomes: 'penalty' "
+                             "records a large penalty value and continues, "
+                             "'raise' quarantines the point and aborts "
+                             "(default: no failure policy — errors propagate)")
+    faults.add_argument("--penalty", type=float, default=None, metavar="X",
+                        help="objective value recorded for failed evaluations "
+                             "under --on-failure penalty (default: 1e6)")
+    faults.add_argument("--max-failure-rate", type=float, default=None, metavar="R",
+                        help="abort the run early (circuit breaker) once the "
+                             "failure rate exceeds R in [0, 1]")
+
+    p_cal = sub.add_parser("calibrate", parents=[common, faults],
+                           help="calibrate the case-study simulator")
     p_cal.add_argument("--algorithm", default="random")
     p_cal.add_argument("--metric", default="mre", choices=sorted(METRICS))
     p_cal.add_argument("--evaluations", type=int, default=200, help="evaluation budget")
@@ -705,24 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write per-evaluation spans (JSON Lines) to PATH — one "
                             "record per ask/dispatch/simulate/tell step, with "
                             "parent/child span ids")
-    p_cal.add_argument("--retries", type=int, default=0, metavar="N",
-                       help="retry each failed evaluation up to N times with "
-                            "seeded exponential backoff before giving up "
-                            "(default: 0, no fault-tolerance layer)")
-    p_cal.add_argument("--eval-timeout", type=float, default=None, metavar="SECONDS",
-                       help="kill any single evaluation exceeding this "
-                            "wall-clock bound and treat it as a failure")
-    p_cal.add_argument("--on-failure", default=None, choices=["raise", "penalty"],
-                       help="what a failed evaluation becomes: 'penalty' "
-                            "records a large penalty value and continues, "
-                            "'raise' quarantines the point and aborts "
-                            "(default: no failure policy — errors propagate)")
-    p_cal.add_argument("--penalty", type=float, default=None, metavar="X",
-                       help="objective value recorded for failed evaluations "
-                            "under --on-failure penalty (default: 1e6)")
-    p_cal.add_argument("--max-failure-rate", type=float, default=None, metavar="R",
-                       help="abort the run early (circuit breaker) once the "
-                            "failure rate exceeds R in [0, 1]")
     p_cal.add_argument("--store", default=None, metavar="PATH",
                        help="back the run's cache with a persistent evaluation "
                             "store (.jsonl or .db/.sqlite), reusing simulations "
@@ -741,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "simulated events (default: $REPRO_BENCH_EVALS or 250)")
     p_exp.set_defaults(func=cmd_experiment)
 
-    p_sub = sub.add_parser("submit", parents=[common],
+    p_sub = sub.add_parser("submit", parents=[common, faults],
                            help="queue a calibration job for the service")
     p_sub.add_argument("--serve-dir", default="service", metavar="DIR",
                        help="service spool directory (created if missing)")
@@ -801,7 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lease-owner identity (default: worker-<pid>-<random>)")
     p_wrk.add_argument("--lease-ttl", type=float, default=None, metavar="SECONDS",
                        help="how long an unpublished claim blocks other workers "
-                            "(default: 300s; lower it for fail-over tests)")
+                            "(default: 300s; lower it for fail-over tests); a "
+                            "job whose hard deadline is not below it is refused")
     p_wrk.add_argument("--poll", type=float, default=0.5, metavar="SECONDS",
                        help="task long-poll duration (default: 0.5s)")
     p_wrk.add_argument("--max-tasks", type=int, default=None, metavar="N",
@@ -829,9 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="how long a --fault-hang-on-eval evaluation blocks "
                             "(default: 3600)")
-    p_wrk.add_argument("--max-eval-attempts", type=int, default=3, metavar="N",
-                       help="transient-failure attempts per point before this "
-                            "worker quarantines it in the store (default: 3)")
     p_wrk.set_defaults(func=cmd_worker)
 
     p_sta = sub.add_parser("status", parents=[verbosity],
@@ -883,11 +885,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func is cmd_calibrate:
+    if args.func in (cmd_calibrate, cmd_submit):
         try:
             args.run_config = _run_config(args)
         except ValueError as exc:
-            parser.error(f"calibrate: {exc}")
+            parser.error(f"{args.command}: {exc}")
     configure_logging(getattr(args, "verbose", 0) - getattr(args, "quiet", 0))
     return args.func(args)
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Callable, Collection, Mapping, Sequence
 from concurrent.futures import Future
 from typing import TYPE_CHECKING, Any
 
@@ -109,10 +109,10 @@ _CLAIMED = Claim(Claim.CLAIMED)
 class RunConfig:
     """How one run settles failures and charges cache hits.
 
-    The same value configures every driver (serial, batch, async, fleet)
-    and the local evaluator pool, so two drivers given one
-    ``RunConfig`` apply one evaluation contract.  The default leaves
-    every code path byte-identical to a fault-tolerance-unaware run.
+    The same value configures every driver (serial, batch, async, fleet,
+    whose workers evaluate under it) and the evaluator pool, so two drivers
+    given one ``RunConfig`` apply one evaluation contract.  The default
+    leaves every code path byte-identical to a fault-tolerance-unaware run.
 
     Attributes
     ----------
@@ -169,6 +169,24 @@ class RunConfig:
         backoff = retry.max_total_backoff() if retry is not None else 0.0
         per_point = self.eval_timeout * attempts + backoff
         return per_point + max(5.0, per_point)
+
+    def to_dict(self) -> dict[str, Any]:
+        """The JSON form (job specifications, fleet tasks)."""
+        return dataclasses.asdict(self)
+
+    @staticmethod
+    def from_dict(data: Mapping[str, Any]) -> RunConfig:
+        """The inverse of :meth:`to_dict`; a missing key keeps its default,
+        an unknown one raises ``ValueError``."""
+        retry, failure = data.get("retry_policy"), data.get("failure_policy")
+        try:
+            return RunConfig(**{
+                **data,
+                "retry_policy": None if retry is None else RetryPolicy(**retry),
+                "failure_policy": None if failure is None else FailurePolicy(**failure),
+            })
+        except TypeError as error:
+            raise ValueError(f"not a run configuration: {error}") from None
 
 
 class OrderedTellAdapter:

@@ -264,7 +264,7 @@ def run_guarded(
     propagate untouched.
     """
     policy = retry if retry is not None else RetryPolicy(max_attempts=1)
-    token = point_token(values)
+    token = None  # the backoff jitter's seed, made at the first retry
     started = time.perf_counter()
     attempt = 0
     while True:
@@ -274,6 +274,8 @@ def run_guarded(
         except Exception as error:
             kind = policy.classify(error)
             if kind != KIND_DETERMINISTIC and attempt < policy.max_attempts:
+                if token is None:
+                    token = point_token(values)
                 time.sleep(policy.delay(attempt, token))
                 continue
             raise EvaluationFailed(

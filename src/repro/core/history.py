@@ -103,23 +103,6 @@ class CalibrationHistory:
         among the first ``count`` evaluations (``inf`` when ``count`` is 0)."""
         return self._curve[count - 1] if count > 0 else math.inf
 
-    def best_over_time(self) -> list[tuple[float, float]]:
-        """(wall-clock time, best value so far) pairs — Figure 2's series."""
-        return [
-            (e.finished_at, best) for e, best in zip(self._evaluations, self._curve, strict=True)
-        ]
-
-    def best_at_time(self, elapsed: float) -> float | None:
-        """Best value found within the first ``elapsed`` seconds (NaN only
-        when every value found by then is NaN)."""
-        best: float | None = None
-        for evaluation in self._evaluations:
-            if evaluation.finished_at > elapsed:
-                break
-            if _improves(evaluation.value, best):
-                best = evaluation.value
-        return best
-
     def value_curve(self) -> list[float]:
         """Raw objective values in evaluation order."""
         return [e.value for e in self._evaluations]

@@ -133,11 +133,13 @@ class _WorkerError:
         return _rebuild_error, (self.error, f'\n"""\n{self.text}"""')
 
 
-def _worker(conn: Connection, objective: bytes) -> None:
+def _worker(conn: Connection, objective: bytes, parent_end: Connection) -> None:
     """A pool worker's main loop: receive ``(call, candidate, args)``,
     run ``call(objective, candidate, *args)`` on a freshly unpickled
     objective and reply ``(ok, value_or_exception)``.  It returns on a
-    ``None`` task or when the parent's end of the pipe is gone."""
+    ``None`` task or when the parent's end of the pipe is gone (a forked
+    worker closes its inherited copy of that end first, to see it go)."""
+    parent_end.close()
     while True:
         try:
             task = conn.recv()
@@ -224,7 +226,7 @@ class ParallelEvaluator:
     def __init__(
         self,
         function: ObjectiveFunction,
-        space: ParameterSpace,
+        space: ParameterSpace | None = None,
         workers: int = 4,
         mode: str = "process",
         config: RunConfig | None = None,
@@ -413,7 +415,7 @@ class ParallelEvaluator:
             self._objective = pickle.dumps(self.function)
         conn, child = multiprocessing.Pipe()
         process = multiprocessing.Process(
-            target=_worker, args=(child, self._objective), daemon=True
+            target=_worker, args=(child, self._objective, conn), daemon=True
         )
         process.start()
         child.close()

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Any
 
+from repro.core.async_driver import RunConfig
 from repro.core.budget import Budget, EvaluationBudget, TimeBudget
 from repro.hepsim.calibration import CaseStudyProblem
 from repro.hepsim.groundtruth import GroundTruthGenerator
@@ -41,7 +42,8 @@ class CaseStudyRequestFactory:
 
     A specification is a dictionary with the keys ``platform``, ``scale``,
     ``icds`` (optional list), ``algorithm``, ``metric``, ``evaluations`` /
-    ``seconds`` and ``seed`` — exactly what ``repro submit`` persists.
+    ``seconds``, ``seed`` and ``config`` (a ``RunConfig.to_dict()``) —
+    exactly what ``repro submit`` persists.
     """
 
     def __init__(self, generator: GroundTruthGenerator | None = None) -> None:
@@ -84,6 +86,7 @@ class CaseStudyRequestFactory:
             budget=spec_budget(spec),
             seed=int(spec.get("seed", 0)),
             label=spec.get("label", ""),
+            config=RunConfig.from_dict(spec.get("config") or {}),
             metadata={
                 k: spec[k]
                 for k in ("platform", "scale", "icds", "metric", "evaluations", "seconds")

@@ -17,6 +17,7 @@ import time
 from concurrent.futures import Future
 from typing import Any
 
+from repro.core.faults import EvaluationFailed, EvaluationFailure
 from repro.service.store import evaluation_key
 from repro.telemetry.metrics import registry as _metrics_registry
 
@@ -36,19 +37,13 @@ class FleetTask:
     fingerprint: str
     values: dict[str, float]
     #: the job specification the worker rebuilds the objective from
-    #: (platform / scale / icds / metric for case-study jobs)
+    #: (platform / scale / icds / metric for case-study jobs) and the
+    #: job's run configuration, under ``config``
     spec: dict[str, Any]
     created_at: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "job_id": self.job_id,
-            "fingerprint": self.fingerprint,
-            "values": dict(self.values),
-            "spec": dict(self.spec),
-            "created_at": self.created_at,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass
@@ -102,14 +97,7 @@ class TaskBoard:
             self._entries[task_id] = _Entry(task, [future])
             self._by_key[key] = task_id
             self._cond.notify_all()
-        reg = _REGISTRY if _REGISTRY.enabled else None
-        if reg is not None:
-            reg.counter(
-                "repro_fleet_tasks_posted_total", "Evaluation tasks posted to the board."
-            ).inc()
-            reg.gauge(
-                "repro_fleet_tasks_open", "Evaluation tasks currently open on the board."
-            ).set(len(self))
+        self._count("repro_fleet_tasks_posted_total", "Evaluation tasks posted to the board.")
         return future
 
     def withdraw_job(self, job_id: str) -> int:
@@ -157,50 +145,45 @@ class TaskBoard:
         task returns ``False`` and changes nothing (two workers racing a
         lease takeover are expected to collide here occasionally).
         """
-        with self._cond:
-            entry = self._entries.pop(task_id, None)
-            if entry is None:
-                return False
-            self._by_key.pop(
-                evaluation_key(entry.task.fingerprint, entry.task.values), None
-            )
+        entry = self._take(task_id)
+        if entry is None:
+            return False
         # Futures are settled outside the lock: set_result wakes driver
         # threads immediately and must not do so while holding the board.
         for future in entry.futures:
             future.set_result((float(value), float(duration)))
-        reg = _REGISTRY if _REGISTRY.enabled else None
-        if reg is not None:
-            reg.counter(
-                "repro_fleet_tasks_resolved_total", "Evaluation tasks resolved by workers."
-            ).inc()
-            reg.gauge(
-                "repro_fleet_tasks_open", "Evaluation tasks currently open on the board."
-            ).set(len(self))
+        self._count("repro_fleet_tasks_resolved_total", "Evaluation tasks resolved by workers.")
         return True
 
-    def fail(self, task_id: str, message: str) -> bool:
-        """A worker reports the evaluation itself raised: the error is
-        delivered through the futures so the owning driver fails loudly
-        instead of waiting forever.  (A worker *dying* is not a failure —
-        its lease expires and another worker takes the task over.)"""
+    def fail(self, task_id: str, failure: EvaluationFailure) -> bool:
+        """A worker reports the evaluation failed: the failure reaches the
+        futures as :class:`~repro.core.faults.EvaluationFailed`, which
+        each owning driver settles by its own failure policy, as it does
+        a local pool's.  (A worker *dying* is not a failure — its lease
+        expires and another worker takes the task over.)"""
+        entry = self._take(task_id)
+        if entry is None:
+            return False
+        for future in entry.futures:
+            future.set_exception(EvaluationFailed(failure))
+        self._count("repro_fleet_tasks_failed_total", "Evaluation tasks failed by workers.")
+        return True
+
+    def _take(self, task_id: str) -> _Entry | None:
+        """Remove an open task; ``None`` if it is resolved already."""
         with self._cond:
             entry = self._entries.pop(task_id, None)
-            if entry is None:
-                return False
-            self._by_key.pop(
-                evaluation_key(entry.task.fingerprint, entry.task.values), None
-            )
-        for future in entry.futures:
-            future.set_exception(RuntimeError(message))
+            if entry is not None:
+                self._by_key.pop(evaluation_key(entry.task.fingerprint, entry.task.values), None)
+            return entry
+
+    def _count(self, name: str, help_text: str) -> None:
         reg = _REGISTRY if _REGISTRY.enabled else None
         if reg is not None:
-            reg.counter(
-                "repro_fleet_tasks_failed_total", "Evaluation tasks failed by workers."
-            ).inc()
+            reg.counter(name, help_text).inc()
             reg.gauge(
                 "repro_fleet_tasks_open", "Evaluation tasks currently open on the board."
             ).set(len(self))
-        return True
 
     def __len__(self) -> int:
         with self._cond:

@@ -24,6 +24,8 @@ import urllib.error
 import urllib.request
 from typing import Any
 
+from repro.core.faults import EvaluationFailure
+
 __all__ = ["FleetClient", "FleetClientError"]
 
 
@@ -145,19 +147,6 @@ class FleetClient:
     def events(self, job_id: str, since: int = 0) -> list[dict[str, Any]]:
         return list(self._request(f"/api/jobs/{job_id}/events?since={int(since)}")["events"])
 
-    def wait(self, job_id: str, timeout: float = 300.0, poll: float = 0.25) -> dict[str, Any]:
-        """Poll until the job reaches a terminal status; returns its record."""
-        deadline = time.monotonic() + timeout
-        while True:
-            record = self.job(job_id)
-            if record.get("status") in ("done", "failed"):
-                return record
-            if time.monotonic() >= deadline:
-                raise FleetClientError(
-                    f"job {job_id!r} still {record.get('status')!r} after {timeout:g}s"
-                )
-            time.sleep(poll)
-
     # ------------------------------------------------------------------ #
     # worker side
     # ------------------------------------------------------------------ #
@@ -177,6 +166,7 @@ class FleetClient:
         )
         return bool(data.get("resolved"))
 
-    def fail(self, task_id: str, message: str) -> bool:
-        data = self._request(f"/api/tasks/{task_id}/fail", payload={"message": message})
+    def fail(self, task_id: str, failure: EvaluationFailure) -> bool:
+        """Report a failed evaluation; False if the task was already gone."""
+        data = self._request(f"/api/tasks/{task_id}/fail", payload=failure.to_dict())
         return bool(data.get("failed"))

@@ -22,7 +22,9 @@ Beyond process death, the injector also reaches into the *simulator*
 layer: ``raise_every_evals=N`` makes every Nth evaluation raise a
 transient error (exercising retry/quarantine paths) and
 ``hang_on_eval=N`` makes the Nth evaluation block for ``hang_seconds``
-(exercising timeout/lease-expiry paths).  For chaos tests that need the
+(exercising timeout paths); both fire in the worker's pool process
+(:meth:`FaultInjector.wrap`), under the job's retries and deadline.
+For chaos tests that need the
 faults to travel *into worker processes*, :class:`FaultyObjective` wraps
 any picklable objective and deterministically picks failing/hanging
 points by hashing the parameter vector — the same point misbehaves the
@@ -34,7 +36,9 @@ intended point and not by accident.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import os
 import time
 from collections.abc import Callable, Mapping
@@ -42,6 +46,8 @@ from collections.abc import Callable, Mapping
 from repro.core.faults import TransientEvaluationError, point_token
 
 __all__ = ["FaultInjector", "FaultyObjective", "KILLED_ON_CLAIM", "DIED_IN_PUBLISH"]
+
+Objective = Callable[[dict[str, float]], float]
 
 #: exit status of a worker killed by ``kill_after_claims``
 KILLED_ON_CLAIM = 43
@@ -69,7 +75,6 @@ class FaultInjector:
         self.hang_seconds = float(hang_seconds)
         self.claims = 0
         self.publishes = 0
-        self.evaluations = 0
 
     def on_claim(self) -> None:
         """Called right after each successful store claim."""
@@ -77,22 +82,18 @@ class FaultInjector:
         if self.kill_after_claims and self.claims >= self.kill_after_claims:
             os._exit(KILLED_ON_CLAIM)
 
-    def on_evaluate(self) -> None:
-        """Called right before each objective evaluation.
+    def wrap(self, objective: Objective) -> Objective:
+        """``objective`` with this injector's evaluate-time faults.
 
         ``raise_every_evals=N`` raises a
         :class:`~repro.core.faults.TransientEvaluationError` on every Nth
         evaluation; ``hang_on_eval=N`` blocks the Nth evaluation for
-        ``hang_seconds`` (long enough that only a timeout or lease expiry
-        can recover it).
+        ``hang_seconds`` (long enough that only a timeout can recover it).
+        Evaluations are counted per process.
         """
-        self.evaluations += 1
-        if self.hang_on_eval and self.evaluations == self.hang_on_eval:
-            time.sleep(self.hang_seconds)
-        if self.raise_every_evals and self.evaluations % self.raise_every_evals == 0:
-            raise TransientEvaluationError(
-                f"injected transient fault on evaluation #{self.evaluations}"
-            )
+        if not (self.raise_every_evals or self.hang_on_eval):
+            return objective
+        return functools.partial(_faulted, self, objective)
 
     def on_publish(self) -> None:
         """Called after evaluation, before the store put + HTTP publish."""
@@ -101,6 +102,20 @@ class FaultInjector:
             time.sleep(self.publish_delay)
         if self.drop_publish and self.publishes >= self.drop_publish:
             os._exit(DIED_IN_PUBLISH)
+
+
+#: this process's evaluations under an injector: a pool process unpickles
+#: a fresh copy of its objective for every task, so the count lives here
+_EVALUATIONS = itertools.count(1)
+
+
+def _faulted(fault: FaultInjector, objective: Objective, values: dict[str, float]) -> float:
+    count = next(_EVALUATIONS)
+    if fault.hang_on_eval and count == fault.hang_on_eval:
+        time.sleep(fault.hang_seconds)
+    if fault.raise_every_evals and count % fault.raise_every_evals == 0:
+        raise TransientEvaluationError(f"injected transient fault on evaluation #{count}")
+    return objective(values)
 
 
 class FaultyObjective:

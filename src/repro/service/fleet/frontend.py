@@ -14,7 +14,7 @@ GET    ``/api/jobs/<id>/events``      progress events (``?since=<seq>``)
 GET    ``/api/tasks``                 open evaluation tasks (``?wait=<s>``
                                       long-polls until one appears)
 POST   ``/api/tasks/<id>/publish``    worker publishes ``{value, duration}``
-POST   ``/api/tasks/<id>/fail``       worker reports ``{message}``
+POST   ``/api/tasks/<id>/fail``       worker reports an evaluation failure
 ====== ============================== =======================================
 
 Publishing to an unknown or already-resolved task answers ``{"resolved":
@@ -31,6 +31,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlparse
 
+from repro.core.async_driver import RunConfig
+from repro.core.faults import EvaluationFailure
 from repro.core.serialization import result_to_dict
 from repro.service.fleet.server import FleetServer
 
@@ -226,7 +228,9 @@ class FleetFrontend:
                 if self.submit is None:
                     request._send(503, {"error": "this front-end does not accept submissions"})
                     return True
-                job_id = self.submit(request._body())
+                spec = request._body()
+                RunConfig.from_dict(spec.get("config") or {})  # a bad one is a 400
+                job_id = self.submit(spec)
                 request._send(200, {"id": job_id})
                 return True
             if verb == "GET":
@@ -281,10 +285,7 @@ class FleetFrontend:
     ) -> bool:
         if not rest and verb == "GET":
             wait = min(float(query.get("wait", ["0"])[0]), MAX_TASK_WAIT)
-            if wait > 0:
-                tasks = self.server.board.wait_for_tasks(wait)
-            else:
-                tasks = self.server.board.open_tasks()
+            tasks = self.server.board.wait_for_tasks(wait)
             request._send(200, {"tasks": [task.to_dict() for task in tasks]})
             return True
         if len(rest) == 2 and verb == "POST":
@@ -299,9 +300,7 @@ class FleetFrontend:
                 request._send(200, {"resolved": resolved})
                 return True
             if action == "fail":
-                failed = self.server.board.fail(
-                    task_id, str(body.get("message", "worker reported failure"))
-                )
+                failed = self.server.board.fail(task_id, EvaluationFailure.from_dict(body))
                 request._send(200, {"failed": failed})
                 return True
         return False

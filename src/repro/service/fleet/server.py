@@ -11,7 +11,8 @@ with the two template hooks overridden:
   :class:`~repro.service.fleet.evaluator.FleetEvaluator` over the shared
   :class:`~repro.service.fleet.board.TaskBoard`, with ordered tells so a
   fleet job reproduces the single-process serial trajectory byte for
-  byte.
+  byte.  Each task carries the job's ``RunConfig``, which the workers
+  evaluate under; the driver settles a failure they report by its policy.
 
 A light *store poller* backs up the HTTP publish path: a worker that
 stored its result but died before the publish round-trip (or published
@@ -21,11 +22,12 @@ poller peeks every open task's key in the store on a short cadence.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from collections.abc import Callable
 from typing import Any
 
-from repro.core.async_driver import AsyncCalibrator, RunConfig
+from repro.core.async_driver import AsyncCalibrator
 from repro.core.budget import EvaluationBudget
 from repro.core.result import CalibrationResult
 from repro.service.cache import JobCache
@@ -88,11 +90,14 @@ class FleetServer(CalibrationServer):
         on_checkpoint: Callable[[list[dict[str, Any]]], None] | None,
     ) -> CalibrationResult:
         request = job.request
+        # Same replay semantics as the serial server path: first-seen
+        # store hits are recorded and charged, in-run revisits free.
+        config = dataclasses.replace(request.config, replay_cache_hits=True)
         evaluator = FleetEvaluator(
             self.board,
             job.id,
             request.fingerprint,
-            spec=dict(request.metadata),
+            spec={**request.metadata, "config": config.to_dict()},
             space=request.space,
         )
         driver = AsyncCalibrator(
@@ -104,9 +109,7 @@ class FleetServer(CalibrationServer):
             seed=request.seed,
             cache=cache,
             algorithm_options=request.algorithm_options,
-            # Same replay semantics as the serial server path: first-seen
-            # store hits are recorded and charged, in-run revisits free.
-            config=RunConfig(replay_cache_hits=True),
+            config=config,
             # Ordered tells buy the acceptance guarantee: the fleet run's
             # trajectory and best point are byte-identical to the
             # single-process serial run, whatever order workers finish in.

@@ -22,36 +22,37 @@ TTL any other worker's ``claim`` returns ``claimed`` and the point is
 recomputed.  No heartbeats, no membership protocol — the lease table is
 the entire failure model for *worker* death.
 
-*Evaluation* failure is classified before it is reported (see
-:mod:`repro.core.faults`): a transient error releases the lease and
-leaves the task open, so this or another worker re-claims and retries
-the point (bounded by ``max_eval_attempts`` per worker); a deterministic
-error — or an exhausted retry budget — quarantines the point in the
-store via :meth:`~repro.service.store.EvaluationStore.record_failure`
-and fails the task with the diagnosis, so no member of the fleet ever
-recomputes a known-bad point.
+*Evaluation* failure is settled by the job's own
+:class:`~repro.core.async_driver.RunConfig`, carried in every task: the
+worker evaluates through a one-process
+:class:`~repro.core.parallel.ParallelEvaluator` built from it, so
+retries and timeouts run in place and the hard deadline kills a hung
+evaluation, not the worker.  A failure is then quarantined in the store
+(a quarantining failure policy) or its lease released — the rule of
+:meth:`~repro.core.async_driver.AsyncCalibrator._count` — and the task
+fails with it, for the job's driver to settle by its policy.  A task
+whose hard deadline is not below the worker's lease TTL is refused.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
-import tempfile
 import time
 import uuid
 from collections.abc import Callable
 from pathlib import Path
 from typing import Any
 
-from repro.core.faults import KIND_DETERMINISTIC, RetryPolicy
+from repro.core.async_driver import RunConfig
+from repro.core.faults import EvaluationFailed, EvaluationFailure, RetryPolicy
+from repro.core.parallel import ParallelEvaluator
+from repro.service.cache import _to_core_failure
 from repro.service.fleet.client import FleetClient, FleetClientError
 from repro.service.fleet.faults import FaultInjector
-from repro.service.store import (
-    DEFAULT_LEASE_TTL,
-    EvaluationStore,
-    StoreClaim,
-    evaluation_key,
-)
+from repro.service.spool import write_json
+from repro.service.store import DEFAULT_LEASE_TTL, EvaluationStore, StoreClaim
 from repro.telemetry.metrics import registry as _metrics_registry
 
 _REGISTRY = _metrics_registry()
@@ -76,13 +77,7 @@ def case_study_resolver() -> ObjectiveResolver:
                 "task carries no case-study specification; this worker "
                 "cannot reconstruct its objective"
             )
-        problem = factory.problem(
-            platform=spec["platform"],
-            scale=spec.get("scale", "calib"),
-            icds=spec.get("icds"),
-            metric=spec.get("metric", "mre"),
-        )
-        return problem.objective
+        return factory.request(spec).objective
 
     return resolve
 
@@ -98,28 +93,27 @@ class FleetWorker:
         The shared evaluation store — must be the same backend the server
         reads (for separate processes: the same SQLite file).
     resolver:
-        Maps a task's job specification to an objective callable;
-        defaults to the case-study resolver.
+        Maps a task's job specification to an objective callable, which
+        must pickle (it runs in the worker's pool process); defaults to
+        the case-study resolver.
     owner:
         Lease-owner identity; defaults to ``worker-<pid>-<random>``.
     lease_ttl:
         Seconds a claim may stay unpublished before other workers may
-        take the point over.  Make it comfortably longer than one
-        evaluation.
+        take the point over.  A task whose run configuration's
+        :meth:`~repro.core.async_driver.RunConfig.hard_deadline` is not
+        below it is refused.
     poll:
         Long-poll duration for the task fetch (also the retry pause when
         the front-end is unreachable).
     fault:
         Optional :class:`~repro.service.fleet.faults.FaultInjector`.
-    max_eval_attempts:
-        How many times *this worker* will attempt a point whose
-        evaluation keeps failing transiently before quarantining it in
-        the store (deterministic errors quarantine on the first attempt).
     stats_path:
         When set, worker counters are rewritten (atomically) to this
         JSON file after every step — the fault-injection tests read the
         file back to prove zero-duplicate accounting even though the
-        process dies without warning.
+        process dies without warning.  ``retries`` counts the attempts
+        the run configuration's retry policy repeated in place.
     """
 
     def __init__(
@@ -132,7 +126,6 @@ class FleetWorker:
         poll: float = 0.5,
         fault: FaultInjector | None = None,
         stats_path: str | Path | None = None,
-        max_eval_attempts: int = 3,
     ) -> None:
         self.client = client
         self.store = store
@@ -142,7 +135,6 @@ class FleetWorker:
         self.poll = float(poll)
         self.fault = fault if fault is not None else FaultInjector()
         self.stats_path = Path(stats_path) if stats_path is not None else None
-        self.max_eval_attempts = int(max_eval_attempts)
         self.stats: dict[str, int] = {
             "claims": 0,
             "evaluations": 0,
@@ -152,12 +144,12 @@ class FleetWorker:
             "failures": 0,
             "retries": 0,
             "quarantine_skips": 0,
+            "refusals": 0,
         }
-        self._objectives: dict[str, ObjectiveFunction] = {}
-        #: transient-vs-deterministic classification (policy defaults)
-        self._classifier = RetryPolicy()
-        #: per-point attempt counts for this worker's retry budget
-        self._eval_attempts: dict[str, int] = {}
+        #: the one live pool, and the task spec (objective and run
+        #: configuration) it was built for
+        self._pool: ParallelEvaluator | None = None
+        self._pool_spec = ""
 
     # ------------------------------------------------------------------ #
     # bookkeeping
@@ -171,35 +163,51 @@ class FleetWorker:
         self._write_stats()
 
     def _write_stats(self) -> None:
-        if self.stats_path is None:
-            return
-        record = {"owner": self.owner, **self.stats}
-        fd, tmp = tempfile.mkstemp(dir=str(self.stats_path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(record, handle)
-            os.replace(tmp, self.stats_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        if self.stats_path is not None:
+            write_json(self.stats_path, {"owner": self.owner, **self.stats})
 
-    def _objective_for(self, spec: dict[str, Any]) -> ObjectiveFunction:
+    def _pool_for(self, spec: dict[str, Any], config: RunConfig) -> ParallelEvaluator:
+        """The one-process pool that evaluates ``spec``'s points under
+        ``config``, made guarded so that every failure arrives as
+        :class:`~repro.core.faults.EvaluationFailed` with its kind."""
         key = json.dumps(spec, sort_keys=True)
-        if key not in self._objectives:
-            self._objectives[key] = self.resolver(spec)
-        return self._objectives[key]
+        if self._pool is None or key != self._pool_spec:
+            self.close()
+            if not config.guarded:
+                config = dataclasses.replace(config, retry_policy=RetryPolicy(max_attempts=1))
+            objective = self.fault.wrap(self.resolver(spec))
+            self._pool = ParallelEvaluator(objective, workers=1, config=config)
+            self._pool_spec = key
+        return self._pool
+
+    def close(self) -> None:
+        """Shut the pool down (``run`` does so on its way out)."""
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
 
     # ------------------------------------------------------------------ #
     # the loop
     # ------------------------------------------------------------------ #
     def handle_task(self, task: dict[str, Any]) -> bool:
         """Race for one task; returns True when this worker settled it
-        (published a value, reported a failure, or relayed a quarantine),
-        False when it was leased to someone else (or already resolved) or
-        when a transient evaluation error left it open for a retry."""
+        (published a value, reported a failure, relayed a quarantine or
+        refused it), False when it was leased to someone else (or
+        already resolved)."""
         fingerprint = str(task["fingerprint"])
         values = {str(k): float(v) for k, v in task["values"].items()}
+        spec = dict(task.get("spec") or {})
+        config = RunConfig.from_dict(spec.get("config") or {})
+        deadline = config.hard_deadline()
+        if deadline is not None and deadline >= self.lease_ttl:
+            # Our lease would expire while a live evaluation still runs,
+            # and another worker would take the point over.
+            self._bump("refusals")
+            self._fail(task, EvaluationFailure(
+                f"refused: the job's hard deadline ({deadline:g}s) is not below "
+                f"this worker's lease TTL ({self.lease_ttl:g}s)"
+            ))
+            return True
         claim = self.store.claim(fingerprint, values, owner=self.owner, ttl=self.lease_ttl)
         if claim.status == StoreClaim.LEASED:
             # Another worker is computing this point right now.  If it
@@ -213,73 +221,52 @@ class FleetWorker:
             self._bump("store_hits")
             self._publish(str(task["id"]), float(claim.value or 0.0), 0.0)
             return True
-        if claim.status == StoreClaim.QUARANTINED:
+        if claim.status == StoreClaim.QUARANTINED and claim.failure is not None:
             # Some worker already proved this point bad: relay the stored
             # diagnosis instead of burning an evaluation re-proving it.
             self._bump("quarantine_skips")
-            diagnosis = claim.failure.error if claim.failure is not None else "quarantined"
-            try:
-                self.client.fail(str(task["id"]), f"quarantined: {diagnosis}")
-            except FleetClientError:
-                pass  # the quarantine record persists; any worker can relay it
+            self._fail(task, _to_core_failure(claim.failure))
             return True
         self._bump("claims")
         self.fault.on_claim()  # may never return
         try:
-            objective = self._objective_for(dict(task.get("spec") or {}))
-            started = time.perf_counter()
-            self.fault.on_evaluate()  # may raise or hang
-            value = float(objective(values))
-            duration = time.perf_counter() - started
-        except Exception as exc:
-            return self._settle_failure(task, fingerprint, values, exc)
-        self._bump("evaluations")
-        self._eval_attempts.pop(evaluation_key(fingerprint, values), None)
-        self.fault.on_publish()  # may sleep, may never return
-        self.store.put(fingerprint, values, value)  # also drops our lease
-        if self._publish(str(task["id"]), value, duration):
-            self._bump("publishes")
-        return True
-
-    def _settle_failure(
-        self,
-        task: dict[str, Any],
-        fingerprint: str,
-        values: dict[str, float],
-        exc: Exception,
-    ) -> bool:
-        """Classify one evaluation failure and decide the point's fate.
-
-        Transient errors with retry budget left release the lease and
-        leave the task open — this or another worker re-claims and
-        retries.  Deterministic errors (and exhausted budgets) quarantine
-        the point in the store and fail the task with the diagnosis.
-        """
-        key = evaluation_key(fingerprint, values)
-        attempts = self._eval_attempts.get(key, 0) + 1
-        self._eval_attempts[key] = attempts
-        kind = self._classifier.classify(exc)
-        if kind != KIND_DETERMINISTIC and attempts < self.max_eval_attempts:
-            # Worth retrying: free the point immediately (no TTL wait).
+            pool = self._pool_for(spec, config)
+            retried = pool.retries_total
+            value, duration = pool.submit(values).result()
+        except EvaluationFailed as error:
+            failure = error.failure
+            self.stats["retries"] += failure.attempts - 1
+        except Exception as error:  # no objective for the spec, or its pool process died
+            failure = EvaluationFailure(f"{type(error).__name__}: {error}")
+        else:
+            self.stats["retries"] += pool.retries_total - retried
+            self._bump("evaluations")
+            self.fault.on_publish()  # may sleep, may never return
+            self.store.put(fingerprint, values, value)  # also drops our lease
+            if self._publish(str(task["id"]), value, duration):
+                self._bump("publishes")
+            return True
+        # The rule every driver applies: quarantine under a quarantining
+        # failure policy (record_failure drops our lease too), else release.
+        policy = config.failure_policy
+        if policy is not None and policy.quarantine:
+            self.store.record_failure(
+                fingerprint, values, failure.error, kind=failure.kind, attempts=failure.attempts
+            )
+        else:
             self.store.release(fingerprint, values, owner=self.owner)
-            self._bump("retries")
-            return False
-        self._eval_attempts.pop(key, None)
-        # record_failure also releases the lease, so nobody waits out
-        # the TTL on a point the fleet has given up on.
-        self.store.record_failure(
-            fingerprint,
-            values,
-            f"{type(exc).__name__}: {exc}",
-            kind=kind,
-            attempts=attempts,
-        )
         self._bump("failures")
-        try:
-            self.client.fail(str(task["id"]), f"{type(exc).__name__}: {exc}")
-        except FleetClientError:
-            pass  # the quarantine record persists; the task poller reports it
+        self._fail(task, failure)
         return True
+
+    def _fail(self, task: dict[str, Any], failure: EvaluationFailure) -> None:
+        """Fail the task with ``failure``, tolerating a dead front-end: a
+        quarantine persists in the store for any worker to relay, and a
+        released point is claimed and evaluated again."""
+        try:
+            self.client.fail(str(task["id"]), failure)
+        except FleetClientError:
+            pass
 
     def _publish(self, task_id: str, value: float, duration: float) -> bool:
         """Publish over HTTP, tolerating a dead front-end: the value is
@@ -301,33 +288,36 @@ class FleetWorker:
         settled = 0
         self._write_stats()
         last_activity = time.monotonic()
-        while True:
-            try:
-                tasks = self.client.tasks(wait=self.poll)
-            except FleetClientError:
-                # Front-end briefly unreachable (restart, not yet up):
-                # retry after a pause rather than dying — the worker's
-                # only state is its leases, which survive regardless.
-                tasks = []
-                time.sleep(self.poll)
-            progressed = False
-            for task in tasks:
-                if self.handle_task(task):
-                    settled += 1
-                    progressed = True
-                if max_tasks is not None and settled >= max_tasks:
-                    return settled
-            if tasks:
-                # Open tasks count as activity even when every one is
-                # leased elsewhere: a worker waiting out a dead peer's
-                # lease TTL must not give up as "idle" first.
-                last_activity = time.monotonic()
-                if not progressed:
-                    # Pause one poll interval so the skip loop cannot
-                    # spin hot while waiting on other workers' leases.
+        try:
+            while True:
+                try:
+                    tasks = self.client.tasks(wait=self.poll)
+                except FleetClientError:
+                    # Front-end briefly unreachable (restart, not yet up):
+                    # retry after a pause rather than dying — the worker's
+                    # only state is its leases, which survive regardless.
+                    tasks = []
                     time.sleep(self.poll)
-            elif max_idle is not None and time.monotonic() - last_activity >= max_idle:
-                return settled
+                progressed = False
+                for task in tasks:
+                    if self.handle_task(task):
+                        settled += 1
+                        progressed = True
+                    if max_tasks is not None and settled >= max_tasks:
+                        return settled
+                if tasks:
+                    # Open tasks count as activity even when every one is
+                    # leased elsewhere: a worker waiting out a dead peer's
+                    # lease TTL must not give up as "idle" first.
+                    last_activity = time.monotonic()
+                    if not progressed:
+                        # Pause one poll interval so the skip loop cannot
+                        # spin hot while waiting on other workers' leases.
+                        time.sleep(self.poll)
+                elif max_idle is not None and time.monotonic() - last_activity >= max_idle:
+                    return settled
+        finally:
+            self.close()
 
 
 _WORKER_METRIC_HELP = {

@@ -3,7 +3,8 @@
 A :class:`CalibrationRequest` is the generic unit of work the service
 accepts — a parameter space, an objective callable, a scenario
 fingerprint (so evaluations land in the shared store under the right
-key), an algorithm and a budget.  The case-study bridge that builds a
+key), an algorithm, a budget and the run configuration its evaluations
+settle failures by.  The case-study bridge that builds a
 request from a platform/scale specification lives in
 :mod:`repro.service.case_study` so this module stays free of any
 simulator knowledge; custom simulators submit requests directly.
@@ -21,6 +22,7 @@ import threading
 from collections.abc import Callable
 from typing import Any
 
+from repro.core.async_driver import RunConfig
 from repro.core.budget import Budget
 from repro.core.parameters import ParameterSpace
 from repro.core.result import CalibrationResult
@@ -48,6 +50,9 @@ class CalibrationRequest:
     #: free-form request metadata, echoed into status reports (the CLI puts
     #: the platform/scale/metric specification here)
     metadata: dict[str, Any] = dataclasses.field(default_factory=dict)
+    #: how the job's evaluations settle failures, wherever they run (the
+    #: server turns ``replay_cache_hits`` on itself)
+    config: RunConfig = RunConfig()
     #: constructor keyword arguments forwarded to the algorithm factory
     #: (e.g. ``{"population_size": 8}`` for ``"cmaes"``)
     algorithm_options: dict[str, Any] = dataclasses.field(default_factory=dict)

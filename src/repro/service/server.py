@@ -38,13 +38,13 @@ job a killed server left behind).
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 import traceback
 from collections.abc import Callable
 from typing import Any
 
-from repro.core.async_driver import RunConfig
 from repro.core.budget import EvaluationBudget
 from repro.core.calibrator import Calibrator
 from repro.core.result import CalibrationResult
@@ -252,7 +252,7 @@ class CalibrationServer:
             # simulator invocations yet replays the cold run's
             # trajectory and terminates at the same point (in-run
             # revisits stay free, as in a plain calibrator).
-            config=RunConfig(replay_cache_hits=True),
+            config=dataclasses.replace(request.config, replay_cache_hits=True),
         )
         return calibrator.run(
             resume=request.checkpoint,

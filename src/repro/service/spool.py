@@ -48,7 +48,7 @@ from repro.core.result import CalibrationResult
 from repro.core.serialization import result_from_dict, result_to_dict
 from repro.service.store import _read_jsonl_tolerant
 
-__all__ = ["JobSpool"]
+__all__ = ["JobSpool", "write_json"]
 
 
 class JobSpool:
@@ -117,7 +117,7 @@ class JobSpool:
         record = dict(spec)
         record["id"] = job_id
         record["status"] = "pending"
-        self._write_json(path, record)
+        write_json(path, record)
         return job_id
 
     # ------------------------------------------------------------------ #
@@ -181,14 +181,14 @@ class JobSpool:
         if fcntl is None:  # pragma: no cover - non-POSIX: atomic rewrite only
             record = self.load(job_id)
             record.update(fields)
-            self._write_json(path, record)
+            write_json(path, record)
             return record
         with open(path.with_suffix(".lock"), "w") as lock:
             fcntl.flock(lock.fileno(), fcntl.LOCK_EX)
             try:
                 record = self.load(job_id)
                 record.update(fields)
-                self._write_json(path, record)
+                write_json(path, record)
             finally:
                 fcntl.flock(lock.fileno(), fcntl.LOCK_UN)
         return record
@@ -199,7 +199,7 @@ class JobSpool:
         path = self.result_path(job_id)
         record = result_to_dict(dataclasses.replace(result, history=CalibrationHistory()))
         del record["history"]
-        self._write_json(path, record)
+        write_json(path, record)
         return path
 
     def read_result(self, job_id: str) -> CalibrationResult:
@@ -236,18 +236,16 @@ class JobSpool:
             return None
         return _read_jsonl_tolerant(path, "tell log")
 
-    # ------------------------------------------------------------------ #
-    # plumbing
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _write_json(path: Path, record: dict[str, Any]) -> None:
-        # Atomic replace so `repro status` never reads a half-written file.
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(record, indent=2) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+
+def write_json(path: Path, record: dict[str, Any]) -> None:
+    """Replace ``path`` with ``record`` atomically (a temp file and a
+    rename), so a reader never sees a half-written file."""
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(json.dumps(record, indent=2) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

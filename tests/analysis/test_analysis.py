@@ -88,6 +88,14 @@ class TestFigures:
         assert "random" in art and "grid" in art
         assert "s" in art.splitlines()[-2]
 
+    def test_one_huge_early_value_does_not_flatten_the_other_curves(self):
+        art = render_series({"alpha": [(1.0, 1.0e4), (9.0, 9.0e3)],
+                             "beta": [(1.0, 10.0), (9.0, 5.0)],
+                             "gamma": [(1.0, 8.0), (9.0, 2.0)]})
+        last_column = [line[-1] for line in art.splitlines()[:18]]
+        # beta and gamma end on distinct rows, below alpha.
+        assert last_column.index("A") < last_column.index("B") < last_column.index("G")
+
     def test_render_series_empty_raises(self):
         with pytest.raises(ValueError):
             render_series({})

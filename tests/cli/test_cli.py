@@ -146,6 +146,29 @@ class TestCalibrateRunOptions:
         assert info.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_submitted_flags_reach_the_served_driver(self, monkeypatch, tmp_path, capsys):
+        """`submit` takes the same fault flags; the spooled job carries
+        them, and the server runs it under them, with cache-hit replay."""
+        serve_dir = str(tmp_path / "svc")
+        submit = ["submit", "--serve-dir", serve_dir] + self.TINY[1:]
+        assert main(submit + self.FAULT_FLAGS) == 0
+        seen = self.received(monkeypatch)
+        assert main(["serve", "--serve-dir", serve_dir, "--workers", "1"]) == 0
+        assert seen == [("Calibrator", RunConfig(
+            retry_policy=RetryPolicy(max_attempts=3),
+            failure_policy=FailurePolicy(
+                on_failure="penalty", penalty=77.0, failure_rate_threshold=0.9,
+            ),
+            eval_timeout=30.0,
+            replay_cache_hits=True,
+        ), 1)]
+
+    def test_submit_rejects_an_ignored_flag(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["submit", "--penalty", "5"])
+        assert info.value.code == 2
+        assert "submit: --penalty needs a penalty policy" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_simulate_with_true_values(self, capsys):

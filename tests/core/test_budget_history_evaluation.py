@@ -70,16 +70,6 @@ class TestHistory:
         assert history.best_so_far() == [10.0, 5.0, 5.0, 3.0, 3.0]
         assert history.value_curve() == [10.0, 5.0, 7.0, 3.0, 9.0]
 
-    def test_best_over_time_and_at_time(self):
-        history = CalibrationHistory()
-        for i, value in enumerate([10.0, 5.0, 7.0]):
-            history.record(self.make_eval(i, value, finished_at=float(i + 1)))
-        series = history.best_over_time()
-        assert series == [(1.0, 10.0), (2.0, 5.0), (3.0, 5.0)]
-        assert history.best_at_time(0.5) is None
-        assert history.best_at_time(1.5) == 10.0
-        assert history.best_at_time(10.0) == 5.0
-
     def test_total_evaluation_time(self):
         history = CalibrationHistory()
         history.record(self.make_eval(0, 1.0))
@@ -99,9 +89,6 @@ class TestHistory:
             bests.append(history.best.value)
         assert math.isnan(bests[0])
         assert bests[1:] == [10.0, 10.0, 7.0, 7.0]
-        assert history.best_at_time(1.5) != history.best_at_time(1.5)  # only the NaN so far
-        assert history.best_at_time(2.5) == 10.0
-        assert history.best_at_time(100.0) == 7.0
         assert history.best_so_far() == [math.inf, 10.0, 10.0, 7.0, 7.0]
         assert [history.best_after(n) for n in range(6)] == [math.inf] + history.best_so_far()
 
@@ -110,7 +97,6 @@ class TestHistory:
         for i in range(3):
             history.record(self.make_eval(i, math.nan))
         assert math.isnan(history.best.value)
-        assert math.isnan(history.best_at_time(100.0))
 
     def test_a_leading_nan_does_not_become_the_run_best(self):
         space = make_space()
@@ -121,7 +107,6 @@ class TestHistory:
         ).run()
         assert result.best_value == 6.0
         assert result.best_value == result.history.best_so_far()[-1]
-        assert result.history.best_at_time(math.inf) == 6.0
 
 
 class TestObjective:

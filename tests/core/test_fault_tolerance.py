@@ -141,6 +141,29 @@ class TestRunGuarded:
             run_guarded(flaky, {"x": 1.0})
         assert len(calls) == 1
 
+    def test_backoff_schedule_of_one_point_is_pinned(self, monkeypatch):
+        """The jitter seed is the point's token: the schedule of a fixed
+        point never changes, and a first-attempt success never makes it."""
+        import repro.core.faults as faults
+
+        slept, tokens = [], []
+        monkeypatch.setattr(faults.time, "sleep", slept.append)
+        monkeypatch.setattr(
+            faults, "point_token", lambda values: tokens.append(1) or point_token(values)
+        )
+
+        def always_flaky(values):
+            raise TransientEvaluationError("never recovers")
+
+        with pytest.raises(EvaluationFailed):
+            run_guarded(always_flaky, {"x": 1.5, "y": 0.25}, retry=RetryPolicy(max_attempts=4))
+        assert slept == [0.06067931069902138, 0.10037291803773402, 0.2065967752527009]
+        assert len(tokens) == 1
+
+        tokens.clear()
+        assert run_guarded(lambda v: 1.0, {"x": 1.5}, retry=RetryPolicy()) == (1.0, 0)
+        assert tokens == []
+
 
 class TestTimeouts:
     def test_supported_in_main_thread(self):
@@ -237,6 +260,31 @@ class TestOutcomeTypes:
     def test_failure_policy_validates_on_failure(self):
         with pytest.raises(ValueError):
             FailurePolicy(on_failure="explode")
+
+
+class TestRunConfigJson:
+    @pytest.mark.parametrize("config", [
+        RunConfig(),
+        RunConfig(
+            retry_policy=RetryPolicy(max_attempts=4, backoff=0.5),
+            failure_policy=FailurePolicy(on_failure="raise", quarantine=False,
+                                         failure_rate_threshold=0.5),
+            eval_timeout=2.5,
+            replay_cache_hits=True,
+        ),
+    ], ids=["default", "every-field"])
+    def test_round_trips_through_json(self, config):
+        import json
+
+        assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+    def test_a_missing_key_keeps_its_default(self):
+        assert RunConfig.from_dict({}) == RunConfig()
+        assert RunConfig.from_dict({"eval_timeout": 3.0}) == RunConfig(eval_timeout=3.0)
+
+    def test_an_unknown_policy_field_is_a_value_error(self):
+        with pytest.raises(ValueError, match="not a run configuration"):
+            RunConfig.from_dict({"retry_policy": {"attempts": 3}})
 
 
 class TestCircuitBreaker:

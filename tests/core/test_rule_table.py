@@ -1,5 +1,5 @@
 """The outcome rule table: what each outcome of a candidate records, costs
-and counts, under the serial, batch and async drivers.
+and counts, under the serial, batch, async and fleet drivers.
 
 One case per row of the table in ``AsyncCalibrator._settle``'s
 docstring.  Each case runs a scripted algorithm and checks the tell-log
@@ -9,8 +9,12 @@ difference between the full run and the run without that point.  Every
 script ends in a plain evaluation, so each run has a best.  The pooled
 drivers run two candidates wide, so a revisit asked while its point is
 in flight rides on it; the serial driver meets the same revisit in the
-cache.
+cache.  The fleet driver is a fleet job's: its candidates are posted to
+a task board, and a fleet worker on a thread evaluates them under the
+run's configuration.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +32,8 @@ from repro.core.algorithms import CalibrationAlgorithm
 from repro.core.evaluation import CACHE_DECIMALS, Claim, DictCache, unit_cache_key
 from repro.core.faults import EvaluationFailure, FailurePolicy
 from repro.core.serialization import evaluation_from_dict
+from repro.service import InMemoryStore
+from repro.service.fleet import FleetEvaluator, FleetWorker, TaskBoard
 
 SPACE = ParameterSpace([Parameter("x", 0.0, 1.0, scale="linear")])
 GOOD = np.array([0.25])
@@ -151,10 +157,54 @@ ROWS = {
     ),
 }
 
+class BoardClient:
+    """A fleet worker's front-end connection, straight onto a board."""
+
+    def __init__(self, board):
+        self.board = board
+
+    def publish(self, task_id, value, duration=0.0):
+        return self.board.resolve(task_id, value, duration)
+
+    def fail(self, task_id, failure):
+        return self.board.fail(task_id, failure)
+
+
+class FleetDriver(AsyncCalibrator):
+    """A fleet job's driver, two candidates wide, whose run has one fleet
+    worker thread evaluating its tasks."""
+
+    def __init__(self, config, **kw):
+        self.board = TaskBoard()
+        evaluator = FleetEvaluator(self.board, "job", "fp", spec={"config": config.to_dict()})
+        super().__init__(SPACE, objective, max_pending=2, ordered_tells=True,
+                         evaluator=evaluator, config=config, **kw)
+
+    def run(self, **kw):
+        worker = FleetWorker(BoardClient(self.board), InMemoryStore(),
+                             resolver=lambda spec: objective)
+        done = threading.Event()
+
+        def serve():
+            while not done.is_set():
+                for task in self.board.wait_for_tasks(0.05):
+                    worker.handle_task(task.to_dict())
+            worker.close()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            return super().run(**kw)
+        finally:
+            done.set()
+            thread.join(timeout=30)
+
+
 DRIVERS = {
     "serial": lambda **kw: Calibrator(SPACE, objective, **kw),
     "batch": lambda **kw: BatchCalibrator(SPACE, objective, workers=2, mode="serial", **kw),
     "async": lambda **kw: AsyncCalibrator(SPACE, objective, workers=2, mode="serial", **kw),
+    "fleet": FleetDriver,
 }
 
 

@@ -14,6 +14,7 @@ and exactly 1 hanging point, with the clean best un-faulted.
 """
 
 import threading
+import time
 
 import numpy as np
 
@@ -28,7 +29,8 @@ from repro.core import (
     RetryPolicy,
     RunConfig,
 )
-from repro.service import InMemoryStore, StoreBackedCache
+from repro.service import CalibrationRequest, InMemoryStore, JobStatus, StoreBackedCache
+from repro.service.fleet import FleetClient, FleetFrontend, FleetServer, FleetWorker
 from repro.service.fleet.faults import FaultyObjective
 
 SPACE = ParameterSpace([Parameter(f"p{i}", 2.0**10, 2.0**30) for i in range(2)])
@@ -191,3 +193,62 @@ class TestQuarantineAcrossJobs:
         assert store.failure_count() == 1  # nothing new was diagnosed
         assert sum(1 for e in replay.history if e.failed) == 1  # the skip
         assert sum(1 for e in replay.history if e.cached) == BUDGET - 1
+
+
+class TestFleetChaos:
+    def test_a_hanging_point_costs_one_deadline_not_a_lease(self):
+        """Through the fleet the job's run configuration reaches the
+        workers: the hung point is quarantined as a timeout within one
+        hard deadline, well before any lease could expire, every worker
+        keeps serving, and the best is the clean run's."""
+        clean = Calibrator(
+            SPACE, base_objective, algorithm="random", budget=EvaluationBudget(BUDGET), seed=SEED,
+        ).run()
+        faulty = FaultyObjective(base_objective, hang_fraction=0.05, hang_seconds=600.0, salt=SALT)
+        hanging = [e.values for e in clean.history if faulty.is_hanging_point(e.values)]
+        assert len(hanging) == 1  # the chosen layout
+        config = RunConfig(eval_timeout=EVAL_TIMEOUT, failure_policy=FailurePolicy())
+        lease_ttl = 30.0
+        assert config.hard_deadline() < lease_ttl
+
+        store = InMemoryStore()
+        server = FleetServer(store=store, workers=1, max_pending=3, poll_interval=0.1)
+        frontend = FleetFrontend(server, port=0).start()
+        workers, threads = [], []
+        try:
+            client = FleetClient(frontend.url, timeout=10.0)
+            for _ in range(2):
+                worker = FleetWorker(client, store, resolver=lambda spec: faulty,
+                                     lease_ttl=lease_ttl, poll=0.1)
+                thread = threading.Thread(target=worker.run, kwargs={"max_idle": 2.0}, daemon=True)
+                thread.start()
+                workers.append(worker)
+                threads.append(thread)
+            started = time.monotonic()
+            job = server.submit(CalibrationRequest(
+                space=SPACE, objective=faulty, fingerprint="chaos", algorithm="random",
+                budget=EvaluationBudget(BUDGET), seed=SEED, config=config,
+            ))
+            assert job.wait(lease_ttl), "the hung point waited out a lease"
+            elapsed = time.monotonic() - started
+            assert all(thread.is_alive() for thread in threads), "a worker died"
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive(), "a worker wedged"
+        finally:
+            frontend.close()
+            server.shutdown(wait=False)
+
+        assert job.status is JobStatus.DONE, job.error
+        assert elapsed < config.hard_deadline() + 10.0
+        result = job.result
+        assert result.evaluations == BUDGET
+        assert result.best_value == clean.best_value
+        assert result.best_values == clean.best_values
+        failed = [e for e in result.history if e.failed]
+        assert [e.values for e in failed] == hanging
+        stored = store.get_failure("chaos", hanging[0])
+        assert stored is not None and stored.kind == "timeout"
+        assert store.failure_count() == 1
+        assert sum(w.stats["failures"] for w in workers) == 1
+        assert sum(w.stats["evaluations"] for w in workers) == BUDGET - 1

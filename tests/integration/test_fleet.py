@@ -12,7 +12,10 @@ The acceptance bar for the distributed path:
   the closest a process gets to SIGKILL-ing itself) delays the job by at
   most the lease TTL and costs zero duplicate evaluations;
 * a worker that dies *after* evaluating but *before* publishing costs
-  exactly one duplicate evaluation — the computed value died with it.
+  exactly one duplicate evaluation — the computed value died with it;
+* a worker evaluates under the submitted job's fault flags, so a hung or
+  raising evaluation is retried in place and the job still reproduces
+  the serial run.
 
 Nothing here sleeps for longer than the lease TTL: the tests block on
 process exits and on the served job's own completion.
@@ -69,10 +72,10 @@ def wait_exit(process, timeout=120, label="process"):
     return process.returncode, output
 
 
-def submit_job(cwd, evaluations=10, seed=3):
+def submit_job(cwd, evaluations=10, seed=3, *flags):
     code, output = run(
         "submit", "--serve-dir", "spool", "--algorithm", "random",
-        "--evaluations", str(evaluations), "--seed", str(seed), cwd=cwd,
+        "--evaluations", str(evaluations), "--seed", str(seed), *flags, cwd=cwd,
     )
     assert code == 0, output
     assert JOB in output
@@ -249,3 +252,38 @@ class TestWorkerDeath:
         assert total == store_entries(tmp_path) + 1, (
             "a dropped publish costs exactly one duplicate evaluation"
         )
+
+
+class TestJobRunConfig:
+    def test_a_worker_retries_and_times_out_under_the_jobs_flags(self, tmp_path):
+        """The job's --retries/--eval-timeout reach a worker process whose
+        second evaluation hangs for an hour and whose every fourth one
+        raises: each fault is retried in place, inside the worker's pool
+        process, and the job reproduces the serial run exactly."""
+        submit_job(tmp_path, 8, 3, "--retries", "1", "--eval-timeout", "1")
+        fleet, url = start_fleet(tmp_path)
+        worker = start_worker(
+            tmp_path, url, "faulty", "--lease-ttl", "30",
+            "--fault-hang-on-eval", "2", "--fault-raise-every-evals", "4",
+        )
+        try:
+            fleet_code, fleet_out = wait_exit(fleet, label="fleet")
+            assert fleet_code == 0, fleet_out
+            worker_code, worker_out = wait_exit(worker, label="worker")
+            assert worker_code == 0, worker_out
+        finally:
+            fleet.kill()
+            worker.kill()
+
+        spool = JobSpool(tmp_path / "spool")
+        assert spool.load(JOB)["status"] == "done"
+        result = spool.read_result(JOB)
+        serial = serial_baseline(tmp_path)
+        assert [(e.unit, e.value) for e in result.history] == [
+            (e.unit, e.value) for e in serial.history
+        ]
+        stats = worker_stats(tmp_path, "faulty")
+        # Evaluation 2 hung and timed out, 4 and 8 raised: one retry each.
+        assert stats["retries"] == 3
+        assert stats["failures"] == 0
+        assert stats["evaluations"] == store_entries(tmp_path) == 8

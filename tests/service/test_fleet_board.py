@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import Parameter, ParameterSpace
 from repro.core.evaluation import Claim
+from repro.core.faults import EvaluationFailed, EvaluationFailure
 from repro.service import InMemoryStore
 from repro.service.fleet import FaultInjector, FleetEvaluator, StoreReadCache, TaskBoard
 
@@ -57,9 +58,11 @@ class TestTaskBoard:
         board = TaskBoard()
         future = board.post("job-1", "fp", {"x": 2.0, "y": 3.0}, {})
         (task,) = board.open_tasks()
-        assert board.fail(task.id, "simulator exploded") is True
-        with pytest.raises(RuntimeError, match="simulator exploded"):
+        failure = EvaluationFailure("ValueError: simulator exploded", attempts=2)
+        assert board.fail(task.id, failure) is True
+        with pytest.raises(EvaluationFailed, match="simulator exploded") as info:
             future.result(timeout=1)
+        assert info.value.failure == failure
 
     def test_withdraw_job_cancels_only_that_jobs_tasks(self):
         board = TaskBoard()

@@ -11,9 +11,19 @@ import types
 
 import pytest
 
-from repro.core import Calibrator, EvaluationBudget, Parameter, ParameterSpace
+from repro.core import (
+    Calibrator,
+    EvaluationBudget,
+    EvaluationFailed,
+    FailurePolicy,
+    Parameter,
+    ParameterSpace,
+    RetryPolicy,
+    RunConfig,
+)
 from repro.service import CalibrationRequest, InMemoryStore, JobSpool, JobStatus
 from repro.service.fleet import (
+    FaultyObjective,
     FleetClient,
     FleetClientError,
     FleetFrontend,
@@ -34,6 +44,38 @@ def forbidden(values):
     raise AssertionError("a fleet job must evaluate on workers, not the server")
 
 
+def broken(values):
+    raise ValueError("simulator exploded")
+
+
+class CallLog:
+    """The points the workers evaluated, one line each in a file: a worker
+    evaluates in its pool process, so an in-memory list would stay empty."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def append(self, values):
+        with open(self.path, "a") as handle:
+            handle.write(json.dumps(values) + "\n")
+
+    def __len__(self):
+        return len(self.path.read_text().splitlines()) if self.path.exists() else 0
+
+
+class LoggedQuadratic:
+    """The quadratic, logging each call to a :class:`CallLog` (it pickles
+    into a worker's pool, unlike a closure)."""
+
+    def __init__(self, calls=None):
+        self.calls = calls
+
+    def __call__(self, values):
+        if self.calls is not None:
+            self.calls.append(dict(values))
+        return quadratic(values)
+
+
 def make_request(space, fn=forbidden, algorithm="random", evaluations=20, seed=7,
                  fingerprint="fp-fleet"):
     return CalibrationRequest(
@@ -48,12 +90,7 @@ def make_request(space, fn=forbidden, algorithm="random", evaluations=20, seed=7
 
 def run_worker_thread(client, store, calls=None, **kwargs):
     """A fleet worker as a daemon thread with a local quadratic resolver."""
-
-    def objective(values):
-        if calls is not None:
-            calls.append(dict(values))
-        return quadratic(values)
-
+    objective = LoggedQuadratic(calls)
     worker = FleetWorker(
         client, store, resolver=lambda spec: objective, poll=0.1, **kwargs
     )
@@ -76,14 +113,14 @@ def fleet():
 
 
 class TestFleetCalibration:
-    def test_fleet_run_is_byte_identical_to_serial(self, fleet):
+    def test_fleet_run_is_byte_identical_to_serial(self, fleet, tmp_path):
         store, server, frontend, client = fleet
         space = make_space()
         serial = Calibrator(
             space, quadratic, algorithm="random", budget=EvaluationBudget(20), seed=7
         ).run()
 
-        calls = []
+        calls = CallLog(tmp_path / "calls.jsonl")
         worker, thread = run_worker_thread(client, store, calls=calls)
         job = server.submit(make_request(space))
         assert job.wait(60)
@@ -105,7 +142,7 @@ class TestFleetCalibration:
         assert worker.stats["evaluations"] == 20
         assert worker.stats["publishes"] == 20
 
-    def test_fleet_job_resumes_a_serial_tell_log(self, fleet):
+    def test_fleet_job_resumes_a_serial_tell_log(self, fleet, tmp_path):
         """Every driver writes one tell-log format: a fleet job replays a
         log the serial calibrator wrote and finishes its trajectory, the
         workers evaluating only the points past the log."""
@@ -119,7 +156,7 @@ class TestFleetCalibration:
             space, quadratic, algorithm="random", budget=EvaluationBudget(8), seed=7
         ).run(checkpoint_every=8, on_checkpoint=log.extend)
 
-        calls = []
+        calls = CallLog(tmp_path / "calls.jsonl")
         _, thread = run_worker_thread(client, store, calls=calls)
         request = make_request(space)
         request.checkpoint = json.loads(json.dumps(log))
@@ -167,10 +204,10 @@ class TestFleetCalibration:
             evaluation_to_dict(e) for e in jobs[0].result.history
         ]
 
-    def test_two_worker_threads_split_the_work_without_duplicates(self, fleet):
+    def test_two_worker_threads_split_the_work_without_duplicates(self, fleet, tmp_path):
         store, server, frontend, client = fleet
         space = make_space()
-        calls = []
+        calls = CallLog(tmp_path / "calls.jsonl")
         w1, t1 = run_worker_thread(client, store, calls=calls)
         w2, t2 = run_worker_thread(client, store, calls=calls)
         job = server.submit(make_request(space, evaluations=30))
@@ -198,10 +235,6 @@ class TestFleetCalibration:
     def test_worker_failure_fails_the_job_loudly(self, fleet):
         store, server, frontend, client = fleet
         space = make_space()
-
-        def broken(values):
-            raise ValueError("simulator exploded")
-
         worker = FleetWorker(client, store, resolver=lambda spec: broken, poll=0.1)
         thread = threading.Thread(target=worker.run, kwargs={"max_idle": 2.0}, daemon=True)
         thread.start()
@@ -309,6 +342,14 @@ class TestFrontendEndpoints:
             assert submitted == [{"algorithm": "random", "evaluations": 3}]
         server.shutdown(wait=False)
 
+    def test_a_bad_run_configuration_is_400(self):
+        server = FleetServer(store=InMemoryStore(), workers=1)
+        with FleetFrontend(server, port=0, submit=lambda spec: "job-0001") as frontend:
+            client = FleetClient(frontend.url, timeout=10.0)
+            with pytest.raises(FleetClientError, match="400"):
+                client.submit({"config": {"retry_policy": {"attempts": 3}}})
+        server.shutdown(wait=False)
+
     def test_unknown_endpoint_is_404_and_bad_json_is_400(self, fleet):
         _, _, frontend, client = fleet
         with pytest.raises(FleetClientError, match="404"):
@@ -360,3 +401,89 @@ class TestWorkerProtocol:
         # The loser of a takeover race publishes into the void: HTTP 200,
         # resolved=false, nobody crashes.
         assert client.publish(task["id"], 2.0) is False
+
+
+class CountingStore(InMemoryStore):
+    """An in-memory store that counts the worker's claims, quarantines and
+    releases."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = {"claim": 0, "record_failure": 0, "release": 0}
+
+    def claim(self, *args, **kwargs):
+        self.calls["claim"] += 1
+        return super().claim(*args, **kwargs)
+
+    def record_failure(self, *args, **kwargs):
+        self.calls["record_failure"] += 1
+        return super().record_failure(*args, **kwargs)
+
+    def release(self, *args, **kwargs):
+        self.calls["release"] += 1
+        return super().release(*args, **kwargs)
+
+
+FAST_RETRY = RetryPolicy(max_attempts=3, backoff=0.001, backoff_max=0.002)
+
+
+class TestWorkerFailureRule:
+    """The worker evaluates under the task's run configuration, and a
+    failed point's fate follows the rule every driver applies."""
+
+    def settle_one(self, fail_attempts, config, lease_ttl=60.0):
+        store = CountingStore()
+        server = FleetServer(store=store, workers=1, poll_interval=0.1)
+        try:
+            with FleetFrontend(server, port=0) as frontend:
+                client = FleetClient(frontend.url, timeout=10.0)
+                objective = FaultyObjective(quadratic, fail_fraction=1.0,
+                                            fail_attempts=fail_attempts)
+                future = server.board.post("job-x", "fp-fleet", {"x": 2.0, "y": 3.0},
+                                           {"config": config.to_dict()})
+                worker = FleetWorker(client, store, resolver=lambda spec: objective,
+                                     lease_ttl=lease_ttl)
+                (task,) = client.tasks()
+                try:
+                    assert worker.handle_task(task) is True
+                finally:
+                    worker.close()
+                assert client.tasks() == [], "a settled point is never re-claimed"
+        finally:
+            server.shutdown(wait=False)
+        return store, worker, future
+
+    def test_a_point_failing_every_attempt_is_quarantined_once(self):
+        config = RunConfig(retry_policy=FAST_RETRY, failure_policy=FailurePolicy())
+        store, worker, future = self.settle_one(10, config)
+        with pytest.raises(EvaluationFailed) as info:
+            future.result(timeout=1)
+        assert (info.value.failure.kind, info.value.failure.attempts) == ("transient", 3)
+        assert store.calls == {"claim": 1, "record_failure": 1, "release": 0}
+        stored = store.get_failure("fp-fleet", {"x": 2.0, "y": 3.0})
+        assert (stored.kind, stored.attempts) == ("transient", 3)
+        assert worker.stats["failures"] == 1 and worker.stats["evaluations"] == 0
+
+    def test_without_quarantine_the_lease_is_released_once(self):
+        config = RunConfig(retry_policy=FAST_RETRY,
+                           failure_policy=FailurePolicy(quarantine=False))
+        store, worker, future = self.settle_one(10, config)
+        with pytest.raises(EvaluationFailed):
+            future.result(timeout=1)
+        assert store.calls == {"claim": 1, "record_failure": 0, "release": 1}
+        assert store.failure_count() == 0 and store.lease_count() == 0
+
+    def test_a_flaky_point_recovers_in_place(self):
+        config = RunConfig(retry_policy=FAST_RETRY, failure_policy=FailurePolicy())
+        store, worker, future = self.settle_one(1, config)
+        assert future.result(timeout=1)[0] == quadratic({"x": 2.0, "y": 3.0})
+        assert store.calls == {"claim": 1, "record_failure": 0, "release": 0}
+        assert worker.stats["evaluations"] == 1 and worker.stats["failures"] == 0
+
+    def test_a_hard_deadline_past_the_lease_ttl_is_refused(self):
+        config = RunConfig(eval_timeout=1.0, failure_policy=FailurePolicy())
+        store, worker, future = self.settle_one(0, config, lease_ttl=5.0)
+        with pytest.raises(EvaluationFailed, match="not below this worker's lease TTL"):
+            future.result(timeout=1)
+        assert store.calls == {"claim": 0, "record_failure": 0, "release": 0}
+        assert worker.stats["refusals"] == 1
