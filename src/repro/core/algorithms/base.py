@@ -31,8 +31,12 @@ Two tell orderings exist, selected by the class attribute
 
 * *ordered* (the default): tells must arrive in ask order, and a new
   internal batch cannot be generated while candidates of the current one
-  are still outstanding.  Population algorithms (CMA-ES, DE, Nelder-Mead,
+  are still outstanding.  Population algorithms (CMA-ES, Nelder-Mead,
   line searches) are inherently ordered — a generation is a unit.
+  Immediate-update DE is ordered too, but overrides this ledger: each
+  trial is its own unit, asked ahead of earlier tells whenever it reads
+  no member whose trial is still outstanding (see
+  :mod:`~repro.core.algorithms.differential_evolution`).
 * *async-native* (``supports_async_tell = True``): the algorithm is a
   steady-state sampler whose proposals do not depend on a rigid
   generation boundary (random, Sobol, Latin hypercube, TPE).  ``ask`` may

@@ -16,9 +16,13 @@ Two selection schemes are available:
 * the default (``synchronous=False``) is the historical *immediate
   update*: a winning trial replaces its parent right away, so later
   trials in the same generation already build on it.  The initial
-  population is asked as one batch, but trials are sequentially
-  dependent and therefore asked one at a time — seeded trajectories are
-  byte-identical to the original blocking loop;
+  population is asked as one batch.  A trial for member ``i`` reads rows
+  ``i``, ``a``, ``b`` and ``c`` and nothing else, so it is handed out
+  before earlier trials are told whenever none of those four members
+  has a trial asked but not yet told; otherwise it waits, its draws
+  already made, for the tells it reads.  The rng stream, every
+  arithmetic step and the selection order are those of the original
+  blocking loop, so a serial run and a pooled one are byte-identical;
 * ``synchronous=True`` is classic generational DE: every trial of a
   generation is built from the generation-start population and asked as
   one batch, so a parallel driver can evaluate a whole generation
@@ -27,6 +31,8 @@ Two selection schemes are available:
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -66,54 +72,93 @@ class DifferentialEvolution(CalibrationAlgorithm):
         self._phase = "init"
         self._population: np.ndarray | None = None
         self._fitness: np.ndarray | None = None
+        # The ask cursor: the next member to reach and its generation.
         self._member = 0
         self._generation = 0
+        # The drawn trial not yet asked (its rows await tells): (i, a, b, c, cross).
+        self._reached: tuple[int, int, int, int, np.ndarray] | None = None
+        # Trials asked but not yet told, in ask order: (member, trial).
+        self._untold: deque[tuple[int, np.ndarray]] = deque()
 
-    def _trial(self, i: int, rng: np.random.Generator) -> np.ndarray:
-        """The DE/rand/1/bin trial vector challenging member ``i``."""
+    def _draw(self, i: int, rng: np.random.Generator) -> tuple[int, int, int, int, np.ndarray]:
+        """The random choices of the trial challenging member ``i``:
+        three distinct other members and the crossover mask."""
         d = self.space.dimension
-        n = self.population_size
-        # Three distinct members other than i.
-        choices = [j for j in range(n) if j != i]
+        choices = [j for j in range(self.population_size) if j != i]
         a, b, c = rng.choice(choices, size=3, replace=False)
+        # Binomial crossover with a guaranteed mutant coordinate.
+        cross = rng.uniform(size=d) < self.crossover
+        cross[rng.integers(d)] = True
+        return i, int(a), int(b), int(c), cross
+
+    def _build(self, i: int, a: int, b: int, c: int, cross: np.ndarray) -> np.ndarray:
+        """The DE/rand/1/bin trial vector from drawn choices."""
         mutant = np.clip(
             self._population[a]
             + self.mutation * (self._population[b] - self._population[c]),
             0.0,
             1.0,
         )
-        # Binomial crossover with a guaranteed mutant coordinate.
-        cross = rng.uniform(size=d) < self.crossover
-        cross[rng.integers(d)] = True
         return np.where(cross, mutant, self._population[i])
+
+    def _ask_impl(self, rng: np.random.Generator, n: int) -> list[np.ndarray]:
+        if self._phase == "init" or self.synchronous:
+            return super()._ask_impl(rng, n)
+        if n < 1:
+            raise ValueError("ask() needs n >= 1")
+        out: list[np.ndarray] = []
+        while len(out) < n and not self._finished:
+            if self._reached is None:
+                if self._generation >= self.max_generations:
+                    # Finished only once every trial is told, as serially.
+                    self._finished = not self._untold
+                    break
+                self._reached = self._draw(self._member, rng)
+                self._member += 1
+                if self._member >= self.population_size:
+                    self._member = 0
+                    self._generation += 1
+            reads = self._reached[:4]
+            if any(member in reads for member, _ in self._untold):
+                break  # a row it reads awaits its tell
+            trial = self._build(*self._reached)
+            self._reached = None
+            self._untold.append((reads[0], trial))
+            out.append(trial)
+        return out
+
+    def _tell_impl(self, candidates: Sequence[np.ndarray], values: Sequence[float]) -> None:
+        if self._phase == "init" or self.synchronous:
+            super()._tell_impl(candidates, values)
+            return
+        if len(candidates) != len(values):
+            raise ValueError("tell() needs one value per candidate")
+        if len(values) > len(self._untold):
+            raise ValueError(
+                f"{self.name}: told {len(values)} results but only "
+                f"{len(self._untold)} candidates are outstanding"
+            )
+        for value in values:
+            i, trial = self._untold.popleft()
+            f_trial = float(value)
+            if f_trial <= self._fitness[i]:
+                self._population[i] = trial
+                self._fitness[i] = f_trial
 
     def _generate(self, rng: np.random.Generator, n: int) -> list[np.ndarray] | None:
         if self._phase == "init":
             return [self.space.sample_unit(rng) for _ in range(self.population_size)]
         if self._generation >= self.max_generations:
             return None
-        if self.synchronous:
-            return [self._trial(i, rng) for i in range(self.population_size)]
-        return [self._trial(self._member, rng)]
+        self._generation += 1
+        return [self._build(*self._draw(i, rng)) for i in range(self.population_size)]
 
     def _observe(self, candidates: list[np.ndarray], values: list[float]) -> None:
         if self._phase == "init":
             self._population = np.array(candidates)
             self._fitness = np.array(values)
             self._phase = "evolve"
-            self._member = 0
             return
-        if self.synchronous:
-            for i, (trial, f_trial) in enumerate(zip(candidates, values, strict=True)):
-                if f_trial <= self._fitness[i]:
-                    self._population[i], self._fitness[i] = trial, f_trial
-            self._generation += 1
-            return
-        trial, f_trial = candidates[0], values[0]
-        if f_trial <= self._fitness[self._member]:
-            self._population[self._member] = trial
-            self._fitness[self._member] = f_trial
-        self._member += 1
-        if self._member >= self.population_size:
-            self._member = 0
-            self._generation += 1
+        for i, (trial, f_trial) in enumerate(zip(candidates, values, strict=True)):
+            if f_trial <= self._fitness[i]:
+                self._population[i], self._fitness[i] = trial, f_trial

@@ -5,8 +5,9 @@ fetch the open tasks over HTTP, claim them through the store's lease
 protocol and publish results back, which resolves the posted future and
 lets the driver continue.  The board itself knows nothing about leases —
 cross-process single-flight is the *store's* job — it only deduplicates
-identical open points (two jobs on the same scenario reaching the same
-candidate share one task) and routes results to futures.
+identical open points (two jobs on the same scenario and run
+configuration reaching the same candidate share one task) and routes
+results to futures.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import time
 from concurrent.futures import Future
 from typing import Any
 
+from repro.core.async_driver import RunConfig
 from repro.core.faults import EvaluationFailed, EvaluationFailure
 from repro.service.store import evaluation_key
 from repro.telemetry.metrics import registry as _metrics_registry
@@ -33,6 +35,7 @@ class FleetTask:
     """One open evaluation: a candidate some job wants computed."""
 
     id: str
+    #: the job the task is posted for (the first of its riders still open)
     job_id: str
     fingerprint: str
     values: dict[str, float]
@@ -46,10 +49,22 @@ class FleetTask:
         return dataclasses.asdict(self)
 
 
+#: what makes two posts one task: the evaluation key and the run config
+_TaskKey = tuple[str, RunConfig]
+
+
+@dataclasses.dataclass
+class _Rider:
+    job_id: str
+    spec: dict[str, Any]
+    future: Future[Outcome]
+
+
 @dataclasses.dataclass
 class _Entry:
     task: FleetTask
-    futures: list[Future[Outcome]]
+    key: _TaskKey
+    riders: list[_Rider]
 
 
 class TaskBoard:
@@ -58,7 +73,7 @@ class TaskBoard:
     def __init__(self) -> None:
         self._cond = threading.Condition()
         self._entries: dict[str, _Entry] = {}
-        self._by_key: dict[str, str] = {}  # evaluation key -> open task id
+        self._by_key: dict[_TaskKey, str] = {}  # -> open task id
         self._counter = 0
 
     # ------------------------------------------------------------------ #
@@ -74,15 +89,20 @@ class TaskBoard:
         """Register one candidate; returns the future its result lands on.
 
         An identical point already open (same fingerprint and canonical
-        values, from any job) is *joined*, not re-posted: the new future
+        values, from any job) under the same run configuration (the
+        spec's ``config``) is *joined*, not re-posted: the new future
         rides on the existing task and one worker evaluation settles both.
+        The same point under another configuration is another task, so
+        each job's point runs under its own retries, timeout and failure
+        policy.
         """
-        key = evaluation_key(fingerprint, values)
+        key = (evaluation_key(fingerprint, values), RunConfig.from_dict(spec.get("config") or {}))
         future: Future[Outcome] = Future()
+        rider = _Rider(job_id, dict(spec), future)
         with self._cond:
             task_id = self._by_key.get(key)
             if task_id is not None:
-                self._entries[task_id].futures.append(future)
+                self._entries[task_id].riders.append(rider)
                 return future
             self._counter += 1
             task_id = f"task-{self._counter:06d}"
@@ -91,32 +111,40 @@ class TaskBoard:
                 job_id=job_id,
                 fingerprint=fingerprint,
                 values=dict(values),
-                spec=dict(spec),
+                spec=rider.spec,
                 created_at=time.time(),
             )
-            self._entries[task_id] = _Entry(task, [future])
+            self._entries[task_id] = _Entry(task, key, [rider])
             self._by_key[key] = task_id
             self._cond.notify_all()
         self._count("repro_fleet_tasks_posted_total", "Evaluation tasks posted to the board.")
         return future
 
     def withdraw_job(self, job_id: str) -> int:
-        """Drop a job's still-open tasks (its driver is done or failed).
+        """Cancel a job's futures on the open tasks (its driver is done or
+        failed); returns how many were cancelled.
 
-        Futures other jobs attached to a shared task keep the task alive;
-        only tasks whose *owning* job matches and are still unresolved are
-        removed, their futures cancelled.
+        A task no other job rides on is dropped.  A shared one stays
+        open for its other riders; if the closing job posted it, it
+        passes to the next rider's job and spec, under the same id, so a
+        worker already evaluating it still publishes to it.
         """
         cancelled: list[Future[Outcome]] = []
         with self._cond:
-            for task_id in [
-                tid for tid, e in self._entries.items() if e.task.job_id == job_id
-            ]:
-                entry = self._entries.pop(task_id)
-                self._by_key.pop(
-                    evaluation_key(entry.task.fingerprint, entry.task.values), None
-                )
-                cancelled.extend(entry.futures)
+            for task_id, entry in list(self._entries.items()):
+                staying = [r for r in entry.riders if r.job_id != job_id]
+                if len(staying) == len(entry.riders):
+                    continue
+                cancelled.extend(r.future for r in entry.riders if r.job_id == job_id)
+                entry.riders = staying
+                if not staying:
+                    del self._entries[task_id]
+                    del self._by_key[entry.key]
+                elif entry.task.job_id == job_id:
+                    heir = staying[0]
+                    entry.task = dataclasses.replace(
+                        entry.task, job_id=heir.job_id, spec=heir.spec
+                    )
         for future in cancelled:
             future.cancel()
         return len(cancelled)
@@ -150,8 +178,8 @@ class TaskBoard:
             return False
         # Futures are settled outside the lock: set_result wakes driver
         # threads immediately and must not do so while holding the board.
-        for future in entry.futures:
-            future.set_result((float(value), float(duration)))
+        for rider in entry.riders:
+            rider.future.set_result((float(value), float(duration)))
         self._count("repro_fleet_tasks_resolved_total", "Evaluation tasks resolved by workers.")
         return True
 
@@ -164,8 +192,8 @@ class TaskBoard:
         entry = self._take(task_id)
         if entry is None:
             return False
-        for future in entry.futures:
-            future.set_exception(EvaluationFailed(failure))
+        for rider in entry.riders:
+            rider.future.set_exception(EvaluationFailed(failure))
         self._count("repro_fleet_tasks_failed_total", "Evaluation tasks failed by workers.")
         return True
 
@@ -174,7 +202,7 @@ class TaskBoard:
         with self._cond:
             entry = self._entries.pop(task_id, None)
             if entry is not None:
-                self._by_key.pop(evaluation_key(entry.task.fingerprint, entry.task.values), None)
+                del self._by_key[entry.key]
             return entry
 
     def _count(self, name: str, help_text: str) -> None:

@@ -57,10 +57,13 @@ from repro.telemetry.metrics import registry as _metrics_registry
 
 _REGISTRY = _metrics_registry()
 
-__all__ = ["FleetWorker", "case_study_resolver"]
+__all__ = ["CASE_STUDY_FIELDS", "FleetWorker", "case_study_resolver"]
 
 ObjectiveFunction = Callable[[dict[str, float]], float]
 ObjectiveResolver = Callable[[dict[str, Any]], ObjectiveFunction]
+
+#: the job-specification fields :func:`case_study_resolver` reads
+CASE_STUDY_FIELDS = ("platform", "scale", "icds", "metric")
 
 
 def case_study_resolver() -> ObjectiveResolver:
@@ -95,7 +98,9 @@ class FleetWorker:
     resolver:
         Maps a task's job specification to an objective callable, which
         must pickle (it runs in the worker's pool process); defaults to
-        the case-study resolver.
+        the case-study resolver.  It reads only :data:`CASE_STUDY_FIELDS`:
+        tasks that agree on those and on ``config`` share the worker's
+        pool, whatever else (budget, seed, algorithm) their jobs differ in.
     owner:
         Lease-owner identity; defaults to ``worker-<pid>-<random>``.
     lease_ttl:
@@ -146,10 +151,10 @@ class FleetWorker:
             "quarantine_skips": 0,
             "refusals": 0,
         }
-        #: the one live pool, and the task spec (objective and run
-        #: configuration) it was built for
+        #: the one live pool, and the objective fields and run
+        #: configuration it was built for
         self._pool: ParallelEvaluator | None = None
-        self._pool_spec = ""
+        self._pool_key: tuple[str, RunConfig] | None = None
 
     # ------------------------------------------------------------------ #
     # bookkeeping
@@ -170,14 +175,15 @@ class FleetWorker:
         """The one-process pool that evaluates ``spec``'s points under
         ``config``, made guarded so that every failure arrives as
         :class:`~repro.core.faults.EvaluationFailed` with its kind."""
-        key = json.dumps(spec, sort_keys=True)
-        if self._pool is None or key != self._pool_spec:
+        fields = {name: spec.get(name) for name in CASE_STUDY_FIELDS}
+        key = (json.dumps(fields, sort_keys=True), config)
+        if self._pool is None or key != self._pool_key:
             self.close()
             if not config.guarded:
                 config = dataclasses.replace(config, retry_policy=RetryPolicy(max_attempts=1))
             objective = self.fault.wrap(self.resolver(spec))
             self._pool = ParallelEvaluator(objective, workers=1, config=config)
-            self._pool_spec = key
+            self._pool_key = key
         return self._pool
 
     def close(self) -> None:

@@ -6,15 +6,40 @@ import time
 
 import pytest
 
-from repro.core import Parameter, ParameterSpace
+from repro.core import Parameter, ParameterSpace, RunConfig
 from repro.core.evaluation import Claim
 from repro.core.faults import EvaluationFailed, EvaluationFailure
+from repro.core.parallel import ParallelEvaluator
 from repro.service import InMemoryStore
-from repro.service.fleet import FaultInjector, FleetEvaluator, StoreReadCache, TaskBoard
+from repro.service.fleet import (
+    FaultInjector,
+    FleetEvaluator,
+    FleetWorker,
+    StoreReadCache,
+    TaskBoard,
+)
 
 
 def make_space():
     return ParameterSpace([Parameter("x", 1.0, 16.0), Parameter("y", 1.0, 16.0)])
+
+
+def plane(values):
+    """A picklable objective for a worker's pool process."""
+    return values["x"] + values["y"]
+
+
+class BoardClient:
+    """A fleet worker's front-end connection, straight onto a board."""
+
+    def __init__(self, board):
+        self.board = board
+
+    def publish(self, task_id, value, duration=0.0):
+        return self.board.resolve(task_id, value, duration)
+
+    def fail(self, task_id, failure):
+        return self.board.fail(task_id, failure)
 
 
 class TestTaskBoard:
@@ -72,6 +97,50 @@ class TestTaskBoard:
         assert mine.cancelled()
         assert not other.cancelled()
         assert len(board) == 1
+
+    def test_withdraw_hands_a_shared_task_to_the_remaining_rider(self):
+        board = TaskBoard()
+        first = FleetEvaluator(board, "job-1", "fp", spec={"evaluations": 10})
+        second = FleetEvaluator(board, "job-2", "fp", spec={"evaluations": 20})
+        mine = first.submit({"x": 2.0, "y": 3.0})
+        theirs = second.submit({"x": 2.0, "y": 3.0})
+        (task,) = board.open_tasks()
+        first.close()
+        assert mine.cancelled()
+        assert not theirs.cancelled()
+        (kept,) = board.open_tasks()
+        assert kept.id == task.id, "a worker evaluating it still publishes to it"
+        assert kept.job_id == "job-2" and kept.spec == {"evaluations": 20}
+        assert board.resolve(task.id, 4.0) is True
+        assert theirs.result(timeout=1) == (4.0, 0.0)
+
+    def test_withdraw_cancels_the_jobs_ride_on_another_jobs_task(self):
+        board = TaskBoard()
+        owner = board.post("job-1", "fp", {"x": 2.0, "y": 3.0}, {})
+        rider = board.post("job-2", "fp", {"x": 2.0, "y": 3.0}, {})
+        assert board.withdraw_job("job-2") == 1
+        assert rider.cancelled() and not owner.cancelled()
+        (task,) = board.open_tasks()
+        assert task.job_id == "job-1"
+        board.resolve(task.id, 1.0)
+        assert owner.result(timeout=1) == (1.0, 0.0)
+
+    def test_the_same_point_under_another_config_is_another_task(self):
+        board = TaskBoard()
+        values = {"x": 2.0, "y": 3.0}
+        strict = {"config": RunConfig(eval_timeout=1.0).to_dict()}
+        board.post("job-1", "fp", values, strict)
+        board.post("job-2", "fp", values, {})
+        assert len(board) == 2
+        specs = sorted(
+            (task.spec.get("config") or {}).get("eval_timeout") or 0.0
+            for task in board.open_tasks()
+        )
+        assert specs == [0.0, 1.0], "each job's point runs under its own config"
+        # The default config, spelt out or left out, is one config.
+        board.post("job-3", "fp", values, {"config": RunConfig().to_dict()})
+        board.post("job-4", "fp", values, strict)
+        assert len(board) == 2
 
     def test_wait_for_tasks_long_polls_until_a_post(self):
         board = TaskBoard()
@@ -137,6 +206,49 @@ class TestFleetEvaluator:
         evaluator.submit({"x": 4.0, "y": 5.0})
         evaluator.close()
         assert len(board) == 0
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The pool processes started, one entry each."""
+    starts = []
+    start_worker = ParallelEvaluator._start_worker
+
+    def counting(pool):
+        starts.append(pool)
+        return start_worker(pool)
+
+    monkeypatch.setattr(ParallelEvaluator, "_start_worker", counting)
+    return starts
+
+
+class TestFleetWorkerPool:
+    def test_jobs_differing_only_in_budget_share_one_pool_process(self, pool_starts):
+        board = TaskBoard()
+        worker = FleetWorker(BoardClient(board), InMemoryStore(), resolver=lambda spec: plane)
+        futures = []
+        try:
+            for index in range(6):
+                spec = {"platform": "FCSN", "evaluations": 10 if index % 2 else 20}
+                futures.append(board.post(f"job-{index % 2}", "fp", {"x": index, "y": 1.0}, spec))
+                (task,) = board.open_tasks()
+                assert worker.handle_task(task.to_dict()) is True
+        finally:
+            worker.close()
+        assert [f.result(timeout=1)[0] for f in futures] == [i + 1.0 for i in range(6)]
+        assert len(pool_starts) == 1
+
+    def test_another_config_gets_another_pool(self, pool_starts):
+        board = TaskBoard()
+        worker = FleetWorker(BoardClient(board), InMemoryStore(), resolver=lambda spec: plane)
+        try:
+            for index, config in enumerate([RunConfig(), RunConfig(eval_timeout=5.0)]):
+                board.post("job", "fp", {"x": index, "y": 1.0}, {"config": config.to_dict()})
+                (task,) = board.open_tasks()
+                worker.handle_task(task.to_dict())
+        finally:
+            worker.close()
+        assert len(pool_starts) == 2
 
 
 class TestFaultInjector:
