@@ -3,8 +3,8 @@
 This module holds the one event loop every driver runs — claim →
 dispatch → settle → tell → record, with lease re-claims and resume by
 replaying the run's tell log.  Every outcome of a candidate (evaluated,
-hit, deferred hit, fresh failure, quarantine skip, and the riders of
-each) is settled by one method, :meth:`AsyncCalibrator._settle`, whose
+hit, deferred hit, fresh failure, quarantine skip, and a rider of any
+of them) is settled by one method, :meth:`AsyncCalibrator._settle`, whose
 docstring is the rule table of what each outcome records, counts and
 costs; the replay counts through the same :meth:`AsyncCalibrator._count`.
 The three drivers differ only in a refill policy fixed per class:
@@ -242,7 +242,7 @@ class _InFlight:
     span: Span | None  # open "evaluation" span (tracing enabled only)
     charged: int  # budget units paid at launch
     future: Future[Outcome] | None = None  # None: deferred (leased elsewhere)
-    riders: tuple[tuple[int, np.ndarray], ...] = ()  # in-run revisits riding on it
+    riders: tuple[tuple[int, np.ndarray], ...] = ()  # in-run revisits, one unit reserved each
 
 
 class AsyncCalibrator:
@@ -444,8 +444,10 @@ class AsyncCalibrator:
             self.algorithm.tell([candidate], [evaluation.value])
             key = unit_cache_key(unit, CACHE_DECIMALS)
             if evaluation.failed:
-                # A rider of a failure, or a revisit of a point this run
-                # quarantined, was a skip; anything else failed afresh.
+                # A revisit of a point this run quarantined was a skip (so
+                # was a failure's rider, ``cached``, in logs written before
+                # riders of failures were charged); anything else failed
+                # afresh.
                 outcome = _SKIPPED if evaluation.cached or key in quarantined else _FAILED
                 if outcome == _FAILED and quarantine:
                     quarantined.add(key)
@@ -490,7 +492,13 @@ class AsyncCalibrator:
             entries ``on_checkpoint`` received, in order).  The run
             replays it into a fresh algorithm and rng seeded alike, then
             launches the candidates asked but never told under their
-            original ``seq`` and carries on.
+            original ``seq`` and carries on.  Budget, history and trajectory
+            come back exact; two counters only approximately, as the log
+            does not tell a peer's work from this run's.  Under
+            ``replay_cache_hits`` a replayed deferred hit counts in
+            ``cache_hits`` but not ``deferred_hits``; and a replayed skip
+            of a point a peer quarantined counts in ``failures``, not
+            ``quarantine_skips``.
         checkpoint_every:
             Hand the tell-log entries to ``on_checkpoint`` whenever at
             least this many have accumulated (0 disables), and the rest
@@ -522,15 +530,17 @@ class AsyncCalibrator:
         self._pending: list[_InFlight] = []
         self._inflight_keys: dict[CacheKey, _InFlight] = {}
         self.algorithm.setup(self.space)
-        #: candidates a resumed run asked but never told, relaunched first
-        self._untold: list[tuple[int, np.ndarray]] = []
+        #: ``(seq, candidate)`` asked but not launched, in ask order: a
+        #: resumed run's untold ones, or a batch's tail the budget could
+        #: not yet afford
+        self._unlaunched: list[tuple[int, np.ndarray]] = []
         self.history = CalibrationHistory()
         if self._stopper is not None:
             self._stopper.bind(self.history)
         elapsed = 0.0
         self._reg = None  # a replay moves no metric
         if resume is not None:
-            self._untold, elapsed = self._restore(resume, rng)
+            self._unlaunched, elapsed = self._restore(resume, rng)
         self._adapter = OrderedTellAdapter(self.algorithm) if self.ordered_tells else None
         if self._adapter is not None and resume is not None:
             self._adapter._next_release = len(resume)  # the replay told this prefix
@@ -623,23 +633,12 @@ class AsyncCalibrator:
     # the event loop
     # ------------------------------------------------------------------ #
     def _drive(self, rng: np.random.Generator) -> None:
-        for seq, candidate in self._untold:  # a resumed run's in-flight work
-            if not self._launch(candidate, seq):
-                break
-        while True:
-            asked = self._refill(rng)
-            if not self._pending:
-                if asked:
-                    continue  # everything asked was answered by the cache
-                break  # nothing in flight and nothing left to ask: done
-            self._await_completions()
-            self._maybe_checkpoint()
-        # Budget exhausted (or algorithm done) with work still in flight:
-        # drain it — the dispatches were charged, their results belong to
-        # the history and the algorithm.
-        while self._pending:
-            self._await_completions()
-            self._maybe_checkpoint()
+        # Until nothing is launched and nothing is in flight; candidates
+        # the budget never afforded are then dropped, never told.
+        while self._refill(rng) or self._pending:
+            if self._pending:
+                self._await_completions()
+                self._maybe_checkpoint()
 
     def _maybe_checkpoint(self) -> None:
         """Hand the new tell-log entries over after a round of completions.
@@ -657,42 +656,47 @@ class AsyncCalibrator:
         self._on_checkpoint(entries)
 
     def _refill(self, rng: np.random.Generator) -> int:
-        """Ask and launch candidates until capacity or budget runs out.
+        """Launch the candidates asked but not yet launched, then ask and
+        launch more until capacity or budget runs out.
 
         Without the barrier one candidate is asked whenever fewer than
         ``max_pending`` are in flight; with it nothing is asked until the
         pool has drained, then ``max_pending`` candidates are asked at
-        once and launched in ask order.  Returns the number of candidates
-        asked (cache hits resolve instantly and never enter ``pending``,
-        so progress is reported even when nothing was dispatched).
+        once and launched in ask order.  A candidate the budget cannot
+        afford waits, with those asked after it, until a rider's refund
+        lets it launch.  Returns the number of candidates launched (cache
+        hits resolve instantly and never enter ``pending``, so progress
+        is reported even when nothing was dispatched).
         """
-        asked = 0
+        launched = 0
+        unlaunched = self._unlaunched
         width = self.max_pending if self._barrier else 1
-        while (
-            len(self._pending) + width <= self.max_pending
-            and not self.algorithm.done()
-            and not self._budget.exhausted(self._budget_units)
-        ):
+        while True:
+            while unlaunched and self._launch(*unlaunched[0]):
+                del unlaunched[0]
+                launched += 1
+            if (
+                unlaunched
+                or len(self._pending) + width > self.max_pending
+                or self.algorithm.done()
+                or self._budget.exhausted(self._budget_units)
+            ):
+                return launched
             candidates = self.algorithm.ask(rng, width)
             if not candidates:
-                break  # ordered algorithm awaiting tells (or done)
-            first = self._seq
+                return launched  # ordered algorithm awaiting tells (or done)
+            unlaunched.extend(enumerate(candidates, self._seq))
             self._seq += len(candidates)
-            for offset, candidate in enumerate(candidates):
-                asked += 1
-                if not self._launch(candidate, first + offset):
-                    # Truncated final batch: only the affordable prefix is
-                    # launched (and told); the run is over anyway.
-                    return asked
-        return asked
 
-    def _launch(self, candidate: np.ndarray, seq: int) -> bool:
+    def _launch(self, seq: int, candidate: np.ndarray) -> bool:
         """Claim candidate ``seq`` and settle, defer or dispatch it.
 
-        Returns ``False`` — with the claim cancelled and nothing recorded
-        — when the evaluation cap cannot afford the candidate, which only
-        a batch asked wider than the remaining budget can produce.
+        Returns ``False``, with nothing claimed or recorded, when the
+        evaluation cap is spent: the budget check the serial driver makes
+        before each ask, made here for each candidate of a batch too.
         """
+        if remaining_evaluations(self._budget, self._budget_units) == 0:
+            return False
         # No clip_unit first: from_unit already clamps every coordinate to
         # [0, 1], and clip-then-clamp equals clamp (NaN, ±inf, -0.0 too).
         mapping = self.space.from_unit_array(candidate)
@@ -702,9 +706,11 @@ class AsyncCalibrator:
         key = unit_cache_key(unit, CACHE_DECIMALS)
 
         # An identical point already in flight *within this run*: ride on
-        # it instead of claiming or dispatching again.
+        # it instead of claiming or dispatching again, reserving the unit
+        # a revisit of a failure costs (``_settle`` refunds it otherwise).
         if self._cache is not None and key in self._inflight_keys:
             self._inflight_keys[key].riders += ((seq, candidate),)
+            self._budget_units += 1
             if self._reg is not None:
                 self._m_riders.inc()
             return True
@@ -715,14 +721,6 @@ class AsyncCalibrator:
         # stops at the cold run's total.
         replayed = self.config.replay_cache_hits and key not in self._seen
         charge = 1 if claim.status != Claim.HIT or replayed else 0
-        remaining = remaining_evaluations(self._budget, self._budget_units)
-        if remaining is not None and charge > remaining:
-            if claim.status == Claim.CLAIMED and self._cache is not None:
-                # The claim announced this run's responsibility for a
-                # point it will never dispatch: release it.
-                self._cache.cancel(key, mapping)
-            return False
-
         self._budget_units += charge
         entry = _InFlight(
             seq, candidate, mapping, unit, key, self._elapsed(),
@@ -840,32 +838,33 @@ class AsyncCalibrator:
         count and persist it (:meth:`_count`); apply the failure policy
         (a failure outcome tells the penalty instead of ``value``, or
         raises :class:`~repro.core.faults.EvaluationFailed`); tell and
-        record it (:meth:`_resolve`); close its span; settle its riders
-        — in-run revisits asked while it was in flight — for free; and,
-        after a failure, check the circuit breaker once.  ``duration`` is
-        the worker's time on the point.  The rule table (``charged`` is
-        paid at launch and logged with the tell):
+        record it (:meth:`_resolve`); close its span; after a failure,
+        check the circuit breaker once; then settle its riders, the
+        in-run revisits asked while it was in flight.  ``duration`` is
+        the worker's time on the point.  The rule table, one row per
+        outcome and the same under every driver (``charged`` is paid at
+        launch and logged with the tell):
 
         outcome    settles                     cached  failed  counter           charged
         evaluated  a dispatched point          no      no      —                 1
         hit        a store or in-run cache     yes     no      cache_hits        0 [1]
-                   hit, at claim
+                   hit: at claim, or a rider
+                   of a success
         deferred   a point published by the    yes     no      cache_hits and    1
                    lease holder it waited on                   deferred_hits
         failed     a fresh failure, the hard   no      yes     failures          1
                    deadline's timeout too
         skipped    a quarantined point, at     no      yes     quarantine_skips  1
                    claim or after a deferral
-        hit        the rider of a success      yes     no      cache_hits        0
-        skipped    the rider of a failure      yes     yes     quarantine_skips  0
-                   or a skip
 
         [1] 1 when the point is first-seen and ``replay_cache_hits`` is on.
 
-        The table keeps an asymmetry as it stands: the serial driver
-        meets the revisit of a failed point in the cache, a ``skipped``
-        outcome that is charged, while a pooled driver meets it as the
-        free rider of the failure still in flight.
+        A rider reserved one unit at launch.  A success refunds it and
+        serves the rider as a free hit; after a failure or a skip the
+        rider is launched afresh, met as the serial driver meets the
+        revisit: a charged skip once the point is quarantined, else a
+        charged dispatch, so an algorithm stuck on a failing point still
+        spends its budget.
         """
         self._count(outcome, entry.key, entry.mapping, value, failure)
         failed = failure is not None
@@ -885,18 +884,17 @@ class AsyncCalibrator:
                       cached, failure, entry.charged)
         if entry.span is not None:  # None unless tracing: spare the hot path a call
             self._tracer.end(entry.span, outcome=outcome, value=value, duration_in_worker=duration)
-        if entry.riders:
-            rider = _SKIPPED if failed else _HIT
-            for seq, candidate in entry.riders:
-                self._count(rider, entry.key, entry.mapping, value, failure)
-                span = self._tracer.begin(
-                    "evaluation", parent=self._root, driver=self._driver, seq=seq
-                )
-                self._resolve(seq, candidate, entry, value, finished_at, finished_at,
-                              True, failure, 0)
-                self._tracer.end(span, outcome=rider, value=value, rider=True)
         if failed and self._breaker is not None:
             self._breaker.check()
+        for seq, candidate in entry.riders:
+            self._budget_units -= 1  # the reserved unit; a relaunch charges its own
+            if failed:
+                self._launch(seq, candidate)
+                continue
+            self._count(_HIT, entry.key, entry.mapping, value, None)
+            span = self._tracer.begin("evaluation", parent=self._root, driver=self._driver, seq=seq)
+            self._resolve(seq, candidate, entry, value, finished_at, finished_at, True, None, 0)
+            self._tracer.end(span, outcome=_HIT, value=value, rider=True)
 
     def _count(
         self,

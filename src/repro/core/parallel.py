@@ -521,9 +521,9 @@ class BatchCalibrator(AsyncCalibrator):
 
     ``batch_size`` is the number of candidates asked per round (default
     ``workers``).  An evaluation cap trims the final batch so the run never
-    overshoots: only the prefix the cap affords is launched and told, and
-    the claim of the first candidate it cannot afford is cancelled.  The
-    other parameters, ``config`` included, are those of
+    overshoots: a candidate is launched only while the cap is not spent,
+    as the serial driver asks one, and the rest of the batch is never
+    told.  The other parameters, ``config`` included, are those of
     :class:`~repro.core.async_driver.AsyncCalibrator`.
     """
 

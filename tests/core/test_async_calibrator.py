@@ -2,7 +2,9 @@
 
 Completion order is shuffled deterministically by giving every candidate
 a latency keyed on its own coordinates, so async runs genuinely exercise
-out-of-order completion while staying reproducible.
+out-of-order completion while staying reproducible.  The same contract
+is drawn for every driver by ``tests/core/test_evaluation_contract.py``;
+these examples pin named cases of it.
 """
 
 import threading

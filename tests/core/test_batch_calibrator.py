@@ -2,7 +2,9 @@
 
 Thread/serial execution modes keep the tests closure-friendly (process
 pools need picklable objectives and are exercised by the benchmark and
-the parallel-scaling tests instead).
+the parallel-scaling tests instead).  The same contract is drawn for
+every driver by ``tests/core/test_evaluation_contract.py``; these
+examples pin named cases of it.
 """
 
 import threading

@@ -516,11 +516,11 @@ class TestDriverFailurePaths:
 
     def test_pooled_rider_of_a_failed_point_is_a_flagged_quarantine_skip(self, scripted):
         """A repeat ask of a point still in flight rides on it.  When that
-        point fails, the rider is served its penalty as a failed record
-        and counted as a quarantine skip, as the serial revisit is, never
-        as a successful cache hit; a resumed run counts it the same way.
-        The rider attaches on the driver thread before any completion is
-        handled, so no timing is involved."""
+        point fails, the rider is met as the serial revisit is: an
+        uncached, charged failed record counted as a quarantine skip,
+        never as a successful cache hit; a resumed run counts it the same
+        way.  The rider attaches on the driver thread before any
+        completion is handled, so no timing is involved."""
         space = make_space(1)
         poison, other = [0.5], [0.25]
 
@@ -543,9 +543,9 @@ class TestDriverFailurePaths:
         log = []
         result = calibrator.run(checkpoint_every=1, on_checkpoint=log.extend)
         assert sorted(algorithm.told) == [1.0, 9.0, 9.0]
-        riders = [e for e in result.history if e.cached]
-        assert len(riders) == 1
-        assert riders[0].failed and riders[0].value == 9.0
+        assert not any(e.cached for e in result.history)
+        rider = next(entry for entry in log if entry["seq"] == 1)
+        assert (rider["failed"], rider["value"], rider["charged"]) == (True, 9.0, 1)
         assert (calibrator.failures, calibrator.quarantine_skips, calibrator.cache_hits) == (
             1, 1, 0,
         )

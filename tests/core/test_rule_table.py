@@ -8,13 +8,12 @@ entry of the last scripted point: its ``(cached, failed)``, its
 difference between the full run and the run without that point.  Every
 script ends in a plain evaluation, so each run has a best.  The pooled
 drivers run two candidates wide, so a revisit asked while its point is
-in flight rides on it; the serial driver meets the same revisit in the
-cache.  The fleet driver is a fleet job's: its candidates are posted to
-a task board, and a fleet worker on a thread evaluates them under the
-run's configuration.
+in flight rides on it, and is charged as the serial driver charges the
+same revisit it meets in the cache.  The fleet driver is a fleet job's
+(the ``fleet_driver`` fixture): its candidates are posted to a task
+board, and a fleet worker on a thread evaluates them under the run's
+configuration.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -32,8 +31,6 @@ from repro.core.algorithms import CalibrationAlgorithm
 from repro.core.evaluation import CACHE_DECIMALS, Claim, DictCache, unit_cache_key
 from repro.core.faults import EvaluationFailure, FailurePolicy
 from repro.core.serialization import evaluation_from_dict
-from repro.service import InMemoryStore
-from repro.service.fleet import FleetEvaluator, FleetWorker, TaskBoard
 
 SPACE = ParameterSpace([Parameter("x", 0.0, 1.0, scale="linear")])
 GOOD = np.array([0.25])
@@ -108,8 +105,7 @@ def quarantined():
 
 #: row -> (script, cache factory, config, expected), where expected is
 #: (cached, failed, charged, counters moved) for the last scripted
-#: point's entry, per driver where the drivers differ (``"pooled"``:
-#: batch and async)
+#: point's entry, under every driver
 ROWS = {
     "evaluated": (
         [GOOD], lambda: True, RunConfig(), (False, False, 1, set()),
@@ -143,77 +139,33 @@ ROWS = {
         RunConfig(failure_policy=PENALTY),
         (False, True, 1, {"quarantine_skips"}),
     ),
-    # The serial skip is charged; a pooled rider of a failure is free.
     "revisit of a failure": (
         [POISON, POISON], lambda: True, RunConfig(failure_policy=PENALTY),
-        {"serial": (False, True, 1, {"quarantine_skips"}),
-         "pooled": (True, True, 0, {"quarantine_skips"})},
+        (False, True, 1, {"quarantine_skips"}),
     ),
     "revisit of a deferred skip": (
         [POISON, POISON], lambda: LeasedOnce(POISON, LEADER_FAILURE),
         RunConfig(failure_policy=PENALTY),
-        {"serial": (False, True, 1, {"quarantine_skips"}),
-         "pooled": (True, True, 0, {"quarantine_skips"})},
+        (False, True, 1, {"quarantine_skips"}),
     ),
 }
 
-class BoardClient:
-    """A fleet worker's front-end connection, straight onto a board."""
 
-    def __init__(self, board):
-        self.board = board
-
-    def publish(self, task_id, value, duration=0.0):
-        return self.board.resolve(task_id, value, duration)
-
-    def fail(self, task_id, failure):
-        return self.board.fail(task_id, failure)
-
-
-class FleetDriver(AsyncCalibrator):
-    """A fleet job's driver, two candidates wide, whose run has one fleet
-    worker thread evaluating its tasks."""
-
-    def __init__(self, config, **kw):
-        self.board = TaskBoard()
-        evaluator = FleetEvaluator(self.board, "job", "fp", spec={"config": config.to_dict()})
-        super().__init__(SPACE, objective, max_pending=2, ordered_tells=True,
-                         evaluator=evaluator, config=config, **kw)
-
-    def run(self, **kw):
-        worker = FleetWorker(BoardClient(self.board), InMemoryStore(),
-                             resolver=lambda spec: objective)
-        done = threading.Event()
-
-        def serve():
-            while not done.is_set():
-                for task in self.board.wait_for_tasks(0.05):
-                    worker.handle_task(task.to_dict())
-            worker.close()
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        try:
-            return super().run(**kw)
-        finally:
-            done.set()
-            thread.join(timeout=30)
-
-
+#: driver -> factory, given the ``fleet_driver`` fixture's class
 DRIVERS = {
-    "serial": lambda **kw: Calibrator(SPACE, objective, **kw),
-    "batch": lambda **kw: BatchCalibrator(SPACE, objective, workers=2, mode="serial", **kw),
-    "async": lambda **kw: AsyncCalibrator(SPACE, objective, workers=2, mode="serial", **kw),
-    "fleet": FleetDriver,
+    "serial": lambda fleet, **kw: Calibrator(SPACE, objective, **kw),
+    "batch": lambda fleet, **kw: BatchCalibrator(SPACE, objective, workers=2, mode="serial", **kw),
+    "async": lambda fleet, **kw: AsyncCalibrator(SPACE, objective, workers=2, mode="serial", **kw),
+    "fleet": lambda fleet, **kw: fleet(SPACE, objective, **kw),
 }
 
 
-def run(driver, script, cache, config):
+def run(driver, fleet, script, cache, config):
     """Run ``script`` and a last plain evaluation; return the tell log
     and the counters."""
     script = [*script, LAST]
     calibrator = DRIVERS[driver](
-        algorithm=Scripted(script), budget=EvaluationBudget(len(script)),
+        fleet, algorithm=Scripted(script), budget=EvaluationBudget(len(script)),
         cache=cache(), config=config,
     )
     log = []
@@ -224,14 +176,11 @@ def run(driver, script, cache, config):
 
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 @pytest.mark.parametrize("row", list(ROWS))
-def test_outcome_records_charges_and_counts_per_the_rule_table(row, driver):
-    script, cache, config, expected = ROWS[row]
-    if isinstance(expected, dict):
-        expected = expected["serial" if driver == "serial" else "pooled"]
-    cached, failed, charged, moved = expected
+def test_outcome_records_charges_and_counts_per_the_rule_table(row, driver, fleet_driver):
+    script, cache, config, (cached, failed, charged, moved) = ROWS[row]
 
-    log, counters = run(driver, script, cache, config)
-    _, before = run(driver, script[:-1], cache, config)
+    log, counters = run(driver, fleet_driver, script, cache, config)
+    _, before = run(driver, fleet_driver, script[:-1], cache, config)
     (entry,) = [entry for entry in log if entry["seq"] == len(script) - 1]
     record = evaluation_from_dict(entry)
     assert (record.cached, record.failed) == (cached, failed)
