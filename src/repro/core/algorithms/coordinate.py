@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.algorithms.base import CalibrationAlgorithm, register
+from repro.core.history import _improves
 
 __all__ = ["CoordinateDescent"]
 
@@ -79,8 +80,12 @@ class CoordinateDescent(CalibrationAlgorithm):
             self._sweep_start_fx = self._fx
             self._phase = "axis"
             return
-        best_idx = int(np.argmin(values))
-        if values[best_idx] < self._fx:
+        # The history's NaN rule: a number displaces a NaN restart point.
+        best_idx = 0
+        for index, value in enumerate(values):
+            if _improves(value, values[best_idx]):
+                best_idx = index
+        if _improves(values[best_idx], self._fx):
             self._fx = values[best_idx]
             self._x[self._axis] = self._positions[best_idx]
         # Shrink the bracket around the best candidate.

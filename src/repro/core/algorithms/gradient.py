@@ -112,6 +112,8 @@ class GradientDescent(CalibrationAlgorithm):
             gradient = np.zeros_like(self._x)
             for i, (direction, fi) in enumerate(zip(self._directions, values, strict=True)):
                 gradient[i] = (fi - self._fx) / (direction * self._delta)
+            # A NaN difference along an axis means no descent along it.
+            gradient[np.isnan(gradient)] = 0.0
             self._gradient = gradient
             self._norm_sq = float(np.dot(gradient, gradient))
             if self._norm_sq == 0.0:

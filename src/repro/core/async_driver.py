@@ -48,6 +48,7 @@ as for :class:`~repro.core.parallel.BatchCalibrator`.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from collections.abc import Callable, Collection, Mapping, Sequence
 from concurrent.futures import Future
@@ -390,34 +391,32 @@ class AsyncCalibrator:
     # ------------------------------------------------------------------ #
     def _restore(
         self, log: Sequence[dict[str, Any]], rng: np.random.Generator
-    ) -> tuple[list[tuple[int, np.ndarray]], float]:
+    ) -> list[tuple[int, np.ndarray]]:
         """Replay a tell log into the freshly set-up algorithm.
 
         Before each entry's tell the algorithm is asked, in this driver's
         own width, until it has handed out ``asked`` candidates — the
         interrupted run's exact ask/tell interleaving — then candidate
         ``seq`` must round-trip to the logged unit point and is told the
-        logged value.  Each entry is classified as the outcome it settled
-        as and counted through :meth:`_count`, like a live one (a failure
-        with its logged diagnosis); budget (Σ ``charged``), history and
-        clock are rebuilt from the entries.
-        Returns the candidates asked but never told, in ask order, and
-        the clock to continue from; raises ``ValueError`` at the first
+        logged value.  Each entry's record is classified as the outcome it
+        settled as, counted through :meth:`_count` like a live one (a
+        failure with its logged diagnosis) and kept (:meth:`_keep`), and
+        the budget is Σ ``charged``.  Returns the candidates asked but
+        never told, in ask order; raises ``ValueError`` at the first
         ``seq`` this run would not have told (another algorithm, options
         or seed, or a log told out of ask order resumed with the ordered
         adapter).
         """
         width = self.max_pending if self._barrier else 1
         asked: dict[int, np.ndarray] = {}
-        history = self.history
         replay = self.config.replay_cache_hits
         policy = self.config.failure_policy
         quarantine = policy is not None and policy.quarantine
         quarantined: set[CacheKey] = set()
-        elapsed = 0.0
         for told, entry in enumerate(log):
-            seq = entry["seq"]
-            while self._seq < entry["asked"]:
+            record = evaluation_from_dict(entry)
+            seq = record.seq
+            while self._seq < record.asked:
                 batch = self.algorithm.ask(rng, width)
                 if not batch:
                     break
@@ -431,44 +430,40 @@ class AsyncCalibrator:
             )
             if (
                 unit is None
-                or self._seq != entry["asked"]
-                or unit.tolist() != list(entry["unit"])
+                or self._seq != record.asked
+                or unit.tolist() != list(record.unit)
                 or (self.ordered_tells and seq != told)  # the adapter tells in ask order
             ):
                 raise ValueError(
                     f"the tell log diverges from this run at seq {seq}: "
                     f"{self.algorithm.name!r} with seed {self.seed} would not "
-                    f"tell {entry['unit']} there"
+                    f"tell {list(record.unit)} there"
                 )
-            evaluation = evaluation_from_dict(entry)
-            self.algorithm.tell([candidate], [evaluation.value])
+            self.algorithm.tell([candidate], [record.value])
             key = unit_cache_key(unit, CACHE_DECIMALS)
-            if evaluation.failed:
+            if record.failed:
                 # A revisit of a point this run quarantined was a skip (so
                 # was a failure's rider, ``cached``, in logs written before
                 # riders of failures were charged); anything else failed
                 # afresh.
-                outcome = _SKIPPED if evaluation.cached or key in quarantined else _FAILED
+                outcome = _SKIPPED if record.cached or key in quarantined else _FAILED
                 if outcome == _FAILED and quarantine:
                     quarantined.add(key)
-            elif evaluation.cached:
+            elif record.cached:
                 # Charged hits are replayed first-seen hits or deferred ones.
-                deferred = entry["charged"] and not (replay and key not in self._seen)
+                deferred = record.charged and not (replay and key not in self._seen)
                 outcome = _DEFERRED if deferred else _HIT
             else:
                 outcome = _EVALUATED
                 quarantined.discard(key)
             failure = (
-                EvaluationFailure(error=entry["error"], kind=entry["failure_kind"])
-                if "error" in entry else _REPLAYED_FAILURE
+                EvaluationFailure(error=record.error, kind=record.failure_kind)
+                if record.error is not None else _REPLAYED_FAILURE
             )
-            self._count(outcome, key, evaluation.values, evaluation.value, failure,
-                        replayed=True)
-            self._budget_units += entry["charged"]
-            if not evaluation.cached or replay:
-                history.record(dataclasses.replace(evaluation, index=len(history)))
-            elapsed = max(elapsed, evaluation.finished_at)
-        return list(asked.items()), elapsed
+            self._count(outcome, key, record.values, record.value, failure, replayed=True)
+            self._budget_units += record.charged
+            self._keep(record)
+        return list(asked.items())
 
     # ------------------------------------------------------------------ #
     # public API
@@ -492,25 +487,26 @@ class AsyncCalibrator:
             entries ``on_checkpoint`` received, in order).  The run
             replays it into a fresh algorithm and rng seeded alike, then
             launches the candidates asked but never told under their
-            original ``seq`` and carries on.  Budget, history and trajectory
-            come back exact; two counters only approximately, as the log
-            does not tell a peer's work from this run's.  Under
+            original ``seq`` and carries on.  Budget, log, history and
+            trajectory come back exact; two counters only approximately, as
+            the log does not tell a peer's work from this run's.  Under
             ``replay_cache_hits`` a replayed deferred hit counts in
             ``cache_hits`` but not ``deferred_hits``; and a replayed skip
             of a point a peer quarantined counts in ``failures``, not
             ``quarantine_skips``.
         checkpoint_every:
-            Hand the tell-log entries to ``on_checkpoint`` whenever at
+            Hand the new tell-log entries to ``on_checkpoint`` whenever at
             least this many have accumulated (0 disables), and the rest
-            when the run ends.  The log has one entry per tell — cache
-            hits and riders included — holding the
-            :func:`~repro.core.serialization.evaluation_to_dict` record
-            plus ``seq`` (the ask index), ``asked`` (candidates asked
-            before this tell) and ``charged`` (budget units it cost); a
-            failed entry also carries its diagnosis, ``failure_kind`` and
-            ``error``, which a replay quarantines the point with.  Entries
-            are handed over only between completions, never while the
-            ordered adapter is mid-release.
+            when the run ends.  Every run keeps its tell log, ``result.log``:
+            one :class:`~repro.core.history.Evaluation` per tell — cache
+            hits and riders included — with its ``seq`` (the ask index),
+            ``asked`` (candidates asked before this tell), ``charged``
+            (budget units it cost) and a failure's ``failure_kind`` and
+            ``error``, which a replay quarantines the point with;
+            ``result.history`` is its recorded subset.  Records are handed
+            over as :func:`~repro.core.serialization.evaluation_to_dict`
+            entries, only between completions, never while the ordered
+            adapter is mid-release.
         on_checkpoint:
             Callback receiving each list of new entries (e.g. to append
             them to a file).
@@ -535,29 +531,25 @@ class AsyncCalibrator:
         #: not yet afford
         self._unlaunched: list[tuple[int, np.ndarray]] = []
         self.history = CalibrationHistory()
+        self._log: list[Evaluation] = []  # one record per tell; see _keep
         if self._stopper is not None:
             self._stopper.bind(self.history)
-        elapsed = 0.0
         self._reg = None  # a replay moves no metric
         if resume is not None:
-            self._unlaunched, elapsed = self._restore(resume, rng)
+            self._unlaunched = self._restore(resume, rng)
         self._adapter = OrderedTellAdapter(self.algorithm) if self.ordered_tells else None
         if self._adapter is not None and resume is not None:
             self._adapter._next_release = len(resume)  # the replay told this prefix
         self._checkpoint_every = int(checkpoint_every)
-        self._on_checkpoint = on_checkpoint
-        #: tell-log entries not yet handed to ``on_checkpoint`` (None:
-        #: the run keeps no log)
-        self._log: list[dict[str, Any]] | None = (
-            [] if self._checkpoint_every > 0 and on_checkpoint is not None else None
-        )
-        self._budget.start(elapsed)
+        self._on_checkpoint = on_checkpoint if self._checkpoint_every > 0 else None
+        self._handed = len(self._log)  # records the sink has (a resume's are its own)
         #: the run's clock: a resumed run continues from the wall-clock
         #: its tell log had already spent, so timestamps stay monotone
+        elapsed = max((record.finished_at for record in self._log), default=0.0)
+        self._budget.start(elapsed)
         self._clock_start = time.perf_counter() - elapsed
-        #: per-seq record metadata (the settled entry, started_at,
-        #: finished_at, cached, the failure or None, charged), parked
-        #: alongside the adapter's buffer until the seq is released
+        #: per-seq record fields (see ``_resolve``), parked alongside the
+        #: adapter's buffer until the seq is released
         self._meta: dict[
             int, tuple[_InFlight, float, float, bool, EvaluationFailure | None, int]
         ] = {}
@@ -597,8 +589,7 @@ class AsyncCalibrator:
         )
         try:
             self._drive(rng)
-            if self._log:
-                self._hand_over_log()
+            self._hand_over(1)
         except BaseException:
             # Whatever aborted the run — an objective exception out of a
             # worker, a failure the policy raises, an open circuit, an
@@ -624,6 +615,7 @@ class AsyncCalibrator:
             evaluations=sum(1 for e in history if not e.cached),
             elapsed=self._elapsed(),
             history=history,
+            log=self._log,
             budget_description=self.budget.describe(),
             seed=self.seed,
             telemetry=_REGISTRY.snapshot() if _REGISTRY.enabled else None,
@@ -638,22 +630,20 @@ class AsyncCalibrator:
         while self._refill(rng) or self._pending:
             if self._pending:
                 self._await_completions()
-                self._maybe_checkpoint()
+                self._hand_over(self._checkpoint_every)
 
-    def _maybe_checkpoint(self) -> None:
-        """Hand the new tell-log entries over after a round of completions.
+    def _hand_over(self, at_least: int) -> None:
+        """Hand the tell log's new records to ``on_checkpoint``, as entries,
+        once at least ``at_least`` have accumulated.
 
         Called only once a round of completions is fully told: with an
         inline evaluator nothing computed is then left untold, so a run
         killed after the hand-over and resumed from the log repeats no
         simulator call.
         """
-        if self._log is not None and len(self._log) >= self._checkpoint_every:
-            self._hand_over_log()
-
-    def _hand_over_log(self) -> None:
-        entries, self._log = self._log, []
-        self._on_checkpoint(entries)
+        if self._on_checkpoint is not None and len(self._log) - self._handed >= at_least:
+            records, self._handed = self._log[self._handed:], len(self._log)
+            self._on_checkpoint([evaluation_to_dict(record) for record in records])
 
     def _refill(self, rng: np.random.Generator) -> int:
         """Launch the candidates asked but not yet launched, then ask and
@@ -694,11 +684,16 @@ class AsyncCalibrator:
         Returns ``False``, with nothing claimed or recorded, when the
         evaluation cap is spent: the budget check the serial driver makes
         before each ask, made here for each candidate of a batch too.
+        A candidate with a NaN coordinate maps to no point: ``ValueError``.
         """
         if remaining_evaluations(self._budget, self._budget_units) == 0:
             return False
+        if any(map(math.isnan, candidate.tolist())):
+            axis = int(np.isnan(candidate).argmax())
+            raise ValueError(f"{self.algorithm.name!r} asked a candidate whose coordinate "
+                             f"{axis} ({self.space.names[axis]!r}) is NaN: {candidate.tolist()}")
         # No clip_unit first: from_unit already clamps every coordinate to
-        # [0, 1], and clip-then-clamp equals clamp (NaN, ±inf, -0.0 too).
+        # [0, 1], and clip-then-clamp equals clamp (±inf and -0.0 too).
         mapping = self.space.from_unit_array(candidate)
         # Round-tripped unit (the key and the history record), so that
         # non-injective parameters (integers) collapse onto one entry.
@@ -969,34 +964,27 @@ class AsyncCalibrator:
         failure: EvaluationFailure | None,
         charged: int,
     ) -> None:
-        """Tell one settled candidate and record it in the history.
+        """Tell one settled candidate and record it (:meth:`_keep`).
 
-        With the ordered adapter the tell (and the history record) may be
-        buffered until every earlier candidate completes, so the history
-        lands in ask order — byte-for-byte the serial sequence; native
-        tells and their records land immediately, in completion order.
-        ``entry`` is the settled point (a rider's, for a rider), and
-        ``failure`` (its diagnosis, or ``None``) and ``charged`` (the
-        budget this outcome cost) go to the tell log.
+        With the ordered adapter the tell (and the record) may be buffered
+        until every earlier candidate completes, so the log lands in ask
+        order — byte-for-byte the serial sequence; native tells and their
+        records land immediately, in completion order.  ``entry`` is the
+        settled point (a rider's, for a rider), ``failure`` its diagnosis
+        or ``None``, and ``charged`` the budget this outcome cost.
         """
         self._meta[seq] = (entry, started_at, finished_at, cached, failure, charged)
         if self._adapter is None:
             self.algorithm.tell([candidate], [value])
             self._record(seq, value)
-        else:
-            for released_seq, _cand, released_value in self._adapter.complete(
-                seq, candidate, value
-            ):
-                self._record(released_seq, released_value)
+            return
+        for released, _candidate, told in self._adapter.complete(seq, candidate, value):
+            self._record(released, told)
 
     def _record(self, seq: int, value: float) -> None:
         entry, started_at, finished_at, cached, failure, charged = self._meta.pop(seq)
-        unrecorded = cached and not self.config.replay_cache_hits
-        if unrecorded and self._log is None:
-            return
-        history = self.history
-        evaluation = Evaluation(
-            index=len(history),
+        self._keep(Evaluation(
+            index=len(self.history),
             values=dict(entry.mapping),
             unit=tuple(entry.unit.tolist()),
             value=value,
@@ -1004,16 +992,18 @@ class AsyncCalibrator:
             finished_at=finished_at,
             cached=cached,
             failed=failure is not None,
-        )
-        if self._log is not None:
-            logged = evaluation_to_dict(evaluation)
-            if failure is not None:  # optional keys: zero-failure logs are unchanged
-                logged.update(failure_kind=failure.kind, error=failure.error)
-            logged.update(seq=seq, asked=self._seq, charged=charged)
-            self._log.append(logged)
-            if unrecorded:
-                return
-        history.record(evaluation)
+            seq=seq,
+            asked=self._seq,
+            charged=charged,
+            failure_kind=None if failure is None else failure.kind,
+            error=None if failure is None else failure.error,
+        ))
+
+    def _keep(self, record: Evaluation) -> None:
+        """Log one tell's record; record it unless it is an unreplayed hit."""
+        self._log.append(record)
+        if not record.cached or self.config.replay_cache_hits:
+            self.history.record(record)
 
     # ------------------------------------------------------------------ #
     # plumbing

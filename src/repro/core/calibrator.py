@@ -26,7 +26,8 @@ case study):
 
 A run is resumable without any serialised search state: every algorithm
 is a pure function of the seeded rng and the results it is told, so the
-run's *tell log* — one entry per tell — is its checkpoint:
+run's *tell log* — one record per tell, ``result.log`` — is its
+checkpoint, handed to a sink as JSON entries while the run goes on:
 
 .. code-block:: python
 
@@ -36,6 +37,7 @@ run's *tell log* — one entry per tell — is its checkpoint:
     resumed = Calibrator(space, objective_fn, algorithm="random",
                          budget=EvaluationBudget(500), seed=0)
     result = resumed.run(resume=log)   # finishes the trajectory
+    result.log   # every tell, the replayed ones too; result.history ⊆ it
 
 Resuming replays the log (see
 :meth:`~repro.core.async_driver.AsyncCalibrator.run`): a fresh algorithm

@@ -15,10 +15,11 @@ import math
 __all__ = ["Evaluation", "CalibrationHistory"]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Evaluation:
-    """One simulator invocation (or, when ``cached`` is true, one algorithm
-    step served from an evaluation cache without invoking the simulator)."""
+    """One tell: a simulator invocation, or (``cached``) an algorithm step
+    served from an evaluation cache.  The tell-log fields after ``failed``
+    take no part in equality, so two drivers' histories compare equal."""
 
     index: int
     values: dict[str, float]
@@ -31,6 +32,12 @@ class Evaluation:
     #: penalty (see :class:`repro.core.faults.FailurePolicy`), not a
     #: simulator output.
     failed: bool = False
+    #: ask index, asks before this tell, its budget units; a failure's diagnosis
+    seq: int = dataclasses.field(default=0, compare=False)
+    asked: int = dataclasses.field(default=0, compare=False)
+    charged: int = dataclasses.field(default=0, compare=False)
+    failure_kind: str | None = dataclasses.field(default=None, compare=False)
+    error: str | None = dataclasses.field(default=None, compare=False)
 
     @property
     def duration(self) -> float:

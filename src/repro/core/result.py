@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.history import CalibrationHistory
+from repro.core.history import CalibrationHistory, Evaluation
 
 __all__ = ["CalibrationResult"]
 
@@ -29,6 +29,9 @@ class CalibrationResult:
         Wall-clock duration of the calibration, in seconds.
     history:
         The full evaluation history (used for the Figure 2 curves).
+    log:
+        One record per tell, in the order told; ``history`` holds the same
+        objects but unreplayed cache hits.  A loaded result logs its history.
     budget_description:
         Human-readable description of the budget that bounded the run.
     telemetry:
@@ -44,6 +47,7 @@ class CalibrationResult:
     evaluations: int
     elapsed: float
     history: CalibrationHistory
+    log: list[Evaluation]
     budget_description: str = ""
     seed: int | None = None
     telemetry: dict | None = None

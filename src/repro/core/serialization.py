@@ -5,9 +5,9 @@ writing to disk: this module serialises
 :class:`~repro.core.result.CalibrationResult` objects — including their
 full evaluation history, from which the Figure 2 convergence curves are
 rebuilt — to a stable JSON document, and loads them back.  One evaluation
-record, :func:`evaluation_to_dict`, is also the body of each tell-log
-entry (see :meth:`~repro.core.async_driver.AsyncCalibrator.run`), so a
-served job's log doubles as its per-evaluation history.
+record, :func:`evaluation_to_dict`, is also each tell-log entry (see
+:meth:`~repro.core.async_driver.AsyncCalibrator.run`), so a served job's
+log doubles as its per-evaluation history.
 
 The format is versioned and deliberately simple (plain lists and dicts) so
 that results can also be consumed by external tooling (pandas, plotting
@@ -37,7 +37,8 @@ FORMAT_VERSION = 1
 
 
 def evaluation_to_dict(evaluation: Evaluation) -> dict:
-    """Convert one :class:`Evaluation` to JSON-compatible primitives."""
+    """Convert one :class:`Evaluation` to JSON-compatible primitives: a
+    result's history entry, and a tell-log entry."""
     data = {
         "index": evaluation.index,
         "values": dict(evaluation.values),
@@ -46,18 +47,21 @@ def evaluation_to_dict(evaluation: Evaluation) -> dict:
         "started_at": evaluation.started_at,
         "finished_at": evaluation.finished_at,
     }
+    # Keys a document may lack (read back as their defaults), so the
+    # format version stays at 1; the tell-log keys close the entry.
     if evaluation.cached:
         data["cached"] = True
-    # Same optional-key convention: zero-failure histories are unchanged
-    # byte for byte, and the format version stays at 1.
     if evaluation.failed:
         data["failed"] = True
+    if evaluation.error is not None:
+        data.update(failure_kind=evaluation.failure_kind, error=evaluation.error)
+    data.update(seq=evaluation.seq, asked=evaluation.asked, charged=evaluation.charged)
     return data
 
 
 def evaluation_from_dict(data: dict) -> Evaluation:
     """Rebuild an :class:`Evaluation` from :func:`evaluation_to_dict` output
-    (or a tell-log entry: its other keys are ignored)."""
+    (a key an older document lacks keeps its default)."""
     return Evaluation(
         index=int(data["index"]),
         values={k: float(v) for k, v in data["values"].items()},
@@ -67,6 +71,11 @@ def evaluation_from_dict(data: dict) -> Evaluation:
         finished_at=float(data["finished_at"]),
         cached=bool(data.get("cached", False)),
         failed=bool(data.get("failed", False)),
+        seq=int(data.get("seq", 0)),
+        asked=int(data.get("asked", 0)),
+        charged=int(data.get("charged", 0)),
+        failure_kind=data.get("failure_kind"),
+        error=data.get("error"),
     )
 
 
@@ -99,9 +108,10 @@ def result_from_dict(data: dict) -> CalibrationResult:
             f"unsupported calibration-result format version {version!r} "
             f"(this library reads version {FORMAT_VERSION})"
         )
+    log = [evaluation_from_dict(entry) for entry in data.get("history", [])]
     history = CalibrationHistory()
-    for entry in data.get("history", []):
-        history.record(evaluation_from_dict(entry))
+    for evaluation in log:
+        history.record(evaluation)
     return CalibrationResult(
         algorithm=str(data["algorithm"]),
         best_values={k: float(v) for k, v in data["best_values"].items()},
@@ -109,6 +119,7 @@ def result_from_dict(data: dict) -> CalibrationResult:
         evaluations=int(data["evaluations"]),
         elapsed=float(data["elapsed"]),
         history=history,
+        log=log,
         budget_description=str(data.get("budget_description", "")),
         seed=data.get("seed"),
         telemetry=data.get("telemetry"),

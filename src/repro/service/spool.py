@@ -203,8 +203,9 @@ class JobSpool:
         return path
 
     def read_result(self, job_id: str) -> CalibrationResult:
-        """A finished job's result, its history rebuilt from the tell log
-        (a served run records every tell, so each entry is one record)."""
+        """A finished job's result, its tell log read back into records as
+        ``log``; a served run records every tell, so its history is the
+        whole log."""
         record = json.loads(self.result_path(job_id).read_text())
         log = self.read_checkpoint(job_id)
         if log is None:

@@ -32,6 +32,7 @@ from repro.core import (
     get_algorithm,
 )
 from repro.core.evaluation import Claim, DictCache
+from repro.core.serialization import evaluation_to_dict
 
 TOTAL = 90
 CUT = 37  # deliberately mid-generation for every population algorithm
@@ -225,6 +226,28 @@ class TestTellLog:
             on_checkpoint=handed_over.append
         )
         assert handed_over == []
+
+    @pytest.mark.parametrize("driver", ["serial", "batch", "async"])
+    def test_a_run_without_a_sink_keeps_the_same_log(self, driver):
+        """The log is the run's record, not the sink's: a run given no
+        sink returns the log a sinked run hands over, unrecorded hits and
+        failures included, and a resumed run returns the whole of it."""
+        space = property_space()
+        config = RunConfig(failure_policy=FailurePolicy(penalty=1e4))
+
+        def run(**options):
+            calibrator = build(driver, space, counted_objective(space, 0.8), "cmaes", 3, 40,
+                               3, None, config)
+            return calibrator.run(**options).log
+
+        handed_over = []
+        sinked = run(checkpoint_every=1, on_checkpoint=handed_over.extend)
+        entries = [evaluation_to_dict(e) for e in sinked]
+        assert entries == handed_over
+        assert any(e.cached for e in sinked) and any(e.failed for e in sinked)
+        assert stable(evaluation_to_dict(e) for e in run()) == stable(entries)
+        resumed = run(resume=json.loads(json.dumps(handed_over[:17])))
+        assert stable(evaluation_to_dict(e) for e in resumed) == stable(entries)
 
     def test_a_replayed_failure_stays_quarantined(self, scripted):
         """The log keeps a failure's penalty, not its diagnosis; the replay

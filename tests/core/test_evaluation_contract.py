@@ -18,12 +18,15 @@ accountant's over its own asks (the history as a set when tells are
 unordered), and every algorithm but TPE, whose asks depend on how many
 results it was told, asks what the serial driver asks: ordered runs are
 byte-identical to serial, unordered ones visit its point set.  A
-stopping criterion is the serial driver's alone.
+stopping criterion is the serial driver's alone.  Every run returns the
+tell log its sink received (``result.log``), and its history is that
+log's recorded subset.
 """
 
 import hashlib
 import json
 import math
+import operator
 from concurrent.futures import Future
 
 import numpy as np
@@ -49,6 +52,7 @@ from repro.core.evaluation import CACHE_DECIMALS, Claim, DictCache, unit_cache_k
 from repro.core.faults import EvaluationFailure
 from repro.core.history import CalibrationHistory, Evaluation
 from repro.core.parallel import ParallelEvaluator
+from repro.core.serialization import evaluation_to_dict
 from repro.core.stopping import NoImprovementStopper
 from repro.service.fleet import FaultyObjective
 
@@ -151,6 +155,12 @@ def observed(calibrator):
     try:
         result = calibrator.run(checkpoint_every=1, on_checkpoint=written.extend)
         history, best = result.history, result.best_value
+        # One record per tell: the sink received the log, and the history
+        # is its recorded subset, the same objects.
+        assert same([evaluation_to_dict(e) for e in result.log], written)
+        replay = calibrator.config.replay_cache_hits
+        recorded = [e for e in result.log if not e.cached or replay]
+        assert len(history) == len(recorded) and all(map(operator.is_, history, recorded))
     except RuntimeError as error:  # every candidate was an unrecorded hit
         assert "before a single evaluation" in str(error)
         history, best = [], None
