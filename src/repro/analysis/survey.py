@@ -118,9 +118,6 @@ class SurveySummary:
     calibration_mentioned_at_best: int
     calibration_documented: int
 
-    def as_dict(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
-
 
 def summarize_survey(records: list[PublicationRecord]) -> SurveySummary:
     """Aggregate a survey dataset into the Table I counts."""

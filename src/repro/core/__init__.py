@@ -68,12 +68,10 @@ from repro.core.parallel import BatchCalibrator, ParallelEvaluator
 from repro.core.parameters import Parameter, ParameterSpace
 from repro.core.reporting import calibration_report, convergence_sparkline
 from repro.core.result import CalibrationResult
-from repro.core.serialization import load_result, save_result
+from repro.core.serialization import save_result
 from repro.core.stopping import (
     NoImprovementStopper,
-    RelativePlateauStopper,
     StoppingCriterion,
-    TargetValueStopper,
 )
 
 __all__ = [
@@ -111,20 +109,17 @@ __all__ = [
     "ParameterSpace",
     "PatternSearch",
     "RandomSearch",
-    "RelativePlateauStopper",
     "RetryPolicy",
     "RunConfig",
     "SimulatedAnnealing",
     "SobolSearch",
     "StoppingCriterion",
     "TPESearch",
-    "TargetValueStopper",
     "TimeBudget",
     "TransientEvaluationError",
     "calibration_report",
     "convergence_sparkline",
     "get_algorithm",
-    "load_result",
     "max_relative_error",
     "mean_absolute_error",
     "mean_relative_error",

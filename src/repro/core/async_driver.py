@@ -208,11 +208,6 @@ class OrderedTellAdapter:
         self._next_release = 0
         self._parked: dict[int, tuple[np.ndarray, float]] = {}
 
-    @property
-    def buffered(self) -> int:
-        """Completed results parked behind a still-running predecessor."""
-        return len(self._parked)
-
     def complete(
         self, seq: int, candidate: np.ndarray, value: float
     ) -> list[tuple[int, np.ndarray, float]]:

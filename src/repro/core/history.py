@@ -92,11 +92,6 @@ class CalibrationHistory:
         """The evaluation with the lowest objective value so far."""
         return self._best
 
-    @property
-    def total_evaluation_time(self) -> float:
-        """Total wall-clock time spent inside the simulator."""
-        return sum(e.duration for e in self._evaluations)
-
     # ------------------------------------------------------------------ #
     # convergence curves
     # ------------------------------------------------------------------ #
@@ -109,7 +104,3 @@ class CalibrationHistory:
         """``best_so_far()[count - 1]`` in constant time: the best value
         among the first ``count`` evaluations (``inf`` when ``count`` is 0)."""
         return self._curve[count - 1] if count > 0 else math.inf
-
-    def value_curve(self) -> list[float]:
-        """Raw objective values in evaluation order."""
-        return [e.value for e in self._evaluations]

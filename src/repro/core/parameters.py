@@ -167,10 +167,6 @@ class ParameterSpace:
         """Clamp normalised coordinates to the unit cube."""
         return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
-    def clip_values(self, values: Mapping[str, float]) -> dict[str, float]:
-        """Clamp a value dictionary to the parameter ranges."""
-        return {p.name: p.clip(values[p.name]) for p in self._parameters}
-
     # ------------------------------------------------------------------ #
     # sampling
     # ------------------------------------------------------------------ #
@@ -181,10 +177,6 @@ class ParameterSpace:
     def sample(self, rng: np.random.Generator) -> dict[str, float]:
         """One uniform sample as a value dictionary."""
         return self.from_unit_array(self.sample_unit(rng))
-
-    def center(self) -> dict[str, float]:
-        """The mid-point of the space (in the search scale)."""
-        return self.from_unit_array(np.full(self.dimension, 0.5))
 
     def describe(self) -> str:
         return "\n".join(str(p) for p in self._parameters)

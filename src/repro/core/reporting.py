@@ -37,7 +37,8 @@ def convergence_sparkline(result: CalibrationResult, width: int = 50) -> str:
     The curve is sampled at ``width`` evenly spaced evaluation indices and
     mapped to character "heights" between the run's best and worst values
     (higher character = higher error, so a good run starts high and
-    decays).
+    decays).  The curve is ``inf`` until the first number (a run may
+    start with NaN values); those samples are blank.
     """
     curve = result.history.best_so_far()
     if not curve:
@@ -46,13 +47,19 @@ def convergence_sparkline(result: CalibrationResult, width: int = 50) -> str:
         samples = list(curve)
     else:
         samples = [curve[int(i * (len(curve) - 1) / (width - 1))] for i in range(width)]
-    low, high = min(samples), max(samples)
-    if math.isclose(low, high):
-        return _SPARK_LEVELS[1] * len(samples)
+    finite = [value for value in samples if math.isfinite(value)]
+    if not finite:
+        return _SPARK_LEVELS[0] * len(samples)
+    low, high = min(finite), max(finite)
     chars: list[str] = []
     for value in samples:
-        level = (value - low) / (high - low)
-        chars.append(_SPARK_LEVELS[1 + int(round(level * (len(_SPARK_LEVELS) - 2)))])
+        if not math.isfinite(value):
+            chars.append(_SPARK_LEVELS[0])
+        elif math.isclose(low, high):
+            chars.append(_SPARK_LEVELS[1])
+        else:
+            level = (value - low) / (high - low)
+            chars.append(_SPARK_LEVELS[1 + int(round(level * (len(_SPARK_LEVELS) - 2)))])
     return "".join(chars)
 
 
@@ -95,9 +102,9 @@ def calibration_report(
         for fraction in (0.25, 0.5, 0.75, 1.0):
             index = max(int(round(fraction * len(curve))) - 1, 0)
             lines.append(f"    {int(fraction * 100):3d}%  {curve[index]:.4f}")
-        best_index = min(
-            range(len(result.history)), key=lambda i: result.history[i].value
-        )
+        # The history's own best (its NaN rule: a number displaces a NaN).
+        best = result.history.best
+        best_index = next(i for i, e in enumerate(result.history) if e is best)
         lines.append(
             f"  best point found at evaluation {best_index + 1} of {len(curve)}"
             + (

@@ -29,7 +29,6 @@ __all__ = [
     "result_to_dict",
     "result_from_dict",
     "save_result",
-    "load_result",
 ]
 
 #: Bumped whenever the on-disk layout changes incompatibly.
@@ -132,8 +131,3 @@ def save_result(result: CalibrationResult, path: str | Path, indent: int = 2) ->
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(result_to_dict(result), indent=indent) + "\n")
     return path
-
-
-def load_result(path: str | Path) -> CalibrationResult:
-    """Read a result previously written by :func:`save_result`."""
-    return result_from_dict(json.loads(Path(path).read_text()))

@@ -3,15 +3,10 @@
 The paper bounds every calibration by a wall-clock time ``T`` and notes
 (Section IV.C.5) that the error curves flatten well before the bound: a
 shorter ``T`` "would have produced only marginally higher errors".  The
-criteria in this module capture exactly that observation so that a
+criterion in this module captures exactly that observation so that a
 calibration can stop as soon as continuing is unlikely to pay off:
-
-* :class:`TargetValueStopper` — stop once the objective reaches a
-  user-defined target (e.g. "an MRE below 5% is good enough");
-* :class:`NoImprovementStopper` — stop after ``patience`` consecutive
-  evaluations without improving the best value by at least ``min_delta``;
-* :class:`RelativePlateauStopper` — stop when the best value has improved
-  by less than a relative fraction over a sliding window.
+:class:`NoImprovementStopper` stops after ``patience`` consecutive
+evaluations without improving the best value by at least ``min_delta``.
 
 A criterion is attached to a :class:`~repro.core.calibrator.Calibrator`
 via its ``stopping=`` argument; under the hood it is combined with the
@@ -28,9 +23,7 @@ from repro.core.history import CalibrationHistory
 
 __all__ = [
     "StoppingCriterion",
-    "TargetValueStopper",
     "NoImprovementStopper",
-    "RelativePlateauStopper",
     "StoppingBudget",
 ]
 
@@ -43,20 +36,6 @@ class StoppingCriterion:
 
     def describe(self) -> str:  # pragma: no cover - interface
         raise NotImplementedError
-
-
-class TargetValueStopper(StoppingCriterion):
-    """Stop as soon as the best objective value reaches ``target``."""
-
-    def __init__(self, target: float) -> None:
-        self.target = float(target)
-
-    def should_stop(self, history: CalibrationHistory) -> bool:
-        best = history.best
-        return best is not None and best.value <= self.target
-
-    def describe(self) -> str:
-        return f"stop at objective <= {self.target:g}"
 
 
 class NoImprovementStopper(StoppingCriterion):
@@ -109,32 +88,6 @@ class NoImprovementStopper(StoppingCriterion):
 
     def describe(self) -> str:
         return f"stop after {self.patience} evaluations without {self.min_delta:g} improvement"
-
-
-class RelativePlateauStopper(StoppingCriterion):
-    """Stop when the best value improved by less than ``fraction`` (relative)
-    over the last ``window`` evaluations."""
-
-    def __init__(self, window: int = 100, fraction: float = 0.01) -> None:
-        if window < 2:
-            raise ValueError("the window must cover at least 2 evaluations")
-        if not 0.0 < fraction < 1.0:
-            raise ValueError("the plateau fraction must be in (0, 1)")
-        self.window = int(window)
-        self.fraction = float(fraction)
-
-    def should_stop(self, history: CalibrationHistory) -> bool:
-        n = len(history)
-        if n <= self.window:
-            return False
-        previous = history.best_after(n - self.window)
-        current = history.best_after(n)
-        if previous == 0:
-            return current == 0
-        return (previous - current) / abs(previous) < self.fraction
-
-    def describe(self) -> str:
-        return f"stop when the best value improves < {100 * self.fraction:g}% over {self.window} evaluations"
 
 
 class StoppingBudget(Budget):

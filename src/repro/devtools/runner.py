@@ -11,7 +11,6 @@ usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import os
 import sys
@@ -231,12 +230,3 @@ def _run(args: argparse.Namespace) -> int:
     if errors:
         return 2
     return 1 if findings else 0
-
-
-def parse_ok(source: str) -> bool:
-    """Whether ``source`` parses (used by tests to validate fixtures)."""
-    try:
-        ast.parse(source)
-    except SyntaxError:
-        return False
-    return True

@@ -86,17 +86,6 @@ class Scenario:
     def total_cores(self) -> int:
         return sum(node.cores for node in self.nodes)
 
-    @property
-    def metric_count(self) -> int:
-        """Number of accuracy metrics (nodes x ICD values); 33 in the paper."""
-        return len(self.nodes) * len(self.icd_values)
-
-    def events_per_job_estimate(self) -> float:
-        """Rough number of simulated activities per job — the O(s/B + s/b)
-        granularity cost model of Section IV.C.4."""
-        s = self.workload.mean_input_bytes_per_job
-        return s / self.block_size + s / self.buffer_size
-
     # ------------------------------------------------------------------ #
     # derivation helpers
     # ------------------------------------------------------------------ #

@@ -119,10 +119,6 @@ class HEPSimulator:
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-    @property
-    def job_specs(self) -> list[JobSpec]:
-        """The workload instance simulated by every invocation."""
-        return list(self._jobs)
 
     def simulate(
         self, values: CalibrationValues, icd: float

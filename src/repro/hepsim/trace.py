@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 
-from repro.wrench.jobs import JobResult, average_execution_time, group_by_node, makespan
+from repro.wrench.jobs import JobResult, average_execution_time, group_by_node
 
 __all__ = ["ExecutionTrace", "MetricKey"]
 
@@ -104,24 +104,6 @@ class ExecutionTrace:
                     raise KeyError(f"no job ran on node {node!r} at ICD {icd}")
                 metrics[(node, icd)] = average_execution_time(grouped[node])
         return metrics
-
-    def makespan(self, icd: float) -> float:
-        """Workload makespan of the run at ``icd``."""
-        return makespan(self._runs[_round_icd(icd)])
-
-    def makespans(self) -> dict[float, float]:
-        return {icd: self.makespan(icd) for icd in self.icd_values}
-
-    def job_time_quantiles(self, icd: float, quantiles: Sequence[float]) -> list[float]:
-        """Per-run job execution time quantiles (for richer accuracy metrics)."""
-        times = sorted(r.execution_time for r in self._runs[_round_icd(icd)])
-        out = []
-        for q in quantiles:
-            if not 0.0 <= q <= 1.0:
-                raise ValueError(f"quantile {q} outside [0, 1]")
-            idx = min(len(times) - 1, int(round(q * (len(times) - 1))))
-            out.append(times[idx])
-        return out
 
     # ------------------------------------------------------------------ #
     # (de)serialisation — used to cache ground-truth traces on disk

@@ -21,24 +21,9 @@ MIB = 1024.0**2
 GIB = 1024.0**3
 
 
-def megabytes(value: float) -> float:
-    """Convert MB to bytes."""
-    return value * MB
-
-
-def gigabytes(value: float) -> float:
-    """Convert GB to bytes."""
-    return value * GB
-
-
 # --------------------------------------------------------------------- #
 # bandwidths (bytes/second)
 # --------------------------------------------------------------------- #
-def mbps(value: float) -> float:
-    """Megabits per second -> bytes per second."""
-    return value * 1e6 / 8.0
-
-
 def gbps(value: float) -> float:
     """Gigabits per second -> bytes per second."""
     return value * 1e9 / 8.0
@@ -57,11 +42,6 @@ def GBps(value: float) -> float:
 # --------------------------------------------------------------------- #
 # compute speeds (flop/s)
 # --------------------------------------------------------------------- #
-def mflops(value: float) -> float:
-    """Mflop/s -> flop/s."""
-    return value * 1e6
-
-
 def gflops(value: float) -> float:
     """Gflop/s -> flop/s."""
     return value * 1e9
@@ -92,17 +72,6 @@ def format_speed(flops_per_second: float) -> str:
     if flops_per_second >= 1e9:
         return f"{flops_per_second / 1e9:.2f} Gflops"
     return f"{flops_per_second / 1e6:.0f} Mflops"
-
-
-def format_size(nbytes: float) -> str:
-    """Render a size in human units."""
-    if nbytes >= 1e9:
-        return f"{nbytes / 1e9:.2f} GB"
-    if nbytes >= 1e6:
-        return f"{nbytes / 1e6:.1f} MB"
-    if nbytes >= 1e3:
-        return f"{nbytes / 1e3:.1f} kB"
-    return f"{nbytes:.0f} B"
 
 
 def format_duration(seconds: float) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -87,16 +86,6 @@ class WorkloadSpec:
     @property
     def mean_input_bytes_per_job(self) -> float:
         return self.files_per_job * self.file_size.value
-
-    @property
-    def total_input_bytes(self) -> float:
-        if self.shared_input_files:
-            return self.mean_input_bytes_per_job
-        return self.n_jobs * self.mean_input_bytes_per_job
-
-    def compute_seconds_per_job(self, core_speed: float) -> float:
-        """Expected per-job computation time at a given core speed."""
-        return self.mean_input_bytes_per_job * self.flops_per_byte.value / core_speed
 
 
 def paper_scale() -> WorkloadSpec:
@@ -189,12 +178,3 @@ def cached_file_count(files_per_job: int, icd: float) -> int:
     if not 0.0 <= icd <= 1.0:
         raise ValueError(f"ICD must be in [0, 1], got {icd}")
     return min(files_per_job, max(0, int(round(icd * files_per_job))))
-
-
-def unique_input_files(jobs: Sequence[JobSpec]) -> list[DataFile]:
-    """All distinct input files of a workload."""
-    seen = {}
-    for job in jobs:
-        for file in job.input_files:
-            seen[file.name] = file
-    return list(seen.values())

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-import time
 import traceback
 from collections.abc import Callable
 from typing import Any
@@ -145,30 +144,6 @@ class CalibrationServer:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def drain(self, timeout: float | None = None) -> bool:
-        """Block until every submitted job has finished.
-
-        Returns ``False`` when ``timeout`` elapsed first — the timeout is
-        a global deadline, not per-job — or as soon as the whole worker
-        pool has died with jobs still unfinished: a job whose worker was
-        killed mid-run can never complete, so waiting on it (even without
-        a timeout) would hang forever.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._jobs_lock:
-                jobs = list(self.jobs.values())
-            pending = [job for job in jobs if not job.wait(0)]
-            if not pending:
-                return True
-            if not any(thread.is_alive() for thread in self._workers):
-                return False
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            # Short slices so a dead pool / elapsed deadline is noticed
-            # promptly even while some job will never set its event.
-            pending[0].wait(0.1)
-
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting jobs; optionally wait for the backlog to finish.
 

@@ -19,7 +19,6 @@ The public surface is intentionally small:
   ``disk.write_async``, ``memory.read_async``.
 * Process helpers: :class:`~repro.simgrid.process.Timeout`,
   :class:`~repro.simgrid.process.AllOf`, :class:`~repro.simgrid.process.AnyOf`.
-* :class:`~repro.simgrid.tracing.ActivityTracer` — per-activity trace records.
 
 Routes are explicit link lists given to the platform.
 """
@@ -39,13 +38,11 @@ from repro.simgrid.network import communicate
 from repro.simgrid.platform import Platform
 from repro.simgrid.process import AllOf, AnyOf, Process, Timeout
 from repro.simgrid.resources import Resource
-from repro.simgrid.tracing import ActivityTracer, TraceRecord
 
 __all__ = [
     "Activity",
     "ActivityState",
     "ActivityCanceledError",
-    "ActivityTracer",
     "AllOf",
     "AnyOf",
     "Disk",
@@ -59,6 +56,5 @@ __all__ = [
     "SimulationEngine",
     "SimulationError",
     "Timeout",
-    "TraceRecord",
     "communicate",
 ]

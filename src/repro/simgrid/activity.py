@@ -26,7 +26,7 @@ _activity_counter = itertools.count()
 #: What an activity is named by: the name itself, or a ``str.format``
 #: template followed by its fields, formatted on the first read of
 #: :attr:`Activity.name`.  A simulator creates thousands of activities per
-#: run and only tracers and error messages ever read a name.
+#: run and only error messages and tests ever read a name.
 ActivityName = str | tuple
 
 
@@ -138,16 +138,8 @@ class Activity:
         return self.state is ActivityState.DONE
 
     @property
-    def is_canceled(self) -> bool:
-        return self.state is ActivityState.CANCELED
-
-    @property
     def is_terminated(self) -> bool:
         return self.state in _TERMINATED
-
-    @property
-    def is_pending(self) -> bool:
-        return self.state in (ActivityState.NEW, ActivityState.LATENCY, ActivityState.RUNNING)
 
     @property
     def progress(self) -> float:

@@ -64,14 +64,6 @@ class Disk:
     def write_bandwidth(self) -> float:
         return self._write_bw
 
-    def set_bandwidth(self, read_bandwidth: float, write_bandwidth: float | None = None) -> None:
-        """Re-parameterise the disk bandwidth (used by calibration)."""
-        if read_bandwidth <= 0:
-            raise PlatformError(f"disk {self.name!r} needs a positive read bandwidth")
-        self._read_bw = float(read_bandwidth)
-        self._write_bw = float(write_bandwidth) if write_bandwidth else float(read_bandwidth)
-        self.resource.set_capacity(max(self._read_bw, self._write_bw))
-
     # ------------------------------------------------------------------ #
     # activities
     # ------------------------------------------------------------------ #

@@ -88,36 +88,12 @@ class SimulationEngine:
         self._failures: list[tuple[Process, BaseException]] = []
         self._completed_activities = 0
         self._sharing_updates = 0
-        self._observers: list[object] = []
         #: optional :class:`repro.telemetry.profiling.SimulationProfile`
         #: (or any object with ``add(name, seconds, count)``); attach one
         #: before :meth:`run` to attribute wall-clock and event counts to
         #: the loop's phases.  ``None`` (the default) costs the loop one
         #: ``is None`` check per phase.
         self.profile: _PhaseProfile | None = None
-
-    # ------------------------------------------------------------------ #
-    # observers
-    # ------------------------------------------------------------------ #
-    def add_observer(self, observer: object) -> None:
-        """Register an observer notified of activity lifecycle events.
-
-        An observer may implement ``on_activity_start(activity, now)`` and/or
-        ``on_activity_end(activity, now)``; missing methods are ignored.  See
-        :class:`repro.simgrid.tracing.ActivityTracer` for the main user.
-        """
-        self._observers.append(observer)
-
-    def remove_observer(self, observer: object) -> None:
-        """Unregister a previously added observer (no-op if absent)."""
-        if observer in self._observers:
-            self._observers.remove(observer)
-
-    def _notify_observers(self, event: str, activity: Activity) -> None:
-        for observer in self._observers:
-            handler = getattr(observer, event, None)
-            if handler is not None:
-                handler(activity, self._now)
 
     # ------------------------------------------------------------------ #
     # clock and statistics
@@ -147,12 +123,6 @@ class SimulationEngine:
         if delay < 0:
             raise InvalidStateError(f"cannot schedule in the past (delay={delay})")
         heapq.heappush(self._timers, (self._now + delay, next(self._timer_seq), callback))
-
-    def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` at absolute simulated time ``when``."""
-        if when < self._now:
-            raise InvalidStateError(f"cannot schedule in the past (when={when}, now={self._now})")
-        heapq.heappush(self._timers, (when, next(self._timer_seq), callback))
 
     # ------------------------------------------------------------------ #
     # processes
@@ -186,8 +156,6 @@ class SimulationEngine:
             )
         activity._engine = self
         activity.start_time = self._now
-        if self._observers:
-            self._notify_observers("on_activity_start", activity)
         if activity.latency > 0:
             activity.state = _LATENCY
             self.schedule(activity.latency, lambda: self._enter_fluid_phase(activity))
@@ -239,8 +207,6 @@ class SimulationEngine:
         self._leave_fluid_phase(activity)
         activity.state = _CANCELED
         activity.finish_time = self._now
-        if self._observers:
-            self._notify_observers("on_activity_end", activity)
         activity._notify_waiters()
 
     def _complete_activity(self, activity: Activity) -> None:
@@ -250,8 +216,6 @@ class SimulationEngine:
         activity.remaining = 0.0
         activity.rate = 0.0
         self._completed_activities += 1
-        if self._observers:
-            self._notify_observers("on_activity_end", activity)
         waiters = activity._waiters
         if waiters:
             activity._waiters = []

@@ -55,13 +55,6 @@ class Host:
     def cores(self) -> int:
         return self._cores
 
-    def set_speed(self, speed: float) -> None:
-        """Re-parameterise the per-core speed (used by calibration)."""
-        if speed <= 0:
-            raise PlatformError(f"host {self.name!r} must have positive speed, got {speed}")
-        self._speed = float(speed)
-        self.cpu.set_capacity(self._speed * self._cores)
-
     def attach_disk(self, disk: Disk) -> None:
         if disk.name in self.disks:
             raise PlatformError(f"host {self.name!r} already has a disk named {disk.name!r}")

@@ -41,14 +41,5 @@ class Link:
         """Bandwidth in byte/s."""
         return self.resource.capacity
 
-    def set_bandwidth(self, bandwidth: float) -> None:
-        """Re-parameterise the bandwidth (used by calibration)."""
-        self.resource.set_capacity(bandwidth)
-
-    def set_latency(self, latency: float) -> None:
-        if latency < 0:
-            raise PlatformError(f"link {self.name!r} must have non-negative latency")
-        self.latency = float(latency)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<Link {self.name!r} {self.bandwidth:g} B/s lat={self.latency:g}s>"

@@ -43,10 +43,6 @@ class Memory:
     def bandwidth(self) -> float:
         return self.resource.capacity
 
-    def set_bandwidth(self, bandwidth: float) -> None:
-        """Re-parameterise the bandwidth (used by calibration)."""
-        self.resource.set_capacity(bandwidth)
-
     def read_async(self, name: ActivityName, size: float) -> Activity:
         """Create (without starting) a read of ``size`` bytes from memory."""
         return Activity(name, size, {self.resource: 1.0}, latency=self.latency)

@@ -95,9 +95,6 @@ class Platform:
         except KeyError:
             raise PlatformError(f"no route between {src.name!r} and {dst.name!r}") from None
 
-    def has_route(self, src: Host, dst: Host) -> bool:
-        return src.name == dst.name or (src.name, dst.name) in self._routes
-
     # ------------------------------------------------------------------ #
     # convenience
     # ------------------------------------------------------------------ #
@@ -118,12 +115,6 @@ class Platform:
         if not links:
             return Activity(name, 0.0, {})
         return communicate(name, size, links, rate_cap=rate_cap)
-
-    def host_by_name(self, name: str) -> Host:
-        try:
-            return self.hosts[name]
-        except KeyError:
-            raise PlatformError(f"unknown host {name!r}") from None
 
     def summary(self) -> str:
         """One-line-per-element description of the platform (for logs/docs)."""

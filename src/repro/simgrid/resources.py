@@ -68,21 +68,10 @@ class Resource:
         """Iterate over the activities currently registered on the resource."""
         return iter(self._activities)
 
-    def usage_of(self, activity: Activity) -> float:
-        """Usage weight of ``activity`` on this resource (0 if unregistered)."""
-        return self._activities.get(activity, 0.0)
-
     @property
     def load(self) -> int:
         """Number of activities currently registered on this resource."""
         return len(self._activities)
-
-    def current_rate(self) -> float:
-        """Aggregate rate (work/s) currently allocated on this resource."""
-        total = 0.0
-        for activity, usage in self._activities.items():
-            total += activity.rate * usage
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<{type(self).__name__} {self.name!r} capacity={self._capacity:g}>"

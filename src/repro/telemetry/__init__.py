@@ -73,7 +73,6 @@ from repro.telemetry.tracing import (
     Tracer,
     current_tracer,
     set_tracer,
-    use_tracer,
 )
 
 __all__ = [
@@ -91,7 +90,6 @@ __all__ = [
     "NULL_TRACER",
     "current_tracer",
     "set_tracer",
-    "use_tracer",
     "SimulationProfile",
     "enable_simulation_profiling",
     "disable_simulation_profiling",

@@ -67,10 +67,6 @@ class SimulationProfile:
     def count(self, name: str) -> int:
         return self.phases.get(name, (0.0, 0))[1]
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(seconds for seconds, _ in self.phases.values())
-
     def to_dict(self) -> dict[str, float]:
         """Flatten to ``phase_<name>_seconds`` / ``phase_<name>_count``
         float entries (the shape merged into simulator stats dicts)."""
@@ -79,22 +75,6 @@ class SimulationProfile:
             out[f"phase_{name}_seconds"] = seconds
             out[f"phase_{name}_count"] = float(count)
         return out
-
-    def merge(self, other: SimulationProfile) -> None:
-        """Fold another profile's phases into this one."""
-        for name, (seconds, count) in other.phases.items():
-            self.add(name, seconds, count)
-
-    def breakdown(self) -> str:
-        """A one-line-per-phase flame-style text breakdown."""
-        total = self.total_seconds
-        lines = []
-        for name, (seconds, count) in sorted(
-            self.phases.items(), key=lambda item: -item[1][0]
-        ):
-            share = (seconds / total * 100.0) if total > 0 else 0.0
-            lines.append(f"{name:<12} {seconds * 1e3:9.2f} ms  {share:5.1f}%  x{count}")
-        return "\n".join(lines)
 
 
 _PROFILING_ENABLED = False

@@ -48,7 +48,6 @@ __all__ = [
     "NULL_TRACER",
     "current_tracer",
     "set_tracer",
-    "use_tracer",
 ]
 
 
@@ -270,14 +269,3 @@ def set_tracer(tracer: Tracer | None) -> Tracer:
         previous = _current
         _current = tracer if tracer is not None else NULL_TRACER
         return previous
-
-
-@contextmanager
-def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
-    """Temporarily install ``tracer`` for the duration of a ``with``
-    block, restoring the previous tracer on exit."""
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)

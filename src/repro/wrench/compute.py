@@ -54,10 +54,6 @@ class BareMetalComputeService:
         return len(self._queue)
 
     @property
-    def running_jobs(self) -> int:
-        return self._running
-
-    @property
     def completed_jobs(self) -> list[Job]:
         return list(self._completed)
 

@@ -25,16 +25,6 @@ class JobSpec:
     output_file: DataFile | None = None
     flops_baseline: float = 0.0
 
-    @property
-    def input_bytes(self) -> float:
-        """Total number of input bytes the job reads."""
-        return sum(f.size for f in self.input_files)
-
-    @property
-    def total_flops(self) -> float:
-        """Total computation volume of the job."""
-        return self.flops_baseline + self.flops_per_byte * self.input_bytes
-
     def with_name(self, name: str) -> JobSpec:
         return dataclasses.replace(self, name=name)
 
@@ -61,13 +51,6 @@ class Job:
         if self.start_time is None or self.end_time is None:
             raise ValueError(f"job {self.name!r} has not completed")
         return self.end_time - self.start_time
-
-    @property
-    def wait_time(self) -> float:
-        """Time between submission and start (seconds)."""
-        if self.submit_time is None or self.start_time is None:
-            raise ValueError(f"job {self.name!r} has not started")
-        return self.start_time - self.submit_time
 
     def to_result(self) -> JobResult:
         return JobResult(
@@ -100,10 +83,6 @@ class JobResult:
     def execution_time(self) -> float:
         return self.end_time - self.start_time
 
-    @property
-    def turnaround_time(self) -> float:
-        return self.end_time - self.submit_time
-
     def to_dict(self) -> dict[str, float]:
         return dataclasses.asdict(self)
 
@@ -125,10 +104,3 @@ def average_execution_time(results: list[JobResult]) -> float:
     if not results:
         raise ValueError("cannot average an empty list of job results")
     return sum(r.execution_time for r in results) / len(results)
-
-
-def makespan(results: list[JobResult]) -> float:
-    """Time between the earliest start and the latest completion."""
-    if not results:
-        raise ValueError("cannot compute the makespan of an empty list of job results")
-    return max(r.end_time for r in results) - min(r.start_time for r in results)

@@ -45,16 +45,3 @@ class FCFSScheduler:
         service.submit(job, body_factory(job))
         self.jobs.append(job)
         return job
-
-    def submit_all(
-        self, specs: Sequence[JobSpec], body_factory: Callable[[Job], JobBody]
-    ) -> list[Job]:
-        """Submit a whole workload in order."""
-        return [self.submit(spec, body_factory) for spec in specs]
-
-    def placement(self) -> dict[str, int]:
-        """Number of jobs per node (after submission)."""
-        counts: dict[str, int] = {}
-        for job in self.jobs:
-            counts[job.node_name or "?"] = counts.get(job.node_name or "?", 0) + 1
-        return counts

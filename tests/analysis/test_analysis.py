@@ -47,10 +47,6 @@ class TestSurvey:
             PublicationRecord("x", 2020, includes_real_world_results=False,
                               allows_comparison=True)
 
-    def test_summary_as_dict(self):
-        summary = summarize_survey(build_survey_dataset())
-        assert summary.as_dict()["total"] == 114
-
 
 class TestTables:
     def test_render_table_alignment(self):

@@ -1,5 +1,6 @@
 """The ``repro`` command-line interface."""
 
+import json
 import threading
 
 import pytest
@@ -220,9 +221,9 @@ class TestCalibrateReportAndSave:
         assert "sparkline" in out
         assert out_path.exists()
 
-        from repro.core import load_result
+        from repro.core.serialization import result_from_dict
 
-        loaded = load_result(out_path)
+        loaded = result_from_dict(json.loads(out_path.read_text()))
         assert loaded.evaluations == 12
         assert loaded.algorithm == "lhs"
 

@@ -145,7 +145,7 @@ class TestBudgetsAndResults:
         result = calibrator.run()
         assert result.algorithm == "random"
         assert len(result.history) == result.evaluations == 25
-        assert result.best_value == pytest.approx(min(result.history.value_curve()))
+        assert result.best_value == pytest.approx(min(e.value for e in result.history))
         assert "random" in result.summary()
         curve = result.history.best_so_far()
         assert all(curve[i + 1] <= curve[i] + 1e-12 for i in range(len(curve) - 1))

@@ -68,13 +68,7 @@ class TestHistory:
         assert history.best.value == 3.0
         assert len(history) == 5
         assert history.best_so_far() == [10.0, 5.0, 5.0, 3.0, 3.0]
-        assert history.value_curve() == [10.0, 5.0, 7.0, 3.0, 9.0]
-
-    def test_total_evaluation_time(self):
-        history = CalibrationHistory()
-        history.record(self.make_eval(0, 1.0))
-        history.record(self.make_eval(1, 2.0))
-        assert history.total_evaluation_time == pytest.approx(1.0)
+        assert [e.value for e in history] == [10.0, 5.0, 7.0, 3.0, 9.0]
 
     def test_empty_history(self):
         history = CalibrationHistory()

@@ -1,5 +1,8 @@
 """Calibration reports and JSON persistence of results."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,6 @@ from repro.core import (
     ParameterSpace,
     calibration_report,
     convergence_sparkline,
-    load_result,
     save_result,
 )
 from repro.core.serialization import (
@@ -45,7 +47,7 @@ def result(space):
 class TestSerialization:
     def test_roundtrip_preserves_everything(self, result, tmp_path):
         path = save_result(result, tmp_path / "nested" / "run.json")
-        loaded = load_result(path)
+        loaded = result_from_dict(json.loads(path.read_text()))
         assert loaded.algorithm == result.algorithm
         assert loaded.best_value == pytest.approx(result.best_value)
         assert loaded.best_values == pytest.approx(result.best_values)
@@ -95,3 +97,40 @@ class TestReporting:
         constant = Calibrator(space, lambda values: 5.0, "random", EvaluationBudget(10), seed=1).run()
         line = convergence_sparkline(constant)
         assert set(line) == {"."}
+
+    def test_a_run_that_starts_with_nan_reports_the_history_best(self, space):
+        values = iter([math.nan, 5.0, 1.0, 3.0])
+        result = Calibrator(
+            space, lambda _: next(values), "random", EvaluationBudget(4), seed=1
+        ).run()
+        assert result.history.best is result.history[2]
+        text = calibration_report(result, space)
+        assert "best point found at evaluation 3 of 4" in text
+        # The curve is inf before the first number: a blank, not a scale.
+        assert convergence_sparkline(result) == " @.."
+
+    def test_a_run_of_only_nan_values_renders(self, space):
+        result = Calibrator(
+            space, lambda _: math.nan, "random", EvaluationBudget(5), seed=1
+        ).run()
+        text = calibration_report(result, space)
+        assert "best point found at evaluation 1 of 5" in text
+        assert convergence_sparkline(result) == " " * 5
+
+    def test_a_best_point_in_the_last_tenth_is_flagged_late(self, space):
+        values = iter([10.0 - i for i in range(10)])
+        result = Calibrator(
+            space, lambda _: next(values), "random", EvaluationBudget(10), seed=1
+        ).run()
+        text = calibration_report(result, space)
+        assert "best point found at evaluation 10 of 10  (late" in text
+        assert convergence_sparkline(result)[0] == "@"
+
+    def test_an_early_best_point_is_not_flagged(self, space):
+        values = iter([0.5] + [10.0 - i for i in range(9)])
+        result = Calibrator(
+            space, lambda _: next(values), "random", EvaluationBudget(10), seed=1
+        ).run()
+        text = calibration_report(result, space)
+        assert "best point found at evaluation 1 of 10\n" in text
+        assert "late" not in text

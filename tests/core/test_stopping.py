@@ -1,5 +1,7 @@
 """Early-stopping criteria and their integration with the Calibrator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,6 @@ from repro.core import (
     NoImprovementStopper,
     Parameter,
     ParameterSpace,
-    RelativePlateauStopper,
-    TargetValueStopper,
 )
 from repro.core.history import CalibrationHistory, Evaluation
 from repro.core.stopping import StoppingBudget
@@ -26,20 +26,6 @@ def make_history(values):
                        started_at=float(i), finished_at=float(i) + 0.5)
         )
     return history
-
-
-class TestTargetValueStopper:
-    def test_stops_when_target_reached(self):
-        stopper = TargetValueStopper(5.0)
-        assert not stopper.should_stop(make_history([10.0, 7.0]))
-        assert stopper.should_stop(make_history([10.0, 5.0]))
-        assert stopper.should_stop(make_history([10.0, 3.0, 8.0]))
-
-    def test_empty_history_never_stops(self):
-        assert not TargetValueStopper(5.0).should_stop(CalibrationHistory())
-
-    def test_describe_mentions_target(self):
-        assert "5" in TargetValueStopper(5.0).describe()
 
 
 class TestNoImprovementStopper:
@@ -59,34 +45,22 @@ class TestNoImprovementStopper:
         # A genuine improvement within the window: continue.
         assert not stopper.should_stop(make_history([5.0, 4.9, 3.0]))
 
+    def test_nan_values_are_never_an_improvement(self):
+        assert NoImprovementStopper(patience=2).should_stop(make_history([5, math.nan, math.nan]))
+        assert NoImprovementStopper(patience=2).should_stop(
+            make_history([math.nan, 5, math.nan, math.nan])
+        )
+        assert not NoImprovementStopper(patience=2).should_stop(make_history([5, math.nan, 4]))
+
+    def test_describe_names_patience_and_delta(self):
+        stopper = NoImprovementStopper(patience=7, min_delta=0.5)
+        assert stopper.describe() == "stop after 7 evaluations without 0.5 improvement"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             NoImprovementStopper(patience=0)
         with pytest.raises(ValueError):
             NoImprovementStopper(min_delta=-1)
-
-
-class TestRelativePlateauStopper:
-    def test_stops_on_flat_window(self):
-        stopper = RelativePlateauStopper(window=3, fraction=0.05)
-        improving = make_history([100, 80, 60, 40, 20])
-        assert not stopper.should_stop(improving)
-        flat = make_history([100, 50, 49.9, 49.8, 49.7])
-        assert stopper.should_stop(flat)
-
-    def test_short_history_never_stops(self):
-        stopper = RelativePlateauStopper(window=10, fraction=0.01)
-        assert not stopper.should_stop(make_history([100, 99]))
-
-    def test_zero_best_value_edge_case(self):
-        stopper = RelativePlateauStopper(window=2, fraction=0.5)
-        assert stopper.should_stop(make_history([0.0, 0.0, 0.0]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RelativePlateauStopper(window=1)
-        with pytest.raises(ValueError):
-            RelativePlateauStopper(fraction=1.5)
 
 
 def _old_no_improvement(stopper, history):
@@ -98,21 +72,6 @@ def _old_no_improvement(stopper, history):
     best_before = min(e.value for e in evaluations[:cutoff])
     best_since = min(e.value for e in evaluations[cutoff:])
     return best_since > best_before - stopper.min_delta
-
-
-def _old_relative_plateau(stopper, history):
-    """The O(n) formula, with the best-so-far curve rebuilt on every check."""
-    curve, best = [], float("inf")
-    for evaluation in history:
-        best = min(best, evaluation.value)
-        curve.append(best)
-    if len(curve) <= stopper.window:
-        return False
-    previous = curve[-stopper.window - 1]
-    current = curve[-1]
-    if previous == 0:
-        return current == 0
-    return (previous - current) / abs(previous) < stopper.fraction
 
 
 # NaN-free values with many ties, so equal bests and equal window minima occur
@@ -142,26 +101,15 @@ class TestIncrementalChecks:
             stopper, make_history(values[::-1])
         )
 
-    @settings(max_examples=200, deadline=None)
-    @given(values=stopper_values, window=st.integers(2, 20),
-           fraction=st.sampled_from([0.01, 0.25, 0.9]))
-    def test_relative_plateau_matches_the_reference(self, values, window, fraction):
-        stopper = RelativePlateauStopper(window=window, fraction=fraction)
-        history = CalibrationHistory()
-        for i, value in enumerate(values):
-            history.record(Evaluation(index=i, values={}, unit=(), value=value,
-                                      started_at=0.0, finished_at=0.0))
-            assert stopper.should_stop(history) == _old_relative_plateau(stopper, history)
-
 
 class TestStoppingBudgetAdapter:
     def test_unbound_adapter_never_exhausts(self):
-        budget = StoppingBudget(TargetValueStopper(1.0))
+        budget = StoppingBudget(NoImprovementStopper(patience=1))
         assert not budget.exhausted(100)
 
     def test_bound_adapter_follows_criterion(self):
-        budget = StoppingBudget(TargetValueStopper(1.0))
-        history = make_history([5.0, 0.5])
+        budget = StoppingBudget(NoImprovementStopper(patience=1))
+        history = make_history([5.0, 6.0])
         budget.bind(history)
         assert budget.exhausted(2)
         assert "1" in budget.describe()
@@ -177,16 +125,6 @@ class TestCalibratorIntegration:
             return float(np.sum((unit - 0.4) ** 2)) * 100.0
         return fn
 
-    def test_target_stopper_cuts_the_run_short(self):
-        space = self.make_space()
-        unlimited = Calibrator(space, self.objective(space), "random",
-                               EvaluationBudget(500), seed=3).run()
-        stopped = Calibrator(space, self.objective(space), "random",
-                             EvaluationBudget(500), seed=3,
-                             stopping=TargetValueStopper(unlimited.best_value * 4 + 1.0)).run()
-        assert stopped.evaluations < unlimited.evaluations
-        assert stopped.best_value <= unlimited.best_value * 4 + 1.0
-
     def test_no_improvement_stopper_bounds_wasted_evaluations(self):
         space = self.make_space()
         result = Calibrator(space, self.objective(space), "random",
@@ -198,7 +136,7 @@ class TestCalibratorIntegration:
         space = self.make_space()
         result = Calibrator(space, self.objective(space), "random",
                             EvaluationBudget(30), seed=1,
-                            stopping=TargetValueStopper(-1.0)).run()
+                            stopping=NoImprovementStopper(patience=1000)).run()
         assert result.evaluations == 30
 
     def test_each_run_records_its_own_history(self):

@@ -1,8 +1,8 @@
 """The names the case-study simulator gives its activities.
 
 The simulator hands each activity the parts of its name and the activity
-formats them only when something reads :attr:`Activity.name` (a tracer, an
-error message).  What is read must be exactly the string the simulator
+formats them only when something reads :attr:`Activity.name` (an error
+message, this test).  What is read must be exactly the string the simulator
 used to format eagerly: the digests below were recorded from that version.
 """
 
@@ -17,7 +17,6 @@ from repro.simgrid import SimulationEngine
 from repro.simgrid.activity import Activity
 from repro.simgrid.errors import InvalidStateError
 from repro.simgrid.resources import Resource
-from repro.simgrid.tracing import ActivityTracer
 
 #: platform -> (activities traced at ICD 0.5, sha256 of their names in trace order)
 EXPECTED = {
@@ -27,19 +26,27 @@ EXPECTED = {
 
 
 def traced_names(monkeypatch, platform):
-    tracer = ActivityTracer(keep_zero_work=True)
-    build_platform = simulator_module.build_platform
+    """The name of every activity in the order it ends (completes or is
+    canceled), read as the engine ends it, before its waiters run."""
+    names = []
+    complete = SimulationEngine._complete_activity
+    cancel = SimulationEngine.cancel_activity
 
-    def build_and_trace(*args, **kwargs):
-        built = build_platform(*args, **kwargs)
-        built.platform.engine.add_observer(tracer)
-        return built
+    def complete_and_trace(engine, activity):
+        names.append(activity.name)
+        complete(engine, activity)
 
-    monkeypatch.setattr(simulator_module, "build_platform", build_and_trace)
+    def cancel_and_trace(engine, activity):
+        if not activity.is_terminated:
+            names.append(activity.name)
+        cancel(engine, activity)
+
+    monkeypatch.setattr(SimulationEngine, "_complete_activity", complete_and_trace)
+    monkeypatch.setattr(SimulationEngine, "cancel_activity", cancel_and_trace)
     scenario = Scenario.tiny(platform)
     simulator = simulator_module.HEPSimulator(scenario)
     simulator.simulate(ReferenceSystemConfig().true_values(scenario.config), 0.5)
-    return [record.name for record in tracer.records]
+    return names
 
 
 @pytest.mark.parametrize("platform", sorted(EXPECTED))

@@ -183,7 +183,7 @@ class TestCalibrationGlue:
         assert problem.evaluate(values) == pytest.approx(result.best_value, rel=1e-6)
         # The calibrated point is no worse than the median random draw by
         # construction (it is the best of 30 samples).
-        assert result.best_value <= max(result.history.value_curve())
+        assert result.best_value <= max(e.value for e in result.history)
 
     def test_partial_value_mapping_gets_defaults(self, generator, tiny_scenario):
         problem = CaseStudyProblem.create(

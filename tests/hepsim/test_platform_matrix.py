@@ -22,7 +22,7 @@ from repro.hepsim.platforms import (
 from repro.hepsim.scenario import Scenario
 from repro.hepsim.simulator import HEPSimulator
 from repro.hepsim.units import GBps, MBps, gbps, gflops
-from repro.hepsim.workload import cached_file_count
+from repro.hepsim.workload import cached_file_count, make_workload
 
 PLATFORMS = sorted(PLATFORM_CONFIGS)
 
@@ -64,9 +64,10 @@ def test_build_platform_wires_figure_one(platform_name):
 
 @pytest.mark.parametrize("platform_name", PLATFORMS)
 def test_every_job_completes_once_on_a_site_node(platform_name):
-    simulator = HEPSimulator(Scenario.tiny(platform_name))
-    results, stats = simulator.simulate(VALUES, 0.5)
-    assert sorted(r.name for r in results) == sorted(s.name for s in simulator.job_specs)
+    scenario = Scenario.tiny(platform_name)
+    results, stats = HEPSimulator(scenario).simulate(VALUES, 0.5)
+    jobs = make_workload(scenario.workload)
+    assert sorted(r.name for r in results) == sorted(spec.name for spec in jobs)
     cores = {node.name: node.cores for node in TINY_NODES}
     for node, count in cores.items():
         # the tiny workload has one job per core: nobody waits

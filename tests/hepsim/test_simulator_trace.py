@@ -151,15 +151,6 @@ class TestExecutionTrace:
         with pytest.raises(KeyError):
             trace.average_job_time("node9", 0.0)
 
-    def test_makespan_and_quantiles(self):
-        trace = self.make_trace()
-        assert trace.makespan(0.0) == pytest.approx(20.0)
-        assert trace.makespans()[1.0] == pytest.approx(5.0)
-        q = trace.job_time_quantiles(0.0, [0.0, 1.0])
-        assert q == [pytest.approx(10.0), pytest.approx(20.0)]
-        with pytest.raises(ValueError):
-            trace.job_time_quantiles(0.0, [1.5])
-
     def test_stats_and_wall_time(self):
         trace = self.make_trace()
         assert trace.stats(0.0)["events"] == 100

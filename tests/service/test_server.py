@@ -221,7 +221,6 @@ class TestServerBookkeeping:
             job = server.submit(make_request(space))
             assert server.get(job.id) is job
             assert job.wait(60)
-            server.drain()
             (record,) = server.snapshot()
         assert record["id"] == job.id
         assert record["status"] == "done"

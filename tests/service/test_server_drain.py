@@ -1,14 +1,11 @@
-"""Regression tests: drain()/shutdown() survive a worker dying mid-job.
+"""Regression tests: a job and shutdown() survive a worker dying mid-job.
 
 An objective can raise past ``except Exception`` (``SystemExit``,
 ``KeyboardInterrupt`` forwarded from a signal handler, interpreter
 teardown).  Before the fix, the worker thread died with the job's done
-event unset: ``drain()`` (whose timeout was also per-job, not global)
-and any ``job.wait()`` hung forever, and jobs still queued behind the
-dead worker were stranded silently.
+event unset: any ``job.wait()`` hung forever, and jobs still queued
+behind the dead worker were stranded silently.
 """
-
-import time
 
 import pytest
 
@@ -44,11 +41,6 @@ def quadratic(values):
     return (values["x"] - 4.0) ** 2
 
 
-def join_pool(server, timeout=10.0):
-    for thread in server._workers:
-        thread.join(timeout)
-
-
 class TestWorkerDeath:
     def test_job_whose_worker_dies_is_failed_and_released(self):
         server = CalibrationServer(store=InMemoryStore(), workers=1)
@@ -56,18 +48,6 @@ class TestWorkerDeath:
         assert job.wait(10), "a dying worker must still release the job"
         assert job.status is JobStatus.FAILED
         assert "died" in job.error
-        assert server.drain(timeout=10) is True
-
-    def test_drain_returns_false_once_the_pool_is_dead(self):
-        server = CalibrationServer(store=InMemoryStore(), workers=1)
-        server.submit(make_request(lethal, "fp-lethal"))
-        stranded = server.submit(make_request(quadratic, "fp-q"))
-        join_pool(server)
-        started = time.monotonic()
-        # No timeout at all: only the dead-pool detection can end this.
-        assert server.drain() is False
-        assert time.monotonic() - started < 5.0
-        assert not stranded.finished
 
     def test_shutdown_fails_jobs_stranded_behind_a_dead_pool(self):
         server = CalibrationServer(store=InMemoryStore(), workers=1)
@@ -78,24 +58,3 @@ class TestWorkerDeath:
         assert stranded.status is JobStatus.FAILED
         assert "pool died" in stranded.error
 
-    def test_drain_timeout_is_a_global_deadline(self):
-        release = []
-
-        def slow(values):
-            while not release:
-                time.sleep(0.01)
-            return quadratic(values)
-
-        server = CalibrationServer(store=InMemoryStore(), workers=1)
-        jobs = [
-            server.submit(make_request(slow, f"fp-slow-{i}", evaluations=2))
-            for i in range(4)
-        ]
-        started = time.monotonic()
-        assert server.drain(timeout=0.5) is False
-        # The old implementation granted each job the full timeout in turn.
-        assert time.monotonic() - started < 2.0
-        release.append(True)
-        assert server.drain(timeout=30) is True
-        assert all(job.status is JobStatus.DONE for job in jobs)
-        server.shutdown(wait=True)

@@ -1,28 +1,33 @@
-"""What a resource reports about its users while the clock runs.
+"""What a resource carries while the clock runs.
 
-``Resource.current_rate`` is the instantaneous load the sharing solver put
-on a resource; ``usage_of`` and ``load`` say who is registered on it.  A
-rate change can be caused on *another* resource (a competitor leaves a
-shared link), so these are checked mid-run with ``run(until=...)``, not
-only before and after.  Host attachments and activity life-cycle hooks
-complete the picture.
+The rate the sharing solver put on a resource is the sum of its registered
+activities' rates weighted by their usage (:func:`carried_rate`);
+``activities`` and ``load`` say who is registered on it.  A rate change can
+be caused on *another* resource (a competitor leaves a shared link), so
+these are checked mid-run with ``run(until=...)``, not only before and
+after.  Host attachments, activity life-cycle hooks and the start and
+finish times activities record complete the picture.
 """
 
 import pytest
 
-from repro.simgrid import ActivityTracer, Platform, SimulationEngine
+from repro.simgrid import ActivityState, Platform, SimulationEngine
 from repro.simgrid.activity import Activity
 from repro.simgrid.disk import Disk
 from repro.simgrid.errors import PlatformError
 from repro.simgrid.memory import Memory
 from repro.simgrid.resources import Resource
-from repro.simgrid.tracing import TraceRecord
+
+
+def carried_rate(resource):
+    """Aggregate rate (work/s) currently allocated on ``resource``."""
+    return sum(activity.rate * activity.usages[resource] for activity in resource.activities)
 
 
 class TestCurrentRate:
     def test_idle_resource_carries_no_rate(self):
         r = Resource("r", 10.0)
-        assert r.current_rate() == 0.0
+        assert carried_rate(r) == 0.0
         assert r.load == 0
 
     def test_rates_are_weighted_by_usage(self):
@@ -34,14 +39,14 @@ class TestCurrentRate:
         # Max-min fairness gives both the same rate x with x + 2x = 12.
         assert light.rate == pytest.approx(4.0)
         assert heavy.rate == pytest.approx(4.0)
-        assert r.current_rate() == pytest.approx(12.0)
+        assert carried_rate(r) == pytest.approx(12.0)
 
     def test_rate_cap_leaves_capacity_unused(self):
         engine = SimulationEngine()
         r = Resource("r", 10.0)
         engine.start_activity(Activity("capped", 100.0, {r: 1.0}, rate_cap=3.0))
         engine.run(until=1.0)
-        assert r.current_rate() == pytest.approx(3.0)
+        assert carried_rate(r) == pytest.approx(3.0)
 
     def test_rate_follows_changes_caused_on_another_resource(self):
         """``X`` speeds up when ``A`` leaves ``r1``; nothing registers or
@@ -52,14 +57,14 @@ class TestCurrentRate:
         engine.start_activity(Activity("A", 10.0, {r1: 1.0}))
         engine.start_activity(Activity("X", 100.0, {r1: 1.0, r2: 1.0}))
         engine.run(until=1.0)
-        assert r2.current_rate() == pytest.approx(5.0)
-        assert r1.current_rate() == pytest.approx(10.0)
+        assert carried_rate(r2) == pytest.approx(5.0)
+        assert carried_rate(r1) == pytest.approx(10.0)
         engine.run(until=3.0)
         assert r2.load == 1 and r1.load == 1
-        assert r2.current_rate() == pytest.approx(10.0)
-        assert r1.current_rate() == pytest.approx(10.0)
+        assert carried_rate(r2) == pytest.approx(10.0)
+        assert carried_rate(r1) == pytest.approx(10.0)
         assert engine.run() == pytest.approx(11.0)
-        assert r1.current_rate() == r2.current_rate() == 0.0
+        assert carried_rate(r1) == carried_rate(r2) == 0.0
 
     def test_set_capacity_mid_run_rescales_the_rate(self):
         engine = SimulationEngine()
@@ -68,22 +73,21 @@ class TestCurrentRate:
         engine.run(until=2.0)
         r.set_capacity(5.0)
         engine.run(until=3.0)
-        assert r.current_rate() == pytest.approx(5.0)
+        assert carried_rate(r) == pytest.approx(5.0)
         # 20 units done in the first 2 s, the other 20 at 5/s.
         assert engine.run() == pytest.approx(6.0)
         assert activity.is_done
 
 
 class TestRegistration:
-    def test_usage_of_reports_the_weight_while_running(self):
+    def test_a_running_activity_is_registered_until_it_ends(self):
         engine = SimulationEngine()
         r, other = Resource("r", 10.0), Resource("other", 10.0)
         activity = engine.start_activity(Activity("a", 10.0, {r: 0.5}))
-        assert r.usage_of(activity) == 0.5
-        assert other.usage_of(activity) == 0.0
         assert list(r.activities) == [activity]
+        assert list(other.activities) == []
         engine.run()
-        assert r.usage_of(activity) == 0.0
+        assert list(r.activities) == []
         assert r.load == 0
 
     def test_latency_phase_does_not_occupy_the_resource(self):
@@ -92,7 +96,7 @@ class TestRegistration:
         activity = engine.start_activity(Activity("a", 10.0, {r: 1.0}, latency=2.0))
         assert r.load == 0
         engine.run(until=1.0)
-        assert r.load == 0 and r.current_rate() == 0.0
+        assert r.load == 0 and carried_rate(r) == 0.0
         engine.run(until=2.5)
         assert r.load == 1
         assert engine.run() == pytest.approx(3.0)
@@ -105,24 +109,35 @@ class TestRegistration:
         survivor = engine.start_activity(Activity("survivor", 30.0, {r: 1.0}))
         engine.run(until=2.0)
         engine.cancel_activity(victim)
-        assert r.usage_of(victim) == 0.0
-        assert r.load == 1
+        assert list(r.activities) == [survivor]
         # survivor did 10 units at 5/s, the remaining 20 go at 10/s
         assert engine.run() == pytest.approx(4.0)
-        assert survivor.is_done and victim.is_canceled
+        assert survivor.is_done and victim.state is ActivityState.CANCELED
 
 
 class TestActivityLifecycle:
-    def test_is_pending_until_terminated(self):
+    def test_is_terminated_once_done(self):
         engine = SimulationEngine()
         r = Resource("r", 1.0)
         activity = Activity("a", 1.0, {r: 1.0}, latency=1.0)
-        assert activity.is_pending
+        assert not activity.is_terminated
         engine.start_activity(activity)
-        assert activity.is_pending
+        assert not activity.is_terminated
         engine.run()
-        assert not activity.is_pending
         assert activity.is_done and activity.is_terminated
+
+    def test_state_moves_through_latency_and_running_to_done(self):
+        engine = SimulationEngine()
+        r = Resource("r", 1.0)
+        activity = Activity("a", 1.0, {r: 1.0}, latency=1.0)
+        assert activity.state is ActivityState.NEW
+        engine.start_activity(activity)
+        assert activity.state is ActivityState.LATENCY
+        engine.run(until=1.5)
+        assert activity.state is ActivityState.RUNNING
+        engine.run()
+        assert activity.state is ActivityState.DONE
+        assert (activity.start_time, activity.finish_time) == (0.0, pytest.approx(2.0))
 
     def test_waiters_run_once_on_completion(self):
         engine = SimulationEngine()
@@ -177,36 +192,57 @@ class TestHostAttachments:
             host.attach_memory(Memory(platform.engine, "m", 1e10))
 
 
-class TestTraceRecords:
-    def test_record_duration_and_dict(self):
-        record = TraceRecord("read", "disk", 5e7, 1.0, 1.5, ("d.io",))
-        assert record.duration == pytest.approx(0.5)
-        assert record.to_dict() == {
-            "name": "read",
-            "kind": "disk",
-            "amount": 5e7,
-            "start": 1.0,
-            "end": 1.5,
-            "resources": ["d.io"],
-            "canceled": False,
-        }
+class TestActivityTimes:
+    def test_a_workflow_records_every_step_interval(self):
+        platform = Platform("p")
+        a = platform.add_host("alpha", 1e9, cores=2)
+        b = platform.add_host("beta", 1e9, cores=2)
+        link = platform.add_link("wire", 1e8, latency=0.0)
+        platform.add_route(a, b, [link])
+        disk = platform.add_disk(a, "alpha_disk", 1e8)
+        steps = [
+            a.exec_async("crunch", 2e9),                       # 2 s on one core
+            platform.transfer_async("ship", 1e8, a, b),        # 1 s on the link
+            disk.read_async("load", 5e7),                      # 0.5 s on the disk
+            platform.transfer_async("loopback", 1e6, a, a),    # zero work
+        ]
 
-    def test_memory_reads_are_classified_and_filtered_by_kind(self):
+        def process():
+            for step in steps:
+                yield step
+
+        platform.engine.add_process(process(), "main")
+        assert platform.engine.run() == pytest.approx(3.5)
+        intervals = [(step.start_time, step.finish_time) for step in steps]
+        assert intervals == [
+            (0.0, pytest.approx(2.0)),
+            (pytest.approx(2.0), pytest.approx(3.0)),
+            (pytest.approx(3.0), pytest.approx(3.5)),
+            (pytest.approx(3.5), pytest.approx(3.5)),
+        ]
+
+    def test_memory_read_then_compute(self):
         platform = Platform("p")
         host = platform.add_host("h", 1e9)
         memory = platform.add_memory(host, "h_ram", 1e9)
-        tracer = ActivityTracer()
-        platform.engine.add_observer(tracer)
+        read = memory.read_async("page-in", 5e8)
+        crunch = host.exec_async("crunch", 1e9)
 
         def process():
-            yield memory.read_async("page-in", 5e8)
-            yield host.exec_async("crunch", 1e9)
+            yield read
+            yield crunch
 
         platform.engine.add_process(process(), "main")
         platform.engine.run()
-        (read,) = tracer.by_kind("memory")
-        assert read.name == "page-in"
-        assert (read.start, read.end) == (pytest.approx(0.0), pytest.approx(0.5))
-        assert [r.name for r in tracer.by_kind("compute")] == ["crunch"]
-        assert tracer.by_kind("network") == []
-        assert [d["name"] for d in tracer.to_dicts()] == ["page-in", "crunch"]
+        assert (read.start_time, read.finish_time) == (pytest.approx(0.0), pytest.approx(0.5))
+        assert (crunch.start_time, crunch.finish_time) == (pytest.approx(0.5), pytest.approx(1.5))
+
+    def test_a_canceled_activity_finishes_when_canceled(self):
+        platform = Platform("p")
+        host = platform.add_host("h", 1e9)
+        doomed = host.exec_async("doomed", 1e12)
+        platform.engine.start_activity(doomed)
+        platform.engine.schedule(0.5, lambda: platform.engine.cancel_activity(doomed))
+        platform.engine.run()
+        assert doomed.state is ActivityState.CANCELED
+        assert (doomed.start_time, doomed.finish_time) == (0.0, pytest.approx(0.5))

@@ -74,12 +74,6 @@ class TestHost:
         # 4 x 1e9 flops on 2e9 flop/s total capacity = 2 s for all.
         assert all(t == pytest.approx(2.0) for t in times.values())
 
-    def test_set_speed_updates_cpu_capacity(self):
-        host = Host(SimulationEngine(), "h", speed=1e9, cores=2)
-        host.set_speed(3e9)
-        assert host.speed == 3e9
-        assert host.cpu.capacity == pytest.approx(6e9)
-
     def test_invalid_host_parameters(self):
         engine = SimulationEngine()
         with pytest.raises(PlatformError):
@@ -121,14 +115,6 @@ class TestDiskAndMemory:
         engine.run()
         assert done["t"] == pytest.approx(1.5)
 
-    def test_disk_set_bandwidth(self):
-        disk = Disk(SimulationEngine(), "hdd", read_bandwidth=100.0)
-        disk.set_bandwidth(200.0)
-        assert disk.read_bandwidth == 200.0
-        assert disk.write_bandwidth == 200.0
-        with pytest.raises(PlatformError):
-            disk.set_bandwidth(-1.0)
-
     def test_memory_faster_than_disk(self):
         engine = SimulationEngine()
         memory = Memory(engine, "ram", bandwidth=1e9)
@@ -151,12 +137,14 @@ class TestLinkAndRoutes:
     def test_link_properties(self):
         link = Link(SimulationEngine(), "l", bandwidth=1e8, latency=0.01)
         assert link.bandwidth == 1e8
-        link.set_bandwidth(2e8)
-        assert link.bandwidth == 2e8
-        link.set_latency(0.02)
-        assert link.latency == 0.02
+        assert link.latency == 0.01
+
+    def test_negative_latencies_rejected(self):
+        engine = SimulationEngine()
         with pytest.raises(PlatformError):
-            link.set_latency(-1.0)
+            Link(engine, "l", bandwidth=1e8, latency=-0.01)
+        with pytest.raises(PlatformError):
+            Memory(engine, "ram", bandwidth=1e9, latency=-0.01)
 
     def test_communicate_requires_links(self):
         with pytest.raises(PlatformError):
@@ -178,6 +166,57 @@ class TestLinkAndRoutes:
         assert done["t"] == pytest.approx(1.3)
 
 
+def _element(kind, engine):
+    """A platform element of 100 units/s and a 300-unit activity on it."""
+    if kind == "cpu":
+        host = Host(engine, "h", speed=100.0)
+        return host.cpu, host.exec_async("work", 300.0)
+    if kind == "disk":
+        disk = Disk(engine, "hdd", read_bandwidth=100.0)
+        return disk.resource, disk.read_async("work", 300.0)
+    if kind == "memory":
+        memory = Memory(engine, "ram", bandwidth=100.0)
+        return memory.resource, memory.read_async("work", 300.0)
+    link = Link(engine, "wire", bandwidth=100.0)
+    return link.resource, communicate("work", 300.0, [link])
+
+
+class TestCapacityChanges:
+    """A capacity change mid-run (how a platform element is slowed down or
+    sped up) reaches the activity already running on it."""
+
+    @pytest.mark.parametrize("kind", ["cpu", "disk", "memory", "link"])
+    def test_a_cut_mid_run_slows_the_running_activity(self, kind):
+        engine = SimulationEngine()
+        resource, activity = _element(kind, engine)
+        engine.start_activity(activity)
+        engine.run(until=1.0)
+        resource.set_capacity(50.0)
+        # 100 units done in the first second, the other 200 at 50/s.
+        assert engine.run() == pytest.approx(5.0)
+        assert activity.finish_time == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("kind", ["cpu", "disk"])
+    def test_a_raise_above_the_rate_cap_leaves_the_rate_alone(self, kind):
+        """One core's speed and a disk's read bandwidth cap the activity, so
+        more capacity on the shared resource does not speed it up."""
+        engine = SimulationEngine()
+        resource, activity = _element(kind, engine)
+        engine.start_activity(activity)
+        engine.run(until=1.0)
+        resource.set_capacity(400.0)
+        assert engine.run() == pytest.approx(3.0)
+
+    def test_bandwidth_reads_the_current_capacity(self):
+        engine = SimulationEngine()
+        link = Link(engine, "wire", bandwidth=100.0)
+        memory = Memory(engine, "ram", bandwidth=100.0)
+        link.resource.set_capacity(250.0)
+        memory.resource.set_capacity(300.0)
+        assert link.bandwidth == 250.0
+        assert memory.bandwidth == 300.0
+
+
 class TestPlatform:
     def test_duplicate_names_rejected(self):
         p = Platform("p")
@@ -197,7 +236,6 @@ class TestPlatform:
         assert p.route(a, b) == [link]
         assert p.route(b, a) == [link]
         assert p.route(a, a) == []
-        assert p.has_route(a, b)
 
     def test_missing_route_raises(self):
         p = Platform("p")
@@ -229,9 +267,14 @@ class TestPlatform:
         for token in ("site", "n1", "hdd", "ram", "wan"):
             assert token in text
 
-    def test_host_by_name(self):
+    def test_elements_are_indexed_by_name(self):
         p = Platform("p")
         h = p.add_host("a", 1e9)
-        assert p.host_by_name("a") is h
-        with pytest.raises(PlatformError):
-            p.host_by_name("missing")
+        disk = p.add_disk(h, "hdd", 1e8)
+        memory = p.add_memory(h, "ram", 1e10)
+        link = p.add_link("wan", 1e8)
+        assert p.hosts == {"a": h}
+        assert p.disks == {"hdd": disk} and h.disks == {"hdd": disk}
+        assert p.memories == {"ram": memory} and h.memories == {"ram": memory}
+        assert p.links == {"wan": link}
+        assert disk.host is h and memory.host is h

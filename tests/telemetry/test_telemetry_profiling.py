@@ -27,7 +27,6 @@ class TestSimulationProfile:
         profile.add("sharing", 0.75, count=3)
         assert profile.seconds("sharing") == pytest.approx(1.0)
         assert profile.count("sharing") == 4
-        assert profile.total_seconds == pytest.approx(1.0)
 
     def test_to_dict_is_flat_and_picklable(self):
         import pickle
@@ -37,18 +36,6 @@ class TestSimulationProfile:
         data = profile.to_dict()
         assert data == {"phase_advance_seconds": 0.5, "phase_advance_count": 2.0}
         assert pickle.loads(pickle.dumps(data)) == data
-
-    def test_merge_and_breakdown(self):
-        a = SimulationProfile()
-        a.add("sharing", 0.9)
-        b = SimulationProfile()
-        b.add("sharing", 0.1)
-        b.add("timers", 0.5, count=7)
-        a.merge(b)
-        text = a.breakdown()
-        assert "sharing" in text and "timers" in text
-        # Largest share first.
-        assert text.index("sharing") < text.index("timers")
 
     def test_flag_toggles(self):
         assert not simulation_profiling_enabled()

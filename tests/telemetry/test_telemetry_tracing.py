@@ -12,7 +12,6 @@ from repro.telemetry.tracing import (
     Tracer,
     current_tracer,
     set_tracer,
-    use_tracer,
 )
 
 
@@ -60,7 +59,7 @@ class TestSpans:
         with NULL_TRACER.span("x") as span:
             assert span is None
 
-    def test_set_and_use_tracer(self):
+    def test_set_tracer_installs_and_restores(self):
         sink = InMemoryTraceSink()
         tracer = Tracer(sink)
         previous = set_tracer(tracer)
@@ -68,8 +67,6 @@ class TestSpans:
             assert current_tracer() is tracer
         finally:
             set_tracer(previous)
-        with use_tracer(tracer):
-            assert current_tracer() is tracer
         assert current_tracer() is not tracer
 
 
