@@ -16,7 +16,7 @@ invocation, and checks that
 * the async driver visits exactly the serial point set (same points and
   values; completion order may differ for async-native samplers), and —
   run with ``--ordered`` — reproduces the serial trajectory byte for
-  byte through the buffering adapter,
+  byte through ask-order tells,
 * the async run beats the batched run by >= 1.3x wall-clock at 4 workers
   (skipped on machines with fewer than 2 usable cores unless latency is
   simulated, where sleeps overlap regardless of cores).
@@ -68,9 +68,9 @@ def parse_args(argv=None):
     parser.add_argument("--algorithm", default="random",
                         help="an async-native sampler (random/sobol/lhs/tpe) "
                              "shows the full win; ordered algorithms go through "
-                             "the buffering adapter")
+                             "ask-order tells")
     parser.add_argument("--ordered", action="store_true",
-                        help="force the ordered-tell buffering adapter and assert "
+                        help="force ask-order tells and assert "
                              "the async history is byte-identical to serial")
     parser.add_argument("--mode", default=None, choices=[None, "process", "thread", "serial"])
     parser.add_argument("--seed", type=int, default=1)
@@ -172,7 +172,7 @@ def main(argv=None) -> int:
     console(f"  async    : {asynchronous.evaluations:4d} evaluations  "
           f"{async_elapsed:7.2f} s   best {asynchronous.best_value:.3f}  "
           f"({workers} workers, {mode}"
-          + (", ordered adapter)" if args.ordered else ")"))
+          + (", ordered tells)" if args.ordered else ")"))
     console(f"  speedup  : {speedup_batch:.2f}x over batched, "
           f"{speedup_serial:.2f}x over serial")
 
@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     async_points = [(e.unit, e.value) for e in asynchronous.history]
     if args.ordered:
         if async_points != serial_points:
-            failures.append("trajectory mismatch: the ordered adapter must replay "
+            failures.append("trajectory mismatch: ordered tells must replay "
                             "the serial history byte for byte")
     elif sorted(async_points) != sorted(serial_points):
         failures.append("point-set mismatch: the async driver visited different "

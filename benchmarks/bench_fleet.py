@@ -78,13 +78,6 @@ def main(argv=None) -> int:
         tuple(REDUCED_ICD_VALUES)
     )
     problem = CaseStudyProblem.create(scenario, generator=GroundTruthGenerator())
-    calls: list[dict] = []
-    lock = threading.Lock()
-
-    def counted(values):
-        with lock:
-            calls.append(dict(values))
-        return problem.objective(values)
 
     def request():
         return CalibrationRequest(
@@ -108,7 +101,8 @@ def main(argv=None) -> int:
     frontend = FleetFrontend(server, port=0).start()
     client = FleetClient(frontend.url, timeout=30.0)
     workers = [
-        FleetWorker(client, store, resolver=lambda spec: counted, poll=0.1)
+        # A worker's one-process pool pickles the objective it resolves.
+        FleetWorker(client, store, resolver=lambda spec: problem.objective, poll=0.1)
         for _ in range(args.workers)
     ]
     threads = [
@@ -145,12 +139,15 @@ def main(argv=None) -> int:
         if job.evaluations != evaluations:
             failures.append(f"budget mismatch: fleet performed {job.evaluations} "
                             f"of {evaluations} evaluations")
-        if len(calls) != evaluations:
-            failures.append(f"duplicate evaluations: the workers ran the simulator "
-                            f"{len(calls)} times for {evaluations} points")
+        # The simulator runs in the workers' pool processes, so duplicates
+        # are counted from what the parent sees: the workers' evaluations
+        # and the distinct points they stored.
         settled = sum(w.stats["evaluations"] for w in workers)
         if settled != evaluations:
-            failures.append(f"worker accounting mismatch: stats sum to {settled}, "
+            failures.append(f"duplicate evaluations: the workers ran the simulator "
+                            f"{settled} times for {evaluations} points")
+        if len(store) != evaluations:
+            failures.append(f"store mismatch: {len(store)} stored points, "
                             f"expected {evaluations}")
         serial_points = [(e.unit, e.value) for e in serial.history]
         fleet_points = [(e.unit, e.value) for e in job.result.history]

@@ -108,6 +108,7 @@ def fleet_driver():
             try:
                 return super().run(**options)
             finally:
+                self.evaluator.close()
                 done.set()
                 thread.join(timeout=30)
 

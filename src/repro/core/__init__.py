@@ -63,7 +63,7 @@ from repro.core.metrics import (
     mean_relative_error,
     root_mean_squared_error,
 )
-from repro.core.async_driver import AsyncCalibrator, OrderedTellAdapter, RunConfig
+from repro.core.async_driver import AsyncCalibrator, RunConfig
 from repro.core.parallel import BatchCalibrator, ParallelEvaluator
 from repro.core.parameters import Parameter, ParameterSpace
 from repro.core.reporting import calibration_report, convergence_sparkline
@@ -103,7 +103,6 @@ __all__ = [
     "LatinHypercubeSearch",
     "NelderMead",
     "NoImprovementStopper",
-    "OrderedTellAdapter",
     "ParallelEvaluator",
     "Parameter",
     "ParameterSpace",

@@ -47,9 +47,9 @@ Two tell orderings exist, selected by the class attribute
   :class:`~repro.core.async_driver.AsyncCalibrator` keep a worker pool
   saturated without waiting for stragglers.
 
-Ordered algorithms still work under the asynchronous driver: the driver
-wraps them in :class:`~repro.core.async_driver.OrderedTellAdapter`, which
-buffers out-of-order completions and releases them in ask order.
+Ordered algorithms still work under the asynchronous driver: its run
+parks out-of-order completions and releases them to ``tell`` in ask
+order.
 
 The paper's original blocking loop is the serial
 :class:`~repro.core.calibrator.Calibrator`: the one evaluation loop asking
@@ -327,7 +327,7 @@ def get_algorithm(
     configured instances need no manual import::
 
         get_algorithm("cmaes", population_size=8)
-        get_algorithm("de", synchronous=True)
+        get_algorithm("de", mutation=0.5)
 
     A few aliases are accepted for readability of the experiment scripts:
     ``"gdfix"``/``"gddyn"`` select the fixed-/dynamic-step gradient descent.

@@ -11,22 +11,16 @@ RANDOM / gradient-descent trio.
 All candidates live in the normalised (log2) unit cube and are clipped to
 the box, exactly like the paper's algorithms.
 
-Two selection schemes are available:
-
-* the default (``synchronous=False``) is the historical *immediate
-  update*: a winning trial replaces its parent right away, so later
-  trials in the same generation already build on it.  The initial
-  population is asked as one batch.  A trial for member ``i`` reads rows
-  ``i``, ``a``, ``b`` and ``c`` and nothing else, so it is handed out
-  before earlier trials are told whenever none of those four members
-  has a trial asked but not yet told; otherwise it waits, its draws
-  already made, for the tells it reads.  The rng stream, every
-  arithmetic step and the selection order are those of the original
-  blocking loop, so a serial run and a pooled one are byte-identical;
-* ``synchronous=True`` is classic generational DE: every trial of a
-  generation is built from the generation-start population and asked as
-  one batch, so a parallel driver can evaluate a whole generation
-  concurrently (at the cost of a different — equally valid — trajectory).
+Selection is the historical *immediate update*: a winning trial
+replaces its parent right away, so later trials in the same generation
+already build on it.  The initial population is asked as one batch.  A
+trial for member ``i`` reads rows ``i``, ``a``, ``b`` and ``c`` and
+nothing else, so it is handed out before earlier trials are told
+whenever none of those four members has a trial asked but not yet told;
+otherwise it waits, its draws already made, for the tells it reads.  The
+rng stream, every arithmetic step and the selection order are those of
+the original blocking loop, so a serial run and a pooled one are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -53,7 +47,6 @@ class DifferentialEvolution(CalibrationAlgorithm):
         mutation: float = 0.7,
         crossover: float = 0.9,
         max_generations: int = 10_000_000,
-        synchronous: bool = False,
     ) -> None:
         super().__init__()
         if population_size < 4:
@@ -66,7 +59,6 @@ class DifferentialEvolution(CalibrationAlgorithm):
         self.mutation = float(mutation)
         self.crossover = float(crossover)
         self.max_generations = int(max_generations)
-        self.synchronous = bool(synchronous)
 
     def _setup(self) -> None:
         self._phase = "init"
@@ -102,7 +94,7 @@ class DifferentialEvolution(CalibrationAlgorithm):
         return np.where(cross, mutant, self._population[i])
 
     def _ask_impl(self, rng: np.random.Generator, n: int) -> list[np.ndarray]:
-        if self._phase == "init" or self.synchronous:
+        if self._phase == "init":
             return super()._ask_impl(rng, n)
         if n < 1:
             raise ValueError("ask() needs n >= 1")
@@ -128,7 +120,7 @@ class DifferentialEvolution(CalibrationAlgorithm):
         return out
 
     def _tell_impl(self, candidates: Sequence[np.ndarray], values: Sequence[float]) -> None:
-        if self._phase == "init" or self.synchronous:
+        if self._phase == "init":
             super()._tell_impl(candidates, values)
             return
         if len(candidates) != len(values):
@@ -145,20 +137,12 @@ class DifferentialEvolution(CalibrationAlgorithm):
                 self._population[i] = trial
                 self._fitness[i] = f_trial
 
-    def _generate(self, rng: np.random.Generator, n: int) -> list[np.ndarray] | None:
-        if self._phase == "init":
-            return [self.space.sample_unit(rng) for _ in range(self.population_size)]
-        if self._generation >= self.max_generations:
-            return None
-        self._generation += 1
-        return [self._build(*self._draw(i, rng)) for i in range(self.population_size)]
+    # The base class's batch hooks run the initial population only; the
+    # trials go through ``_ask_impl``/``_tell_impl`` above.
+    def _generate(self, rng: np.random.Generator, n: int) -> list[np.ndarray]:
+        return [self.space.sample_unit(rng) for _ in range(self.population_size)]
 
     def _observe(self, candidates: list[np.ndarray], values: list[float]) -> None:
-        if self._phase == "init":
-            self._population = np.array(candidates)
-            self._fitness = np.array(values)
-            self._phase = "evolve"
-            return
-        for i, (trial, f_trial) in enumerate(zip(candidates, values, strict=True)):
-            if f_trial <= self._fitness[i]:
-                self._population[i], self._fitness[i] = trial, f_trial
+        self._population = np.array(candidates)
+        self._fitness = np.array(values)
+        self._phase = "evolve"

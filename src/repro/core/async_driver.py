@@ -4,9 +4,11 @@ This module holds the one event loop every driver runs — claim →
 dispatch → settle → tell → record, with lease re-claims and resume by
 replaying the run's tell log.  Every outcome of a candidate (evaluated,
 hit, deferred hit, fresh failure, quarantine skip, and a rider of any
-of them) is settled by one method, :meth:`AsyncCalibrator._settle`, whose
+of them) is settled by one method, :meth:`_Run._settle`, whose
 docstring is the rule table of what each outcome records, counts and
-costs; the replay counts through the same :meth:`AsyncCalibrator._count`.
+costs; the replay counts through the same :meth:`_Run._count`.  Each
+:meth:`AsyncCalibrator.run` builds a :class:`_Run` holding every field
+the run changes, so a calibrator is only the spec of its runs.
 The three drivers differ only in a refill policy fixed per class:
 :class:`~repro.core.calibrator.Calibrator` keeps one candidate in flight
 and evaluates it inline (the paper's blocking loop);
@@ -31,13 +33,13 @@ Algorithms participate at one of two levels:
 * **async-native** (``supports_async_tell = True``: random, Sobol, Latin
   hypercube, TPE) consume out-of-order results directly — no barrier
   exists anywhere, the pool never drains;
-* **ordered** algorithms (populations, line searches) are wrapped in
-  :class:`OrderedTellAdapter`, which buffers completions and releases
-  them to ``tell`` in ask order.  Within a generation the pool stays
-  saturated; the only barrier left is the algorithm's own generation
-  boundary.  Because the adapter restores exact ask order, a seeded
-  asynchronous run visits byte-for-byte the serial driver's trajectory,
-  whatever order the futures complete in.
+* **ordered** algorithms (populations, line searches) are told in ask
+  order: the run parks each completion until every earlier candidate
+  has completed too, then releases the contiguous prefix to ``tell``.
+  Within a generation the pool stays saturated; the only barrier left
+  is the algorithm's own generation boundary.  Because ask order is
+  restored exactly, a seeded asynchronous run visits byte-for-byte the
+  serial driver's trajectory, whatever order the futures complete in.
 
 All algorithm interaction (ask/tell) happens on the driver thread — the
 pool only ever runs the objective function — so algorithms need no
@@ -68,7 +70,6 @@ from repro.core.evaluation import (
 )
 from repro.core.faults import (
     EVAL_METRIC_HELP,
-    CircuitBreaker,
     EvaluationFailed,
     EvaluationFailure,
     FailurePolicy,
@@ -78,8 +79,7 @@ from repro.core.history import CalibrationHistory, Evaluation
 from repro.core.parameters import ParameterSpace
 from repro.core.result import CalibrationResult
 from repro.core.serialization import evaluation_from_dict, evaluation_to_dict
-from repro.core.stopping import StoppingBudget
-from repro.telemetry.metrics import registry as _metrics_registry
+from repro.telemetry.metrics import MetricsRegistry, registry as _metrics_registry
 from repro.telemetry.tracing import Span, current_tracer
 
 if TYPE_CHECKING:
@@ -89,14 +89,14 @@ if TYPE_CHECKING:
 
 _REGISTRY = _metrics_registry()
 
-__all__ = ["AsyncCalibrator", "OrderedTellAdapter", "RunConfig"]
+__all__ = ["AsyncCalibrator", "RunConfig"]
 
 #: failure attached to a point quarantined again while a tell log is
 #: replayed, when its entry carries no diagnosis (a log written before
 #: failed entries named their ``failure_kind`` and ``error``)
 _REPLAYED_FAILURE = EvaluationFailure(error="EvaluationFailed: replayed from the tell log")
 
-#: what a candidate settles as: the rows of ``AsyncCalibrator._settle``'s
+#: what a candidate settles as: the rows of ``_Run._settle``'s
 #: rule table, and the ``outcome`` attribute of its ``evaluation`` span
 _EVALUATED, _HIT, _DEFERRED, _FAILED, _SKIPPED = (
     "evaluated", "hit", "deferred", "failed", "skipped"
@@ -190,41 +190,6 @@ class RunConfig:
             raise ValueError(f"not a run configuration: {error}") from None
 
 
-class OrderedTellAdapter:
-    """Buffers out-of-order completions into ask order for any algorithm.
-
-    The default adapter of :class:`AsyncCalibrator`: candidates are
-    numbered as they are asked, completed results are parked until every
-    earlier candidate has completed too, and the contiguous prefix is
-    released to :meth:`~repro.core.algorithms.CalibrationAlgorithm.tell`
-    in exact ask order.  The wrapped algorithm therefore observes the same
-    (candidate, value) stream a serial driver would have produced — this
-    is what makes asynchronous runs of population algorithms reproduce
-    serial trajectories byte for byte.
-    """
-
-    def __init__(self, algorithm: CalibrationAlgorithm) -> None:
-        self.algorithm = algorithm
-        self._next_release = 0
-        self._parked: dict[int, tuple[np.ndarray, float]] = {}
-
-    def complete(
-        self, seq: int, candidate: np.ndarray, value: float
-    ) -> list[tuple[int, np.ndarray, float]]:
-        """Record completion ``seq`` and release the ready prefix, telling
-        the wrapped algorithm one (candidate, value) at a time in ask
-        order.  Returns the released ``(seq, candidate, value)`` triples
-        (possibly empty)."""
-        self._parked[seq] = (candidate, value)
-        released: list[tuple[int, np.ndarray, float]] = []
-        while self._next_release in self._parked:
-            cand, val = self._parked.pop(self._next_release)
-            self.algorithm.tell([cand], [val])
-            released.append((self._next_release, cand, val))
-            self._next_release += 1
-        return released
-
-
 @dataclasses.dataclass(slots=True)
 class _InFlight:
     """One candidate between ask and tell."""
@@ -247,7 +212,8 @@ class AsyncCalibrator:
     Keeps a :class:`~repro.core.parallel.ParallelEvaluator` pool saturated
     by asking speculatively whenever capacity frees up and telling results
     out of order as futures complete (see the module docstring for the
-    native/adapted split).  This class is the event loop;
+    native/ordered split).  This class is the spec of a calibration:
+    each :meth:`run` drives the event loop of a fresh :class:`_Run`.
     :class:`~repro.core.parallel.BatchCalibrator` subclasses it only to
     fix the lock-step refill policy (``_barrier``), and
     :class:`~repro.core.calibrator.Calibrator` to fix one inline
@@ -294,9 +260,9 @@ class AsyncCalibrator:
         The run's failure and cache-charging rules (:class:`RunConfig`;
         default ``RunConfig()``).
     ordered_tells:
-        Force the :class:`OrderedTellAdapter` (``True``), force native
-        out-of-order tells (``False`` — rejected if the algorithm cannot),
-        or pick automatically from ``supports_async_tell`` (``None``, the
+        Force tells in ask order (``True``), force native out-of-order
+        tells (``False`` — rejected if the algorithm cannot), or pick
+        automatically from ``supports_async_tell`` (``None``, the
         default).
     evaluator:
         Inject the evaluation transport instead of constructing a local
@@ -308,12 +274,13 @@ class AsyncCalibrator:
         distributed fleet's task-board evaluator
         (:class:`repro.service.fleet.FleetEvaluator`), which hands
         candidates to pull-based worker processes instead of a local
-        pool.
+        pool.  The caller owns an injected evaluator and closes it; the
+        calibrator closes only a pool it built, at the end of each run.
+
+    After a run returns or raises, ``history``, ``cache_hits``,
+    ``deferred_hits``, ``failures`` and ``quarantine_skips`` report it.
     """
 
-    #: deferred-lease poll cadence while futures are also pending / not
-    _POLL_WITH_FUTURES = 0.02
-    _POLL_DEFERRED_ONLY = 0.005
     #: label on this driver's spans and counters
     _driver = "async"
     #: refill policy: ``False`` asks one candidate whenever capacity frees
@@ -346,123 +313,30 @@ class AsyncCalibrator:
             if not self.ordered_tells and not self.algorithm.supports_async_tell:
                 raise ValueError(
                     f"algorithm {self.algorithm.name!r} does not support out-of-order "
-                    "tells; leave ordered_tells unset (or True) to use the buffering adapter"
+                    "tells; leave ordered_tells unset (or True) to use ask-order tells"
                 )
         self.config = config if config is not None else RunConfig()
-        if evaluator is not None:
-            self.evaluator = evaluator
-        else:
+        #: whether the evaluator is this calibrator's to close
+        self._owns_evaluator = evaluator is None
+        if evaluator is None:
             from repro.core.parallel import ParallelEvaluator
 
-            self.evaluator = ParallelEvaluator(
-                objective_function, space, workers=workers, mode=mode, config=self.config
+            evaluator = ParallelEvaluator(
+                objective_function, workers=workers, mode=mode, config=self.config
             )
-        self.failures = 0
-        self.quarantine_skips = 0
-        self._breaker: CircuitBreaker | None = None
-        #: an inline evaluator runs the objective inside ``submit``, so the
-        #: driver can time it as a ``simulate`` span
-        self._inline = getattr(self.evaluator, "mode", None) == "serial"
+        self.evaluator = evaluator
         self.max_pending = int(workers) if max_pending is None else int(max_pending)
         if self.max_pending < 1:
             raise ValueError("max_pending must be at least 1")
-        #: the record of the latest run, and the stopping criterion (if
-        #: any) that watches it
-        self.history = CalibrationHistory()
-        self._stopper: StoppingBudget | None = None
-        #: the caller's budget (reported in the result) and the one the
-        #: loop enforces — the same object unless a subclass adds a
-        #: stopping criterion to it
         self.budget = budget if budget is not None else EvaluationBudget(100)
-        self._budget: Budget = self.budget
         self.seed = seed
         self._cache_option = cache
-        self._cache: CacheBackend | None = None
-        self.cache_hits = 0
-        self.deferred_hits = 0  # points resolved from a concurrent driver's lease
 
-    # ------------------------------------------------------------------ #
-    # resume by replay
-    # ------------------------------------------------------------------ #
-    def _restore(
-        self, log: Sequence[dict[str, Any]], rng: np.random.Generator
-    ) -> list[tuple[int, np.ndarray]]:
-        """Replay a tell log into the freshly set-up algorithm.
+    def _run_budget(self, history: CalibrationHistory) -> Budget:
+        """The budget a run enforces, given the history it records: the
+        caller's, unless a subclass adds a stopping criterion to it."""
+        return self.budget
 
-        Before each entry's tell the algorithm is asked, in this driver's
-        own width, until it has handed out ``asked`` candidates — the
-        interrupted run's exact ask/tell interleaving — then candidate
-        ``seq`` must round-trip to the logged unit point and is told the
-        logged value.  Each entry's record is classified as the outcome it
-        settled as, counted through :meth:`_count` like a live one (a
-        failure with its logged diagnosis) and kept (:meth:`_keep`), and
-        the budget is Σ ``charged``.  Returns the candidates asked but
-        never told, in ask order; raises ``ValueError`` at the first
-        ``seq`` this run would not have told (another algorithm, options
-        or seed, or a log told out of ask order resumed with the ordered
-        adapter).
-        """
-        width = self.max_pending if self._barrier else 1
-        asked: dict[int, np.ndarray] = {}
-        replay = self.config.replay_cache_hits
-        policy = self.config.failure_policy
-        quarantine = policy is not None and policy.quarantine
-        quarantined: set[CacheKey] = set()
-        for told, entry in enumerate(log):
-            record = evaluation_from_dict(entry)
-            seq = record.seq
-            while self._seq < record.asked:
-                batch = self.algorithm.ask(rng, width)
-                if not batch:
-                    break
-                for candidate in batch:
-                    asked[self._seq] = candidate
-                    self._seq += 1
-            candidate = asked.pop(seq, None)
-            unit = (
-                None if candidate is None
-                else self.space.to_unit_array(self.space.from_unit_array(candidate))
-            )
-            if (
-                unit is None
-                or self._seq != record.asked
-                or unit.tolist() != list(record.unit)
-                or (self.ordered_tells and seq != told)  # the adapter tells in ask order
-            ):
-                raise ValueError(
-                    f"the tell log diverges from this run at seq {seq}: "
-                    f"{self.algorithm.name!r} with seed {self.seed} would not "
-                    f"tell {list(record.unit)} there"
-                )
-            self.algorithm.tell([candidate], [record.value])
-            key = unit_cache_key(unit, CACHE_DECIMALS)
-            if record.failed:
-                # A revisit of a point this run quarantined was a skip (so
-                # was a failure's rider, ``cached``, in logs written before
-                # riders of failures were charged); anything else failed
-                # afresh.
-                outcome = _SKIPPED if record.cached or key in quarantined else _FAILED
-                if outcome == _FAILED and quarantine:
-                    quarantined.add(key)
-            elif record.cached:
-                # Charged hits are replayed first-seen hits or deferred ones.
-                deferred = record.charged and not (replay and key not in self._seen)
-                outcome = _DEFERRED if deferred else _HIT
-            else:
-                outcome = _EVALUATED
-                quarantined.discard(key)
-            failure = (
-                EvaluationFailure(error=record.error, kind=record.failure_kind)
-                if record.error is not None else _REPLAYED_FAILURE
-            )
-            self._count(outcome, key, record.values, record.value, failure, replayed=True)
-            self._budget_units += record.charged
-            self._keep(record)
-        return list(asked.items())
-
-    # ------------------------------------------------------------------ #
-    # public API
-    # ------------------------------------------------------------------ #
     def run(
         self,
         resume: Sequence[dict[str, Any]] | None = None,
@@ -500,17 +374,54 @@ class AsyncCalibrator:
             ``error``, which a replay quarantines the point with;
             ``result.history`` is its recorded subset.  Records are handed
             over as :func:`~repro.core.serialization.evaluation_to_dict`
-            entries, only between completions, never while the ordered
-            adapter is mid-release.
+            entries, only between completions, never while ordered tells
+            are mid-release.
         on_checkpoint:
             Callback receiving each list of new entries (e.g. to append
             them to a file).
         """
-        rng = np.random.default_rng(self.seed)
-        cache = self._cache_option
+        run = _Run(self, checkpoint_every, on_checkpoint)
+        try:
+            run.drive(resume)
+        finally:
+            # What the latest run reports, also after it raised.
+            (self.history, self.cache_hits, self.deferred_hits, self.failures,
+             self.quarantine_skips, self._budget_units) = (
+                run.history, run.cache_hits, run.deferred_hits, run.failures,
+                run.quarantine_skips, run._budget_units)
+            if self._owns_evaluator:
+                self.evaluator.close()
+        return run.result()
+
+
+class _Run:
+    """One run of an :class:`AsyncCalibrator`: every field the run changes
+    and the event loop that changes them.  :meth:`AsyncCalibrator.run`
+    builds one, drives it and drops it; the calibrator keeps its spec."""
+
+    #: deferred-lease poll cadence while futures are also pending / not
+    _POLL_WITH_FUTURES = 0.02
+    _POLL_DEFERRED_ONLY = 0.005
+
+    def __init__(
+        self,
+        spec: AsyncCalibrator,
+        checkpoint_every: int,
+        on_checkpoint: Callable[[list[dict[str, Any]]], None] | None,
+    ) -> None:
+        self.spec = spec
+        self.space, self.algorithm, self.config = spec.space, spec.algorithm, spec.config
+        self.evaluator, self.max_pending, self._driver = (
+            spec.evaluator, spec.max_pending, spec._driver)
+        #: candidates asked at once: ``max_pending`` behind the barrier, else 1
+        self._width = spec.max_pending if spec._barrier else 1
+        #: an inline evaluator runs the objective inside ``submit``, so the
+        #: run can time it as a ``simulate`` span
+        self._inline = getattr(self.evaluator, "mode", None) == "serial"
+        cache = spec._cache_option
         self._cache = cache if isinstance(cache, CacheBackend) else DictCache() if cache else None
         self.cache_hits = 0
-        self.deferred_hits = 0
+        self.deferred_hits = 0  # points resolved from a concurrent driver's lease
         self.failures = 0
         self.quarantine_skips = 0
         policy = self.config.failure_policy
@@ -527,28 +438,31 @@ class AsyncCalibrator:
         self._unlaunched: list[tuple[int, np.ndarray]] = []
         self.history = CalibrationHistory()
         self._log: list[Evaluation] = []  # one record per tell; see _keep
-        if self._stopper is not None:
-            self._stopper.bind(self.history)
-        self._reg = None  # a replay moves no metric
-        if resume is not None:
-            self._unlaunched = self._restore(resume, rng)
-        self._adapter = OrderedTellAdapter(self.algorithm) if self.ordered_tells else None
-        if self._adapter is not None and resume is not None:
-            self._adapter._next_release = len(resume)  # the replay told this prefix
+        self._budget = spec._run_budget(self.history)  # the one the loop enforces
+        #: each settled seq's candidate and record fields, parked until it
+        #: is released (see ``_resolve``), and the next seq ordered tells
+        #: release
+        self._ordered = spec.ordered_tells
+        self._parked: dict[int, tuple[Any, ...]] = {}
+        self._next_release = 0
         self._checkpoint_every = int(checkpoint_every)
         self._on_checkpoint = on_checkpoint if self._checkpoint_every > 0 else None
+        self._tracer = current_tracer()
+        self._reg: MetricsRegistry | None = None  # a replay moves no metric
+
+    def drive(self, resume: Sequence[dict[str, Any]] | None) -> None:
+        """Replay ``resume`` (if any), then run the loop until the budget
+        is spent or the algorithm is done (see :meth:`AsyncCalibrator.run`)."""
+        rng = np.random.default_rng(self.spec.seed)
+        if resume is not None:
+            self._unlaunched = self._restore(resume, rng)
+            self._next_release = len(resume)  # the replay told this prefix
         self._handed = len(self._log)  # records the sink has (a resume's are its own)
         #: the run's clock: a resumed run continues from the wall-clock
         #: its tell log had already spent, so timestamps stay monotone
         elapsed = max((record.finished_at for record in self._log), default=0.0)
         self._budget.start(elapsed)
         self._clock_start = time.perf_counter() - elapsed
-        #: per-seq record fields (see ``_resolve``), parked alongside the
-        #: adapter's buffer until the seq is released
-        self._meta: dict[
-            int, tuple[_InFlight, float, float, bool, EvaluationFailure | None, int]
-        ] = {}
-        self._tracer = current_tracer()
         # Instruments are looked up once per run, only when telemetry is
         # on: the disabled hot path costs one attribute check per use.
         self._reg = _REGISTRY if _REGISTRY.enabled else None
@@ -580,7 +494,7 @@ class AsyncCalibrator:
                 "Wall-clock per simulator invocation.")
 
         self._root = self._tracer.begin(
-            "calibration", driver=self._driver, algorithm=self.algorithm.name, seed=self.seed
+            "calibration", driver=self._driver, algorithm=self.algorithm.name, seed=self.spec.seed
         )
         try:
             self._drive(rng)
@@ -597,8 +511,9 @@ class AsyncCalibrator:
             self._tracer.end(self._root)
             if self._reg is not None:
                 self._m_inflight.set(0)
-            self.evaluator.close()
 
+    def result(self) -> CalibrationResult:
+        """The finished run's result."""
         history = self.history
         best = history.best
         if best is None:
@@ -611,10 +526,89 @@ class AsyncCalibrator:
             elapsed=self._elapsed(),
             history=history,
             log=self._log,
-            budget_description=self.budget.describe(),
-            seed=self.seed,
+            budget_description=self.spec.budget.describe(),
+            seed=self.spec.seed,
             telemetry=_REGISTRY.snapshot() if _REGISTRY.enabled else None,
         )
+
+    # ------------------------------------------------------------------ #
+    # resume by replay
+    # ------------------------------------------------------------------ #
+    def _restore(
+        self, log: Sequence[dict[str, Any]], rng: np.random.Generator
+    ) -> list[tuple[int, np.ndarray]]:
+        """Replay a tell log into the freshly set-up algorithm.
+
+        Before each entry's tell the algorithm is asked, in this driver's
+        own width, until it has handed out ``asked`` candidates — the
+        interrupted run's exact ask/tell interleaving — then candidate
+        ``seq`` must round-trip to the logged unit point and is told the
+        logged value.  Each entry's record is classified as the outcome it
+        settled as, counted through :meth:`_count` like a live one (a
+        failure with its logged diagnosis) and kept (:meth:`_keep`), and
+        the budget is Σ ``charged``.  Returns the candidates asked but
+        never told, in ask order; raises ``ValueError`` at the first
+        ``seq`` this run would not have told (another algorithm, options
+        or seed, or a log told out of ask order resumed with ordered
+        tells).
+        """
+        width = self._width
+        asked: dict[int, np.ndarray] = {}
+        replay = self.config.replay_cache_hits
+        policy = self.config.failure_policy
+        quarantine = policy is not None and policy.quarantine
+        quarantined: set[CacheKey] = set()
+        for told, entry in enumerate(log):
+            record = evaluation_from_dict(entry)
+            seq = record.seq
+            while self._seq < record.asked:
+                batch = self.algorithm.ask(rng, width)
+                if not batch:
+                    break
+                for candidate in batch:
+                    asked[self._seq] = candidate
+                    self._seq += 1
+            candidate = asked.pop(seq, None)
+            unit = (
+                None if candidate is None
+                else self.space.to_unit_array(self.space.from_unit_array(candidate))
+            )
+            if (
+                unit is None
+                or self._seq != record.asked
+                or unit.tolist() != list(record.unit)
+                or (self._ordered and seq != told)  # ordered tells are in ask order
+            ):
+                raise ValueError(
+                    f"the tell log diverges from this run at seq {seq}: "
+                    f"{self.algorithm.name!r} with seed {self.spec.seed} would not "
+                    f"tell {list(record.unit)} there"
+                )
+            self.algorithm.tell([candidate], [record.value])
+            key = unit_cache_key(unit, CACHE_DECIMALS)
+            if record.failed:
+                # A revisit of a point this run quarantined was a skip (so
+                # was a failure's rider, ``cached``, in logs written before
+                # riders of failures were charged); anything else failed
+                # afresh.
+                outcome = _SKIPPED if record.cached or key in quarantined else _FAILED
+                if outcome == _FAILED and quarantine:
+                    quarantined.add(key)
+            elif record.cached:
+                # Charged hits are replayed first-seen hits or deferred ones.
+                deferred = record.charged and not (replay and key not in self._seen)
+                outcome = _DEFERRED if deferred else _HIT
+            else:
+                outcome = _EVALUATED
+                quarantined.discard(key)
+            failure = (
+                EvaluationFailure(error=record.error, kind=record.failure_kind)
+                if record.error is not None else _REPLAYED_FAILURE
+            )
+            self._count(outcome, key, record.values, record.value, failure, replayed=True)
+            self._budget_units += record.charged
+            self._keep(record)
+        return list(asked.items())
 
     # ------------------------------------------------------------------ #
     # the event loop
@@ -655,7 +649,7 @@ class AsyncCalibrator:
         """
         launched = 0
         unlaunched = self._unlaunched
-        width = self.max_pending if self._barrier else 1
+        width = self._width
         while True:
             while unlaunched and self._launch(*unlaunched[0]):
                 del unlaunched[0]
@@ -961,38 +955,40 @@ class AsyncCalibrator:
     ) -> None:
         """Tell one settled candidate and record it (:meth:`_keep`).
 
-        With the ordered adapter the tell (and the record) may be buffered
-        until every earlier candidate completes, so the log lands in ask
-        order — byte-for-byte the serial sequence; native tells and their
-        records land immediately, in completion order.  ``entry`` is the
-        settled point (a rider's, for a rider), ``failure`` its diagnosis
-        or ``None``, and ``charged`` the budget this outcome cost.
+        The candidate is parked with its record fields, then the
+        contiguous run of parked seqs is released — told and recorded —
+        from the next seq in ask order for ordered tells, so the log lands
+        in ask order, byte-for-byte the serial sequence; a native tell
+        releases its own seq at once, in completion order.  ``entry`` is
+        the settled point (a rider's, for a rider), ``failure`` its
+        diagnosis or ``None``, and ``charged`` the budget this outcome
+        cost.
         """
-        self._meta[seq] = (entry, started_at, finished_at, cached, failure, charged)
-        if self._adapter is None:
+        parked = self._parked
+        parked[seq] = (candidate, entry, value, started_at, finished_at, cached, failure, charged)
+        release = self._next_release if self._ordered else seq
+        while release in parked:
+            candidate, entry, value, started_at, finished_at, cached, failure, charged = (
+                parked.pop(release))
             self.algorithm.tell([candidate], [value])
-            self._record(seq, value)
-            return
-        for released, _candidate, told in self._adapter.complete(seq, candidate, value):
-            self._record(released, told)
-
-    def _record(self, seq: int, value: float) -> None:
-        entry, started_at, finished_at, cached, failure, charged = self._meta.pop(seq)
-        self._keep(Evaluation(
-            index=len(self.history),
-            values=dict(entry.mapping),
-            unit=tuple(entry.unit.tolist()),
-            value=value,
-            started_at=started_at,
-            finished_at=finished_at,
-            cached=cached,
-            failed=failure is not None,
-            seq=seq,
-            asked=self._seq,
-            charged=charged,
-            failure_kind=None if failure is None else failure.kind,
-            error=None if failure is None else failure.error,
-        ))
+            self._keep(Evaluation(
+                index=len(self.history),
+                values=dict(entry.mapping),
+                unit=tuple(entry.unit.tolist()),
+                value=value,
+                started_at=started_at,
+                finished_at=finished_at,
+                cached=cached,
+                failed=failure is not None,
+                seq=release,
+                asked=self._seq,
+                charged=charged,
+                failure_kind=None if failure is None else failure.kind,
+                error=None if failure is None else failure.error,
+            ))
+            release += 1
+        if self._ordered:
+            self._next_release = release
 
     def _keep(self, record: Evaluation) -> None:
         """Log one tell's record; record it unless it is an unreplayed hit."""

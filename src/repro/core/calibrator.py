@@ -58,6 +58,7 @@ from repro.core.algorithms import CalibrationAlgorithm
 from repro.core.async_driver import AsyncCalibrator, RunConfig
 from repro.core.budget import Budget, CombinedBudget
 from repro.core.evaluation import CacheBackend
+from repro.core.history import CalibrationHistory
 from repro.core.parameters import ParameterSpace
 from repro.core.stopping import StoppingBudget, StoppingCriterion
 
@@ -99,7 +100,9 @@ class Calibrator(AsyncCalibrator):
             max_pending=1, budget=budget, seed=seed, cache=cache,
             algorithm_options=algorithm_options, config=config,
         )
-        if stopping is not None:
-            # each run binds it to that run's history
-            self._stopper = StoppingBudget(stopping)
-            self._budget = CombinedBudget([self.budget, self._stopper])
+        self.stopping = stopping
+
+    def _run_budget(self, history: CalibrationHistory) -> Budget:
+        if self.stopping is None:
+            return self.budget
+        return CombinedBudget([self.budget, StoppingBudget(self.stopping, history)])

@@ -226,7 +226,6 @@ class ParallelEvaluator:
     def __init__(
         self,
         function: ObjectiveFunction,
-        space: ParameterSpace | None = None,
         workers: int = 4,
         mode: str = "process",
         config: RunConfig | None = None,
@@ -236,7 +235,6 @@ class ParallelEvaluator:
         if mode not in ("process", "thread", "serial"):
             raise ValueError(f"unknown execution mode {mode!r}")
         self.function = function
-        self.space = space
         self.workers = int(workers)
         self.mode = mode
         self.config = config if config is not None else RunConfig()

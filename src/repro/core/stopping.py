@@ -91,24 +91,16 @@ class NoImprovementStopper(StoppingCriterion):
 
 
 class StoppingBudget(Budget):
-    """Adapter that lets a :class:`StoppingCriterion` act as a budget.
+    """Adapter that lets a :class:`StoppingCriterion` act as a budget: it
+    is exhausted once the criterion stops on the run's ``history``, which
+    the :class:`~repro.core.calibrator.Calibrator` hands it as each run
+    starts, so the criterion sees every completed evaluation."""
 
-    The :class:`~repro.core.calibrator.Calibrator` binds the objective's
-    history to the adapter right before the run starts, so the criterion
-    sees every completed evaluation.
-    """
-
-    def __init__(self, criterion: StoppingCriterion) -> None:
+    def __init__(self, criterion: StoppingCriterion, history: CalibrationHistory) -> None:
         self.criterion = criterion
-        self._history: CalibrationHistory | None = None
-
-    def bind(self, history: CalibrationHistory) -> None:
-        """Attach the evaluation history the criterion should watch."""
         self._history = history
 
     def exhausted(self, evaluations: int) -> bool:
-        if self._history is None:
-            return False
         return self.criterion.should_stop(self._history)
 
     def describe(self) -> str:

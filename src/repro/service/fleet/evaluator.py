@@ -23,7 +23,6 @@ from typing import Any
 
 from repro.core.evaluation import CacheKey
 from repro.core.faults import EvaluationFailure
-from repro.core.parameters import ParameterSpace
 from repro.service.cache import JobCache, _to_core_failure
 from repro.service.fleet.board import Outcome, TaskBoard
 from repro.service.store import EvaluationStore
@@ -79,13 +78,11 @@ class FleetEvaluator:
         job_id: str,
         fingerprint: str,
         spec: dict[str, Any] | None = None,
-        space: ParameterSpace | None = None,
     ) -> None:
         self.board = board
         self.job_id = job_id
         self.fingerprint = fingerprint
         self.spec = dict(spec) if spec else {}
-        self.space = space
 
     def submit(self, candidate: dict[str, float]) -> Future[Outcome]:
         return self.board.post(self.job_id, self.fingerprint, dict(candidate), self.spec)

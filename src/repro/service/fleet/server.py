@@ -98,7 +98,6 @@ class FleetServer(CalibrationServer):
             job.id,
             request.fingerprint,
             spec={**request.metadata, "config": config.to_dict()},
-            space=request.space,
         )
         driver = AsyncCalibrator(
             request.space,
@@ -116,11 +115,14 @@ class FleetServer(CalibrationServer):
             ordered_tells=True,
             evaluator=evaluator,
         )
-        return driver.run(
-            resume=request.checkpoint,
-            checkpoint_every=request.checkpoint_every,
-            on_checkpoint=on_checkpoint,
-        )
+        try:
+            return driver.run(
+                resume=request.checkpoint,
+                checkpoint_every=request.checkpoint_every,
+                on_checkpoint=on_checkpoint,
+            )
+        finally:
+            evaluator.close()
 
     # ------------------------------------------------------------------ #
     # the store poller

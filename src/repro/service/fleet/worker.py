@@ -29,7 +29,7 @@ worker evaluates through a one-process
 retries and timeouts run in place and the hard deadline kills a hung
 evaluation, not the worker.  A failure is then quarantined in the store
 (a quarantining failure policy) or its lease released — the rule of
-:meth:`~repro.core.async_driver.AsyncCalibrator._count` — and the task
+:meth:`~repro.core.async_driver._Run._count` — and the task
 fails with it, for the job's driver to settle by its policy.  A task
 whose hard deadline is not below the worker's lease TTL is refused.
 """

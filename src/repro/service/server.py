@@ -170,8 +170,11 @@ class CalibrationServer:
     def __enter__(self) -> CalibrationServer:
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown(wait=True)
+    def __exit__(self, exc_type, *exc_info) -> None:
+        # On an exception (a Ctrl-C in a waiting caller) leave at once:
+        # the worker threads are daemons, and a job they leave unfinished
+        # is resumed from its tell log by the next server.
+        self.shutdown(wait=exc_type is None)
 
     # ------------------------------------------------------------------ #
     # execution

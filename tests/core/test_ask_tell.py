@@ -155,7 +155,7 @@ class TestProtocol:
 class TestRegistryKwargs:
     def test_get_algorithm_forwards_constructor_options(self):
         assert get_algorithm("cmaes", population_size=8).population_size == 8
-        assert get_algorithm("de", population_size=6, synchronous=True).synchronous is True
+        assert get_algorithm("de", population_size=6, mutation=0.5).mutation == 0.5
         assert get_algorithm("lhs", batch_size=4).batch_size == 4
 
     def test_gddyn_alias_accepts_options_too(self):

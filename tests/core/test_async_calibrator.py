@@ -19,7 +19,6 @@ from repro.core import (
     Calibrator,
     CombinedBudget,
     EvaluationBudget,
-    OrderedTellAdapter,
     Parameter,
     ParameterSpace,
     RunConfig,
@@ -104,23 +103,6 @@ class TestOutOfOrderTellsAtProtocolLevel:
         algorithm.ask(np.random.default_rng(0), 2)
         with pytest.raises(ValueError, match="never asked"):
             algorithm.tell([np.array([0.5, 0.5])], [1.0])
-
-    def test_ordered_adapter_releases_in_ask_order(self):
-        class Recording(list):
-            pass
-
-        algorithm = get_algorithm("random")
-        algorithm.setup(make_space(2))
-        told = Recording()
-        original = algorithm.tell
-        algorithm.tell = lambda c, v: (told.append(v[0]), original(c, v))
-        adapter = OrderedTellAdapter(algorithm)
-        candidates = algorithm.ask(np.random.default_rng(0), 3)
-        assert adapter.complete(2, candidates[2], 2.0) == []
-        assert adapter.complete(0, candidates[0], 0.0) == [(0, candidates[0], 0.0)]
-        released = adapter.complete(1, candidates[1], 1.0)
-        assert [seq for seq, _, _ in released] == [1, 2]
-        assert told == [0.0, 1.0, 2.0]
 
 
 class TestAdapterByteForByteParity:
@@ -407,3 +389,58 @@ class TestClaimLeaseAcrossDrivers:
             budget=EvaluationBudget(4), seed=0, cache=live,
         ).run()
         assert result.evaluations == 4  # including the taken-over point
+
+
+class TestEvaluatorOwnership:
+    class Counting:
+        """An evaluator that counts its ``close`` calls."""
+
+        def __init__(self, inner):
+            self.inner, self.closes = inner, 0
+
+        def submit(self, mapping):
+            return self.inner.submit(mapping)
+
+        def wait(self, futures, timeout=None):
+            return self.inner.wait(futures, timeout)
+
+        def close(self):
+            self.closes += 1
+            self.inner.close()
+
+    @pytest.mark.parametrize("fail_at", [None, 3])
+    @pytest.mark.parametrize("injected", [True, False])
+    def test_a_run_closes_only_an_evaluator_it_built(self, injected, fail_at):
+        """An injected evaluator is the caller's, left open (its warm
+        pool kept) for the next run; one the calibrator built is closed.
+        Either way whether the run returns or raises."""
+        from repro.core import ParallelEvaluator
+
+        space = make_space(2)
+        calls, inner = [], quadratic(space)
+
+        def objective(values):
+            calls.append(None)
+            if len(calls) == fail_at:
+                raise RuntimeError("objective failed")
+            return inner(values)
+
+        if injected:
+            evaluator = self.Counting(ParallelEvaluator(objective, workers=2, mode="thread"))
+            calibrator = AsyncCalibrator(space, objective, budget=EvaluationBudget(6),
+                                         evaluator=evaluator)
+        else:
+            calibrator = AsyncCalibrator(space, objective, workers=2, mode="thread",
+                                         budget=EvaluationBudget(6))
+            calibrator.evaluator = evaluator = self.Counting(calibrator.evaluator)
+        try:
+            if fail_at is None:
+                assert calibrator.run().evaluations == 6
+            else:
+                with pytest.raises(RuntimeError, match="objective failed"):
+                    calibrator.run()
+            assert evaluator.closes == (0 if injected else 1)
+            assert (evaluator.inner._executor is not None) == injected
+        finally:
+            if injected:
+                evaluator.close()

@@ -92,17 +92,6 @@ class TestBatchedDriving:
             ).run()
             assert result.evaluations == 25, name
 
-    def test_synchronous_de_fills_worker_batches(self):
-        """synchronous=True asks whole generations after the init batch."""
-        space = make_space(2)
-        result = BatchCalibrator(
-            space, quadratic(space), algorithm="de", workers=4, mode="thread",
-            algorithm_options={"population_size": 8, "synchronous": True},
-            budget=EvaluationBudget(32), seed=4,
-        ).run()
-        assert result.evaluations == 32
-        assert result.best_value < 25.0
-
     def test_thread_mode_actually_runs_concurrently(self):
         space = make_space(2)
         active = {"now": 0, "max": 0}

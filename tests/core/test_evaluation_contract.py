@@ -319,7 +319,7 @@ def test_every_driver_configuration_meets_the_accountant(
             return BatchCalibrator(SPACE, faulty, workers=width, mode="serial", **common)
         if kind == "fleet":
             return fleet_driver(SPACE, faulty, **common)
-        inline = ParallelEvaluator(faulty, SPACE, workers=1, mode="serial", config=config)
+        inline = ParallelEvaluator(faulty, workers=1, mode="serial", config=config)
         return AsyncCalibrator(SPACE, faulty, max_pending=width, ordered_tells=ordered,
                                evaluator=LatestFirst(inline) if latest_first else inline,
                                **common)

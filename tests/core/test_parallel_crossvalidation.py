@@ -29,7 +29,7 @@ class TestParallelEvaluator:
         batch = [space.from_unit_array([x, x]) for x in (0.0, 0.25, 0.5, 0.75, 1.0)]
 
         def values(workers, mode):
-            with ParallelEvaluator(objective, space, workers=workers, mode=mode) as evaluator:
+            with ParallelEvaluator(objective, workers=workers, mode=mode) as evaluator:
                 futures = [evaluator.submit(candidate) for candidate in batch]
                 return [future.result(timeout=30)[0] for future in futures]
 
@@ -41,6 +41,6 @@ class TestParallelEvaluator:
     def test_invalid_configuration(self):
         space = make_space()
         with pytest.raises(ValueError):
-            ParallelEvaluator(_QuadraticObjective(space), space, workers=0)
+            ParallelEvaluator(_QuadraticObjective(space), workers=0)
         with pytest.raises(ValueError):
-            ParallelEvaluator(_QuadraticObjective(space), space, mode="gpu")
+            ParallelEvaluator(_QuadraticObjective(space), mode="gpu")

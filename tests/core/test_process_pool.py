@@ -188,7 +188,7 @@ def test_a_standalone_pool_keeps_the_hard_deadline(tmp_path):
     before = set(multiprocessing.active_children())
     config = RunConfig(eval_timeout=0.2)
     with ParallelEvaluator(
-        FirstCallMisbehaves(tmp_path / "marker", "hang"), SPACE, workers=1, config=config
+        FirstCallMisbehaves(tmp_path / "marker", "hang"), workers=1, config=config
     ) as evaluator:
         future = evaluator.submit({"p0": 2.0**11, "p1": 2.0**12})
         started = time.perf_counter()
@@ -233,7 +233,7 @@ def test_an_exception_that_cannot_travel_fails_only_its_own_task(objective, mess
     """A reply the parent cannot unpickle, or an exception the worker
     cannot pickle, fails that one future; the worker carries on."""
     before = set(multiprocessing.active_children())
-    with ParallelEvaluator(objective, SPACE, workers=1) as evaluator:
+    with ParallelEvaluator(objective, workers=1) as evaluator:
         futures = [evaluator.submit({"p0": 2.0**11, "p1": 2.0**12}) for _ in range(2)]
         for future in futures:
             with pytest.raises(TypeError, match=message):

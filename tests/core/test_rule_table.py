@@ -1,7 +1,7 @@
 """The outcome rule table: what each outcome of a candidate records, costs
 and counts, under the serial, batch, async and fleet drivers.
 
-One case per row of the table in ``AsyncCalibrator._settle``'s
+One case per row of the table in ``_Run._settle``'s
 docstring.  Each case runs a scripted algorithm and checks the tell-log
 entry of the last scripted point: its ``(cached, failed)``, its
 ``charged``, and which of the driver's counters it moved — the

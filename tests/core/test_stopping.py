@@ -103,14 +103,9 @@ class TestIncrementalChecks:
 
 
 class TestStoppingBudgetAdapter:
-    def test_unbound_adapter_never_exhausts(self):
-        budget = StoppingBudget(NoImprovementStopper(patience=1))
-        assert not budget.exhausted(100)
-
     def test_bound_adapter_follows_criterion(self):
-        budget = StoppingBudget(NoImprovementStopper(patience=1))
         history = make_history([5.0, 6.0])
-        budget.bind(history)
+        budget = StoppingBudget(NoImprovementStopper(patience=1), history)
         assert budget.exhausted(2)
         assert "1" in budget.describe()
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.core import Parameter, ParameterSpace, RunConfig
+from repro.core import RunConfig
 from repro.core.evaluation import Claim
 from repro.core.faults import EvaluationFailed, EvaluationFailure
 from repro.core.parallel import ParallelEvaluator
@@ -18,10 +18,6 @@ from repro.service.fleet import (
     StoreReadCache,
     TaskBoard,
 )
-
-
-def make_space():
-    return ParameterSpace([Parameter("x", 1.0, 16.0), Parameter("y", 1.0, 16.0)])
 
 
 def plane(values):
@@ -196,8 +192,7 @@ class TestStoreReadCache:
 class TestFleetEvaluator:
     def test_submit_posts_and_close_withdraws(self):
         board = TaskBoard()
-        evaluator = FleetEvaluator(board, "job-1", "fp", spec={"platform": "FCSN"},
-                                   space=make_space())
+        evaluator = FleetEvaluator(board, "job-1", "fp", spec={"platform": "FCSN"})
         future = evaluator.submit({"x": 2.0, "y": 3.0})
         (task,) = board.open_tasks()
         assert task.spec == {"platform": "FCSN"}
