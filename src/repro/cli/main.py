@@ -308,10 +308,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
     spool = JobSpool(args.serve_dir)
     store_path = args.store if args.store is not None else str(spool.default_store_path)
     with open_store(store_path) as store:
-        with CalibrationServer(
-            store=store, workers=args.workers, on_event=_spool_events(spool)
-        ) as server:
-            processed = _serve_spool(spool, server, CaseStudyRequestFactory(), args)
+        server = CalibrationServer(store=store, workers=args.workers, on_event=_spool_events(spool))
+        try:
+            with server:  # on Ctrl-C, leaves without waiting for the running jobs
+                processed = _serve_spool(spool, server, CaseStudyRequestFactory(), args)
+        except KeyboardInterrupt:
+            # The abandoned workers may still fail against the closing
+            # store; that is not their jobs' fate, so nothing narrates it.
+            server.on_event = None
+            left = [record["id"] for record in spool.statuses()
+                    if record.get("status") == "running"]
+            console(f"interrupted: {', '.join(left) or 'no job'} left running; "
+                    "the next `repro serve` resumes from the tell log")
+            return 130
         stats = store.stats()
     console(f"served {processed} job(s); store: {stats['entries']} evaluations, "
             f"{stats['hits']} hits / {stats['misses']} misses this run")

@@ -4,7 +4,7 @@ Given a black-box simulator (any callable mapping parameter values to an
 accuracy value), a :class:`~repro.core.parameters.ParameterSpace` with
 user-specified ranges (searched in log2 representation by default, as in
 Section III.A), an accuracy metric and a budget (wall-clock time bound
-and/or maximum number of simulator invocations), a
+or maximum number of simulator invocations), a
 :class:`~repro.core.calibrator.Calibrator` runs one of the calibration
 algorithms of Section III.B — Grid search, Random search, Gradient descent
 (fixed or dynamic step) — or one of the extensions the paper lists as
@@ -16,7 +16,7 @@ Around that loop sit the pooled drivers
 (:class:`~repro.core.parallel.BatchCalibrator`,
 :class:`~repro.core.async_driver.AsyncCalibrator`), the
 :class:`~repro.core.async_driver.RunConfig` every driver takes (failure
-policies and cache-hit replay), stopping criteria, checkpoint/result serialisation and text reports.
+policies and cache-hit replay), checkpoint/result serialisation and text reports.
 """
 
 from repro.core.algorithms import (
@@ -39,7 +39,6 @@ from repro.core.algorithms import (
 )
 from repro.core.budget import (
     Budget,
-    CombinedBudget,
     EvaluationBudget,
     TimeBudget,
     remaining_evaluations,
@@ -69,10 +68,6 @@ from repro.core.parameters import Parameter, ParameterSpace
 from repro.core.reporting import calibration_report, convergence_sparkline
 from repro.core.result import CalibrationResult
 from repro.core.serialization import save_result
-from repro.core.stopping import (
-    NoImprovementStopper,
-    StoppingCriterion,
-)
 
 __all__ = [
     "ALGORITHMS",
@@ -88,7 +83,6 @@ __all__ = [
     "Calibrator",
     "CircuitBreaker",
     "CircuitOpen",
-    "CombinedBudget",
     "CoordinateDescent",
     "DictCache",
     "DifferentialEvolution",
@@ -102,7 +96,6 @@ __all__ = [
     "GridSearch",
     "LatinHypercubeSearch",
     "NelderMead",
-    "NoImprovementStopper",
     "ParallelEvaluator",
     "Parameter",
     "ParameterSpace",
@@ -112,7 +105,6 @@ __all__ = [
     "RunConfig",
     "SimulatedAnnealing",
     "SobolSearch",
-    "StoppingCriterion",
     "TPESearch",
     "TimeBudget",
     "TransientEvaluationError",

@@ -226,19 +226,25 @@ class AsyncCalibrator:
         dictionary to the accuracy value to minimise (the case study uses
         the MRE in percent); process-based execution needs a picklable
         objective.
-    algorithm, algorithm_options:
-        Registry name (with constructor options) or a configured instance;
-        must implement the native ask/tell hooks.
+    algorithm:
+        Registry name, or a configured instance such as
+        ``get_algorithm("cmaes", population_size=8)``; must implement the
+        native ask/tell hooks.
     workers, mode:
         Concurrency settings, see :class:`~repro.core.parallel.ParallelEvaluator`.
     max_pending:
         Upper bound on in-flight candidates (dispatched futures plus
         deferred leases); defaults to ``workers``.  Raising it above
-        ``workers`` queues extra work inside the executor so a completing
-        worker never waits for the driver thread; lowering it to 1
-        gives the serial driver's trajectory.
+        ``workers`` queues extra work behind the busy workers.  In
+        ``"thread"`` mode the executor's queue hands it to a completing
+        worker at once.  The process pool keeps it in
+        ``ParallelEvaluator._queue`` instead, and a freed worker waits
+        until the driver's thread reads its reply in
+        :meth:`~repro.core.parallel.ParallelEvaluator.wait` and ``_feed``
+        sends it the next task.  Lowering it to 1 gives the serial
+        driver's trajectory.
     budget:
-        Evaluation- or time-based budget (or a combination).  Evaluation
+        Evaluation- or time-based budget.  Evaluation
         budgets are charged at *dispatch* time, so the run performs
         exactly its cap even though results arrive out of order.
     seed:
@@ -299,13 +305,12 @@ class AsyncCalibrator:
         budget: Budget | None = None,
         seed: int = 0,
         cache: bool | CacheBackend = True,
-        algorithm_options: dict[str, object] | None = None,
         ordered_tells: bool | None = None,
         evaluator: ParallelEvaluator | None = None,
         config: RunConfig | None = None,
     ) -> None:
         self.space = space
-        self.algorithm = get_algorithm(algorithm, **(algorithm_options or {}))
+        self.algorithm = get_algorithm(algorithm)
         if ordered_tells is None:
             self.ordered_tells = not self.algorithm.supports_async_tell
         else:
@@ -331,11 +336,6 @@ class AsyncCalibrator:
         self.budget = budget if budget is not None else EvaluationBudget(100)
         self.seed = seed
         self._cache_option = cache
-
-    def _run_budget(self, history: CalibrationHistory) -> Budget:
-        """The budget a run enforces, given the history it records: the
-        caller's, unless a subclass adds a stopping criterion to it."""
-        return self.budget
 
     def run(
         self,
@@ -438,7 +438,7 @@ class _Run:
         self._unlaunched: list[tuple[int, np.ndarray]] = []
         self.history = CalibrationHistory()
         self._log: list[Evaluation] = []  # one record per tell; see _keep
-        self._budget = spec._run_budget(self.history)  # the one the loop enforces
+        self._budget = spec.budget
         #: each settled seq's candidate and record fields, parked until it
         #: is released (see ``_resolve``), and the next seq ordered tells
         #: release

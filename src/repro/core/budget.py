@@ -3,24 +3,21 @@
 The paper bounds the calibration procedure by a wall-clock time ``T``
 (rather than a number of simulator invocations, because the simulation
 time itself depends on the parameter values — Section III.A).  The
-framework supports both, and their combination:
+framework supports both:
 
 * :class:`TimeBudget` — stop after ``seconds`` of wall-clock time;
 * :class:`EvaluationBudget` — stop after ``max_evaluations`` simulator
-  invocations (cache hits do not count);
-* :class:`CombinedBudget` — stop when any of several budgets is exhausted.
+  invocations (cache hits do not count).
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 
 __all__ = [
     "Budget",
     "TimeBudget",
     "EvaluationBudget",
-    "CombinedBudget",
     "remaining_evaluations",
 ]
 
@@ -87,38 +84,10 @@ class EvaluationBudget(Budget):
         return f"evaluation budget N = {self.max_evaluations}"
 
 
-class CombinedBudget(Budget):
-    """Exhausted as soon as any of its member budgets is exhausted."""
-
-    def __init__(self, budgets: Sequence[Budget]) -> None:
-        if not budgets:
-            raise ValueError("a combined budget needs at least one member")
-        self.budgets = list(budgets)
-
-    def start(self, elapsed_offset: float = 0.0) -> None:
-        for budget in self.budgets:
-            budget.start(elapsed_offset)
-
-    def exhausted(self, evaluations: int) -> bool:
-        return any(b.exhausted(evaluations) for b in self.budgets)
-
-    def describe(self) -> str:
-        return " and ".join(b.describe() for b in self.budgets)
-
-
 def remaining_evaluations(budget: Budget, evaluations: int) -> int | None:
-    """How many more evaluations ``budget`` allows, or ``None`` if unbounded.
-
-    Recurses into :class:`CombinedBudget`, so batch drivers can trim their
-    final batch to an evaluation cap even when it is wrapped together with
-    a time budget (a plain ``isinstance(budget, EvaluationBudget)`` check
-    would miss it and overshoot by up to a batch).  Time budgets impose no
-    evaluation cap and contribute ``None``.
-    """
+    """How many more evaluations ``budget`` allows, or ``None`` if unbounded
+    (a time budget imposes no evaluation cap).  The pooled drivers trim a
+    batch to it, so a run never overshoots its cap."""
     if isinstance(budget, EvaluationBudget):
         return max(budget.max_evaluations - evaluations, 0)
-    if isinstance(budget, CombinedBudget):
-        bounds = [remaining_evaluations(b, evaluations) for b in budget.budgets]
-        bounds = [b for b in bounds if b is not None]
-        return min(bounds) if bounds else None
     return None

@@ -52,15 +52,12 @@ re-running them.
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import Any
 
 from repro.core.algorithms import CalibrationAlgorithm
 from repro.core.async_driver import AsyncCalibrator, RunConfig
-from repro.core.budget import Budget, CombinedBudget
+from repro.core.budget import Budget
 from repro.core.evaluation import CacheBackend
-from repro.core.history import CalibrationHistory
 from repro.core.parameters import ParameterSpace
-from repro.core.stopping import StoppingBudget, StoppingCriterion
 
 __all__ = ["Calibrator"]
 
@@ -70,12 +67,9 @@ class Calibrator(AsyncCalibrator):
     a budget, minimising a simulator-accuracy objective, one inline
     evaluation at a time.
 
-    An optional early-stopping criterion (see :mod:`repro.core.stopping`)
-    can be supplied; the run then ends at whichever of the budget or the
-    criterion triggers first (the result still describes the budget).
-    ``algorithm_options`` are forwarded to the algorithm's constructor, so
-    ``Calibrator(..., algorithm="cmaes", algorithm_options={"population_size":
-    8})`` needs no manual import.  The remaining parameters are those of
+    ``algorithm`` is a registry name or a configured instance, so
+    ``Calibrator(..., algorithm=get_algorithm("cmaes", population_size=8))``
+    runs a non-default algorithm.  The remaining parameters are those of
     :class:`~repro.core.async_driver.AsyncCalibrator`; the default
     ``config`` (``RunConfig()``) keeps every code path byte-identical to a
     fault-tolerance-unaware run.
@@ -91,18 +85,9 @@ class Calibrator(AsyncCalibrator):
         budget: Budget | None = None,
         seed: int = 0,
         cache: bool | CacheBackend = True,
-        stopping: StoppingCriterion | None = None,
-        algorithm_options: dict[str, Any] | None = None,
         config: RunConfig | None = None,
     ) -> None:
         super().__init__(
             space, objective_function, algorithm=algorithm, workers=1, mode="serial",
-            max_pending=1, budget=budget, seed=seed, cache=cache,
-            algorithm_options=algorithm_options, config=config,
+            max_pending=1, budget=budget, seed=seed, cache=cache, config=config,
         )
-        self.stopping = stopping
-
-    def _run_budget(self, history: CalibrationHistory) -> Budget:
-        if self.stopping is None:
-            return self.budget
-        return CombinedBudget([self.budget, StoppingBudget(self.stopping, history)])

@@ -99,8 +99,3 @@ class CalibrationHistory:
         """Best objective value after each evaluation (non-increasing; a
         NaN value is skipped, ``inf`` until the first number)."""
         return list(self._curve)
-
-    def best_after(self, count: int) -> float:
-        """``best_so_far()[count - 1]`` in constant time: the best value
-        among the first ``count`` evaluations (``inf`` when ``count`` is 0)."""
-        return self._curve[count - 1] if count > 0 else math.inf

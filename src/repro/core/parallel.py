@@ -509,19 +509,18 @@ class BatchCalibrator(AsyncCalibrator):
 
     The pooled event loop of
     :class:`~repro.core.async_driver.AsyncCalibrator` with a barrier:
-    once nothing is pending it asks the algorithm for up to
-    ``batch_size`` candidates (population algorithms surface whole
-    generations, which are drained ``batch_size`` at a time), launches
-    them in ask order, waits for all of them and tells the results back
-    in ask order — the paper's one-simulation-per-core protocol.  Claim,
-    lease-wait, record, failure and checkpoint/resume handling are the
-    loop's own; this class only fixes the refill policy.
+    once nothing is pending it asks the algorithm for up to ``workers``
+    candidates (population algorithms surface whole generations, which
+    are drained ``workers`` at a time), launches them in ask order, waits
+    for all of them and tells the results back in ask order — the paper's
+    one-simulation-per-core protocol.  Claim, lease-wait, record, failure
+    and checkpoint/resume handling are the loop's own; this class only
+    fixes the refill policy.
 
-    ``batch_size`` is the number of candidates asked per round (default
-    ``workers``).  An evaluation cap trims the final batch so the run never
-    overshoots: a candidate is launched only while the cap is not spent,
-    as the serial driver asks one, and the rest of the batch is never
-    told.  The other parameters, ``config`` included, are those of
+    An evaluation cap trims the final batch so the run never overshoots:
+    a candidate is launched only while the cap is not spent, as the
+    serial driver asks one, and the rest of the batch is never told.  The
+    other parameters, ``config`` included, are those of
     :class:`~repro.core.async_driver.AsyncCalibrator`.
     """
 
@@ -535,18 +534,12 @@ class BatchCalibrator(AsyncCalibrator):
         algorithm: str | CalibrationAlgorithm = "random",
         workers: int = 4,
         mode: str = "process",
-        batch_size: int | None = None,
         budget: Budget | None = None,
         seed: int = 0,
         cache: bool | CacheBackend = True,
-        algorithm_options: dict[str, object] | None = None,
         config: RunConfig | None = None,
     ) -> None:
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("the batch size must be at least 1")
         super().__init__(
             space, objective_function, algorithm=algorithm, workers=workers, mode=mode,
-            max_pending=batch_size, budget=budget, seed=seed, cache=cache,
-            algorithm_options=algorithm_options, ordered_tells=True, config=config,
+            budget=budget, seed=seed, cache=cache, ordered_tells=True, config=config,
         )
-        self.batch_size = self.max_pending

@@ -19,7 +19,6 @@ from repro.hepsim.calibration import (
     CaseStudyObjective,
     CaseStudyProblem,
     build_parameter_space,
-    make_objective,
     scenario_fingerprint,
 )
 from repro.hepsim.generalization import (
@@ -57,7 +56,6 @@ __all__ = [
     "build_platform",
     "generalization_study",
     "human_calibration",
-    "make_objective",
     "make_workload",
     "scenario_fingerprint",
     "with_compute_data_ratio",

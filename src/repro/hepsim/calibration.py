@@ -6,9 +6,9 @@ ground truth into a calibration problem for :mod:`repro.core`:
 * :func:`build_parameter_space` — the paper's parameter space: every
   parameter gets the same ``2**20 .. 2**36`` range and the log2
   representation (Section IV.B, "Parameter Ranges");
-* :func:`make_objective` — a callable mapping a parameter-value dictionary
-  to the accuracy metric (MRE over the per-node / per-ICD average job
-  execution times, by default);
+* :class:`CaseStudyObjective` — a picklable callable mapping a
+  parameter-value dictionary to the accuracy metric (MRE over the
+  per-node / per-ICD average job execution times, by default);
 * :class:`CaseStudyProblem` — a convenience bundle (scenario, ground
   truth, objective, HUMAN calibration, parameter space) with a one-call
   :meth:`~CaseStudyProblem.calibrate` method, which is what the examples
@@ -22,6 +22,7 @@ import hashlib
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
+from repro.core.algorithms import CalibrationAlgorithm
 from repro.core.async_driver import AsyncCalibrator, RunConfig
 from repro.core.budget import Budget, EvaluationBudget
 from repro.core.calibrator import Calibrator
@@ -42,7 +43,6 @@ __all__ = [
     "CaseStudyObjective",
     "CaseStudyProblem",
     "build_parameter_space",
-    "make_objective",
     "scenario_fingerprint",
 ]
 
@@ -50,19 +50,16 @@ __all__ = [
 PARAMETER_RANGE = (2.0**20, 2.0**36)
 
 
-def build_parameter_space(
-    low: float = PARAMETER_RANGE[0],
-    high: float = PARAMETER_RANGE[1],
-    scale: str = "log2",
-    include_page_cache: bool = True,
-) -> ParameterSpace:
-    """The case-study parameter space.
+def build_parameter_space(scale: str = "log2", include_page_cache: bool = True) -> ParameterSpace:
+    """The case-study parameter space, every parameter over the paper's
+    :data:`PARAMETER_RANGE`.
 
     ``scale`` can be set to ``"linear"`` to reproduce the sampling-ablation
     benchmark; ``include_page_cache=False`` restricts the space to the four
     parameters the paper's headline count mentions (useful on the SC
     platforms, where the page cache is disabled anyway).
     """
+    low, high = PARAMETER_RANGE
     parameters = [
         Parameter("core_speed", low, high, scale=scale, unit="flop/s"),
         Parameter("disk_bandwidth", low, high, scale=scale, unit="B/s"),
@@ -141,12 +138,11 @@ class CaseStudyObjective:
         scenario: Scenario,
         ground_truth: ExecutionTrace,
         metric: str | MetricFunction = "mre",
-        icd_values: Sequence[float] | None = None,
     ) -> None:
         self.scenario = scenario
         self.metric_name = metric if isinstance(metric, str) else getattr(metric, "__name__", "custom")
         self._metric_fn = get_metric(metric) if isinstance(metric, str) else metric
-        self.icd_values = list(icd_values) if icd_values is not None else list(scenario.icd_values)
+        self.icd_values = list(scenario.icd_values)
         self.reference_metrics = ground_truth.metrics(
             nodes=scenario.node_names, icds=self.icd_values
         )
@@ -161,21 +157,6 @@ class CaseStudyObjective:
         trace = self.simulate(values)
         candidate_metrics = trace.metrics(nodes=self.scenario.node_names, icds=self.icd_values)
         return self._metric_fn(self.reference_metrics, candidate_metrics)
-
-
-def make_objective(
-    scenario: Scenario,
-    ground_truth: ExecutionTrace,
-    metric: str | MetricFunction = "mre",
-    icd_values: Sequence[float] | None = None,
-) -> CaseStudyObjective:
-    """Build the accuracy objective for one scenario.
-
-    The returned callable maps a parameter-value dictionary to the chosen
-    accuracy metric computed over the (node, ICD) average-job-time metrics,
-    i.e. the paper's 33-metric MRE when the scenario uses the full ICD grid.
-    """
-    return CaseStudyObjective(scenario, ground_truth, metric=metric, icd_values=icd_values)
 
 
 @dataclasses.dataclass
@@ -211,7 +192,7 @@ class CaseStudyProblem:
             space = build_parameter_space(
                 include_page_cache=scenario.config.page_cache_enabled
             )
-        objective = make_objective(scenario, ground_truth, metric=metric)
+        objective = CaseStudyObjective(scenario, ground_truth, metric=metric)
         return CaseStudyProblem(
             scenario=scenario,
             ground_truth=ground_truth,
@@ -243,11 +224,10 @@ class CaseStudyProblem:
     # ------------------------------------------------------------------ #
     def calibrate(
         self,
-        algorithm: str = "random",
+        algorithm: str | CalibrationAlgorithm = "random",
         budget: Budget | None = None,
         seed: int = 0,
         workers: int = 1,
-        algorithm_options: dict[str, object] | None = None,
         asynchronous: bool = False,
         max_pending: int | None = None,
         cache: bool | CacheBackend = True,
@@ -263,8 +243,9 @@ class CaseStudyProblem:
         :class:`~repro.core.async_driver.AsyncCalibrator` instead: results
         are told out of order as simulations complete, so the pool never
         waits for a batch's slowest member (``max_pending`` bounds the
-        in-flight work; default ``workers``).  ``algorithm_options`` are
-        forwarded to the algorithm's constructor.
+        in-flight work; default ``workers``).  ``algorithm`` is a
+        registry name or a configured instance from
+        :func:`~repro.core.algorithms.get_algorithm`.
 
         ``cache`` accepts an external
         :class:`~repro.core.evaluation.CacheBackend` — typically a
@@ -285,7 +266,6 @@ class CaseStudyProblem:
             "budget": budget if budget is not None else EvaluationBudget(100),
             "seed": seed,
             "cache": cache,
-            "algorithm_options": algorithm_options,
             "config": config,
         }
         if asynchronous:

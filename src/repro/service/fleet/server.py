@@ -107,7 +107,6 @@ class FleetServer(CalibrationServer):
             budget=request.budget if request.budget is not None else EvaluationBudget(100),
             seed=request.seed,
             cache=cache,
-            algorithm_options=request.algorithm_options,
             config=config,
             # Ordered tells buy the acceptance guarantee: the fleet run's
             # trajectory and best point are byte-identical to the

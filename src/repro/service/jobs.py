@@ -22,6 +22,7 @@ import threading
 from collections.abc import Callable
 from typing import Any
 
+from repro.core.algorithms import CalibrationAlgorithm
 from repro.core.async_driver import RunConfig
 from repro.core.budget import Budget
 from repro.core.parameters import ParameterSpace
@@ -43,7 +44,8 @@ class CalibrationRequest:
     space: ParameterSpace
     objective: Callable[[dict[str, float]], float]
     fingerprint: str
-    algorithm: str = "random"
+    #: a registry name, or a configured instance from ``get_algorithm``
+    algorithm: str | CalibrationAlgorithm = "random"
     budget: Budget | None = None
     seed: int = 0
     label: str = ""
@@ -53,9 +55,6 @@ class CalibrationRequest:
     #: how the job's evaluations settle failures, wherever they run (the
     #: server turns ``replay_cache_hits`` on itself)
     config: RunConfig = RunConfig()
-    #: constructor keyword arguments forwarded to the algorithm factory
-    #: (e.g. ``{"population_size": 8}`` for ``"cmaes"``)
-    algorithm_options: dict[str, Any] = dataclasses.field(default_factory=dict)
     #: emit a ``checkpoint`` job event (carrying the new tell-log entries
     #: in its payload, see :meth:`repro.core.async_driver.AsyncCalibrator.run`)
     #: every this many tells; 0 disables

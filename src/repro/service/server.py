@@ -224,7 +224,6 @@ class CalibrationServer:
             budget=request.budget if request.budget is not None else EvaluationBudget(100),
             seed=request.seed,
             cache=cache,
-            algorithm_options=request.algorithm_options,
             # First-seen cache hits stay visible in the history and
             # charge the budget: a fully warm job performs zero
             # simulator invocations yet replays the cold run's

@@ -75,19 +75,16 @@ class Host:
         name: ActivityName,
         flops: float,
         parallelism: int = 1,
-        priority: float = 1.0,
     ) -> Activity:
         """Create (without starting) a computation of ``flops`` work units.
 
         ``parallelism`` expresses how many cores the task can exploit: its
         rate cap is ``parallelism * speed`` (bounded by the whole host).
-        ``priority`` scales the share the task gets under contention.
         """
         if parallelism < 1:
             raise PlatformError(f"parallelism must be >= 1, got {parallelism}")
         cap = min(self._speed * parallelism, self.cpu.capacity)
-        usage = 1.0 / priority if priority > 0 else 1.0
-        return Activity(name, flops, {self.cpu: usage}, rate_cap=cap)
+        return Activity(name, flops, {self.cpu: 1.0}, rate_cap=cap)
 
     def execute(self, name: str, flops: float, parallelism: int = 1):
         """Generator helper: run a computation to completion.

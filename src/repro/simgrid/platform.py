@@ -78,13 +78,13 @@ class Platform:
     # ------------------------------------------------------------------ #
     # routes
     # ------------------------------------------------------------------ #
-    def add_route(self, src: Host, dst: Host, links: list[Link], symmetric: bool = True) -> None:
-        """Declare that traffic from ``src`` to ``dst`` traverses ``links``."""
+    def add_route(self, src: Host, dst: Host, links: list[Link]) -> None:
+        """Declare that traffic between ``src`` and ``dst``, either way,
+        traverses ``links``."""
         if not links:
             raise PlatformError(f"route {src.name!r}->{dst.name!r} must contain at least one link")
         self._routes[(src.name, dst.name)] = list(links)
-        if symmetric:
-            self._routes[(dst.name, src.name)] = list(links)
+        self._routes[(dst.name, src.name)] = list(links)
 
     def route(self, src: Host, dst: Host) -> list[Link]:
         """Return the links between two hosts (empty list for a loopback)."""

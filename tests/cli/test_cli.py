@@ -1,5 +1,6 @@
 """The ``repro`` command-line interface."""
 
+import importlib
 import json
 import threading
 
@@ -282,6 +283,30 @@ class TestServiceCommands:
     def test_status_unknown_job_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["status", "--serve-dir", str(tmp_path / "svc"), "--job", "job-9999"])
+
+    @pytest.mark.parametrize("submitted, named", [(0, "no job"), (2, "job-0001, job-0002")])
+    def test_ctrl_c_names_the_jobs_left_running_and_exits_130(
+        self, monkeypatch, capsys, tmp_path, submitted, named
+    ):
+        """An interrupted serve leaves without a traceback: one line names
+        what it left running for the next serve, and the status is 130."""
+        cli = importlib.import_module("repro.cli.main")  # the package exports main
+        serve_dir = str(tmp_path / "svc")
+        for _ in range(submitted):
+            assert main(self.SUBMIT + ["--serve-dir", serve_dir]) == 0
+
+        def interrupted(spool, server, factory, args):
+            for job_id in spool.pending():
+                spool.update(job_id, status="running")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_serve_spool", interrupted)
+        capsys.readouterr()
+        assert main(["serve", "--serve-dir", serve_dir]) == 130
+        assert capsys.readouterr().out == (
+            f"interrupted: {named} left running; the next `repro serve` resumes from the "
+            "tell log\n"
+        )
 
     def test_serve_recovers_jobs_stranded_in_running(self, capsys, tmp_path):
         # A server that died mid-job leaves its spool record at "running";

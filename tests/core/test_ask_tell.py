@@ -16,6 +16,8 @@ import pytest
 
 from repro.core import (
     ALGORITHMS,
+    AsyncCalibrator,
+    BatchCalibrator,
     Calibrator,
     EvaluationBudget,
     Parameter,
@@ -172,14 +174,27 @@ class TestRegistryKwargs:
         with pytest.raises(ValueError):
             get_algorithm("de", population_size=2)
 
-    def test_calibrator_forwards_algorithm_options(self):
-        space = make_space(2)
-        calibrator = Calibrator(
-            space,
-            quadratic_objective(space),
-            algorithm="cmaes",
-            algorithm_options={"population_size": 6},
-            budget=EvaluationBudget(12),
-        )
-        assert calibrator.algorithm.population_size == 6
-        assert calibrator.run().evaluations == 12
+    @pytest.mark.parametrize("name, options, workers", [
+        ("cmaes", {"population_size": 6}, 3),
+        ("de", {"mutation": 0.5}, 3),
+        # TPE takes tells out of order: one candidate in flight keeps it serial
+        ("tpe", {"warmup": 6}, 1),
+    ])
+    def test_configured_instance_walks_the_serial_trajectory_under_every_driver(
+        self, name, options, workers
+    ):
+        """A driver runs the instance it is given: its non-default options
+        move the serial trajectory, and the pooled drivers walk it too."""
+        space = make_space(3)
+        objective = quadratic_objective(space)
+
+        def units(driver, algorithm, **kwargs):
+            result = driver(space, objective, algorithm=algorithm, budget=EvaluationBudget(60),
+                            seed=4, **kwargs).run()
+            return [e.unit for e in result.history]
+
+        serial = units(Calibrator, get_algorithm(name, **options))
+        assert serial != units(Calibrator, name)
+        for driver in (BatchCalibrator, AsyncCalibrator):
+            configured = get_algorithm(name, **options)
+            assert units(driver, configured, workers=workers, mode="thread") == serial, driver

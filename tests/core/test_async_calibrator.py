@@ -17,12 +17,10 @@ from repro.core import (
     ALGORITHMS,
     AsyncCalibrator,
     Calibrator,
-    CombinedBudget,
     EvaluationBudget,
     Parameter,
     ParameterSpace,
     RunConfig,
-    TimeBudget,
     get_algorithm,
 )
 
@@ -179,8 +177,8 @@ class TestNativeAsyncDeterminism:
         though its trajectory may differ from serial."""
         space = make_space(2)
         result = AsyncCalibrator(
-            space, shuffling(space), algorithm="tpe",
-            algorithm_options={"warmup": 6}, budget=EvaluationBudget(24),
+            space, shuffling(space), algorithm=get_algorithm("tpe", warmup=6),
+            budget=EvaluationBudget(24),
             seed=9, workers=3, mode="thread",
         ).run()
         assert result.evaluations == 24
@@ -196,15 +194,6 @@ class TestDriverMechanics:
                 budget=EvaluationBudget(25), seed=2,
             ).run()
             assert result.evaluations == 25, name
-
-    def test_combined_budget_does_not_overshoot(self):
-        space = make_space(2)
-        budget = CombinedBudget([TimeBudget(3600.0), EvaluationBudget(10)])
-        result = AsyncCalibrator(
-            space, quadratic(space), algorithm="random", workers=4, mode="thread",
-            budget=budget, seed=0,
-        ).run()
-        assert result.evaluations == 10
 
     def test_max_pending_bounds_in_flight_work(self):
         space = make_space(2)

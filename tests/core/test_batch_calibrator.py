@@ -15,7 +15,6 @@ import pytest
 from repro.core import (
     BatchCalibrator,
     Calibrator,
-    CombinedBudget,
     DictCache,
     EvaluationBudget,
     Parameter,
@@ -24,7 +23,7 @@ from repro.core import (
     TimeBudget,
     remaining_evaluations,
 )
-from repro.core.algorithms import CalibrationAlgorithm
+from repro.core.algorithms import CalibrationAlgorithm, get_algorithm
 
 
 def make_space(dimension=3):
@@ -45,23 +44,23 @@ class TestRemainingEvaluations:
         assert remaining_evaluations(EvaluationBudget(10), 12) == 0
         assert remaining_evaluations(TimeBudget(5.0), 4) is None
 
-    def test_combined_budget_recurses(self):
-        combined = CombinedBudget([TimeBudget(100.0), EvaluationBudget(7)])
-        assert remaining_evaluations(combined, 3) == 4
-        nested = CombinedBudget([combined, EvaluationBudget(5)])
-        assert remaining_evaluations(nested, 3) == 2
-        assert remaining_evaluations(CombinedBudget([TimeBudget(1.0)]), 3) is None
 
-
-class TestFinalBatchTrimming:
-    def test_batch_calibrator_combined_budget_does_not_overshoot(self):
+class TestBatchWidth:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_a_round_asks_workers_candidates(self, workers):
+        """Every round asks ``workers`` candidates, and the cap trims the
+        last one's launches, not its width."""
         space = make_space(2)
-        budget = CombinedBudget([TimeBudget(3600.0), EvaluationBudget(10)])
+        algorithm = get_algorithm("random")
+        widths = []
+        ask = algorithm.ask
+        algorithm.ask = lambda rng, n: widths.append(n) or ask(rng, n)
         result = BatchCalibrator(
-            space, quadratic(space), algorithm="random", workers=1, mode="serial",
-            batch_size=4, budget=budget, seed=0,
+            space, quadratic(space), algorithm=algorithm, workers=workers, mode="serial",
+            budget=EvaluationBudget(12), seed=0,
         ).run()
-        assert result.evaluations == 10
+        assert result.evaluations == 12
+        assert widths == [workers] * -(-12 // workers)
 
 
 class TestBatchedDriving:
@@ -111,8 +110,8 @@ class TestBatchedDriving:
             return float(np.sum(unit))
 
         BatchCalibrator(
-            space, objective, algorithm="lhs", workers=4, mode="thread",
-            algorithm_options={"batch_size": 8}, budget=EvaluationBudget(8), seed=0,
+            space, objective, algorithm=get_algorithm("lhs", batch_size=8), workers=4,
+            mode="thread", budget=EvaluationBudget(8), seed=0,
         ).run()
         assert active["max"] >= 2
 
@@ -146,8 +145,8 @@ class TestBatchedDriving:
         original_tell = algorithm.tell
         algorithm.tell = lambda cands, vals: (told.extend(vals), original_tell(cands, vals))
         result = BatchCalibrator(
-            space, counting, algorithm=algorithm, workers=1, mode="serial",
-            batch_size=8, budget=EvaluationBudget(6), seed=0,
+            space, counting, algorithm=algorithm, workers=8, mode="serial",
+            budget=EvaluationBudget(6), seed=0,
         ).run()
         # 3 generations of 3 candidates, 2 unique each: 6 dispatches total,
         # and every candidate (duplicates included) was told a value.
@@ -199,8 +198,8 @@ class TestCacheConsultation:
             budget=EvaluationBudget(32), seed=9, cache=shared,
         ).run()
         warm = BatchCalibrator(
-            space, quadratic(space), algorithm="lhs", workers=1, mode="serial",
-            batch_size=4, budget=EvaluationBudget(10), seed=9, cache=shared,
+            space, quadratic(space), algorithm="lhs", workers=4, mode="serial",
+            budget=EvaluationBudget(10), seed=9, cache=shared,
             config=RunConfig(replay_cache_hits=True),
         ).run()
         assert len(warm.history) == 10  # not 12
@@ -264,8 +263,8 @@ class TestCacheConsultation:
             return float(values["n"])
 
         result = BatchCalibrator(
-            space, counting, algorithm=TwoUnits(), workers=1, mode="serial",
-            batch_size=4, budget=EvaluationBudget(3), seed=0,
+            space, counting, algorithm=TwoUnits(), workers=4, mode="serial",
+            budget=EvaluationBudget(3), seed=0,
         ).run()
         assert calls["n"] == 3
         assert result.evaluations == 3

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.core.budget import CombinedBudget, EvaluationBudget, TimeBudget
+from repro.core.budget import EvaluationBudget, TimeBudget
 from repro.core.calibrator import Calibrator
 from repro.core.evaluation import CACHE_DECIMALS, DictCache, unit_cache_key
 from repro.core.history import CalibrationHistory, Evaluation
@@ -14,6 +14,11 @@ from repro.core.parameters import Parameter, ParameterSpace
 
 def make_space():
     return ParameterSpace([Parameter("x", 1.0, 2.0**10), Parameter("y", 1.0, 2.0**10)])
+
+
+def quadratic(values):
+    unit = make_space().to_unit_array(values)
+    return float(sum((unit - 0.4) ** 2)) * 100.0
 
 
 class TestBudgets:
@@ -40,14 +45,19 @@ class TestBudgets:
         assert not budget.exhausted(0)
         assert budget.elapsed >= 0.0
 
-    def test_combined_budget(self):
-        budget = CombinedBudget([EvaluationBudget(2), TimeBudget(1000.0)])
-        budget.start()
-        assert not budget.exhausted(1)
-        assert budget.exhausted(2)
-        assert "and" in budget.describe()
-        with pytest.raises(ValueError):
-            CombinedBudget([])
+    def test_serial_run_performs_exactly_its_cap(self):
+        result = Calibrator(make_space(), quadratic, "random", EvaluationBudget(30), seed=1).run()
+        assert result.evaluations == 30
+
+    def test_each_run_records_its_own_history(self):
+        """A second run of one calibrator neither grows the first run's
+        history nor counts its evaluations."""
+        calibrator = Calibrator(make_space(), quadratic, "random", EvaluationBudget(5), seed=1)
+        first = calibrator.run()
+        second = calibrator.run()
+        assert len(first.history) == 5
+        assert second.evaluations == 5 and len(second.history) == 5
+        assert calibrator.history is second.history
 
 
 class TestHistory:
@@ -84,7 +94,6 @@ class TestHistory:
         assert math.isnan(bests[0])
         assert bests[1:] == [10.0, 10.0, 7.0, 7.0]
         assert history.best_so_far() == [math.inf, 10.0, 10.0, 7.0, 7.0]
-        assert [history.best_after(n) for n in range(6)] == [math.inf] + history.best_so_far()
 
     def test_nan_is_the_best_only_when_every_value_is_nan(self):
         history = CalibrationHistory()

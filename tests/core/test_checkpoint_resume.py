@@ -126,8 +126,8 @@ class TestResumeDeterminism:
 
         def calibrator(options):
             return Calibrator(
-                space, objective_for(space), algorithm="cmaes",
-                budget=EvaluationBudget(30), seed=SEED, algorithm_options=options,
+                space, objective_for(space), algorithm=get_algorithm("cmaes", **options),
+                budget=EvaluationBudget(30), seed=SEED,
             )
 
         _, log = logged_run(calibrator({}))

@@ -17,10 +17,9 @@ failed, charged), history, best value, counters and budget equal the
 accountant's over its own asks (the history as a set when tells are
 unordered), and every algorithm but TPE, whose asks depend on how many
 results it was told, asks what the serial driver asks: ordered runs are
-byte-identical to serial, unordered ones visit its point set.  A
-stopping criterion is the serial driver's alone.  Every run returns the
-tell log its sink received (``result.log``), and its history is that
-log's recorded subset.
+byte-identical to serial, unordered ones visit its point set.  Every
+run returns the tell log its sink received (``result.log``), and its
+history is that log's recorded subset.
 """
 
 import hashlib
@@ -38,14 +37,12 @@ from repro.core import (
     AsyncCalibrator,
     BatchCalibrator,
     Calibrator,
-    CombinedBudget,
     EvaluationBudget,
     FailurePolicy,
     Parameter,
     ParameterSpace,
     RetryPolicy,
     RunConfig,
-    TimeBudget,
     get_algorithm,
 )
 from repro.core.evaluation import CACHE_DECIMALS, Claim, DictCache, unit_cache_key
@@ -53,7 +50,6 @@ from repro.core.faults import EvaluationFailure
 from repro.core.history import CalibrationHistory, Evaluation
 from repro.core.parallel import ParallelEvaluator
 from repro.core.serialization import evaluation_to_dict
-from repro.core.stopping import NoImprovementStopper
 from repro.service.fleet import FaultyObjective
 
 # The integer parameter collapses nearby candidates onto one point, so
@@ -67,12 +63,12 @@ NATIVE = ("random", "sobol", "lhs", "tpe", "revisiting")
 PEER_FAILURE = EvaluationFailure(error="RuntimeError: a peer's simulator died")
 
 
-def account(asks, outcome, config, cap, cache=True, peer=None, stopper=None):
+def account(asks, outcome, config, cap, cache=True, peer=None):
     """What a run asking ``asks`` (parameter mappings, in ask order)
     charges, records and counts.
 
     Before each ask the budget is checked: the run stops once it has
-    charged ``cap`` units, or once ``stopper`` fires on its history.
+    charged ``cap`` units.
     Each candidate settles as what the cache holds for its point at its
     claim makes it (without a cache, every candidate is a miss):
 
@@ -102,7 +98,7 @@ def account(asks, outcome, config, cap, cache=True, peer=None, stopper=None):
     log, counters, units = [], dict.fromkeys(COUNTERS, 0), 0
     history = CalibrationHistory()
     for values in asks:
-        if units >= cap or (stopper is not None and stopper.should_stop(history)):
+        if units >= cap:
             break
         unit = SPACE.to_unit_array(values)
         key = unit_cache_key(unit, CACHE_DECIMALS)
@@ -252,7 +248,6 @@ class LatestFirst:
 @given(
     algorithm=st.one_of(st.just("revisiting"), st.sampled_from(sorted(ALGORITHMS))),
     seed=st.integers(0, 2**16),
-    budget=st.sampled_from(["evaluations", "combined", "stopping"]),
     cap=st.integers(1, 24),
     cache=st.sampled_from([True, True, True, False]),
     warm=st.sampled_from([0.0, 0.3, 0.6]),  # below 1: free hits alone never spend a cap
@@ -264,7 +259,7 @@ class LatestFirst:
     data=st.data(),
 )
 def test_every_driver_configuration_meets_the_accountant(
-    algorithm, seed, budget, cap, cache, warm, leased, failing, deterministic, quarantine,
+    algorithm, seed, cap, cache, warm, leased, failing, deterministic, quarantine,
     replay, data, scripted, fleet_driver,
 ):
     nan = False
@@ -276,7 +271,6 @@ def test_every_driver_configuration_meets_the_accountant(
         script = [points[i] for i in data.draw(
             st.lists(st.integers(0, len(points) - 1), min_size=1, max_size=30), label="script")]
         nan = data.draw(st.booleans(), label="nan")
-    patience = data.draw(st.integers(1, 6), label="patience") if budget == "stopping" else None
     salt = data.draw(st.integers(0, 2**16), label="salt")
     # A transient point fails once and recovers on its retry; a
     # deterministic one fails every attempt of every dispatch.
@@ -307,14 +301,12 @@ def test_every_driver_configuration_meets_the_accountant(
     def build(kind, width=1, ordered=True, latest_first=False):
         common = dict(
             algorithm=revisiting() if algorithm == "revisiting" else get_algorithm(algorithm),
-            budget=EvaluationBudget(cap) if budget != "combined" else CombinedBudget(
-                [TimeBudget(3600.0), EvaluationBudget(cap)]),
+            budget=EvaluationBudget(cap),
             seed=seed, config=config, cache=Store(peer, outcome) if cache else False,
         )
         faulty = objective()
         if kind == "serial":
-            stopping = NoImprovementStopper(patience) if patience else None
-            return Calibrator(SPACE, faulty, stopping=stopping, **common)
+            return Calibrator(SPACE, faulty, **common)
         if kind == "batch":
             return BatchCalibrator(SPACE, faulty, workers=width, mode="serial", **common)
         if kind == "fleet":
@@ -325,14 +317,11 @@ def test_every_driver_configuration_meets_the_accountant(
                                **common)
 
     def accountant(log):
-        stopper = NoImprovementStopper(patience) if patience else None
         asks = [entry["values"] for entry in sorted(log, key=lambda entry: entry["seq"])]
-        return account(asks, outcome, config, cap, cache=cache, peer=peer, stopper=stopper)
+        return account(asks, outcome, config, cap, cache=cache, peer=peer)
 
     serial, serial_log = observed(build("serial"))
     assert same(serial, accountant(serial_log))
-    if patience:
-        return  # a stopping criterion is the serial driver's alone
     configurations = [("batch", 2), ("batch", 3), ("async", 2), ("async", 3),
                       ("async", 3, True, True), ("fleet", 2)]
     if algorithm in NATIVE:

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.core import EvaluationBudget
+from repro.core import EvaluationBudget, get_algorithm
 from repro.hepsim import (
     CaseStudyObjective,
     CaseStudyProblem,
@@ -13,7 +13,6 @@ from repro.hepsim import (
     generalization_study,
     with_compute_data_ratio,
 )
-from repro.hepsim.calibration import make_objective
 
 
 @pytest.fixture(scope="module")
@@ -28,11 +27,6 @@ def tiny_problem(generator):
 
 
 class TestCaseStudyObjective:
-    def test_make_objective_returns_the_picklable_class(self, tiny_problem):
-        assert isinstance(tiny_problem.objective, CaseStudyObjective)
-        objective = make_objective(tiny_problem.scenario, tiny_problem.ground_truth)
-        assert isinstance(objective, CaseStudyObjective)
-
     def test_pickle_roundtrip_preserves_the_value(self, tiny_problem):
         values = tiny_problem.human_values().to_dict()
         direct = tiny_problem.objective(values)
@@ -53,6 +47,26 @@ class TestCaseStudyObjective:
         ground_truth = generator.get(scenario)
         objective = CaseStudyObjective(scenario, ground_truth, metric="rmse")
         assert objective.metric_name == "rmse"
+
+
+class TestCalibrate:
+    def test_a_configured_instance_runs_under_every_driver(self, tiny_problem):
+        """``calibrate`` takes the algorithm as an instance: the batch and
+        async pools walk the serial trajectory of the configured one."""
+
+        def units(algorithm, **driver):
+            result = tiny_problem.calibrate(
+                algorithm=algorithm, budget=EvaluationBudget(12), seed=3, **driver
+            )
+            return [e.unit for e in result.history]
+
+        def configured():
+            return get_algorithm("cmaes", population_size=4)
+
+        serial = units(configured())
+        assert serial != units("cmaes")
+        assert units(configured(), workers=2) == serial
+        assert units(configured(), workers=2, asynchronous=True) == serial
 
 
 class TestWithComputeDataRatio:

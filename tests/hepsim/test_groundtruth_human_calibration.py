@@ -6,9 +6,9 @@ from repro.core import EvaluationBudget
 from repro.core.parameters import ParameterSpace
 from repro.hepsim.calibration import (
     PARAMETER_RANGE,
+    CaseStudyObjective,
     CaseStudyProblem,
     build_parameter_space,
-    make_objective,
 )
 from repro.hepsim.groundtruth import (
     GroundTruthGenerator,
@@ -153,7 +153,7 @@ class TestCalibrationGlue:
         simulator = HEPSimulator(tiny_scenario)
         values = generator.true_values(tiny_scenario)
         self_truth = simulator.run_trace(values)
-        objective = make_objective(tiny_scenario, self_truth)
+        objective = CaseStudyObjective(tiny_scenario, self_truth)
         assert objective(values.to_dict()) == pytest.approx(0.0, abs=1e-9)
 
     def test_problem_evaluate_and_human(self, generator, tiny_scenario):

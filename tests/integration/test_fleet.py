@@ -126,7 +126,6 @@ def serial_baseline(cwd, job_id=JOB):
         algorithm=request.algorithm,
         budget=request.budget,
         seed=request.seed,
-        algorithm_options=request.algorithm_options,
     ).run()
 
 

@@ -1,8 +1,9 @@
 """Ctrl-C stops ``repro serve`` at once, and the next serve finishes the job.
 
-An interrupted server leaves without waiting for its running job: the
-job's record stays ``running`` in the spool, so the next ``repro serve``
-replays its tell log and finishes it where an uninterrupted run would.
+An interrupted server leaves without waiting for its running job, names
+it and exits with status 130: the job's record stays ``running`` in the
+spool, so the next ``repro serve`` replays its tell log and finishes it
+where an uninterrupted run would.
 """
 
 import os
@@ -66,7 +67,11 @@ def test_sigint_stops_serve_mid_job_and_the_next_serve_finishes_it(tmp_path, cap
             server.kill()
             server.communicate()
     assert time.monotonic() - interrupted < 10
-    assert "KeyboardInterrupt" in output
+    # It says which job it left and how to go on, and exits cleanly.
+    assert server.returncode == 130, output
+    assert f"interrupted: {JOB} left running" in output
+    assert "the next `repro serve` resumes" in output
+    assert "Traceback" not in output
     # It left without running the job to its end, and the job is still
     # "running": the next serve picks it up.
     assert tells(spool) < EVALUATIONS

@@ -20,6 +20,7 @@ from repro.core import (
     ParameterSpace,
     RetryPolicy,
     RunConfig,
+    get_algorithm,
 )
 from repro.service import CalibrationRequest, InMemoryStore, JobSpool, JobStatus
 from repro.service.fleet import (
@@ -146,6 +147,23 @@ class TestFleetCalibration:
         assert len(store) == 20
         assert worker.stats["evaluations"] == 20
         assert sum(settled) == 20
+
+    def test_fleet_runs_a_configured_algorithm_instance_as_given(self, fleet):
+        """A fleet job takes a non-default algorithm as an instance and walks
+        the serial trajectory of the same configured instance."""
+        store, server, frontend, client = fleet
+        space = make_space()
+        serial = Calibrator(
+            space, quadratic, algorithm=get_algorithm("cmaes", population_size=4),
+            budget=EvaluationBudget(16), seed=7,
+        ).run()
+        worker, thread = run_worker_thread(client, store)
+        job = server.submit(make_request(
+            space, algorithm=get_algorithm("cmaes", population_size=4), evaluations=16))
+        assert job.wait(60)
+        thread.join(timeout=30)
+        assert job.status is JobStatus.DONE
+        assert [e.unit for e in job.result.history] == [e.unit for e in serial.history]
 
     def test_fleet_job_resumes_a_serial_tell_log(self, fleet, tmp_path):
         """Every driver writes one tell-log format: a fleet job replays a

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.core import Calibrator, EvaluationBudget, Parameter, ParameterSpace
+from repro.core import Calibrator, EvaluationBudget, Parameter, ParameterSpace, get_algorithm
 from repro.service import (
     CalibrationRequest,
     CalibrationServer,
@@ -93,6 +93,28 @@ class TestSequentialJobs:
             b = server.submit(make_request(space, fingerprint="fp-b"))
             assert b.wait(60)
         assert b.cache_hits == 0 and b.evaluations == 25
+
+    @pytest.mark.parametrize("name, options", [
+        ("cmaes", {"population_size": 4}),
+        ("de", {"mutation": 0.5}),
+        ("tpe", {"warmup": 6}),
+    ])
+    def test_a_configured_algorithm_instance_runs_as_given(self, name, options):
+        """A request carries a non-default algorithm as an instance: the
+        job walks the plain calibrator's trajectory under the same one."""
+        space = make_space()
+        plain = Calibrator(space, quadratic, algorithm=get_algorithm(name, **options),
+                           budget=EvaluationBudget(40), seed=7).run()
+        default = Calibrator(space, quadratic, algorithm=name,
+                             budget=EvaluationBudget(40), seed=7).run()
+        with CalibrationServer(store=InMemoryStore(), workers=1) as server:
+            job = server.submit(make_request(space, algorithm=get_algorithm(name, **options),
+                                             evaluations=40))
+            assert job.wait(60)
+        assert job.status is JobStatus.DONE
+        served = [e.unit for e in job.result.history]
+        assert served == [e.unit for e in plain.history]
+        assert served != [e.unit for e in default.history]
 
 
 class TestConcurrentJobs:

@@ -59,8 +59,6 @@ KEPT = {
         "tests/simgrid/test_fluid_invariants.py draws it",
     "repro/simgrid/resources.py::Resource.set_capacity":
         "tests/simgrid/test_fluid_invariants.py draws it",
-    "repro/core/stopping.py::NoImprovementStopper":
-        "the early-stopping budget of tests/core/test_evaluation_contract.py",
     "repro/service/fleet/faults.py::FaultyObjective":
         "the point-addressed faults of tests/core/test_evaluation_contract.py",
     "repro/service/fleet/faults.py::FaultyObjective.is_failing_point":
